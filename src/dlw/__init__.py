@@ -49,7 +49,6 @@ from .seedlab import (
     parse_coeff_expr,
 )
 from .transform import (
-    ExactParams,
     FieldPair,
     PoleError,
     TransformOptions,
@@ -70,7 +69,6 @@ __all__ = [
     "DerivationCheck",
     "DerivationError",
     "Dual",
-    "ExactParams",
     "FieldPair",
     "GridSpec",
     "HeatPolynomial",

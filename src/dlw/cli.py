@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import balance
 from .jetcalc import Branch
-from .residual import StencilConfig, fd_residual_1d
+from .residual import StencilConfig, fd_residual_1d, nan_max
 from .scenario import (
     ConfigError,
     PointRecord,
@@ -29,7 +28,7 @@ from .scenario import (
     write_outputs,
 )
 from .seedlab import EvaluationError
-from .transform import reduce_1plus1
+from .transform import one_plus_exp, reduce_1plus1
 
 __all__ = ["main"]
 
@@ -131,6 +130,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    for flag, count in (("--nz", args.nz), ("--nt", args.nt)):
+        if count < 1:
+            print(f"error: {flag} must be >= 1", file=sys.stderr)
+            return 2
+    if not args.step > 0:
+        print("error: --step must be positive", file=sys.stderr)
+        return 2
     branch = Branch.from_name(args.branch)
     cfg = StencilConfig(args.step)
     sign = branch.sign
@@ -139,8 +145,6 @@ def cmd_reduce(args) -> int:
         return reduce_1plus1(args.a, args.d, branch, z, t)
 
     def linspace(lo, hi, count):
-        if count < 1:
-            raise SystemExit(2)
         if count == 1:
             return [lo]
         return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -152,10 +156,10 @@ def cmd_reduce(args) -> int:
     for t in ts:
         for z in zs:
             r1, r2 = fd_residual_1d(sampler, z, t, cfg)
-            max_abs[0] = max(max_abs[0], abs(r1))
-            max_abs[1] = max(max_abs[1], abs(r2))
+            max_abs[0] = nan_max(max_abs[0], abs(r1))
+            max_abs[1] = nan_max(max_abs[1], abs(r2))
             u, h = sampler(z, t)
-            phi = 1.0 + math.exp(args.a * z - sign * args.a**2 * t + args.d)
+            phi = one_plus_exp(args.a * z - sign * args.a**2 * t + args.d)
             records.append(PointRecord(z, 0.0, t, phi, u, h, r1, r2))
     print(
         f"reduce: a = c = {args.a:g}, d = {args.d:g}, branch {args.branch}, "

@@ -27,6 +27,7 @@ __all__ = [
     "fd_residual_1d",
     "convergence_order",
     "grid_report",
+    "nan_max",
 ]
 
 Point = tuple[float, float, float]
@@ -254,6 +255,15 @@ def grid_report(
     return aggregate_residuals(points, results, grid, cfg)
 
 
+def nan_max(current: float, value: float) -> float:
+    """max(current, value) with NaN above every number.
+
+    The built-in max keeps `current` when `value` is NaN, which scores a NaN
+    residual as 0 and lets it pass a threshold.
+    """
+    return value if value > current or value != value else current
+
+
 def aggregate_residuals(
     points: Sequence[Point],
     results: Iterable[tuple[float, float] | None],
@@ -274,10 +284,12 @@ def aggregate_residuals(
         r1, r2 = abs(result[0]), abs(result[1])
         sums[0] += r1
         sums[1] += r2
-        max_abs[0] = max(max_abs[0], r1)
-        max_abs[1] = max(max_abs[1], r2)
-        if max(r1, r2) > worst_size:
-            worst_size = max(r1, r2)
+        max_abs[0] = nan_max(max_abs[0], r1)
+        max_abs[1] = nan_max(max_abs[1], r2)
+        size = nan_max(r1, r2)
+        # the first NaN point is the worst; no later point displaces it
+        if size > worst_size or (size != size and worst_size == worst_size):
+            worst_size = size
             worst = point
     if evaluated:
         mean_abs = (sums[0] / evaluated, sums[1] / evaluated)

@@ -31,12 +31,12 @@ from .seedlab import (
     parse_coeff_expr,
 )
 from .transform import (
-    ExactParams,
     FieldPair,
     PoleError,
     TransformOptions,
     exact_uh,
     exact_uh_const,
+    one_plus_exp,
     transform_point,
 )
 
@@ -145,7 +145,14 @@ def _require(raw: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # json accepts NaN and Infinity, and integers beyond the float range
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _expr(value, where: str):
@@ -265,10 +272,9 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     stencil_raw = raw.get("stencil", {})
     if not isinstance(stencil_raw, dict):
         raise ConfigError(f"{where}.stencil: expected an object")
+    step = _number(stencil_raw.get("step", 5e-3), f"{where}.stencil.step")
     try:
-        stencil = StencilConfig(
-            step=_number(stencil_raw.get("step", 5e-3), f"{where}.stencil.step")
-        )
+        stencil = StencilConfig(step=step)
     except ValueError as exc:
         raise ConfigError(f"{where}.stencil: {exc}") from None
 
@@ -324,20 +330,21 @@ def build_sampler(
             return exact_uh_const(p.a, p.c, p.d, sc.branch, (x, y, t))
 
         def phi_value(x, y, t):
-            return 1.0 + math.exp(p.a * x - sign * p.a * p.a * t + p.c * y + p.d)
+            return one_plus_exp(p.a * x - sign * p.a * p.a * t + p.c * y + p.d)
 
     else:
+        # One field per scenario: its coefficient table serves the phi column
+        # and every sample of either path.
         field = make_seed(sc.seed)
 
         def phi_value(x, y, t):
             return field.value((x, y, t))
 
         if sc.solution_path == "exact":
-            kernel = sc.seed.kernels[0]
-            exact_params = ExactParams(a=kernel.a, b=kernel.b, branch=sc.branch)
 
             def sampler(x, y, t):
-                return exact_uh(exact_params, (x, y, t))
+                [(a, b)] = field.coefficients(y)
+                return exact_uh(a, b, sc.branch, (x, y, t))
 
         else:
             opts = TransformOptions()

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..jetcalc import Branch, JetIndex
-from .exprlang import CoeffExpr, EvaluationError, eval_dual
+from .exprlang import CoeffExpr, Dual, EvaluationError, eval_dual
 
 __all__ = [
     "SUPPORTED_INDICES",
@@ -70,11 +70,47 @@ class SeedSpec:
 
 
 class SeedField:
-    """Evaluator of a seed and its supported partial derivatives at a point."""
+    """Evaluator of a seed and its supported partial derivatives at a point.
+
+    The coefficients depend on y alone, so the field keeps a table with one
+    row per distinct y and one slot per coefficient group: each kernel's
+    (a, b), then the poly's (c2, c1, c0). A slot is evaluated when a point
+    first needs it, in the order the seed's terms are summed, so an error
+    surfaces where it would without the table; an EvaluationError leaves the
+    slot empty and is raised again on the next request. Filling is
+    idempotent: a field shared across threads may evaluate a slot twice,
+    never differently.
+    """
 
     def __init__(self, spec: SeedSpec):
         self.spec = spec
         self.branch = spec.branch
+        self._groups = tuple((kernel.a, kernel.b) for kernel in spec.kernels)
+        if spec.poly is not None:
+            self._groups += ((spec.poly.c2, spec.poly.c1, spec.poly.c0),)
+        self._rows: dict[object, list[tuple[Dual, ...] | None]] = {}
+
+    def _row(self, y: float) -> list[tuple[Dual, ...] | None]:
+        # Keyed on the exact float. Equal floats share a row except the
+        # signed zeros, which eval_dual can tell apart; NaNs, equal to
+        # nothing, share one key.
+        key = y if y and y == y else repr(y)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self._groups)
+        return row
+
+    def _resolve(self, row: list, slot: int, y: float) -> tuple[Dual, ...]:
+        duals = tuple(eval_dual(expr, y) for expr in self._groups[slot])
+        row[slot] = duals
+        return duals
+
+    def coefficients(self, y: float) -> tuple[tuple[Dual, ...], ...]:
+        """Duals of each kernel's (a, b), then of the poly's (c2, c1, c0)."""
+        row = self._row(y)
+        return tuple(
+            row[slot] or self._resolve(row, slot, y) for slot in range(len(row))
+        )
 
     def partials(self, point: Point, indices) -> tuple[float, ...]:
         """Evaluate several partial derivatives sharing one coefficient pass."""
@@ -88,9 +124,9 @@ class SeedField:
                 if index == (0, 0, 0):
                     totals[slot] += self.spec.constant_term
 
-        for kernel in self.spec.kernels:
-            a = eval_dual(kernel.a, y)
-            b = eval_dual(kernel.b, y)
+        row = self._row(y)
+        for pos, kernel in enumerate(self.spec.kernels):
+            a, b = row[pos] or self._resolve(row, pos, y)
             theta = a.value * x - sign * a.value**2 * t + b.value
             theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
             try:
@@ -105,9 +141,7 @@ class SeedField:
                 )
 
         if self.spec.poly is not None:
-            c2 = eval_dual(self.spec.poly.c2, y)
-            c1 = eval_dual(self.spec.poly.c1, y)
-            c0 = eval_dual(self.spec.poly.c0, y)
+            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
             for slot, index in enumerate(indices):
                 totals[slot] += _poly_partial(index, c2, c1, c0, x, t, sign)
 

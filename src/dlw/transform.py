@@ -11,16 +11,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .jetcalc import Branch
-from .seedlab import CoeffExpr, SeedField, eval_dual, sech
+from .seedlab import Dual, SeedField, sech
 
 __all__ = [
     "FieldPair",
     "TransformOptions",
-    "ExactParams",
     "PoleError",
     "transform_point",
     "exact_uh",
     "exact_uh_const",
+    "one_plus_exp",
     "reduce_1plus1",
 ]
 
@@ -68,26 +68,16 @@ def transform_point(
     return FieldPair(u, h)
 
 
-@dataclass(frozen=True)
-class ExactParams:
-    """Coefficients of the general closed-form solitary solution."""
-
-    a: CoeffExpr
-    b: CoeffExpr
-    branch: Branch
-
-
-def exact_uh(params: ExactParams, point: Point) -> FieldPair:
+def exact_uh(a: Dual, b: Dual, branch: Branch, point: Point) -> FieldPair:
     """Closed-form solution generated by the unit single-kernel seed.
 
-    With theta = a(y)*x - sign*a(y)^2*t + b(y):
+    a and b are the duals (value, y-derivative) of the kernel coefficients at
+    the point's y. With theta = a(y)*x - sign*a(y)^2*t + b(y):
       u = sign*a*(1 + tanh(theta/2))
       h = (a/2)*(a'x - sign*2aa't + b')*sech(theta/2)^2 + a'*tanh(theta/2) + a' - 1
     """
-    x, y, t = point
-    sign = params.branch.sign
-    a = eval_dual(params.a, y)
-    b = eval_dual(params.b, y)
+    x, _, t = point
+    sign = branch.sign
     theta = a.value * x - sign * a.value**2 * t + b.value
     theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
     th = math.tanh(0.5 * theta)
@@ -111,6 +101,18 @@ def exact_uh_const(
     u = sign * a * (1.0 + math.tanh(0.5 * arg))
     h = 0.5 * a * c * sech(0.5 * arg) ** 2 - 1.0
     return FieldPair(u, h)
+
+
+def one_plus_exp(arg: float) -> float:
+    """The seed 1 + exp(arg) behind the constant-coefficient solitary waves.
+
+    Past exp's float range the seed rounds to inf, while u and h, formed
+    through tanh and sech, stay finite.
+    """
+    try:
+        return 1.0 + math.exp(arg)
+    except OverflowError:
+        return math.inf
 
 
 def reduce_1plus1(a: float, d: float, branch: Branch, z: float, t: float) -> FieldPair:

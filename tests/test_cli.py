@@ -236,6 +236,53 @@ def test_exact_const_path(tmp_path, capsys):
     capsys.readouterr()
 
 
+def exact_const_config(a=1.0, c=1.0, d=0.0, **overrides):
+    config = base_config(solution_path="exact-const", **overrides)
+    del config["seed"]
+    config["params"] = {"a": a, "c": c, "d": d}
+    return config
+
+
+def test_nan_residuals_fail_the_verdict(tmp_path, capsys):
+    # a*a overflows to inf, and inf*t is NaN at t = 0
+    config = exact_const_config(a=1e200)
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    out = capsys.readouterr().out
+    assert "r1 = nan" in out and "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("config.grid.x[1]", lambda c: c["grid"].update(x=[-1.0, math.inf, 3])),
+        ("config.params.a", lambda c: c["params"].update(a=math.nan)),
+        ("config.params.d", lambda c: c["params"].update(d=-math.inf)),
+        ("config.stencil.step", lambda c: c["stencil"].update(step=10**400)),
+    ],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
+    config = exact_const_config()
+    edit(config)
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: expected a finite number")
+
+
+def test_run_rejects_non_finite_override(tmp_path, capsys):
+    assert main(["run", write_config(tmp_path, base_config()), "--step", "nan"]) == 2
+    assert "config.stencil.step: expected a finite number" in capsys.readouterr().err
+
+
+def test_exact_const_phi_overflow_writes_inf(tmp_path, capsys):
+    csv_path = tmp_path / "far.csv"
+    config = exact_const_config(d=800.0, outputs=[{"format": "csv", "path": str(csv_path)}])
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    _, rows = read_csv(csv_path)
+    assert {row[3] for row in rows} == {"inf"}
+    assert all(math.isfinite(float(value)) for row in rows for value in row[4:])
+
+
 # -- reduce -----------------------------------------------------------------------------
 
 
@@ -262,6 +309,35 @@ def test_reduce_csv_export(tmp_path, capsys):
     header, rows = read_csv(target)
     assert header == CSV_HEADER
     assert len(rows) == 5 * 5  # nz * nt
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nz", "0"], "--nz must be >= 1"),
+        (["--nt", "0"], "--nt must be >= 1"),
+        (["--nt", "-3"], "--nt must be >= 1"),
+        (["--step", "0"], "--step must be positive"),
+    ],
+)
+def test_reduce_rejects_bad_grid_flags(capsys, flags, message):
+    assert main(["reduce", "1.0", "0.0", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_reduce_nan_parameter_fails(capsys):
+    assert main(["reduce", "nan", "0.0"]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+
+
+def test_reduce_phi_overflow_writes_inf(tmp_path, capsys):
+    target = tmp_path / "far.csv"
+    assert main(["reduce", "1.0", "800", "--nz", "3", "--output", str(target)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(target)
+    assert {row[3] for row in rows} == {"inf"}
 
 
 # -- sweep ------------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from dlw.jetcalc import Branch
 from dlw.residual import (
     GridSpec,
     StencilConfig,
+    aggregate_residuals,
     convergence_order,
     fd_residual_1d,
     fd_residual_dlw,
@@ -200,6 +202,31 @@ def test_parallel_and_serial_reports_identical():
     serial = grid_report(sampler, grid, CFG, workers=1)
     parallel = grid_report(sampler, grid, CFG, workers=4)
     assert serial == parallel
+
+
+def test_threads_sharing_one_field_fill_its_table_consistently():
+    grid = GridSpec(-2, 2, 5, -2, 2, 9, 0, 1, 2)
+    serial = grid_report(transform_sampler(kernel_field()), grid, CFG)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = transform_sampler(kernel_field())  # an empty table each time
+            assert grid_report(shared, grid, CFG, workers=8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_residual_is_never_scored_as_zero(bad):
+    grid = GridSpec(0, 3, 4, 0, 0, 1, 0, 0, 1)
+    points = grid.points()
+    results = [(1e-9, 2e-9), (bad, 1e-9), (3e-9, bad), None]
+    report = aggregate_residuals(points, results, grid, CFG)
+    assert report.evaluated == 3 and report.skipped == 1
+    for value in report.max_abs:
+        assert not value <= 1.0  # fails every threshold
+    assert report.worst_point == points[1]
 
 
 def test_all_skipped_grid_reports_nan():

@@ -1,0 +1,100 @@
+"""Scenario evaluation against per-sample coefficient evaluation.
+
+A seed field keeps its coefficient duals in a table filled once per distinct
+y. The reference here empties that table before every sample, so each sample
+calls eval_dual directly, as a field without the table would.
+"""
+
+import json
+import random
+
+import pytest
+
+from dlw.cli import main
+from dlw.jetcalc import Branch
+from dlw.scenario import evaluate_scenario, scenario_from_dict
+from dlw.seedlab import SeedField, seeds
+
+A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")
+B_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "y^2/4", "-0.4*y + 1")
+POLY_EXPRS = ("0", "0.5", "cos(y)", "y^2", "tanh(y)", "1 - 0.2*y")
+GRID = {"x": [-2.0, 2.0, 5], "y": [-1.5, 1.5, 4], "t": [0.0, 0.6, 2]}
+
+
+def random_document(rng, branch, path):
+    kernels = [
+        {
+            "amplitude": 1.0 if path == "exact" else rng.choice((0.5, 1.0, 2.0)),
+            "a": rng.choice(A_EXPRS),
+            "b": rng.choice(B_EXPRS),
+        }
+        for _ in range(1 if path == "exact" else rng.randint(0, 3))
+    ]
+    seed = {"kind": "mixed", "constant": 1.0, "kernels": kernels}
+    if path == "transform" and (not kernels or rng.random() < 0.5):
+        seed["poly"] = {key: rng.choice(POLY_EXPRS) for key in ("c2", "c1", "c0")}
+        seed["constant"] = rng.choice((0.0, 1.0, 3.0))
+    return {
+        "branch": branch.name.lower(),
+        "solution_path": path,
+        "seed": seed,
+        "grid": GRID,
+        "stencil": {"step": 5e-3},
+    }
+
+
+def per_sample_reference(sc, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(SeedField, "_row", lambda self, y: [None] * len(self._groups))
+        return evaluate_scenario(sc)
+
+
+@pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS))
+@pytest.mark.parametrize("path", ("transform", "exact"))
+def test_records_and_report_equal_per_sample_evaluation(branch, path, monkeypatch):
+    rng = random.Random(f"{branch.name}-{path}")
+    for _ in range(6):
+        sc = scenario_from_dict(random_document(rng, branch, path))
+        report, records = evaluate_scenario(sc)
+        ref_report, ref_records = per_sample_reference(sc, monkeypatch)
+        # repr compares every float exactly, NaN rows and signed zeros too
+        assert repr(records) == repr(ref_records)
+        assert repr(report) == repr(ref_report)
+
+
+@pytest.mark.parametrize("path", ("transform", "exact"))
+def test_each_coefficient_is_evaluated_once_per_distinct_y(path, monkeypatch):
+    document = random_document(random.Random(5), Branch.PLUS, path)
+    document["seed"]["kernels"] = [{"a": "1 + 0.3*tanh(y)", "b": "0.2*y"}]
+    if path == "transform":
+        document["seed"]["kernels"].append({"a": "0.7", "b": "sin(y)"})
+        document["seed"]["poly"] = {"c2": "0.1", "c1": "cos(y)", "c0": "y^2"}
+    sc = scenario_from_dict(document)
+    calls = []
+    original = seeds.eval_dual
+
+    def counted(expr, y):
+        calls.append((id(expr), y))
+        return original(expr, y)
+
+    monkeypatch.setattr(seeds, "eval_dual", counted)
+    evaluate_scenario(sc)
+    assert calls and len(calls) == len(set(calls))
+    exprs = 7 if path == "transform" else 2
+    assert len(calls) <= 3 * sc.grid.ny * exprs  # y and y +/- step
+
+
+@pytest.mark.parametrize("path", ("transform", "exact"))
+def test_failing_coefficient_through_y_zero_exits_2(path, tmp_path, capsys):
+    document = {
+        "branch": "plus",
+        "solution_path": path,
+        "seed": {"kind": "kernels", "constant": 1.0, "kernels": [{"a": "1", "b": "1/y"}]},
+        "grid": {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.0, 0.5, 2]},
+    }
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(document))
+    assert main(["run", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field evaluation failed: division by zero\n"

@@ -179,5 +179,48 @@ def test_kernel_overflow_surfaces_as_evaluation_error():
 
 def test_coefficient_evaluation_errors_propagate():
     field = unit_kernel_seed(Branch.PLUS, "1/y", "0")
-    with pytest.raises(EvaluationError):
-        field.value((0.0, 0.0, 0.0))
+    for _ in range(2):  # the failure is raised again, never stored
+        with pytest.raises(EvaluationError, match="division by zero"):
+            field.value((0.0, 0.0, 0.0))
+        with pytest.raises(EvaluationError, match="division by zero"):
+            field.coefficients(0.0)
+    assert field.value((1.0, 0.5, 0.0)) == pytest.approx(1.0 + math.e**2)
+
+
+def test_first_failing_term_names_the_error():
+    # kernel 0 overflows at x = 1e4 before kernel 1's coefficient is needed
+    spec = SeedSpec(
+        Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
+    )
+    with pytest.raises(EvaluationError, match="kernel overflow"):
+        make_seed(spec).value((1e4, 0.0, 0.0))
+    with pytest.raises(EvaluationError, match="division by zero"):
+        make_seed(spec).value((1.0, 0.0, 0.0))
+
+
+# -- the coefficient table ------------------------------------------------------------
+
+
+def test_fields_with_different_specs_keep_separate_tables():
+    one = unit_kernel_seed(Branch.PLUS, "1 + 0*y", "0.5*y")
+    two = unit_kernel_seed(Branch.PLUS, "2 + 0*y", "0.5*y")
+    point = (0.3, 0.7, 0.2)
+    for first, second in ((one, two), (two, one)):
+        first.value(point)
+        second.value(point)
+    [(a_one, _)] = one.coefficients(0.7)
+    [(a_two, _)] = two.coefficients(0.7)
+    assert (a_one.value, a_two.value) == (1.0, 2.0)
+    assert one.value(point) == 1.0 + math.exp(0.3 - 0.2 + 0.35)
+    assert two.value(point) == 1.0 + math.exp(0.6 - 0.8 + 0.35)
+
+
+def test_table_keys_the_exact_float():
+    field = make_seed(
+        SeedSpec(Branch.PLUS, 0.0, (), HeatPolynomial(P("2*y"), P("y"), P("y^3")))
+    )
+    y = 0.1 + 0.2  # 0.30000000000000004, a row apart from 0.3
+    for probe in (0.3, y, 0.0, -0.0):
+        c2, c1, c0 = field.coefficients(probe)[-1]
+        assert (c2.value, c1.value, c0.value) == (2 * probe, probe, probe**3)
+        assert math.copysign(1.0, c1.value) == math.copysign(1.0, probe)
