@@ -3,7 +3,8 @@
 Subcommands: `derive` (exact symbolic derivation and checks), `run` (verify a
 scenario config on its grid and export data), `reduce` (the (1+1)-dimensional
 solitary-wave check), and `sweep` (repeat `run` over a parameter list).
-Exit codes: 0 verified, 1 verification failure, 2 input error.
+Exit codes: 0 verified, 1 verification failure, 2 input error or an output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 
 from . import balance
 from .jetcalc import Branch
-from .residual import StencilConfig, fd_residual_1d, nan_max
+from .residual import GridSpec, StencilConfig, fd_residual_1d
 from .scenario import (
     ConfigError,
-    PointRecord,
+    evaluate_grid,
     evaluate_scenario,
     export_csv,
     load_config,
@@ -81,86 +82,71 @@ def _print_summary(label: str, sc, report) -> bool:
     return ok
 
 
-def cmd_run(args) -> int:
-    try:
-        raw = _apply_overrides(load_config(args.config), args)
-        sc = scenario_from_dict(raw)
-        report, records = evaluate_scenario(sc)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationError as exc:
-        print(f"error: field evaluation failed: {exc}", file=sys.stderr)
-        return 2
+def _verify(label: str, raw: dict, args, where: str) -> bool:
+    """One scenario: overrides, parse, evaluate, write, summarise."""
+    sc = scenario_from_dict(_apply_overrides(raw, args), where=where)
+    report, records = evaluate_scenario(sc)
     write_outputs(sc, report, records)
-    return 0 if _print_summary("run", sc, report) else 1
+    return _print_summary(label, sc, report)
+
+
+def cmd_run(args) -> int:
+    ok = _verify("run", load_config(args.config), args, where="config")
+    return 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
-    try:
-        raw = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    raw = load_config(args.config)
     entries = raw.get("sweep")
     if not isinstance(entries, list) or not entries:
-        print("error: config has no nonempty 'sweep' list", file=sys.stderr)
-        return 2
+        raise ConfigError("config has no nonempty 'sweep' list")
     base = {key: value for key, value in raw.items() if key != "sweep"}
     all_ok = True
     for pos, entry in enumerate(entries):
         label = f"sweep[{pos}]"
-        try:
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{label}: expected an object")
-            merged = _apply_overrides(merge_config(base, entry), args)
-            if "outputs" not in entry:
-                merged["outputs"] = []  # avoid runs overwriting a shared path
-            sc = scenario_from_dict(merged, where=label)
-            report, records = evaluate_scenario(sc)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except EvaluationError as exc:
-            print(f"error: field evaluation failed: {exc}", file=sys.stderr)
-            return 2
-        write_outputs(sc, report, records)
-        all_ok = _print_summary(label, sc, report) and all_ok
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{label}: expected an object")
+        merged = merge_config(base, entry)
+        if "outputs" not in entry:
+            merged["outputs"] = []  # avoid runs overwriting a shared path
+        all_ok = _verify(label, merged, args, where=label) and all_ok
     return 0 if all_ok else 1
 
 
 def cmd_reduce(args) -> int:
     for flag, count in (("--nz", args.nz), ("--nt", args.nt)):
         if count < 1:
-            print(f"error: {flag} must be >= 1", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{flag} must be >= 1")
     if not args.step > 0:
-        print("error: --step must be positive", file=sys.stderr)
-        return 2
+        raise ConfigError("--step must be positive")
+    try:
+        grid = GridSpec(
+            args.z0, args.z1, args.nz, 0.0, 0.0, 1, args.t0, args.t1, args.nt
+        )
+    except ValueError:
+        # the counts passed above, so a range is reversed
+        axis = "z" if args.z1 < args.z0 else "t"
+        raise ConfigError(f"--{axis}0 must not exceed --{axis}1") from None
     branch = Branch.from_name(args.branch)
-    cfg = StencilConfig(args.step)
-    sign = branch.sign
 
-    def sampler(z, t):
+    def reduced(z, t):
         return reduce_1plus1(args.a, args.d, branch, z, t)
 
-    def linspace(lo, hi, count):
-        if count == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    def residual(_sampler, point, cfg):
+        z, _, t = point
+        return fd_residual_1d(reduced, z, t, cfg)
 
-    zs = linspace(args.z0, args.z1, args.nz)
-    ts = linspace(args.t0, args.t1, args.nt)
-    max_abs = [0.0, 0.0]
-    records = []
-    for t in ts:
-        for z in zs:
-            r1, r2 = fd_residual_1d(sampler, z, t, cfg)
-            max_abs[0] = nan_max(max_abs[0], abs(r1))
-            max_abs[1] = nan_max(max_abs[1], abs(r2))
-            u, h = sampler(z, t)
-            phi = one_plus_exp(args.a * z - sign * args.a**2 * t + args.d)
-            records.append(PointRecord(z, 0.0, t, phi, u, h, r1, r2))
+    def phi_value(z, _, t):
+        return one_plus_exp(args.a * z - branch.sign * args.a**2 * t + args.d)
+
+    report, records = evaluate_grid(
+        grid,
+        StencilConfig(args.step),
+        residual,
+        lambda z, _, t: reduced(z, t),
+        phi_value,
+    )
+    max_abs = report.max_abs
     print(
         f"reduce: a = c = {args.a:g}, d = {args.d:g}, branch {args.branch}, "
         f"z in [{args.z0:g}, {args.z1:g}], t in [{args.t0:g}, {args.t1:g}]"
@@ -233,7 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except EvaluationError as exc:
+        print(f"error: field evaluation failed: {exc}", file=sys.stderr)
+    except OSError as exc:  # load_config reports read errors, so this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

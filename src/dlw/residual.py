@@ -10,11 +10,10 @@ product rule is exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .transform import FieldPair, PoleError
+from .transform import FieldPair
 
 __all__ = [
     "FieldSampler",
@@ -26,7 +25,7 @@ __all__ = [
     "fd_residual_dlw",
     "fd_residual_1d",
     "convergence_order",
-    "grid_report",
+    "aggregate_residuals",
     "nan_max",
 ]
 
@@ -221,38 +220,6 @@ class ResidualReport:
             },
             "stencil": {"step": self.stencil.step},
         }
-
-
-def _point_residual(
-    sampler: FieldSampler, point: Point, cfg: StencilConfig
-) -> tuple[float, float] | None:
-    try:
-        return fd_residual_dlw(sampler, point, cfg)
-    except PoleError:
-        return None
-
-
-def grid_report(
-    sampler: FieldSampler,
-    grid: GridSpec,
-    cfg: StencilConfig = StencilConfig(),
-    workers: int = 1,
-) -> ResidualReport:
-    """Evaluate the residuals at every grid point and aggregate.
-
-    Pole-adjacent points (any stencil sample inside the pole zone) are counted
-    as skipped, not failed.  Aggregation runs in grid order regardless of the
-    worker count, so parallel and serial reports are identical.
-    """
-    points = grid.points()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda p: _point_residual(sampler, p, cfg), points)
-            )
-    else:
-        results = [_point_residual(sampler, p, cfg) for p in points]
-    return aggregate_residuals(points, results, grid, cfg)
 
 
 def nan_max(current: float, value: float) -> float:

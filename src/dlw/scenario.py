@@ -16,6 +16,7 @@ from typing import Callable
 
 from .jetcalc import Branch
 from .residual import (
+    FieldSampler,
     GridSpec,
     ResidualReport,
     StencilConfig,
@@ -26,14 +27,13 @@ from .seedlab import (
     ExprSyntaxError,
     HeatPolynomial,
     Kernel,
+    SeedField,
     SeedSpec,
-    make_seed,
     parse_coeff_expr,
 )
 from .transform import (
     FieldPair,
     PoleError,
-    TransformOptions,
     exact_uh,
     exact_uh_const,
     one_plus_exp,
@@ -51,6 +51,7 @@ __all__ = [
     "scenario_from_dict",
     "merge_config",
     "build_sampler",
+    "evaluate_grid",
     "evaluate_scenario",
     "write_outputs",
     "export_csv",
@@ -63,7 +64,7 @@ CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
 
 
 class ConfigError(ValueError):
-    """Invalid scenario document; the message carries the offending location."""
+    """Invalid scenario document or flag; the message names where it is."""
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,13 @@ class PointRecord:
 def load_config(path: str | Path) -> dict:
     """Read a scenario document; raises ConfigError with a location."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -318,9 +323,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     )
 
 
-def build_sampler(
-    sc: Scenario,
-) -> tuple[Callable[[float, float, float], FieldPair], Callable[..., float]]:
+def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
     """Sampler (u, h) plus the underlying seed value for the phi column."""
     sign = sc.branch.sign
     if sc.solution_path == "exact-const":
@@ -335,7 +338,7 @@ def build_sampler(
     else:
         # One field per scenario: its coefficient table serves the phi column
         # and every sample of either path.
-        field = make_seed(sc.seed)
+        field = SeedField(sc.seed)
 
         def phi_value(x, y, t):
             return field.value((x, y, t))
@@ -347,10 +350,9 @@ def build_sampler(
                 return exact_uh(a, b, sc.branch, (x, y, t))
 
         else:
-            opts = TransformOptions()
 
             def sampler(x, y, t):
-                return transform_point(field, (x, y, t), opts)
+                return transform_point(field, (x, y, t))
 
     if sc.perturb_h:
         inner = sampler
@@ -363,27 +365,41 @@ def build_sampler(
     return sampler, phi_value
 
 
-def evaluate_scenario(
-    sc: Scenario,
+def evaluate_grid(
+    grid: GridSpec,
+    cfg: StencilConfig,
+    residual: Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]],
+    sampler: FieldSampler,
+    phi_value: Callable[..., float],
 ) -> tuple[ResidualReport, list[PointRecord]]:
-    """Evaluate fields and residuals on the grid, in x-fastest order."""
-    sampler, phi_value = build_sampler(sc)
-    points = sc.grid.points()
+    """Residuals, fields and seed values at every grid point, x fastest.
+
+    Each point evaluates phi, then the stencil residual, then (u, h) at the
+    centre. A point whose stencil meets a pole is skipped, not failed: its
+    record keeps phi and carries nan in the other columns.
+    """
+    points = grid.points()
     results = []
     records = []
     nan = math.nan
     for x, y, t in points:
         phi = phi_value(x, y, t)
         try:
-            r1, r2 = fd_residual_dlw(sampler, (x, y, t), sc.stencil)
+            r1, r2 = residual(sampler, (x, y, t), cfg)
             u, h = sampler(x, y, t)
             results.append((r1, r2))
             records.append(PointRecord(x, y, t, phi, u, h, r1, r2))
         except PoleError:
             results.append(None)
             records.append(PointRecord(x, y, t, phi, nan, nan, nan, nan))
-    report = aggregate_residuals(points, results, sc.grid, sc.stencil)
-    return report, records
+    return aggregate_residuals(points, results, grid, cfg), records
+
+
+def evaluate_scenario(
+    sc: Scenario,
+) -> tuple[ResidualReport, list[PointRecord]]:
+    """Evaluate fields and residuals on the scenario's grid."""
+    return evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, *build_sampler(sc))
 
 
 def verified(sc: Scenario, report: ResidualReport) -> bool:

@@ -22,8 +22,6 @@ __all__ = [
     "HeatPolynomial",
     "SeedSpec",
     "SeedField",
-    "make_seed",
-    "seed_partial",
     "heat_residual",
 ]
 
@@ -195,16 +193,6 @@ def _poly_partial(index, c2, c1, c0, x: float, t: float, sign: int) -> float:
     if index == (1, 1, 0):
         return 2.0 * c2.deriv * x + c1.deriv
     return 2.0 * c2.deriv  # (2, 1, 0)
-
-
-def make_seed(spec: SeedSpec) -> SeedField:
-    """Build the evaluator for a seed specification."""
-    return SeedField(spec)
-
-
-def seed_partial(field: SeedField, point: Point, index) -> float:
-    """Analytic partial derivative of the seed at a point."""
-    return field.partial(point, index)
 
 
 def heat_residual(field, point: Point) -> float:

@@ -7,7 +7,6 @@ coefficient specialization with its (1+1)-dimensional reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .jetcalc import Branch
@@ -15,7 +14,7 @@ from .seedlab import Dual, SeedField, sech
 
 __all__ = [
     "FieldPair",
-    "TransformOptions",
+    "POLE_TOLERANCE",
     "PoleError",
     "transform_point",
     "exact_uh",
@@ -25,6 +24,9 @@ __all__ = [
 ]
 
 Point = tuple[float, float, float]
+
+# |phi| below this fraction of 1 + |phi_x| + |phi_y| is a pole.
+POLE_TOLERANCE = 1e-12
 
 
 class FieldPair(NamedTuple):
@@ -43,25 +45,13 @@ class PoleError(ArithmeticError):
         self.phi = phi
 
 
-@dataclass(frozen=True)
-class TransformOptions:
-    pole_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not self.pole_tolerance > 0:
-            raise ValueError("pole_tolerance must be positive")
-
-
 _TRANSFORM_INDICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
-_DEFAULT_OPTIONS = TransformOptions()
 
 
-def transform_point(
-    field: SeedField, point: Point, opts: TransformOptions = _DEFAULT_OPTIONS
-) -> FieldPair:
+def transform_point(field: SeedField, point: Point) -> FieldPair:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1."""
     phi, phi_x, phi_y, phi_xy = field.partials(point, _TRANSFORM_INDICES)
-    if abs(phi) < opts.pole_tolerance * (1.0 + abs(phi_x) + abs(phi_y)):
+    if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi
     h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0

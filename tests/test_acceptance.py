@@ -23,10 +23,9 @@ from dlw.residual import (
     convergence_order,
     fd_residual_1d,
     fd_residual_dlw,
-    grid_report,
 )
-from dlw.scenario import CSV_HEADER
-from dlw.seedlab import Kernel, SeedSpec, eval_dual, make_seed, parse_coeff_expr
+from dlw.scenario import CSV_HEADER, evaluate_grid
+from dlw.seedlab import Kernel, SeedField, SeedSpec, eval_dual, parse_coeff_expr
 from dlw.transform import (
     FieldPair,
     exact_uh,
@@ -47,12 +46,17 @@ def exact_at(a_expr, b_expr, branch, point):
     return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, point)
 
 
+def no_phi(x, y, t):
+    """A phi column for samplers whose seed the test does not need."""
+    return 0.0
+
+
 def _pass(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS: {text}")
 
 
 def _kernel_sampler(branch, kernels):
-    field = make_seed(SeedSpec(branch=branch, constant_term=1.0, kernels=kernels))
+    field = SeedField(SeedSpec(branch=branch, constant_term=1.0, kernels=kernels))
     return lambda x, y, t: transform_point(field, (x, y, t))
 
 
@@ -125,7 +129,7 @@ def test_criterion_05_closed_form_equivalence():
     rng = random.Random(2026)
     worst = 0.0
     for branch in BRANCHES:
-        field = make_seed(
+        field = SeedField(
             SeedSpec(
                 branch=branch,
                 constant_term=1.0,
@@ -168,8 +172,8 @@ def test_criterion_07_independent_numerical_certificate():
         Branch.PLUS,
         (Kernel(1.0, P("1"), P("0.3*y")), Kernel(1.0, P("1.6"), P("-0.4*y"))),
     )
-    report_single = grid_report(single, GRID, CFG)
-    report_double = grid_report(double, GRID, CFG)
+    report_single, _ = evaluate_grid(GRID, CFG, fd_residual_dlw, single, no_phi)
+    report_double, _ = evaluate_grid(GRID, CFG, fd_residual_dlw, double, no_phi)
     assert report_single.skipped == 0 and report_double.skipped == 0
     assert max(report_single.max_abs) <= 1e-5
     assert max(report_double.max_abs) <= 1e-5
@@ -224,7 +228,7 @@ def test_criterion_08_reduction():
 
 
 def test_criterion_09_invariances():
-    vacuum = make_seed(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
+    vacuum = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
 
     def vacuum_sampler(x, y, t):
         return transform_point(vacuum, (x, y, t))
@@ -233,10 +237,10 @@ def test_criterion_09_invariances():
     assert fd_residual_dlw(vacuum_sampler, (0.7, -1.1, 0.3), CFG) == (0.0, 0.0)
 
     lam = 3.7
-    base = make_seed(
+    base = SeedField(
         SeedSpec(Branch.PLUS, 1.0, (Kernel(1.0, P("1 + 0.5*tanh(y)"), P("0.2*y")),))
     )
-    scaled = make_seed(
+    scaled = SeedField(
         SeedSpec(Branch.PLUS, lam, (Kernel(lam, P("1 + 0.5*tanh(y)"), P("0.2*y")),))
     )
     rng = random.Random(99)

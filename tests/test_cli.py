@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import json
 import math
+import os
 
 import pytest
 
 from dlw.cli import main
+from dlw.jetcalc import Branch
+from dlw.residual import StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER
+from dlw.transform import one_plus_exp, reduce_1plus1
 
 
 def base_config(**overrides):
@@ -118,6 +123,15 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"branch": "plus\xe9"}')
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config {path}: not UTF-8 text")
 
 
 def test_run_rejects_missing_sections(tmp_path, capsys):
@@ -327,6 +341,60 @@ def test_reduce_rejects_bad_grid_flags(capsys, flags, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--z0", "5", "--z1", "-5"], "--z0 must not exceed --z1"),
+        (["--t0", "1", "--t1", "0"], "--t0 must not exceed --t1"),
+    ],
+)
+def test_reduce_rejects_reversed_ranges(capsys, flags, message):
+    assert main(["reduce", "1.0", "0.0", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def linspace(lo, hi, count):
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "a, d, branch, nz, nt, threshold",
+    [
+        (0.7, 0.3, "minus", 9, 3, 1e-5),
+        (1.0, 800.0, "plus", 7, 4, 1e-5),
+        (1.3, -0.4, "plus", 6, 2, 1e-9),
+    ],
+)
+def test_reduce_rows_and_verdict_equal_a_direct_loop(
+    tmp_path, capsys, a, d, branch, nz, nt, threshold
+):
+    target = tmp_path / "reduce.csv"
+    argv = ["reduce", repr(a), repr(d), "--branch", branch, "--nz", str(nz)]
+    argv += ["--nt", str(nt), "--threshold", repr(threshold), "--output", str(target)]
+    code = main(argv)
+    capsys.readouterr()
+
+    sign = Branch.from_name(branch).sign
+    cfg = StencilConfig(5e-3)
+
+    def sampler(z, t):
+        return reduce_1plus1(a, d, Branch.from_name(branch), z, t)
+
+    expected, worst = [], [0.0, 0.0]
+    for t in linspace(0.0, 1.0, nt):
+        for z in linspace(-5.0, 5.0, nz):
+            r1, r2 = fd_residual_1d(sampler, z, t, cfg)
+            u, h = sampler(z, t)
+            phi = one_plus_exp(a * z - sign * a**2 * t + d)
+            expected.append([z, 0.0, t, phi, u, h, r1, r2])
+            worst = [max(worst[0], abs(r1)), max(worst[1], abs(r2))]
+    _, rows = read_csv(target)
+    assert [[float(value) for value in row] for row in rows] == expected
+    assert code == (0 if max(worst) <= threshold else 1)
+
+
 def test_reduce_nan_parameter_fails(capsys):
     assert main(["reduce", "nan", "0.0"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
@@ -366,6 +434,28 @@ def test_sweep_fails_if_any_entry_fails(tmp_path, capsys):
 def test_sweep_requires_list(tmp_path, capsys):
     assert main(["sweep", write_config(tmp_path, base_config())]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+# -- outputs ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ("run", "sweep", "reduce", "derive"))
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out"
+    if command == "run":
+        config = base_config(outputs=[{"format": "csv", "path": str(target)}])
+        argv = ["run", write_config(tmp_path, config)]
+    elif command == "sweep":
+        config = base_config()
+        config["sweep"] = [{"outputs": [{"format": "report", "path": str(target)}]}]
+        argv = ["sweep", write_config(tmp_path, config)]
+    elif command == "reduce":
+        argv = ["reduce", "1.0", "0.0", "--output", str(target)]
+    else:
+        argv = ["derive", "--output", str(target)]
+    assert main(argv) == 2
+    reason = os.strerror(errno.ENOENT)
+    assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
 
 
 # -- argparse surface ---------------------------------------------------------------------

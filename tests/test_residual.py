@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import threading
 
 import pytest
 
@@ -14,9 +15,9 @@ from dlw.residual import (
     convergence_order,
     fd_residual_1d,
     fd_residual_dlw,
-    grid_report,
 )
-from dlw.seedlab import HeatPolynomial, Kernel, SeedSpec, make_seed, parse_coeff_expr
+from dlw.scenario import evaluate_grid
+from dlw.seedlab import HeatPolynomial, Kernel, SeedField, SeedSpec, parse_coeff_expr
 from dlw.transform import (
     FieldPair,
     PoleError,
@@ -46,6 +47,12 @@ def transform_sampler(field):
     return lambda x, y, t: transform_point(field, (x, y, t))
 
 
+def grid_residuals(sampler, grid):
+    """The residual report of evaluate_grid, with a phi column of zeros."""
+    report, _ = evaluate_grid(grid, CFG, fd_residual_dlw, sampler, lambda x, y, t: 0.0)
+    return report
+
+
 # -- point residuals -----------------------------------------------------------
 
 
@@ -68,7 +75,7 @@ def test_corrupted_sampler_flagged():
 
 
 def test_pole_in_stencil_raises():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     sampler = transform_sampler(field)
@@ -136,14 +143,14 @@ def test_convergence_order_detects_near_miss():
 
 
 def kernel_field(branch=Branch.PLUS):
-    return make_seed(
+    return SeedField(
         SeedSpec(branch=branch, constant_term=1.0, kernels=(Kernel(1.0, P("1"), P("1*y")),))
     )
 
 
 def test_grid_report_single_kernel():
     grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
-    report = grid_report(transform_sampler(kernel_field()), grid, CFG)
+    report = grid_residuals(transform_sampler(kernel_field()), grid)
     assert report.skipped == 0
     assert report.evaluated == grid.size
     assert max(report.max_abs) <= 1e-5
@@ -153,7 +160,7 @@ def test_grid_report_single_kernel():
 
 
 def test_grid_report_two_kernel_family():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(
             branch=Branch.PLUS,
             constant_term=1.0,
@@ -164,17 +171,17 @@ def test_grid_report_two_kernel_family():
         )
     )
     grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
-    report = grid_report(transform_sampler(field), grid, CFG)
+    report = grid_residuals(transform_sampler(field), grid)
     assert report.skipped == 0
     assert max(report.max_abs) <= 1e-5
 
 
 def test_grid_report_skips_pole_band():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     grid = GridSpec(-1, 1, 21, -1, 1, 5, 0, 1, 5)  # crosses phi = x^2 - 2t = 0
-    report = grid_report(transform_sampler(field), grid, CFG)
+    report = grid_residuals(transform_sampler(field), grid)
     assert report.skipped > 0
     assert report.skipped + report.evaluated == grid.size
     assert max(report.max_abs) <= 1e-5  # evaluated points all pass
@@ -191,28 +198,33 @@ def test_unit_scale_solitary_waves_verify(a, c):
         return exact_uh_const(a, c, 0.1, Branch.PLUS, (x, y, t))
 
     grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
-    report = grid_report(sampler, grid, CFG)
+    report = grid_residuals(sampler, grid)
     assert report.skipped == 0
     assert max(report.max_abs) <= 1e-5
 
 
-def test_parallel_and_serial_reports_identical():
-    grid = GridSpec(-2, 2, 7, -2, 2, 7, 0, 1, 3)
-    sampler = transform_sampler(kernel_field())
-    serial = grid_report(sampler, grid, CFG, workers=1)
-    parallel = grid_report(sampler, grid, CFG, workers=4)
-    assert serial == parallel
-
-
 def test_threads_sharing_one_field_fill_its_table_consistently():
-    grid = GridSpec(-2, 2, 5, -2, 2, 9, 0, 1, 2)
-    serial = grid_report(transform_sampler(kernel_field()), grid, CFG)
+    points = GridSpec(-2, 2, 5, -2, 2, 9, 0, 1, 2).points()
+    sampler = transform_sampler(kernel_field())
+    serial = [fd_residual_dlw(sampler, point, CFG) for point in points]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             shared = transform_sampler(kernel_field())  # an empty table each time
-            assert grid_report(shared, grid, CFG, workers=8) == serial
+            results = [None] * len(points)
+
+            def work(start):
+                for pos in range(start, len(points), 8):
+                    results[pos] = fd_residual_dlw(shared, points[pos], CFG)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == serial
     finally:
         sys.setswitchinterval(interval)
 
@@ -234,7 +246,7 @@ def test_all_skipped_grid_reports_nan():
         raise PoleError((x, y, t), 0.0)
 
     grid = GridSpec(0, 1, 2, 0, 1, 2, 0, 0, 1)
-    report = grid_report(always_pole, grid, CFG)
+    report = grid_residuals(always_pole, grid)
     assert report.evaluated == 0
     assert report.skipped == grid.size
     assert math.isnan(report.max_abs[0])

@@ -12,8 +12,10 @@ import pytest
 
 from dlw.cli import main
 from dlw.jetcalc import Branch
-from dlw.scenario import evaluate_scenario, scenario_from_dict
+from dlw.residual import GridSpec, StencilConfig
+from dlw.scenario import evaluate_grid, evaluate_scenario, scenario_from_dict
 from dlw.seedlab import SeedField, seeds
+from dlw.transform import FieldPair, PoleError
 
 A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")
 B_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "y^2/4", "-0.4*y + 1")
@@ -98,3 +100,33 @@ def test_failing_coefficient_through_y_zero_exits_2(path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: field evaluation failed: division by zero\n"
+
+
+def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
+    calls = []
+
+    def phi_value(x, y, t):
+        calls.append(("phi", x))
+        return 10.0 + x
+
+    def residual(sampler, point, cfg):
+        calls.append(("residual", point[0]))
+        if point[0] == 1.0:
+            raise PoleError(point, 0.0)
+        return (point[0] * 1e-9, -point[0])
+
+    def sampler(x, y, t):
+        calls.append(("centre", x))
+        return FieldPair(x, -1.0)
+
+    grid = GridSpec(0.0, 2.0, 3, 0.0, 0.0, 1, 0.0, 0.0, 1)
+    report, records = evaluate_grid(grid, StencilConfig(), residual, sampler, phi_value)
+    assert calls == [
+        ("phi", 0.0), ("residual", 0.0), ("centre", 0.0),
+        ("phi", 1.0), ("residual", 1.0),
+        ("phi", 2.0), ("residual", 2.0), ("centre", 2.0),
+    ]
+    assert [record.phi for record in records] == [10.0, 11.0, 12.0]
+    assert repr(records[1].u) == "nan" and repr(records[1].res2) == "nan"
+    assert (report.evaluated, report.skipped) == (2, 1)
+    assert report.max_abs == (2e-9, 2.0) and report.worst_point == (2.0, 0.0, 0.0)

@@ -10,11 +10,10 @@ from dlw.seedlab import (
     EvaluationError,
     HeatPolynomial,
     Kernel,
+    SeedField,
     SeedSpec,
     heat_residual,
-    make_seed,
     parse_coeff_expr,
-    seed_partial,
 )
 
 P = parse_coeff_expr
@@ -22,7 +21,7 @@ BRANCHES = (Branch.PLUS, Branch.MINUS)
 
 
 def unit_kernel_seed(branch, a_text, b_text):
-    return make_seed(
+    return SeedField(
         SeedSpec(branch=branch, constant_term=1.0, kernels=(Kernel(1.0, P(a_text), P(b_text)),))
     )
 
@@ -31,10 +30,10 @@ def unit_kernel_seed(branch, a_text, b_text):
 
 
 def test_constant_seed_partials():
-    field = make_seed(SeedSpec(branch=Branch.PLUS, constant_term=1.0))
+    field = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=1.0))
     assert field.value((0.3, -1.2, 0.5)) == 1.0
     for index in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)):
-        assert seed_partial(field, (0.3, -1.2, 0.5), index) == 0.0
+        assert field.partial((0.3, -1.2, 0.5), index) == 0.0
 
 
 def test_headline_kernel_at_origin():
@@ -57,7 +56,7 @@ def test_kernel_partials_at_log_three():
 
 
 def test_heat_polynomial_seed():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     assert field.value((2.0, 0.0, 1.0)) == 2.0 * 2.0 - 2.0 * 1.0
@@ -75,7 +74,7 @@ def test_kernel_exponent_follows_branch(branch):
 
 
 def test_superposition_linearity():
-    halves = make_seed(
+    halves = SeedField(
         SeedSpec(
             branch=Branch.PLUS,
             constant_term=1.0,
@@ -120,7 +119,7 @@ _SEED_CORPUS = [
 
 @pytest.mark.parametrize("spec", _SEED_CORPUS)
 def test_every_seed_satisfies_the_linear_equation(spec):
-    field = make_seed(spec)
+    field = SeedField(spec)
     rng = random.Random(99)
     for _ in range(100):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
@@ -193,9 +192,9 @@ def test_first_failing_term_names_the_error():
         Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
     with pytest.raises(EvaluationError, match="kernel overflow"):
-        make_seed(spec).value((1e4, 0.0, 0.0))
+        SeedField(spec).value((1e4, 0.0, 0.0))
     with pytest.raises(EvaluationError, match="division by zero"):
-        make_seed(spec).value((1.0, 0.0, 0.0))
+        SeedField(spec).value((1.0, 0.0, 0.0))
 
 
 # -- the coefficient table ------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_fields_with_different_specs_keep_separate_tables():
 
 
 def test_table_keys_the_exact_float():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(Branch.PLUS, 0.0, (), HeatPolynomial(P("2*y"), P("y"), P("y^3")))
     )
     y = 0.1 + 0.2  # 0.30000000000000004, a row apart from 0.3

@@ -9,14 +9,13 @@ from dlw.jetcalc import Branch
 from dlw.seedlab import (
     HeatPolynomial,
     Kernel,
+    SeedField,
     SeedSpec,
     eval_dual,
-    make_seed,
     parse_coeff_expr,
 )
 from dlw.transform import (
     PoleError,
-    TransformOptions,
     exact_uh,
     exact_uh_const,
     reduce_1plus1,
@@ -34,7 +33,7 @@ def exact_at(a_expr, b_expr, branch, point):
 
 
 def unit_kernel_seed(branch, a_text, b_text, constant=1.0, amplitude=1.0):
-    return make_seed(
+    return SeedField(
         SeedSpec(
             branch=branch,
             constant_term=constant,
@@ -44,7 +43,7 @@ def unit_kernel_seed(branch, a_text, b_text, constant=1.0, amplitude=1.0):
 
 
 def test_vacuum_from_constant_seed():
-    field = make_seed(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
+    field = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
     pair = transform_point(field, (1.0, -2.0, 3.0))
     assert pair == (0.0, -1.0)
 
@@ -58,7 +57,7 @@ def test_hand_evaluated_point():
 
 
 def test_pole_detection_on_heat_polynomial_seed():
-    field = make_seed(
+    field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     with pytest.raises(PoleError) as err:
@@ -66,11 +65,6 @@ def test_pole_detection_on_heat_polynomial_seed():
     assert err.value.point == (0.0, 0.4, 0.0)
     # away from the parabola x^2 = 2t the transform is regular
     assert transform_point(field, (2.0, 0.4, 0.0)).u == pytest.approx(2.0)
-
-
-def test_pole_tolerance_validation():
-    with pytest.raises(ValueError):
-        TransformOptions(pole_tolerance=0.0)
 
 
 def test_gauge_invariance_under_seed_scaling():
