@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,11 +115,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    numbers = (
+        ("a", args.a), ("d", args.d), ("--z0", args.z0), ("--z1", args.z1),
+        ("--t0", args.t0), ("--t1", args.t1), ("--step", args.step),
+        ("--threshold", args.threshold),
+    )
+    for flag, value in numbers:
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number")
     for flag, count in (("--nz", args.nz), ("--nt", args.nt)):
         if count < 1:
             raise ConfigError(f"{flag} must be >= 1")
-    if not args.step > 0:
-        raise ConfigError("--step must be positive")
+    for flag, value in (("--step", args.step), ("--threshold", args.threshold)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive")
     try:
         grid = GridSpec(
             args.z0, args.z1, args.nz, 0.0, 0.0, 1, args.t0, args.t1, args.nt

@@ -57,9 +57,8 @@ class Branch(Enum):
     PLUS = 1
     MINUS = -1
 
-    @property
-    def sign(self) -> int:
-        return self.value
+    def __init__(self, sign: int):
+        self.sign = sign  # an attribute, not a property: read on every sample
 
     @classmethod
     def from_name(cls, name: str) -> "Branch":

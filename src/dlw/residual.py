@@ -128,11 +128,12 @@ def fd_residual_dlw(
     r1 = u_yt + h_xx + 0.5 * usq_xy
 
     h_t = (tp.h - tm.h) / (2.0 * s)
-    flux = lambda fp: fp.u * fp.h + fp.u
-    flux_x = (flux(xp) - flux(xm)) / (2.0 * s)
-    u_y_at = lambda plus, minus: (plus.u - minus.u) / (2.0 * s)
+    flux_x = ((xp.u * xp.h + xp.u) - (xm.u * xm.h + xm.u)) / (2.0 * s)
+    # each y-difference is scaled before it is combined
     u_xxy = (
-        u_y_at(xpyp, xpym) - 2.0 * u_y_at(yp, ym) + u_y_at(xmyp, xmym)
+        (xpyp.u - xpym.u) / (2.0 * s)
+        - 2.0 * ((yp.u - ym.u) / (2.0 * s))
+        + (xmyp.u - xmym.u) / (2.0 * s)
     ) / (s * s)
     r2 = h_t + flux_x + u_xxy
     return r1, r2

@@ -346,7 +346,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
         if sc.solution_path == "exact":
 
             def sampler(x, y, t):
-                [(a, b)] = field.coefficients(y)
+                a, b = field.duals(y, 0)
                 return exact_uh(a, b, sc.branch, (x, y, t))
 
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..jetcalc import Branch, JetIndex
 from .exprlang import CoeffExpr, Dual, EvaluationError, eval_dual
@@ -25,20 +26,48 @@ __all__ = [
     "heat_residual",
 ]
 
-SUPPORTED_INDICES = frozenset(
-    [
-        (0, 0, 0),
-        (1, 0, 0),
-        (2, 0, 0),
-        (3, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (2, 1, 0),
-    ]
-)
-
 Point = tuple[float, float, float]
+
+# Per supported index (i, j, k): the factor multiplying a kernel's
+# amp*exp(theta), from a, a' = da/dy, theta_y and the branch sign (a power
+# stays a power: a**3 and a*a*a can round apart) ...
+_KERNEL_FACTORS = {
+    (0, 0, 0): lambda a, a_prime, theta_y, sign: a**0,
+    (1, 0, 0): lambda a, a_prime, theta_y, sign: a**1,
+    (2, 0, 0): lambda a, a_prime, theta_y, sign: a**2,
+    (3, 0, 0): lambda a, a_prime, theta_y, sign: a**3,
+    (0, 1, 0): lambda a, a_prime, theta_y, sign: theta_y,
+    (0, 0, 1): lambda a, a_prime, theta_y, sign: -sign * a * a,  # theta_t
+    (1, 1, 0): lambda a, a_prime, theta_y, sign: a_prime + a * theta_y,
+    (2, 1, 0): lambda a, a_prime, theta_y, sign: 2.0 * a * a_prime + a * a * theta_y,
+}
+
+# ... and the heat polynomial's term, from the duals of c2, c1, c0.
+_POLY_TERMS = {
+    (0, 0, 0): lambda c2, c1, c0, x, t, sign: (
+        c2.value * (x * x - sign * 2.0 * t) + c1.value * x + c0.value
+    ),
+    (1, 0, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.value * x + c1.value,
+    (2, 0, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.value,
+    (3, 0, 0): lambda c2, c1, c0, x, t, sign: 0.0,
+    (0, 1, 0): lambda c2, c1, c0, x, t, sign: (
+        c2.deriv * (x * x - sign * 2.0 * t) + c1.deriv * x + c0.deriv
+    ),
+    (0, 0, 1): lambda c2, c1, c0, x, t, sign: -sign * 2.0 * c2.value,
+    (1, 1, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.deriv * x + c1.deriv,
+    (2, 1, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.deriv,
+}
+
+SUPPORTED_INDICES = frozenset(_KERNEL_FACTORS)
+_PHI = ((0, 0, 0),)
+
+
+class _Plan(NamedTuple):
+    """A validated index set, resolved once per field."""
+
+    start: tuple[float, ...]  # 0.0 per index, plus the constant term at phi
+    kernel_factors: tuple  # one _KERNEL_FACTORS entry per index
+    poly_terms: tuple  # one _POLY_TERMS entry per index
 
 
 @dataclass(frozen=True)
@@ -75,18 +104,22 @@ class SeedField:
     (a, b), then the poly's (c2, c1, c0). A slot is evaluated when a point
     first needs it, in the order the seed's terms are summed, so an error
     surfaces where it would without the table; an EvaluationError leaves the
-    slot empty and is raised again on the next request. Filling is
-    idempotent: a field shared across threads may evaluate a slot twice,
-    never differently.
+    slot empty and is raised again on the next request. Each index set asked
+    of `partials` is validated once into a plan, kept per field; an
+    unsupported index stores no plan and is rejected on every call. Both are
+    filled idempotently: a field shared across threads may evaluate a slot
+    or a plan twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
         self.spec = spec
         self.branch = spec.branch
+        self._amplitudes = tuple(kernel.amplitude for kernel in spec.kernels)
         self._groups = tuple((kernel.a, kernel.b) for kernel in spec.kernels)
         if spec.poly is not None:
             self._groups += ((spec.poly.c2, spec.poly.c1, spec.poly.c0),)
         self._rows: dict[object, list[tuple[Dual, ...] | None]] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     def _row(self, y: float) -> list[tuple[Dual, ...] | None]:
         # Keyed on the exact float. Equal floats share a row except the
@@ -103,56 +136,68 @@ class SeedField:
         row[slot] = duals
         return duals
 
-    def coefficients(self, y: float) -> tuple[tuple[Dual, ...], ...]:
-        """Duals of each kernel's (a, b), then of the poly's (c2, c1, c0)."""
+    def duals(self, y: float, slot: int) -> tuple[Dual, ...]:
+        """Duals of one coefficient group at y: kernel `slot`'s (a, b), or
+        the poly's (c2, c1, c0) at slot -1."""
         row = self._row(y)
-        return tuple(
-            row[slot] or self._resolve(row, slot, y) for slot in range(len(row))
-        )
+        return row[slot] or self._resolve(row, slot, y)
 
     def partials(self, point: Point, indices) -> tuple[float, ...]:
         """Evaluate several partial derivatives sharing one coefficient pass."""
-        indices = [self._checked(index) for index in indices]
+        try:
+            plan = self._plans[indices]
+        except (KeyError, TypeError):  # a new index set, or an unhashable one
+            plan = self._plan(indices)
         x, y, t = point
         sign = self.branch.sign
-        totals = [0.0] * len(indices)
+        totals = list(plan.start)
 
-        if self.spec.constant_term:
-            for slot, index in enumerate(indices):
-                if index == (0, 0, 0):
-                    totals[slot] += self.spec.constant_term
-
-        row = self._row(y)
-        for pos, kernel in enumerate(self.spec.kernels):
+        key = y if y and y == y else repr(y)  # as in _row
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self._groups)
+        for pos, amplitude in enumerate(self._amplitudes):
             a, b = row[pos] or self._resolve(row, pos, y)
-            theta = a.value * x - sign * a.value**2 * t + b.value
-            theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
+            a_value, a_prime = a.value, a.deriv
+            theta = a_value * x - sign * a_value**2 * t + b.value
+            theta_y = a_prime * x - sign * 2.0 * a_value * a_prime * t + b.deriv
             try:
-                scale = kernel.amplitude * math.exp(theta)
+                scale = amplitude * math.exp(theta)
             except OverflowError:
                 raise EvaluationError(
                     f"kernel overflow at exponent {theta!r}"
                 ) from None
-            for slot, index in enumerate(indices):
-                totals[slot] += (
-                    _kernel_factor(index, a.value, a.deriv, theta_y, sign) * scale
-                )
+            for slot, factor in enumerate(plan.kernel_factors):
+                totals[slot] += factor(a_value, a_prime, theta_y, sign) * scale
 
         if self.spec.poly is not None:
             c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
-            for slot, index in enumerate(indices):
-                totals[slot] += _poly_partial(index, c2, c1, c0, x, t, sign)
+            for slot, term in enumerate(plan.poly_terms):
+                totals[slot] += term(c2, c1, c0, x, t, sign)
 
-        for value in totals:
-            if not math.isfinite(value):
-                raise EvaluationError("non-finite seed value")
+        if not all(map(math.isfinite, totals)):
+            raise EvaluationError("non-finite seed value")
         return tuple(totals)
+
+    def _plan(self, indices) -> _Plan:
+        key = tuple(self._checked(index) for index in indices)
+        constant = self.spec.constant_term
+        plan = _Plan(
+            start=tuple(
+                0.0 + constant if constant and index == (0, 0, 0) else 0.0
+                for index in key
+            ),
+            kernel_factors=tuple(_KERNEL_FACTORS[index] for index in key),
+            poly_terms=tuple(_POLY_TERMS[index] for index in key),
+        )
+        self._plans[key] = plan
+        return plan
 
     def partial(self, point: Point, index) -> float:
         return self.partials(point, (index,))[0]
 
     def value(self, point: Point) -> float:
-        return self.partial(point, (0, 0, 0))
+        return self.partials(point, _PHI)[0]
 
     @staticmethod
     def _checked(index) -> tuple[int, int, int]:
@@ -160,39 +205,6 @@ class SeedField:
         if key not in SUPPORTED_INDICES:
             raise ValueError(f"unsupported jet index {JetIndex(*key).render()}")
         return key
-
-
-def _kernel_factor(
-    index, a: float, a_prime: float, theta_y: float, sign: int
-) -> float:
-    i, j, _ = index
-    if index == (0, 0, 1):
-        return -sign * a * a  # theta_t
-    if j == 0:
-        return a**i
-    if index == (0, 1, 0):
-        return theta_y
-    if index == (1, 1, 0):
-        return a_prime + a * theta_y
-    return 2.0 * a * a_prime + a * a * theta_y  # (2, 1, 0)
-
-
-def _poly_partial(index, c2, c1, c0, x: float, t: float, sign: int) -> float:
-    if index == (0, 0, 0):
-        return c2.value * (x * x - sign * 2.0 * t) + c1.value * x + c0.value
-    if index == (1, 0, 0):
-        return 2.0 * c2.value * x + c1.value
-    if index == (2, 0, 0):
-        return 2.0 * c2.value
-    if index == (3, 0, 0):
-        return 0.0
-    if index == (0, 1, 0):
-        return c2.deriv * (x * x - sign * 2.0 * t) + c1.deriv * x + c0.deriv
-    if index == (0, 0, 1):
-        return -sign * 2.0 * c2.value
-    if index == (1, 1, 0):
-        return 2.0 * c2.deriv * x + c1.deriv
-    return 2.0 * c2.deriv  # (2, 1, 0)
 
 
 def heat_residual(field, point: Point) -> float:

@@ -395,9 +395,50 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     assert code == (0 if max(worst) <= threshold else 1)
 
 
-def test_reduce_nan_parameter_fails(capsys):
-    assert main(["reduce", "nan", "0.0"]) == 1
-    assert "verdict: FAIL" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["nan", "0"], "a must be a finite number", id="a-nan"),
+        pytest.param(["1", "inf"], "d must be a finite number", id="d-inf"),
+        pytest.param(
+            ["1", "0", "--nz", "1", "--z0", "inf", "--z1", "inf"],
+            "--z0 must be a finite number",
+            id="z0-inf",
+        ),
+        pytest.param(
+            ["1", "0", "--z1", "inf"], "--z1 must be a finite number", id="z1-inf"
+        ),
+        pytest.param(
+            ["1", "0", "--t0", "nan"], "--t0 must be a finite number", id="t0-nan"
+        ),
+        pytest.param(
+            ["1", "0", "--t1", "inf"], "--t1 must be a finite number", id="t1-inf"
+        ),
+        pytest.param(
+            ["1", "0", "--step", "inf"], "--step must be a finite number", id="step-inf"
+        ),
+        pytest.param(
+            ["1", "0", "--threshold", "nan"],
+            "--threshold must be a finite number",
+            id="threshold-nan",
+        ),
+        pytest.param(
+            ["1", "0", "--threshold", "-1"],
+            "--threshold must be positive",
+            id="threshold-negative",
+        ),
+        pytest.param(
+            ["1", "0", "--threshold", "0"],
+            "--threshold must be positive",
+            id="threshold-zero",
+        ),
+    ],
+)
+def test_reduce_rejects_non_finite_input(capsys, argv, message):
+    assert main(["reduce", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_reduce_phi_overflow_writes_inf(tmp_path, capsys):

@@ -45,9 +45,22 @@ def random_document(rng, branch, path):
     }
 
 
+class ForgetfulRows(dict):
+    """A coefficient table that keeps no row: every lookup starts empty."""
+
+    def __setitem__(self, key, row):
+        pass
+
+
 def per_sample_reference(sc, monkeypatch):
+    init = SeedField.__init__
+
+    def forgetful_init(self, spec):
+        init(self, spec)
+        self._rows = ForgetfulRows()
+
     with monkeypatch.context() as patch:
-        patch.setattr(SeedField, "_row", lambda self, y: [None] * len(self._groups))
+        patch.setattr(SeedField, "__init__", forgetful_init)
         return evaluate_scenario(sc)
 
 
