@@ -10,7 +10,7 @@ zero polynomial or fails loudly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _SEARCH_BOX = 4  # exponents are searched over [0, 4]^6
+# phi_x^3 * phi_y with its factors in JetPoly's canonical order
+_TOP_JETS = ((1, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
 class DerivationError(Exception):
@@ -55,16 +57,16 @@ class BalanceExponents(NamedTuple):
     r: int
 
 
-def _satisfies_balance(e: BalanceExponents) -> bool:
+def _satisfies_balance(l: int, m: int, n: int, p: int, q: int, r: int) -> bool:
     # Highest-degree matching between the paired flux/dispersion terms of the
     # two equations, in both degree and derivative count.
     return (
-        2 * e.l + 1 == e.p + 2
-        and 2 * e.m + 1 == e.q
-        and 2 * e.n == e.r
-        and e.l + e.p + 1 == e.l + 2
-        and e.m + e.q == e.m + 1
-        and e.n + e.r == e.n
+        2 * l + 1 == p + 2
+        and 2 * m + 1 == q
+        and 2 * n == r
+        and l + p + 1 == l + 2
+        and m + q == m + 1
+        and n + r == n
     )
 
 
@@ -77,7 +79,7 @@ def solve_balance_exponents() -> BalanceExponents:
     solutions = [
         BalanceExponents(*combo)
         for combo in itertools.product(range(_SEARCH_BOX + 1), repeat=6)
-        if _satisfies_balance(BalanceExponents(*combo))
+        if _satisfies_balance(*combo)
     ]
     if not solutions:
         raise DerivationError("balance system has no solution in the search box")
@@ -139,14 +141,13 @@ def _leading_coefficient(e: JetPoly) -> JetPoly:
     """Symbol-only coefficient of the top-degree part (phi_x^3 * phi_y)."""
     parts = degree_decompose(e)
     top = parts[max(parts)]
-    expected = sorted([(1, 0, 0)] * 3 + [(0, 1, 0)])
-    stripped: dict = {}
+    stripped = []
     for mono in top.monomials():
-        if sorted(mono.jets) != expected:
+        if mono.jets != _TOP_JETS:
             raise DerivationError(
                 f"unexpected top-degree jet structure in {mono.render()}"
             )
-        stripped[(mono.phi_power, (), mono.syms)] = mono.coeff
+        stripped.append(((mono.phi_power, (), mono.syms), mono.coeff))
     return JetPoly(stripped)
 
 
@@ -167,14 +168,7 @@ class DerivationCheck:
 
     @property
     def passed(self) -> bool:
-        polys = list(self.ode_residuals) + list(self.identity_residuals)
-        if self.e1_residual is not None:
-            polys.append(self.e1_residual)
-        if self.e2_residual is not None:
-            polys.append(self.e2_residual)
-        if self.factorization_deltas is not None:
-            polys.extend(self.factorization_deltas)
-        return all(p.is_zero for p in polys)
+        return all(poly is None or poly.is_zero for _, poly in self._labelled())
 
     def failures(self) -> list[str]:
         out = []
@@ -272,7 +266,7 @@ class BalanceReport:
     f_description: str
     g_description: str
     a_constant: Fraction
-    checks: tuple[DerivationCheck, ...] = field(default=())
+    checks: tuple[DerivationCheck, ...]
 
 
 def derive() -> BalanceReport:
@@ -285,15 +279,11 @@ def derive() -> BalanceReport:
     checks = []
     for branch in (Branch.PLUS, Branch.MINUS):
         ode = check_ode_system(branch)
-        fact = verify_factorization(branch)
         checks.append(
-            DerivationCheck(
-                branch,
+            replace(
+                verify_factorization(branch),
                 ode_residuals=ode.ode_residuals,
                 identity_residuals=ode.identity_residuals,
-                e1_residual=fact.e1_residual,
-                e2_residual=fact.e2_residual,
-                factorization_deltas=fact.factorization_deltas,
             )
         )
     failures = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "MAX_ORDER",
@@ -116,11 +116,6 @@ class Monomial:
     jets: tuple[JetIndex, ...]
     syms: tuple[CoeffSymbol, ...]
 
-    @property
-    def degree(self) -> int:
-        """Homogeneous degree: the count of proper-derivative factors."""
-        return len(self.jets)
-
     def render(self) -> str:
         factors = []
         if self.phi_power:
@@ -171,37 +166,33 @@ class JetPoly:
     """Exact polynomial in jet variables, phi powers and coefficient symbols.
 
     Instances are immutable and canonical: factor tuples sorted, like terms
-    merged, zero coefficients dropped, term order deterministic.  Arithmetic
-    accepts ints and Fractions as scalars.
+    merged, zero coefficients dropped, term order deterministic.  The
+    constructor is the only code that canonicalises; every operation hands it
+    raw (key, coeff) pairs, in which a key may repeat and factors may come in
+    any order.  Arithmetic accepts ints and Fractions as scalars.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[_Key, Fraction | int] | None = None):
+    def __init__(
+        self,
+        terms: Mapping[_Key, Fraction | int]
+        | Iterable[tuple[_Key, Fraction | int]] = (),
+    ):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
         merged: dict[_Key, Fraction] = {}
-        if terms:
-            for (phi_power, jets, syms), coeff in terms.items():
-                key = _canonical_key(phi_power, jets, syms)
-                value = merged.get(key, _ZERO) + Fraction(coeff)
-                if value:
-                    merged[key] = value
-                elif key in merged:
-                    del merged[key]
-        self._terms = {key: merged[key] for key in sorted(merged, key=_term_order)}
+        for (phi_power, jets, syms), coeff in terms:
+            key = _canonical_key(phi_power, jets, syms)
+            merged[key] = merged.get(key, _ZERO) + Fraction(coeff)
+        kept = sorted((key for key, value in merged.items() if value), key=_term_order)
+        self._terms = {key: merged[key] for key in kept}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "JetPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, value: Fraction | int) -> "JetPoly":
         return cls({(0, (), ()): Fraction(value)})
-
-    @classmethod
-    def one(cls) -> "JetPoly":
-        return cls.constant(1)
 
     @classmethod
     def phi_power(cls, power: int) -> "JetPoly":
@@ -263,14 +254,7 @@ class JetPoly:
     def __add__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
             return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            value = terms.get(key, _ZERO) + coeff
-            if value:
-                terms[key] = value
-            elif key in terms:
-                del terms[key]
-        return JetPoly(terms)
+        return JetPoly([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "JetPoly":
         return JetPoly({key: -coeff for key, coeff in self._terms.items()})
@@ -289,20 +273,11 @@ class JetPoly:
             )
         if not isinstance(other, JetPoly):
             return NotImplemented
-        out: dict[_Key, Fraction] = {}
-        for (p1, jets1, syms1), c1 in self._terms.items():
-            for (p2, jets2, syms2), c2 in other._terms.items():
-                key = (
-                    p1 + p2,
-                    tuple(sorted(jets1 + jets2, key=_jet_key)),
-                    tuple(sorted(syms1 + syms2)),
-                )
-                value = out.get(key, _ZERO) + c1 * c2
-                if value:
-                    out[key] = value
-                elif key in out:
-                    del out[key]
-        return JetPoly(out)
+        return JetPoly(
+            ((p1 + p2, jets1 + jets2, syms1 + syms2), c1 * c2)
+            for (p1, jets1, syms1), c1 in self._terms.items()
+            for (p2, jets2, syms2), c2 in other._terms.items()
+        )
 
     def __rmul__(self, other) -> "JetPoly":
         return self.__mul__(other)
@@ -310,29 +285,17 @@ class JetPoly:
     def __pow__(self, n: int) -> "JetPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("JetPoly powers must be nonnegative integers")
-        result = JetPoly.one()
+        result = JetPoly.constant(1)
         for _ in range(n):
             result = result * self
         return result
 
 
-def _accumulate(out: dict, key: _Key, coeff: Fraction) -> None:
-    value = out.get(key, _ZERO) + coeff
-    if value:
-        out[key] = value
-    elif key in out:
-        del out[key]
-
-
-def _with_replaced(factors: tuple, old, new) -> tuple:
+def _with_replaced(factors: tuple, old, new) -> list:
     items = list(factors)
     items.remove(old)
     items.append(new)
-    return tuple(sorted(items))
-
-
-def _with_inserted(factors: tuple, new) -> tuple:
-    return tuple(sorted(factors + (new,)))
+    return items
 
 
 def total_derivative(p: JetPoly, direction: str) -> JetPoly:
@@ -345,12 +308,10 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
     if direction not in _AXES:
         raise ValueError(f"unknown direction {direction!r}")
     unit = JetIndex(0, 0, 0).bumped(direction)
-    out: dict[_Key, Fraction] = {}
+    out: list[tuple[_Key, Fraction]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         if phi_power:
-            _accumulate(
-                out, (phi_power - 1, _with_inserted(jets, unit), syms), coeff * phi_power
-            )
+            out.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
         for idx in set(jets):
             bumped = idx.bumped(direction)
             if bumped.order > MAX_ORDER:
@@ -358,10 +319,11 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
                     f"derivative order above {MAX_ORDER} while differentiating "
                     f"{Monomial(coeff, phi_power, jets, syms).render()}"
                 )
-            _accumulate(
-                out,
-                (phi_power, _with_replaced(jets, idx, bumped), syms),
-                coeff * jets.count(idx),
+            out.append(
+                (
+                    (phi_power, _with_replaced(jets, idx, bumped), syms),
+                    coeff * jets.count(idx),
+                )
             )
         for sym in set(syms):
             raised = CoeffSymbol(sym.family, sym.order + 1)
@@ -370,14 +332,11 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
                     f"symbol order above {MAX_ORDER} while differentiating "
                     f"{Monomial(coeff, phi_power, jets, syms).render()}"
                 )
-            _accumulate(
-                out,
+            out.append(
                 (
-                    phi_power,
-                    _with_inserted(jets, unit),
-                    _with_replaced(syms, sym, raised),
-                ),
-                coeff * syms.count(sym),
+                    (phi_power, (*jets, unit), _with_replaced(syms, sym, raised)),
+                    coeff * syms.count(sym),
+                )
             )
     return JetPoly(out)
 
@@ -390,7 +349,7 @@ def specialize_log(p: JetPoly, branch: Branch) -> JetPoly:
     rejected: the undifferentiated logarithm never appears in final
     expressions.
     """
-    out: dict[_Key, Fraction] = {}
+    out: list[tuple[_Key, Fraction]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         power = phi_power
         value = coeff
@@ -403,7 +362,7 @@ def specialize_log(p: JetPoly, branch: Branch) -> JetPoly:
             if family == "F":
                 value *= branch.sign
             power -= order
-        _accumulate(out, (power, jets, ()), value)
+        out.append(((power, jets, ()), value))
     return JetPoly(out)
 
 
@@ -417,7 +376,7 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
     """
     if p.has_symbols():
         raise SpecializationError("reduce_heat requires a symbol-free polynomial")
-    out: dict[_Key, Fraction] = {}
+    out: list[tuple[_Key, Fraction]] = []
     for (phi_power, jets, _), coeff in p._terms.items():
         factor = 1
         new_jets = []
@@ -433,7 +392,7 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
                 new_jets.append(rewritten)
             else:
                 new_jets.append(idx)
-        _accumulate(out, (phi_power, tuple(sorted(new_jets)), ()), coeff * factor)
+        out.append(((phi_power, new_jets, ()), coeff * factor))
     return JetPoly(out)
 
 

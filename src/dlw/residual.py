@@ -70,20 +70,12 @@ class GridSpec:
             if hi < lo:
                 raise ValueError("grid ranges must be ordered")
 
-    def xs(self) -> list[float]:
-        return _linspace(self.x0, self.x1, self.nx)
-
-    def ys(self) -> list[float]:
-        return _linspace(self.y0, self.y1, self.ny)
-
-    def ts(self) -> list[float]:
-        return _linspace(self.t0, self.t1, self.nt)
-
     def points(self) -> list[Point]:
         """Grid points with x varying fastest, then y, then t."""
-        return [
-            (x, y, t) for t in self.ts() for y in self.ys() for x in self.xs()
-        ]
+        xs = _linspace(self.x0, self.x1, self.nx)
+        ys = _linspace(self.y0, self.y1, self.ny)
+        ts = _linspace(self.t0, self.t1, self.nt)
+        return [(x, y, t) for t in ts for y in ys for x in xs]
 
     @property
     def size(self) -> int:

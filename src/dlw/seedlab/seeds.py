@@ -203,7 +203,8 @@ class SeedField:
     def _checked(index) -> tuple[int, int, int]:
         key = tuple(index)
         if key not in SUPPORTED_INDICES:
-            raise ValueError(f"unsupported jet index {JetIndex(*key).render()}")
+            name = JetIndex(*key).render() if len(key) == 3 else repr(key)
+            raise ValueError(f"unsupported jet index {name}")
         return key
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from dlw import balance
 from dlw.balance import (
     BalanceExponents,
+    DerivationError,
     build_ansatz,
     build_residuals,
     check_ode_system,
@@ -65,6 +67,23 @@ def test_balance_exponents_unique_by_independent_enumeration():
     assert hits == [(1, 0, 0, 1, 1, 0)]
 
 
+def test_balance_search_without_a_solution_fails(monkeypatch):
+    monkeypatch.setattr(balance, "_satisfies_balance", lambda *exponents: False)
+    with pytest.raises(DerivationError, match="no solution in the search box"):
+        solve_balance_exponents()
+
+
+def test_balance_search_with_two_solutions_fails(monkeypatch):
+    accepted = {(1, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0)}
+    monkeypatch.setattr(
+        balance, "_satisfies_balance", lambda *exponents: exponents in accepted
+    )
+    with pytest.raises(DerivationError, match="not unique") as raised:
+        solve_balance_exponents()
+    for exponents in accepted:
+        assert repr(BalanceExponents(*exponents)) in str(raised.value)
+
+
 # -- ansatz ---------------------------------------------------------------------
 
 
@@ -90,7 +109,7 @@ def test_ansatz_rejects_other_exponents():
 
 
 def test_vacuum_annihilates_residuals():
-    e1, e2 = system_residuals(JetPoly.zero(), JetPoly.constant(-1))
+    e1, e2 = system_residuals(JetPoly(), JetPoly.constant(-1))
     assert e1.is_zero and e2.is_zero
 
 
@@ -159,6 +178,25 @@ def test_wrong_constant_leaves_forced_remainder(branch):
     assert not expected.is_zero
     assert check.e2_residual == expected
     assert not check.passed
+
+
+# Term order decides rendered output, and JetPoly equality ignores it.
+_A_ZERO_FAILURES = {
+    Branch.PLUS: [
+        "e2: -2*phi^-2*phi_x*phi_x + 2*phi^-1*phi_xx",
+        "delta2: -2*phi^-2*phi_x*phi_x + 2*phi^-1*phi_xx",
+    ],
+    Branch.MINUS: [
+        "e2: 2*phi^-2*phi_x*phi_x - 2*phi^-1*phi_xx",
+        "delta2: 2*phi^-2*phi_x*phi_x - 2*phi^-1*phi_xx",
+    ],
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_wrong_constant_failures_render_in_canonical_order(branch):
+    failures = verify_factorization(branch, Fraction(0)).failures()
+    assert failures == _A_ZERO_FAILURES[branch]
 
 
 @pytest.mark.parametrize("a_const", [Fraction(1), Fraction(3, 7), Fraction(-2)])

@@ -171,22 +171,26 @@ def test_reduce_heat_order_cap():
 
 
 def test_degree_decompose_of_ansatz_shape():
-    h = sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0) + sym("G", 1) * jet(1, 1, 0) + JetPoly.one()
+    h = (
+        sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0)
+        + sym("G", 1) * jet(1, 1, 0)
+        + JetPoly.constant(1)
+    )
     parts = degree_decompose(h)
     assert sorted(parts) == [0, 1, 2]
     assert parts[2] == sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0)
     assert parts[1] == sym("G", 1) * jet(1, 1, 0)
-    assert parts[0] == JetPoly.one()
+    assert parts[0] == JetPoly.constant(1)
 
 
 def test_degree_decompose_zero():
-    assert degree_decompose(JetPoly.zero()) == {}
+    assert degree_decompose(JetPoly()) == {}
 
 
 def test_degree_decompose_reassembles():
     p = jet(1, 0, 0) ** 3 + 2 * jet(1, 1, 0) + JetPoly.constant(Fraction(5, 3))
     parts = degree_decompose(p)
-    total = JetPoly.zero()
+    total = JetPoly()
     for part in parts.values():
         total = total + part
     assert total == p
@@ -198,9 +202,28 @@ def test_degree_decompose_reassembles():
 def test_render_matches_debug_format():
     p = 2 * JetPoly.phi_power(-2) * jet(1, 0, 0) * jet(0, 1, 0)
     assert p.render() == "2*phi^-2*phi_x*phi_y"
-    assert JetPoly.zero().render() == "0"
-    q = sym("F", 2) * jet(1, 0, 0) ** 2 - JetPoly.one()
+    assert JetPoly().render() == "0"
+    q = sym("F", 2) * jet(1, 0, 0) ** 2 - JetPoly.constant(1)
     assert q.render() == "phi_x*phi_x*f'' - 1"
+
+
+def test_render_pins_factor_and_term_order():
+    u = sym("F", 1) * jet(1, 0, 0)
+    h = sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0) + sym("G", 1) * jet(1, 1, 0)
+    assert total_derivative(u * (h + JetPoly.constant(-1)), "x").render() == (
+        "phi_x*phi_x*phi_x*phi_y*f'*g''' + phi_x*phi_x*phi_x*phi_y*f''*g'' "
+        "+ 2*phi_x*phi_x*phi_xy*f'*g'' + phi_x*phi_x*phi_xy*f''*g' "
+        "+ 2*phi_x*phi_xx*phi_y*f'*g'' - phi_x*phi_x*f'' + phi_x*phi_xxy*f'*g' "
+        "+ phi_xx*phi_xy*f'*g' - phi_xx*f'"
+    )
+    one_degree = (
+        sym("F", 2) * jet(2, 0, 0)
+        + sym("F", 1) * jet(1, 1, 0)
+        + sym("F", 3) * jet(0, 1, 0)
+    )
+    assert specialize_log(one_degree, Branch.MINUS).render() == (
+        "-2*phi^-1*phi_xy + 2*phi^-2*phi_xx - 4*phi^-3*phi_y"
+    )
 
 
 # -- randomized exact properties -----------------------------------------------
@@ -222,6 +245,31 @@ _symbol_free_keys = st.tuples(
     st.just(()),
 )
 _symbol_free = st.dictionaries(_symbol_free_keys, _coeffs, max_size=3).map(JetPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(_keys, _coeffs, max_size=4),
+    st.dictionaries(_keys, _coeffs, max_size=2),
+    _coeffs,
+    st.randoms(use_true_random=False),
+)
+def test_raw_pairs_canonicalise_to_the_merged_mapping(terms, cancelled, split, rng):
+    def shuffled(key):
+        phi_power, jets, syms = key
+        return (phi_power, rng.sample(jets, len(jets)), rng.sample(syms, len(syms)))
+
+    pairs = []
+    for key, coeff in terms.items():  # each coefficient split over two pairs
+        pairs += [(shuffled(key), coeff - split), (shuffled(key), split)]
+    for key, coeff in cancelled.items():  # pairs that cancel to nothing
+        pairs += [(shuffled(key), coeff), (shuffled(key), -coeff)]
+    rng.shuffle(pairs)
+    merged = JetPoly(terms)
+    got = JetPoly(pairs)
+    assert got == merged
+    assert got.monomials() == merged.monomials()  # the same terms in the same order
+    assert len(got.monomials()) == len(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +353,7 @@ def test_reduce_heat_confluent_under_random_rewrite_order():
     rng = random.Random(20260809)
     pool = [jet(0, 0, 1), jet(1, 0, 1), jet(0, 1, 1), jet(2, 0, 0), jet(1, 1, 0)]
     for trial in range(25):
-        p = JetPoly.zero()
+        p = JetPoly()
         for _ in range(3):
             coeff = Fraction(rng.randint(-4, 4))
             if not coeff:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -171,10 +172,20 @@ def test_unsupported_index_rejected():
     field = unit_kernel_seed(Branch.PLUS, "1", "0")
     with pytest.raises(ValueError, match="unsupported jet index"):
         field.partial((0.0, 0.0, 0.0), (0, 2, 0))
-    for indices in ([(0, 2, 0)], ((0, 0, 0), (0, 0, 2)), [[1, 0, 0], [4, 0, 0]]):
+    for index in ((0, 0), (0, 0, 0, 0)):  # named by repr, not as a JetIndex
+        with pytest.raises(ValueError, match=re.escape(f"jet index {index!r}")):
+            field.partial((0.0, 0.0, 0.0), index)
+    for indices in (
+        [(0, 2, 0)],
+        ((0, 0, 0), (0, 0, 2)),
+        [[1, 0, 0], [4, 0, 0]],
+        [(0, 0)],
+        ((1, 0, 0), (0, 0, 0, 0)),
+    ):
         for _ in range(3):  # a failed plan is never kept
             with pytest.raises(ValueError, match="unsupported jet index"):
                 field.partials((0.0, 0.0, 0.0), indices)
+    assert not field._plans
     assert field.partials((0.0, 0.0, 0.0), [(0, 0, 0)]) == (2.0,)
 
 
