@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: `derive` (exact symbolic derivation and checks), `run` (verify a
-scenario config on its grid and export data), `reduce` (the (1+1)-dimensional
-solitary-wave check), and `sweep` (repeat `run` over a parameter list).
+scenario config on its grid and export data), `reduce` (an exact-const run with
+c = a on the line y = 0, checked by the (1+1)-dimensional stencil), and `sweep`
+(repeat `run` over a parameter list).
 Exit codes: 0 verified, 1 verification failure, 2 input error or an output
 that cannot be written.
 """
@@ -16,13 +17,10 @@ import sys
 from pathlib import Path
 
 from . import balance
-from .jetcalc import Branch
-from .residual import GridSpec, StencilConfig, fd_residual_1d
+from .residual import fd_residual_1d, fd_residual_dlw
 from .scenario import (
     ConfigError,
-    evaluate_grid,
     evaluate_scenario,
-    export_csv,
     load_config,
     merge_config,
     scenario_from_dict,
@@ -30,7 +28,6 @@ from .scenario import (
     write_outputs,
 )
 from .seedlab import EvaluationError
-from .transform import one_plus_exp, reduce_1plus1
 
 __all__ = ["main"]
 
@@ -41,10 +38,10 @@ def cmd_derive(args) -> int:
     except balance.DerivationError as exc:
         print(f"derivation FAILED:\n{exc}")
         return 1
-    print(balance.render_report(report))
     if args.output:
         payload = json.dumps(balance.report_to_dict(report), indent=2, sort_keys=True)
         Path(args.output).write_text(payload + "\n")
+    print(balance.render_report(report))
     return 0
 
 
@@ -83,16 +80,16 @@ def _print_summary(label: str, sc, report) -> bool:
     return ok
 
 
-def _verify(label: str, raw: dict, args, where: str) -> bool:
+def _verify(label: str, raw: dict, args, where: str, residual) -> bool:
     """One scenario: overrides, parse, evaluate, write, summarise."""
     sc = scenario_from_dict(_apply_overrides(raw, args), where=where)
-    report, records = evaluate_scenario(sc)
+    report, records = evaluate_scenario(sc, residual)
     write_outputs(sc, report, records)
     return _print_summary(label, sc, report)
 
 
 def cmd_run(args) -> int:
-    ok = _verify("run", load_config(args.config), args, where="config")
+    ok = _verify("run", load_config(args.config), args, "config", fd_residual_dlw)
     return 0 if ok else 1
 
 
@@ -110,7 +107,7 @@ def cmd_sweep(args) -> int:
         merged = merge_config(base, entry)
         if "outputs" not in entry:
             merged["outputs"] = []  # avoid runs overwriting a shared path
-        all_ok = _verify(label, merged, args, where=label) and all_ok
+        all_ok = _verify(label, merged, args, label, fd_residual_dlw) and all_ok
     return 0 if all_ok else 1
 
 
@@ -129,47 +126,20 @@ def cmd_reduce(args) -> int:
     for flag, value in (("--step", args.step), ("--threshold", args.threshold)):
         if not value > 0:
             raise ConfigError(f"{flag} must be positive")
-    try:
-        grid = GridSpec(
-            args.z0, args.z1, args.nz, 0.0, 0.0, 1, args.t0, args.t1, args.nt
-        )
-    except ValueError:
-        # the counts passed above, so a range is reversed
-        axis = "z" if args.z1 < args.z0 else "t"
-        raise ConfigError(f"--{axis}0 must not exceed --{axis}1") from None
-    branch = Branch.from_name(args.branch)
-
-    def reduced(z, t):
-        return reduce_1plus1(args.a, args.d, branch, z, t)
-
-    def residual(_sampler, point, cfg):
-        z, _, t = point
-        return fd_residual_1d(reduced, z, t, cfg)
-
-    def phi_value(z, _, t):
-        return one_plus_exp(args.a * z - branch.sign * args.a**2 * t + args.d)
-
-    report, records = evaluate_grid(
-        grid,
-        StencilConfig(args.step),
-        residual,
-        lambda z, _, t: reduced(z, t),
-        phi_value,
-    )
-    max_abs = report.max_abs
-    print(
-        f"reduce: a = c = {args.a:g}, d = {args.d:g}, branch {args.branch}, "
-        f"z in [{args.z0:g}, {args.z1:g}], t in [{args.t0:g}, {args.t1:g}]"
-    )
-    print(
-        f"  max residual: r1 = {max_abs[0]:.6e}, r2 = {max_abs[1]:.6e} "
-        f"(threshold {args.threshold:g})"
-    )
-    ok = max_abs[0] <= args.threshold and max_abs[1] <= args.threshold
-    print(f"  verdict: {'PASS' if ok else 'FAIL'}")
-    if args.output:
-        export_csv(records, args.output)
-    return 0 if ok else 1
+    for axis, lo, hi in (("z", args.z0, args.z1), ("t", args.t0, args.t1)):
+        if hi < lo:
+            raise ConfigError(f"--{axis}0 must not exceed --{axis}1")
+    # branch, step, threshold and output arrive through _apply_overrides
+    raw = {
+        "solution_path": "exact-const",
+        "params": {"a": args.a, "c": args.a, "d": args.d},
+        "grid": {
+            "x": [args.z0, args.z1, args.nz],
+            "y": [0.0, 0.0, 1],
+            "t": [args.t0, args.t1, args.nt],
+        },
+    }
+    return 0 if _verify("reduce", raw, args, "reduce", fd_residual_1d) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,6 @@ from .transform import FieldPair
 
 __all__ = [
     "FieldSampler",
-    "ReducedSampler",
     "StencilConfig",
     "GridSpec",
     "ResidualReport",
@@ -31,7 +30,6 @@ __all__ = [
 
 Point = tuple[float, float, float]
 FieldSampler = Callable[[float, float, float], FieldPair]
-ReducedSampler = Callable[[float, float], FieldPair]
 
 # Residuals below this are treated as exact to roundoff.
 ROUNDOFF_FLOOR = 1e-13
@@ -63,12 +61,15 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
-        for count in (self.nx, self.ny, self.nt):
+        for axis, lo, hi, count in (
+            ("x", self.x0, self.x1, self.nx),
+            ("y", self.y0, self.y1, self.ny),
+            ("t", self.t0, self.t1, self.nt),
+        ):
             if count < 1:
-                raise ValueError("grid counts must be >= 1")
-        for lo, hi in ((self.x0, self.x1), (self.y0, self.y1), (self.t0, self.t1)):
+                raise ValueError(f"{axis} count must be >= 1")
             if hi < lo:
-                raise ValueError("grid ranges must be ordered")
+                raise ValueError(f"{axis} range must be ordered")
 
     def points(self) -> list[Point]:
         """Grid points with x varying fastest, then y, then t."""
@@ -132,17 +133,19 @@ def fd_residual_dlw(
 
 
 def fd_residual_1d(
-    sampler: ReducedSampler, z: float, t: float, cfg: StencilConfig = StencilConfig()
+    sampler: FieldSampler, point: Point, cfg: StencilConfig = StencilConfig()
 ) -> tuple[float, float]:
-    """Residuals of the (1+1)-dimensional system at one point.
+    """Residuals of the (1+1)-dimensional system at one point (z, y, t).
 
+    The sampler is read along z at the point's own y only.
     r1 = u_t + h_z + (1/2)(u^2)_z; r2 = h_t + (u*h + u)_z + u_zzz with u_zzz
     from the z-second-difference of the z-first-difference (5-point central).
     """
+    z, y, t = point
     s = cfg.step
-    zp, zm = sampler(z + s, t), sampler(z - s, t)
-    zpp, zmm = sampler(z + 2.0 * s, t), sampler(z - 2.0 * s, t)
-    tp, tm = sampler(z, t + s), sampler(z, t - s)
+    zp, zm = sampler(z + s, y, t), sampler(z - s, y, t)
+    zpp, zmm = sampler(z + 2.0 * s, y, t), sampler(z - 2.0 * s, y, t)
+    tp, tm = sampler(z, y, t + s), sampler(z, y, t - s)
 
     u_t = (tp.u - tm.u) / (2.0 * s)
     h_z = (zp.h - zm.h) / (2.0 * s)

@@ -21,7 +21,6 @@ from .residual import (
     ResidualReport,
     StencilConfig,
     aggregate_residuals,
-    fd_residual_dlw,
 )
 from .seedlab import (
     ExprSyntaxError,
@@ -61,6 +60,9 @@ __all__ = [
 SOLUTION_PATHS = ("transform", "exact", "exact-const")
 SEED_KINDS = ("constant", "kernels", "poly", "mixed")
 CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
+
+# fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> (r1, r2)
+Residual = Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]]
 
 
 class ConfigError(ValueError):
@@ -368,7 +370,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
 def evaluate_grid(
     grid: GridSpec,
     cfg: StencilConfig,
-    residual: Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]],
+    residual: Residual,
     sampler: FieldSampler,
     phi_value: Callable[..., float],
 ) -> tuple[ResidualReport, list[PointRecord]]:
@@ -396,10 +398,10 @@ def evaluate_grid(
 
 
 def evaluate_scenario(
-    sc: Scenario,
+    sc: Scenario, residual: Residual
 ) -> tuple[ResidualReport, list[PointRecord]]:
-    """Evaluate fields and residuals on the scenario's grid."""
-    return evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, *build_sampler(sc))
+    """Evaluate fields and `residual` on the scenario's grid."""
+    return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc))
 
 
 def verified(sc: Scenario, report: ResidualReport) -> bool:

@@ -1,7 +1,7 @@
 """Point maps from linear seeds to solutions of the dispersive long wave
 system: the logarithmic-derivative transformation, the closed-form solitary
 profiles it produces for single exponential kernels, and the constant
-coefficient specialization with its (1+1)-dimensional reduction.
+coefficient specialization.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "exact_uh",
     "exact_uh_const",
     "one_plus_exp",
-    "reduce_1plus1",
 ]
 
 Point = tuple[float, float, float]
@@ -103,8 +102,3 @@ def one_plus_exp(arg: float) -> float:
         return 1.0 + math.exp(arg)
     except OverflowError:
         return math.inf
-
-
-def reduce_1plus1(a: float, d: float, branch: Branch, z: float, t: float) -> FieldPair:
-    """(1+1)-dimensional solitary wave in z = x + y, from the c = a case."""
-    return exact_uh_const(a, a, d, branch, (z, 0.0, t))

@@ -30,7 +30,6 @@ from dlw.transform import (
     FieldPair,
     exact_uh,
     exact_uh_const,
-    reduce_1plus1,
     transform_point,
 )
 
@@ -214,14 +213,14 @@ def test_criterion_08_reduction():
         assert abs(first.u - second.u) <= 1e-14 * (1.0 + abs(first.u))
         assert abs(first.h - second.h) <= 1e-14 * (1.0 + abs(first.h))
 
-    def sampler(z, t):
-        return reduce_1plus1(a, d, Branch.PLUS, z, t)
+    def sampler(z, y, t):
+        return exact_uh_const(a, a, d, Branch.PLUS, (z, y, t))
 
     worst = 0.0
     for t in (0.0, 0.5, 1.0):
         for i in range(41):
             z = -5.0 + 10.0 * i / 40.0
-            r1, r2 = fd_residual_1d(sampler, z, t, CFG)
+            r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), CFG)
             worst = max(worst, abs(r1), abs(r2))
     assert worst <= 1e-5
     _pass(8, f"fields constant along x+y; reduced system residual {worst:.2e} <= 1e-5")

@@ -11,7 +11,7 @@ from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER
-from dlw.transform import one_plus_exp, reduce_1plus1
+from dlw.transform import exact_uh_const, one_plus_exp
 
 
 def base_config(**overrides):
@@ -139,6 +139,22 @@ def test_run_rejects_missing_sections(tmp_path, capsys):
     del config["grid"]
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert "missing key 'grid'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, span, message",
+    [
+        ("y", [1.0, -1.0, 3], "y range must be ordered"),
+        ("t", [0.0, 0.5, 0], "t count must be >= 1"),
+    ],
+)
+def test_run_grid_errors_name_the_axis(tmp_path, capsys, axis, span, message):
+    config = base_config()
+    config["grid"][axis] = span
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config.grid: {message}\n"
 
 
 def test_run_threshold_override_turns_failure(tmp_path, capsys):
@@ -379,15 +395,15 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     sign = Branch.from_name(branch).sign
     cfg = StencilConfig(5e-3)
 
-    def sampler(z, t):
-        return reduce_1plus1(a, d, Branch.from_name(branch), z, t)
+    def sampler(z, y, t):
+        return exact_uh_const(a, a, d, Branch.from_name(branch), (z, y, t))
 
     expected, worst = [], [0.0, 0.0]
     for t in linspace(0.0, 1.0, nt):
         for z in linspace(-5.0, 5.0, nz):
-            r1, r2 = fd_residual_1d(sampler, z, t, cfg)
-            u, h = sampler(z, t)
-            phi = one_plus_exp(a * z - sign * a**2 * t + d)
+            r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), cfg)
+            u, h = sampler(z, 0.0, t)
+            phi = one_plus_exp(a * z - sign * a * a * t + d)
             expected.append([z, 0.0, t, phi, u, h, r1, r2])
             worst = [max(worst[0], abs(r1)), max(worst[1], abs(r2))]
     _, rows = read_csv(target)
@@ -439,6 +455,40 @@ def test_reduce_rejects_non_finite_input(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_reduce_fields_equal_the_exact_const_run(tmp_path, capsys):
+    # a*a and a**2 differ in the last bit for this a
+    a = 1.2298961504869985
+    reduced, ran = tmp_path / "reduce.csv", tmp_path / "run.csv"
+    assert main(["reduce", repr(a), "0.3", "--output", str(reduced)]) == 0
+    config = exact_const_config(
+        a=a,
+        c=a,
+        d=0.3,
+        grid={"x": [-5.0, 5.0, 41], "y": [0.0, 0.0, 1], "t": [0.0, 1.0, 5]},
+        thresholds={"max_residual": 1e-4},  # the (2+1) stencil's truncation
+        outputs=[{"format": "csv", "path": str(ran)}],
+    )
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    _, reduce_rows = read_csv(reduced)
+    _, run_rows = read_csv(ran)
+    assert len(reduce_rows) == 41 * 5
+    assert [row[:6] for row in reduce_rows] == [row[:6] for row in run_rows]
+
+
+def test_reduce_prints_the_run_summary(capsys):
+    argv = ["reduce", "0.5", "0.3", "--branch", "minus", "--nz", "7", "--nt", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "reduce: branch minus, exact-const path, grid 7x1x3, step 0.005\n"
+        "  max residual: r1 = 2.250879e-08, r2 = 2.063504e-08 (threshold 1e-05)\n"
+        "  mean residual: r1 = 9.572973e-09, r2 = 8.027050e-09; evaluated 21 points\n"
+        "  verdict: PASS\n"
+    )
+    assert captured.err == "reduce: skipped 0 pole-adjacent points\n"
 
 
 def test_reduce_phi_overflow_writes_inf(tmp_path, capsys):
@@ -496,7 +546,9 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
         argv = ["derive", "--output", str(target)]
     assert main(argv) == 2
     reason = os.strerror(errno.ENOENT)
-    assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: {reason}\n"
 
 
 # -- argparse surface ---------------------------------------------------------------------

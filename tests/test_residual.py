@@ -22,7 +22,6 @@ from dlw.transform import (
     FieldPair,
     PoleError,
     exact_uh_const,
-    reduce_1plus1,
     transform_point,
 )
 
@@ -87,33 +86,52 @@ def test_pole_in_stencil_raises():
 
 
 def test_reduced_fields_satisfy_1d_system():
-    def sampler(z, t):
-        return reduce_1plus1(1.0, 0.0, Branch.PLUS, z, t)
+    def sampler(z, y, t):
+        return exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (z, y, t))
 
     rng = random.Random(3)
     for _ in range(25):
         z, t = rng.uniform(-4, 4), rng.uniform(0, 1)
-        r1, r2 = fd_residual_1d(sampler, z, t, CFG)
+        r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), CFG)
         assert abs(r1) <= 1e-5
         assert abs(r2) <= 1e-5
 
 
 def test_vacuum_1d_exact_zero():
-    assert fd_residual_1d(lambda z, t: FieldPair(0.0, -1.0), 0.1, 0.7, CFG) == (
-        0.0,
-        0.0,
+    assert fd_residual_1d(vacuum_sampler, (0.1, 0.0, 0.7), CFG) == (0.0, 0.0)
+
+
+def test_1d_stencil_samples_six_offsets_at_the_points_y():
+    samples = []
+
+    def recording_sampler(x, y, t):
+        samples.append((x, y, t))
+        return FieldPair(0.0, -1.0)
+
+    z, y, t = 0.1, 0.25, 0.7
+    s = CFG.step
+    fd_residual_1d(recording_sampler, (z, y, t), CFG)
+    assert sorted(samples) == sorted(
+        [
+            (z + s, y, t),
+            (z - s, y, t),
+            (z + 2.0 * s, y, t),
+            (z - 2.0 * s, y, t),
+            (z, y, t + s),
+            (z, y, t - s),
+        ]
     )
 
 
 def test_small_amplitude_1d_residuals():
-    def sampler(z, t):
-        return reduce_1plus1(0.5, 0.0, Branch.PLUS, z, t)
+    def sampler(z, y, t):
+        return exact_uh_const(0.5, 0.5, 0.0, Branch.PLUS, (z, y, t))
 
     rng = random.Random(13)
     worst = 0.0
     for _ in range(50):
         z, t = rng.uniform(-5, 5), rng.uniform(0, 1)
-        r1, r2 = fd_residual_1d(sampler, z, t, CFG)
+        r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), CFG)
         worst = max(worst, abs(r1), abs(r2))
     assert worst <= 1e-6
 

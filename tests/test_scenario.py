@@ -12,7 +12,7 @@ import pytest
 
 from dlw.cli import main
 from dlw.jetcalc import Branch
-from dlw.residual import GridSpec, StencilConfig
+from dlw.residual import GridSpec, StencilConfig, fd_residual_dlw
 from dlw.scenario import evaluate_grid, evaluate_scenario, scenario_from_dict
 from dlw.seedlab import SeedField, seeds
 from dlw.transform import FieldPair, PoleError
@@ -61,7 +61,7 @@ def per_sample_reference(sc, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(SeedField, "__init__", forgetful_init)
-        return evaluate_scenario(sc)
+        return evaluate_scenario(sc, fd_residual_dlw)
 
 
 @pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS))
@@ -70,7 +70,7 @@ def test_records_and_report_equal_per_sample_evaluation(branch, path, monkeypatc
     rng = random.Random(f"{branch.name}-{path}")
     for _ in range(6):
         sc = scenario_from_dict(random_document(rng, branch, path))
-        report, records = evaluate_scenario(sc)
+        report, records = evaluate_scenario(sc, fd_residual_dlw)
         ref_report, ref_records = per_sample_reference(sc, monkeypatch)
         # repr compares every float exactly, NaN rows and signed zeros too
         assert repr(records) == repr(ref_records)
@@ -93,7 +93,7 @@ def test_each_coefficient_is_evaluated_once_per_distinct_y(path, monkeypatch):
         return original(expr, y)
 
     monkeypatch.setattr(seeds, "eval_dual", counted)
-    evaluate_scenario(sc)
+    evaluate_scenario(sc, fd_residual_dlw)
     assert calls and len(calls) == len(set(calls))
     exprs = 7 if path == "transform" else 2
     assert len(calls) <= 3 * sc.grid.ny * exprs  # y and y +/- step

@@ -18,7 +18,6 @@ from dlw.transform import (
     PoleError,
     exact_uh,
     exact_uh_const,
-    reduce_1plus1,
     transform_point,
 )
 
@@ -164,7 +163,7 @@ def test_branch_mirror(branch):
 
 
 def test_reduce_at_origin():
-    assert reduce_1plus1(1.0, 0.0, Branch.PLUS, 0.0, 0.0) == (1.0, -0.5)
+    assert exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (0, 0, 0)) == (1.0, -0.5)
 
 
 def test_reduction_depends_on_x_plus_y_only():
@@ -177,5 +176,3 @@ def test_reduction_depends_on_x_plus_y_only():
         second = exact_uh_const(a, a, d, Branch.PLUS, (z - shift, shift, t))
         assert abs(first.u - second.u) <= 1e-14 * (1.0 + abs(first.u))
         assert abs(first.h - second.h) <= 1e-14 * (1.0 + abs(first.h))
-        reduced = reduce_1plus1(a, d, Branch.PLUS, z, t)
-        assert reduced == first
