@@ -25,7 +25,6 @@ __all__ = [
     "fd_residual_1d",
     "convergence_order",
     "aggregate_residuals",
-    "nan_max",
 ]
 
 Point = tuple[float, float, float]
@@ -42,8 +41,19 @@ class StencilConfig:
     step: float = 5e-3
 
     def __post_init__(self):
-        if not self.step > 0:
+        s = self.step
+        if not s > 0:
             raise ValueError("step must be positive")
+        # the stencils divide by s*s and s**3; s**3 raises past about 5.6e102
+        try:
+            usable = 0.0 < s * s < math.inf and 0.0 < s**3 < math.inf
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"step {s!r} is out of range: its square and cube must be "
+                "nonzero and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,23 +209,17 @@ class ResidualReport:
     worst_point: Point | None
     skipped: int
     evaluated: int
-    grid: GridSpec
-    stencil: StencilConfig
 
-    def to_dict(self) -> dict:
-        return {
-            "max_abs": list(self.max_abs),
-            "mean_abs": list(self.mean_abs),
-            "worst_point": list(self.worst_point) if self.worst_point else None,
-            "skipped": self.skipped,
-            "evaluated": self.evaluated,
-            "grid": {
-                "x": [self.grid.x0, self.grid.x1, self.grid.nx],
-                "y": [self.grid.y0, self.grid.y1, self.grid.ny],
-                "t": [self.grid.t0, self.grid.t1, self.grid.nt],
-            },
-            "stencil": {"step": self.stencil.step},
-        }
+    def passes(self, threshold: float) -> bool:
+        """PASS: some point was evaluated and both maxima are within threshold.
+
+        A NaN maximum (see nan_max) compares false and so fails.
+        """
+        return (
+            self.evaluated > 0
+            and self.max_abs[0] <= threshold
+            and self.max_abs[1] <= threshold
+        )
 
 
 def nan_max(current: float, value: float) -> float:
@@ -230,8 +234,6 @@ def nan_max(current: float, value: float) -> float:
 def aggregate_residuals(
     points: Sequence[Point],
     results: Iterable[tuple[float, float] | None],
-    grid: GridSpec,
-    cfg: StencilConfig,
 ) -> ResidualReport:
     max_abs = [0.0, 0.0]
     sums = [0.0, 0.0]
@@ -265,6 +267,4 @@ def aggregate_residuals(
         worst_point=worst,
         skipped=skipped,
         evaluated=evaluated,
-        grid=grid,
-        stencil=cfg,
     )

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .jetcalc import Branch
 from .residual import (
@@ -59,7 +59,6 @@ __all__ = [
 
 SOLUTION_PATHS = ("transform", "exact", "exact-const")
 SEED_KINDS = ("constant", "kernels", "poly", "mixed")
-CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
 
 # fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> (r1, r2)
 Residual = Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]]
@@ -97,9 +96,9 @@ class Scenario:
     perturb_h: float = 0.0
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One exported grid row; nan marks pole-skipped values."""
+class PointRecord(NamedTuple):
+    """One exported grid row, fields in CSV column order; nan marks
+    pole-skipped values."""
 
     x: float
     y: float
@@ -109,6 +108,9 @@ class PointRecord:
     h: float
     res1: float
     res2: float
+
+
+CSV_HEADER = ",".join(PointRecord._fields)
 
 
 def load_config(path: str | Path) -> dict:
@@ -394,7 +396,7 @@ def evaluate_grid(
         except PoleError:
             results.append(None)
             records.append(PointRecord(x, y, t, phi, nan, nan, nan, nan))
-    return aggregate_residuals(points, results, grid, cfg), records
+    return aggregate_residuals(points, results), records
 
 
 def evaluate_scenario(
@@ -404,35 +406,18 @@ def evaluate_scenario(
     return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc))
 
 
-def verified(sc: Scenario, report: ResidualReport) -> bool:
-    return (
-        report.evaluated > 0
-        and report.max_abs[0] <= sc.max_residual
-        and report.max_abs[1] <= sc.max_residual
-    )
-
-
-def _render_value(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
-
-
 def export_csv(records: list[PointRecord], path: str | Path) -> None:
     """Fixed-header CSV, one row per grid point, 17 significant digits."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _render_value(v)
-                for v in (r.x, r.y, r.t, r.phi, r.u, r.h, r.res1, r.res2)
-            )
-        )
+    for record in records:
+        lines.append(",".join(format(value, ".17g") for value in record))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
-    """Machine-readable run report mirroring the residual-report fields."""
+    """Machine-readable run report: the report's fields plus the run's grid
+    and step."""
+    grid = sc.grid
     payload = {
         "scenario": {
             "branch": sc.branch.name.lower(),
@@ -440,8 +425,16 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
             "max_residual": sc.max_residual,
             "step": sc.stencil.step,
         },
-        "report": report.to_dict(),
-        "verified": verified(sc, report),
+        "report": {
+            **asdict(report),
+            "grid": {
+                "x": [grid.x0, grid.x1, grid.nx],
+                "y": [grid.y0, grid.y1, grid.ny],
+                "t": [grid.t0, grid.t1, grid.nt],
+            },
+            "stencil": {"step": sc.stencil.step},
+        },
+        "verified": report.passes(sc.max_residual),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

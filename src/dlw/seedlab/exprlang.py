@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 FUNCTIONS = ("exp", "tanh", "sech", "sin", "cos")
+# Most nesting levels an expression may have; far below the recursion limit.
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -123,11 +125,17 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Precedence-climbing parser: ^ binds tighter than unary -, which binds
     tighter than * /, which bind tighter than + -; binary operators are
-    left-associative."""
+    left-associative.
+
+    Each parse method returns a node with its height, the operator levels on
+    its longest path. Parentheses, calls and unary minus open at most
+    MAX_DEPTH levels while parsing, and no tree is higher than MAX_DEPTH, so
+    parsing and every walk of the tree stay far below the recursion limit."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # open parentheses, calls and unary minus
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -143,41 +151,63 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", token.pos)
         self.advance()
 
+    def nested(self, parse, token: _Token) -> tuple[CoeffExpr, int]:
+        """parse() one level deeper than `token`."""
+        if self.depth == MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", token.pos)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
+    def grow(self, node: CoeffExpr, height: int, token: _Token):
+        """`node`, built at `token` over children at most `height` high."""
+        if height == MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", token.pos)
+        return node, height + 1
+
     def parse(self) -> CoeffExpr:
-        expr = self.parse_sum()
+        expr, _ = self.parse_sum()
         token = self.peek()
         if token.kind != "end":
             raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
         return expr
 
-    def parse_sum(self) -> CoeffExpr:
-        node = self.parse_product()
+    def parse_sum(self) -> tuple[CoeffExpr, int]:
+        node, height = self.parse_product()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_product())
-        return node
+            token = self.advance()
+            right, right_height = self.parse_product()
+            node, height = self.grow(
+                BinOp(token.text, node, right), max(height, right_height), token
+            )
+        return node, height
 
-    def parse_product(self) -> CoeffExpr:
-        node = self.parse_unary()
+    def parse_product(self) -> tuple[CoeffExpr, int]:
+        node, height = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
+            token = self.advance()
+            right, right_height = self.parse_unary()
+            node, height = self.grow(
+                BinOp(token.text, node, right), max(height, right_height), token
+            )
+        return node, height
 
-    def parse_unary(self) -> CoeffExpr:
+    def parse_unary(self) -> tuple[CoeffExpr, int]:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            arg, height = self.nested(self.parse_unary, token)
+            return self.grow(Neg(arg), height, token)
         return self.parse_power()
 
-    def parse_power(self) -> CoeffExpr:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[CoeffExpr, int]:
+        base, height = self.parse_atom()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
             self.advance()
-            return Pow(base, self.parse_exponent())
-        return base
+            return self.grow(Pow(base, self.parse_exponent()), height, token)
+        return base, height
 
     def parse_exponent(self) -> int:
         sign = 1
@@ -193,13 +223,13 @@ class _Parser:
         self.advance()
         return sign * int(token.text)
 
-    def parse_atom(self) -> CoeffExpr:
+    def parse_atom(self) -> tuple[CoeffExpr, int]:
         token = self.advance()
         if token.kind == "number":
-            return Num(float(token.text))
+            return Num(float(token.text)), 0
         if token.kind == "ident":
             if token.text == "y":
-                return Var()
+                return Var(), 0
             follows_call = (
                 self.peek().kind == "op" and self.peek().text == "("
             )
@@ -208,11 +238,11 @@ class _Parser:
             if token.text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {token.text!r}", token.pos)
             self.expect_op("(")
-            arg = self.parse_sum()
+            arg, height = self.nested(self.parse_sum, token)
             self.expect_op(")")
-            return Call(token.text, arg)
+            return self.grow(Call(token.text, arg), height, token)
         if token.kind == "op" and token.text == "(":
-            node = self.parse_sum()
+            node = self.nested(self.parse_sum, token)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)

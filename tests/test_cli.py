@@ -4,14 +4,20 @@ import errno
 import json
 import math
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from dlw.cli import main
 from dlw.jetcalc import Branch
-from dlw.residual import StencilConfig, fd_residual_1d
+from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER
 from dlw.transform import exact_uh_const, one_plus_exp
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+MAX_RESIDUAL = re.compile(r"max residual: r1 = (\S+), r2 = (\S+) ")
 
 
 def base_config(**overrides):
@@ -240,6 +246,72 @@ def test_csv_roundtrip_matches_report(tmp_path, capsys):
     assert abs(max1 - payload["report"]["max_abs"][0]) <= 1e-12
     assert abs(max2 - payload["report"]["max_abs"][1]) <= 1e-12
     assert payload["report"]["skipped"] == 0
+
+
+def test_report_json_is_the_report_fields_plus_grid_and_step(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    config = base_config(outputs=[{"format": "report", "path": str(report_path)}])
+    assert main(["run", write_config(tmp_path, config), "--step", "0.004"]) == 0
+    capsys.readouterr()
+    inner = json.loads(report_path.read_text())["report"]
+    names = {field.name for field in fields(ResidualReport)}
+    assert set(inner) == names | {"grid", "stencil"}
+    assert inner["grid"] == {"x": [-1.0, 1.0, 4], "y": [-1.0, 1.0, 3], "t": [0.0, 0.5, 2]}
+    assert inner["stencil"] == {"step": 0.004}
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 3000 + "y" + ")" * 3000, 100),
+        ("-" * 3000 + "y", 100),
+        ("exp(" * 400 + "y" + ")" * 400, 400),
+    ],
+    ids=("parentheses", "unary-minus", "calls"),
+)
+def test_deeply_nested_expression_exits_2_naming_its_key(tmp_path, capsys, text, offset):
+    config = base_config()
+    config["seed"]["kernels"][0]["b"] = text
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config.seed.kernels[0].b: expression nested too deeply "
+        f"(offset {offset})\n"
+    )
+
+
+# -- shipped scenarios ------------------------------------------------------------------
+
+
+def _verify_shipped(document, tmp_path, capsys):
+    """Exit code and printed (r1, r2) maxima of the document's command."""
+    command = "sweep" if "sweep" in document else "run"
+    code = main([command, write_config(tmp_path, document, "shipped.json")])
+    out = capsys.readouterr().out
+    maxima = [(float(r1), float(r2)) for r1, r2 in MAX_RESIDUAL.findall(out)]
+    assert len(maxima) == len(document.get("sweep", [document]))
+    return code, maxima
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.name)
+def test_shipped_scenario_passes_checks_something_and_fails_its_control(
+    path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # the documents write relative output paths
+    document = json.loads(path.read_text())
+    code, maxima = _verify_shipped(document, tmp_path, capsys)
+    assert code == 0
+    for r1, r2 in maxima:
+        assert (r1, r2) != (0.0, 0.0), "a residual that is exactly zero checks nothing"
+    document["debug"] = {"perturb_h": 1e-3}
+    for entry in document.get("sweep", []):
+        assert "debug" not in entry
+    code, maxima = _verify_shipped(document, tmp_path, capsys)
+    assert code == 1
+    threshold = document["thresholds"]["max_residual"]
+    for r1, r2 in maxima:
+        assert max(r1, r2) > threshold
 
 
 # -- alternate solution paths ---------------------------------------------------------
@@ -497,6 +569,38 @@ def test_reduce_phi_overflow_writes_inf(tmp_path, capsys):
     capsys.readouterr()
     _, rows = read_csv(target)
     assert {row[3] for row in rows} == {"inf"}
+
+
+# -- stencil step range -------------------------------------------------------------------
+
+
+OUT_OF_RANGE = "is out of range: its square and cube must be nonzero and finite"
+
+
+@pytest.mark.parametrize(
+    "command, step, where",
+    [
+        ("run", "1e-200", "config.stencil"),
+        ("run", "1e-160", "config.stencil"),
+        ("run", "1e300", "config.stencil"),
+        ("sweep", "1e-200", "sweep[0].stencil"),
+        ("sweep", "1e103", "sweep[0].stencil"),
+        ("reduce", "1e-160", "--step"),
+        ("reduce", "1e300", "--step"),
+    ],
+)
+def test_step_the_stencils_cannot_divide_by_exits_2(tmp_path, capsys, command, step, where):
+    if command == "reduce":
+        argv = ["reduce", "1", "0"]
+    else:
+        config = base_config()
+        if command == "sweep":
+            config["sweep"] = [{}]
+        argv = [command, write_config(tmp_path, config)]
+    assert main([*argv, "--step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: step {float(step)!r} {OUT_OF_RANGE}\n"
 
 
 # -- sweep ------------------------------------------------------------------------------

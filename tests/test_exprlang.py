@@ -13,6 +13,7 @@ from dlw.seedlab.exprlang import (
     EvaluationError,
     ExprSyntaxError,
     FUNCTIONS,
+    MAX_DEPTH,
     Neg,
     Num,
     Pow,
@@ -80,6 +81,40 @@ def test_syntax_error_offsets():
     assert err.value.offset == 2
     with pytest.raises(ExprSyntaxError):
         parse_coeff_expr("")
+
+
+def _nested(form, levels):
+    """An expression with `levels` levels of one kind of nesting."""
+    if form == "parens":
+        return "(" * levels + "y" + ")" * levels
+    if form == "minus":
+        return "-" * levels + "y"
+    if form == "calls":
+        return "sin(" * levels + "y" + ")" * levels
+    if form == "sum":
+        return "y" + " + y" * levels
+    return "y" + "*y" * levels  # product
+
+
+_NESTING_FORMS = ("parens", "minus", "calls", "sum", "product")
+
+
+@pytest.mark.parametrize("form", _NESTING_FORMS)
+def test_expressions_at_the_nesting_cap_parse_evaluate_and_round_trip(form):
+    expr = parse_coeff_expr(_nested(form, MAX_DEPTH))
+    assert math.isfinite(eval_dual(expr, 0.5).value)
+    assert parse_coeff_expr(render(expr)) == expr
+
+
+@pytest.mark.parametrize(
+    "form, offset",
+    [("parens", 100), ("minus", 100), ("calls", 400), ("sum", 402), ("product", 201)],
+)
+def test_nesting_past_the_cap_is_a_syntax_error_with_an_offset(form, offset):
+    assert MAX_DEPTH == 100
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_coeff_expr(_nested(form, MAX_DEPTH + 1))
+    assert str(err.value) == f"expression nested too deeply (offset {offset})"
 
 
 def test_non_integer_exponent_rejected():

@@ -10,6 +10,7 @@ import pytest
 from dlw.jetcalc import Branch
 from dlw.residual import (
     GridSpec,
+    ResidualReport,
     StencilConfig,
     aggregate_residuals,
     convergence_order,
@@ -259,7 +260,7 @@ def test_non_finite_residual_is_never_scored_as_zero(bad):
     grid = GridSpec(0, 3, 4, 0, 0, 1, 0, 0, 1)
     points = grid.points()
     results = [(1e-9, 2e-9), (bad, 1e-9), (3e-9, bad), None]
-    report = aggregate_residuals(points, results, grid, CFG)
+    report = aggregate_residuals(points, results)
     assert report.evaluated == 3 and report.skipped == 1
     for value in report.max_abs:
         assert not value <= 1.0  # fails every threshold
@@ -300,3 +301,25 @@ def test_grid_spec_validation():
 def test_stencil_validation():
     with pytest.raises(ValueError):
         StencilConfig(step=0.0)
+
+
+@pytest.mark.parametrize("step", (1e-200, 1e-160, 1e-109, 1e103, 1e155, 1e300))
+def test_stencil_rejects_a_step_whose_square_or_cube_vanishes_or_overflows(step):
+    with pytest.raises(ValueError, match="out of range"):
+        StencilConfig(step=step)
+
+
+@pytest.mark.parametrize("step", (2e-108, 5e-3, 1.0, 5e102))
+def test_stencil_accepts_a_step_with_a_finite_nonzero_cube(step):
+    assert StencilConfig(step=step).step == step
+
+
+def test_report_passes_only_with_evaluated_points_within_threshold():
+    def report(max_abs, evaluated=1):
+        return ResidualReport(max_abs, max_abs, None, 0, evaluated)
+
+    assert report((1e-5, 1e-5)).passes(1e-5)  # the threshold itself passes
+    assert not report((1e-5, 2e-5)).passes(1e-5)
+    assert not report((2e-5, 0.0)).passes(1e-5)
+    assert not report((math.nan, 0.0)).passes(1.0)
+    assert not report((0.0, 0.0), evaluated=0).passes(1.0)

@@ -6,6 +6,7 @@ calls eval_dual directly, as a field without the table would.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -13,7 +14,14 @@ import pytest
 from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import GridSpec, StencilConfig, fd_residual_dlw
-from dlw.scenario import evaluate_grid, evaluate_scenario, scenario_from_dict
+from dlw.scenario import (
+    CSV_HEADER,
+    PointRecord,
+    evaluate_grid,
+    evaluate_scenario,
+    export_csv,
+    scenario_from_dict,
+)
 from dlw.seedlab import SeedField, seeds
 from dlw.transform import FieldPair, PoleError
 
@@ -143,3 +151,11 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
     assert repr(records[1].u) == "nan" and repr(records[1].res2) == "nan"
     assert (report.evaluated, report.skipped) == (2, 1)
     assert report.max_abs == (2e-9, 2.0) and report.worst_point == (2.0, 0.0, 0.0)
+
+
+def test_csv_header_is_the_point_record_fields(tmp_path):
+    assert CSV_HEADER == "x,y,t,phi,u,h,res1,res2"
+    path = tmp_path / "grid.csv"
+    export_csv([PointRecord(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
+    row = "0.5,0,-0,2,nan,inf,1e-300,0.10000000000000001"
+    assert path.read_text() == f"{CSV_HEADER}\n{row}\n"
