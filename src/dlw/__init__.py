@@ -12,7 +12,8 @@ from .balance import derive
 from .jetcalc import Branch
 from .residual import GridSpec, StencilConfig, fd_residual_dlw
 from .scenario import evaluate_grid
-from .seedlab import Kernel, SeedField, SeedSpec
+from .seedlab.exprlang import parse_coeff_expr
+from .seedlab.seeds import Kernel, SeedField, SeedSpec
 from .transform import transform_point
 
 __version__ = "0.1.0"
@@ -29,6 +30,7 @@ __all__ = [
     "derive",
     "evaluate_grid",
     "fd_residual_dlw",
+    "parse_coeff_expr",
     "transform_point",
     "__version__",
 ]

@@ -24,6 +24,7 @@ from .jetcalc import (
 )
 
 __all__ = [
+    "A_CONSTANT",
     "BalanceExponents",
     "BalanceReport",
     "DerivationCheck",
@@ -42,6 +43,12 @@ __all__ = [
 _SEARCH_BOX = 4  # exponents are searched over [0, 4]^6
 # phi_x^3 * phi_y with its factors in JetPoly's canonical order
 _TOP_JETS = ((1, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0))
+
+# The additive constant of h that the factorization pins, and the resolved
+# ansatz functions; every derivation reports these.
+A_CONSTANT = Fraction(-1)
+F_RESOLVED = "f = +2*ln(phi) (plus branch) or -2*ln(phi) (minus branch)"
+G_RESOLVED = "g = 2*ln(phi)"
 
 
 class DerivationError(Exception):
@@ -89,7 +96,7 @@ def solve_balance_exponents() -> BalanceExponents:
 
 
 def build_ansatz(
-    exponents: BalanceExponents, a_const: Fraction | int = Fraction(-1)
+    exponents: BalanceExponents, a_const: Fraction | int = A_CONSTANT
 ) -> tuple[JetPoly, JetPoly]:
     """Quasisolution ansatz for the solved exponents.
 
@@ -125,7 +132,7 @@ def system_residuals(u: JetPoly, h: JetPoly) -> tuple[JetPoly, JetPoly]:
 
 
 def build_residuals(
-    a_const: Fraction | int = Fraction(-1),
+    a_const: Fraction | int = A_CONSTANT,
 ) -> tuple[JetPoly, JetPoly]:
     """System residuals expanded from the ansatz, with formal symbols.
 
@@ -233,7 +240,7 @@ def _factored_form(family: str, branch: Branch) -> JetPoly:
 
 
 def verify_factorization(
-    branch: Branch, a_const: Fraction | int = Fraction(-1)
+    branch: Branch, a_const: Fraction | int = A_CONSTANT
 ) -> DerivationCheck:
     """Certify that both residuals factor through the heat constraint.
 
@@ -260,12 +267,9 @@ def verify_factorization(
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Outcome of the full derivation: exponents, resolved functions, A."""
+    """Outcome of the full derivation: exponents and per-branch checks."""
 
     exponents: BalanceExponents
-    f_description: str
-    g_description: str
-    a_constant: Fraction
     checks: tuple[DerivationCheck, ...]
 
 
@@ -293,13 +297,7 @@ def derive() -> BalanceReport:
     ]
     if failures:
         raise DerivationError("derivation checks failed:\n" + "\n".join(failures))
-    return BalanceReport(
-        exponents=exponents,
-        f_description="f = +2*ln(phi) (plus branch) or -2*ln(phi) (minus branch)",
-        g_description="g = 2*ln(phi)",
-        a_constant=Fraction(-1),
-        checks=tuple(checks),
-    )
+    return BalanceReport(exponents=exponents, checks=tuple(checks))
 
 
 def render_report(report: BalanceReport) -> str:
@@ -307,8 +305,8 @@ def render_report(report: BalanceReport) -> str:
     lines = [
         f"balance exponents: (l,m,n,p,q,r) = ({e.l},{e.m},{e.n},{e.p},{e.q},{e.r})",
         "ansatz: u = f'*phi_x, h = g''*phi_x*phi_y + g'*phi_xy + A",
-        f"resolved: {report.f_description}; {report.g_description}",
-        f"constant: A = {report.a_constant}",
+        f"resolved: {F_RESOLVED}; {G_RESOLVED}",
+        f"constant: A = {A_CONSTANT}",
         "transformation: u = +/-2*phi_x/phi, "
         "h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1",
         "seed equation: phi_t +/- phi_xx = 0",
@@ -325,9 +323,9 @@ def render_report(report: BalanceReport) -> str:
 def report_to_dict(report: BalanceReport) -> dict:
     return {
         "exponents": {k: v for k, v in zip("lmnpqr", report.exponents)},
-        "f": report.f_description,
-        "g": report.g_description,
-        "A": str(report.a_constant),
+        "f": F_RESOLVED,
+        "g": G_RESOLVED,
+        "A": str(A_CONSTANT),
         "branches": {
             check.branch.name.lower(): {
                 "passed": check.passed,

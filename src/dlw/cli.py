@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import balance
-from .residual import StencilConfig, fd_residual_1d, fd_residual_dlw
+from .residual import GridSpec, StencilConfig, fd_residual_1d, fd_residual_dlw
 from .scenario import (
     ConfigError,
     evaluate_scenario,
@@ -26,7 +26,7 @@ from .scenario import (
     scenario_from_dict,
     write_outputs,
 )
-from .seedlab import EvaluationError
+from .seedlab.exprlang import EvaluationError
 
 __all__ = ["main"]
 
@@ -53,10 +53,9 @@ def _apply_overrides(raw: dict, args) -> dict:
     if args.branch is not None:
         override["branch"] = args.branch
     merged = merge_config(raw, override)
-    if getattr(args, "output", None):
-        outputs = list(merged.get("outputs", []))
-        outputs.append({"format": "csv", "path": args.output})
-        merged["outputs"] = outputs
+    outputs = merged.get("outputs", [])
+    if getattr(args, "output", None) and isinstance(outputs, list):
+        merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
     return merged
 
 
@@ -132,6 +131,11 @@ def cmd_reduce(args) -> int:
     for axis, lo, hi in (("z", args.z0, args.z1), ("t", args.t0, args.t1)):
         if hi < lo:
             raise ConfigError(f"--{axis}0 must not exceed --{axis}1")
+    grid = GridSpec(args.z0, args.z1, args.nz, 0.0, 0.0, 1, args.t0, args.t1, args.nt)
+    try:
+        grid.check_step(args.step)
+    except ValueError as exc:
+        raise ConfigError(f"--step: {exc}") from None
     # branch, step, threshold and output arrive through _apply_overrides
     raw = {
         "solution_path": "exact-const",

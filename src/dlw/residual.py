@@ -81,12 +81,31 @@ class GridSpec:
             if hi < lo:
                 raise ValueError(f"{axis} range must be ordered")
 
+    def _axes(self) -> tuple[list[float], list[float], list[float]]:
+        """The coordinates the grid takes on x, y and t."""
+        return (
+            _linspace(self.x0, self.x1, self.nx),
+            _linspace(self.y0, self.y1, self.ny),
+            _linspace(self.t0, self.t1, self.nt),
+        )
+
     def points(self) -> list[Point]:
         """Grid points with x varying fastest, then y, then t."""
-        xs = _linspace(self.x0, self.x1, self.nx)
-        ys = _linspace(self.y0, self.y1, self.ny)
-        ts = _linspace(self.t0, self.t1, self.nt)
+        xs, ys, ts = self._axes()
         return [(x, y, t) for t in ts for y in ys for x in xs]
+
+    def check_step(self, step: float) -> None:
+        """Raise ValueError if `step` leaves some grid coordinate unchanged.
+
+        Where c + step == c, every stencil sample equals its centre and the
+        residual reads 0 whatever the fields are.
+        """
+        for coords in self._axes():
+            for c in coords:
+                if c + step == c or c - step == c:
+                    raise ValueError(
+                        f"step {step!r} leaves the coordinate {c!r} unchanged"
+                    )
 
     @property
     def size(self) -> int:

@@ -22,14 +22,8 @@ from .residual import (
     StencilConfig,
     aggregate_residuals,
 )
-from .seedlab import (
-    ExprSyntaxError,
-    HeatPolynomial,
-    Kernel,
-    SeedField,
-    SeedSpec,
-    parse_coeff_expr,
-)
+from .seedlab.exprlang import ExprSyntaxError, parse_coeff_expr
+from .seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from .transform import (
     FieldPair,
     PoleError,
@@ -164,6 +158,12 @@ def _number(value, where: str) -> float:
     return number
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return value
+
+
 def _expr(value, where: str):
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected an expression string, got {value!r}")
@@ -181,7 +181,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
     constant = _number(raw.get("constant", 0.0), f"{where}.constant")
     kernels = []
-    for pos, entry in enumerate(raw.get("kernels", [])):
+    for pos, entry in enumerate(_list(raw.get("kernels", []), f"{where}.kernels")):
         label = f"{where}.kernels[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{label}: expected an object")
@@ -297,7 +297,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
         raise ConfigError(f"{where}.thresholds.max_residual: must be positive")
 
     outputs = []
-    for pos, entry in enumerate(raw.get("outputs", [])):
+    for pos, entry in enumerate(_list(raw.get("outputs", []), f"{where}.outputs")):
         label = f"{where}.outputs[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{label}: expected an object")
@@ -314,12 +314,18 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
         raise ConfigError(f"{where}.debug: expected an object")
     perturb_h = _number(debug.get("perturb_h", 0.0), f"{where}.debug.perturb_h")
 
+    grid = _parse_grid(_require(raw, "grid", where), f"{where}.grid")
+    try:
+        grid.check_step(stencil.step)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.stencil: {exc}") from None
+
     return Scenario(
         branch=branch,
         solution_path=path,
         seed=seed,
         params=params,
-        grid=_parse_grid(_require(raw, "grid", where), f"{where}.grid"),
+        grid=grid,
         stencil=stencil,
         max_residual=max_residual,
         outputs=tuple(outputs),

@@ -1,51 +1,1 @@
 """Seed construction: coefficient expression language and heat-type seeds."""
-
-from .exprlang import (
-    BinOp,
-    Call,
-    CoeffExpr,
-    Dual,
-    EvaluationError,
-    ExprSyntaxError,
-    FUNCTIONS,
-    Neg,
-    Num,
-    Pow,
-    Var,
-    eval_dual,
-    parse_coeff_expr,
-    render,
-    sech,
-)
-from .seeds import (
-    SUPPORTED_INDICES,
-    HeatPolynomial,
-    Kernel,
-    SeedField,
-    SeedSpec,
-    heat_residual,
-)
-
-__all__ = [
-    "BinOp",
-    "Call",
-    "CoeffExpr",
-    "Dual",
-    "EvaluationError",
-    "ExprSyntaxError",
-    "FUNCTIONS",
-    "Neg",
-    "Num",
-    "Pow",
-    "Var",
-    "eval_dual",
-    "parse_coeff_expr",
-    "render",
-    "sech",
-    "SUPPORTED_INDICES",
-    "HeatPolynomial",
-    "Kernel",
-    "SeedField",
-    "SeedSpec",
-    "heat_residual",
-]

@@ -10,7 +10,8 @@ import math
 from typing import NamedTuple
 
 from .jetcalc import Branch
-from .seedlab import Dual, SeedField, sech
+from .seedlab.exprlang import Dual, sech
+from .seedlab.seeds import SeedField
 
 __all__ = [
     "FieldPair",

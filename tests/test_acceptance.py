@@ -25,7 +25,8 @@ from dlw.residual import (
     fd_residual_dlw,
 )
 from dlw.scenario import CSV_HEADER, evaluate_grid
-from dlw.seedlab import Kernel, SeedField, SeedSpec, eval_dual, parse_coeff_expr
+from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
+from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
 from dlw.transform import (
     FieldPair,
     exact_uh,

@@ -215,7 +215,7 @@ def test_any_constant_other_than_minus_one_fails(a_const):
 def test_derive_report_contents():
     report = derive()
     assert tuple(report.exponents) == (1, 0, 0, 1, 1, 0)
-    assert report.a_constant == Fraction(-1)
+    assert balance.A_CONSTANT == Fraction(-1)
     assert len(report.checks) == 2
     assert all(check.passed for check in report.checks)
 

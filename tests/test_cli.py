@@ -13,7 +13,7 @@ import pytest
 from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
-from dlw.scenario import CSV_HEADER
+from dlw.scenario import CSV_HEADER, merge_config
 from dlw.transform import exact_uh_const, one_plus_exp
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -78,6 +78,51 @@ def test_derive_json_export(tmp_path, capsys):
     assert payload["exponents"] == {"l": 1, "m": 0, "n": 0, "p": 1, "q": 1, "r": 0}
     assert payload["branches"]["plus"]["passed"] is True
     assert payload["branches"]["minus"]["passed"] is True
+
+
+DERIVE_STDOUT = """\
+balance exponents: (l,m,n,p,q,r) = (1,0,0,1,1,0)
+ansatz: u = f'*phi_x, h = g''*phi_x*phi_y + g'*phi_xy + A
+resolved: f = +2*ln(phi) (plus branch) or -2*ln(phi) (minus branch); g = 2*ln(phi)
+constant: A = -1
+transformation: u = +/-2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1
+seed equation: phi_t +/- phi_xx = 0
+branch plus: ode system, log identities, residual reduction, factorization -> PASS
+branch minus: ode system, log identities, residual reduction, factorization -> PASS
+"""
+
+DERIVE_JSON = """\
+{
+  "A": "-1",
+  "branches": {
+    "minus": {
+      "failures": [],
+      "passed": true
+    },
+    "plus": {
+      "failures": [],
+      "passed": true
+    }
+  },
+  "exponents": {
+    "l": 1,
+    "m": 0,
+    "n": 0,
+    "p": 1,
+    "q": 1,
+    "r": 0
+  },
+  "f": "f = +2*ln(phi) (plus branch) or -2*ln(phi) (minus branch)",
+  "g": "g = 2*ln(phi)"
+}
+"""
+
+
+def test_derive_stdout_and_json_are_pinned(tmp_path, capsys):
+    target = tmp_path / "derivation.json"
+    assert main(["derive", "--output", str(target)]) == 0
+    assert capsys.readouterr().out == DERIVE_STDOUT
+    assert target.read_bytes() == DERIVE_JSON.encode()
 
 
 # -- run ---------------------------------------------------------------------------
@@ -603,6 +648,35 @@ def test_step_the_stencils_cannot_divide_by_exits_2(tmp_path, capsys, command, s
     assert captured.err == f"error: {where}: step {float(step)!r} {OUT_OF_RANGE}\n"
 
 
+@pytest.mark.parametrize(
+    "command, step, where, coordinate",
+    [
+        ("run", "1e-17", "config.stencil", -1.0),
+        ("run", "1e-100", "config.stencil", -1.0),
+        ("sweep", "1e-17", "sweep[0].stencil", -1.0),
+        ("reduce", "1e-17", "--step", -5.0),
+        ("reduce", "1e-100", "--step", -5.0),
+    ],
+)
+def test_step_that_leaves_a_grid_coordinate_unchanged_exits_2(
+    tmp_path, capsys, command, step, where, coordinate
+):
+    if command == "reduce":
+        argv = ["reduce", "1", "0"]
+    else:
+        config = base_config()
+        if command == "sweep":
+            config["sweep"] = [{}]
+        argv = [command, write_config(tmp_path, config)]
+    assert main([*argv, "--step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {where}: step {float(step)!r} leaves the coordinate "
+        f"{coordinate!r} unchanged\n"
+    )
+
+
 # -- sweep ------------------------------------------------------------------------------
 
 
@@ -629,6 +703,24 @@ def test_sweep_fails_if_any_entry_fails(tmp_path, capsys):
 def test_sweep_requires_list(tmp_path, capsys):
     assert main(["sweep", write_config(tmp_path, base_config())]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", (5, None, "ab", {"a": 1}), ids=repr)
+@pytest.mark.parametrize("key", ("seed.kernels", "outputs"))
+@pytest.mark.parametrize("command, csv_flag", [("run", False), ("run", True), ("sweep", False)])
+def test_non_list_kernels_or_outputs_exits_2(tmp_path, capsys, command, csv_flag, key, value):
+    edit = {"seed": {"kernels": value}} if key == "seed.kernels" else {"outputs": value}
+    if command == "sweep":
+        config, where = base_config(sweep=[edit]), "sweep[0]"
+    else:
+        config, where = merge_config(base_config(), edit), "config"
+    extra = tmp_path / "extra.csv"
+    flags = ["--output", str(extra)] if csv_flag else []
+    assert main([command, write_config(tmp_path, config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}.{key}: expected a list\n"
+    assert not extra.exists()
 
 
 # -- outputs ----------------------------------------------------------------------------

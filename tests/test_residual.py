@@ -18,7 +18,8 @@ from dlw.residual import (
     fd_residual_dlw,
 )
 from dlw.scenario import evaluate_grid
-from dlw.seedlab import HeatPolynomial, Kernel, SeedField, SeedSpec, parse_coeff_expr
+from dlw.seedlab.exprlang import parse_coeff_expr
+from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import (
     FieldPair,
     PoleError,
@@ -312,6 +313,32 @@ def test_stencil_rejects_a_step_whose_square_or_cube_vanishes_or_overflows(step)
 @pytest.mark.parametrize("step", (2e-108, 5e-3, 1.0, 5e102))
 def test_stencil_accepts_a_step_with_a_finite_nonzero_cube(step):
     assert StencilConfig(step=step).step == step
+
+
+@pytest.mark.parametrize(
+    "grid, step, coordinate",
+    [
+        (GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5), 1e-17, -3.0),
+        (GridSpec(0.0, 1e6, 2, 0.0, 0.0, 1, 0.0, 0.0, 1), 1e-12, 1e6),
+        (GridSpec(0.0, 0.0, 1, -2.0, 2.0, 3, 0.0, 0.0, 1), 1e-16, -2.0),
+        (GridSpec(0.0, 0.0, 1, 0.0, 0.0, 1, 100.0, 100.0, 1), 1e-15, 100.0),
+    ],
+)
+def test_grid_rejects_a_step_that_leaves_a_coordinate_unchanged(grid, step, coordinate):
+    with pytest.raises(ValueError) as info:
+        grid.check_step(step)
+    assert str(info.value) == f"step {step!r} leaves the coordinate {coordinate!r} unchanged"
+
+
+@pytest.mark.parametrize(
+    "grid, step",
+    [
+        *((GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5), s) for s in (3e-16, 1e-10, 5e-3, 1e10)),
+        (GridSpec(0.0, 0.0, 1, 0.0, 0.0, 1, 0.0, 0.0, 1), 1e-300),
+    ],
+)
+def test_grid_accepts_a_step_that_moves_every_coordinate(grid, step):
+    grid.check_step(step)
 
 
 def test_report_passes_only_with_evaluated_points_within_threshold():

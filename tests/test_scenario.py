@@ -22,7 +22,8 @@ from dlw.scenario import (
     export_csv,
     scenario_from_dict,
 )
-from dlw.seedlab import SeedField, seeds
+from dlw.seedlab import seeds
+from dlw.seedlab.seeds import SeedField
 from dlw.transform import FieldPair, PoleError
 
 A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")

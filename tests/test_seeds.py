@@ -7,16 +7,14 @@ import re
 import pytest
 
 from dlw.jetcalc import Branch, JetIndex
-from dlw.seedlab import (
+from dlw.seedlab.exprlang import EvaluationError, eval_dual, parse_coeff_expr
+from dlw.seedlab.seeds import (
     SUPPORTED_INDICES,
-    EvaluationError,
     HeatPolynomial,
     Kernel,
     SeedField,
     SeedSpec,
-    eval_dual,
     heat_residual,
-    parse_coeff_expr,
 )
 from dlw.transform import POLE_TOLERANCE, FieldPair, PoleError, transform_point
 

@@ -6,14 +6,8 @@ import random
 import pytest
 
 from dlw.jetcalc import Branch
-from dlw.seedlab import (
-    HeatPolynomial,
-    Kernel,
-    SeedField,
-    SeedSpec,
-    eval_dual,
-    parse_coeff_expr,
-)
+from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
+from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import (
     PoleError,
     exact_uh,
