@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import balance
-from .residual import GridSpec, StencilConfig, fd_residual_1d, fd_residual_dlw
+from .residual import fd_residual_1d, fd_residual_dlw
 from .scenario import (
     ConfigError,
     evaluate_scenario,
@@ -54,7 +53,7 @@ def _apply_overrides(raw: dict, args) -> dict:
         override["branch"] = args.branch
     merged = merge_config(raw, override)
     outputs = merged.get("outputs", [])
-    if getattr(args, "output", None) and isinstance(outputs, list):
+    if args.output and isinstance(outputs, list):
         merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
     return merged
 
@@ -110,34 +109,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    numbers = (
-        ("a", args.a), ("d", args.d), ("--z0", args.z0), ("--z1", args.z1),
-        ("--t0", args.t0), ("--t1", args.t1), ("--step", args.step),
-        ("--threshold", args.threshold),
-    )
-    for flag, value in numbers:
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number")
-    for flag, count in (("--nz", args.nz), ("--nt", args.nt)):
-        if count < 1:
-            raise ConfigError(f"{flag} must be >= 1")
-    for flag, value in (("--step", args.step), ("--threshold", args.threshold)):
-        if not value > 0:
-            raise ConfigError(f"{flag} must be positive")
-    try:
-        StencilConfig(args.step)
-    except ValueError as exc:
-        raise ConfigError(f"--step: {exc}") from None
-    for axis, lo, hi in (("z", args.z0, args.z1), ("t", args.t0, args.t1)):
-        if hi < lo:
-            raise ConfigError(f"--{axis}0 must not exceed --{axis}1")
-    grid = GridSpec(args.z0, args.z1, args.nz, 0.0, 0.0, 1, args.t0, args.t1, args.nt)
-    try:
-        grid.check_step(args.step)
-    except ValueError as exc:
-        raise ConfigError(f"--step: {exc}") from None
-    # branch, step, threshold and output arrive through _apply_overrides
+    # step and threshold take the document defaults; flags arrive through
+    # _apply_overrides, and scenario_from_dict checks every value
     raw = {
+        "branch": "plus",
         "solution_path": "exact-const",
         "params": {"a": args.a, "c": args.a, "d": args.d},
         "grid": {
@@ -158,6 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # document overrides shared by run, sweep and reduce; no defaults here
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--step", type=float, help="override stencil step")
+    overrides.add_argument(
+        "--threshold", type=float, help="override residual threshold"
+    )
+    overrides.add_argument(
+        "--branch", choices=["plus", "minus"], help="override branch"
+    )
 
     p = sub.add_parser(
         "derive", help="run the exact symbolic derivation and its checks"
@@ -165,33 +149,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH", help="write a JSON report to PATH")
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("run", help="verify a scenario config on its grid")
+    p = sub.add_parser(
+        "run", parents=[overrides], help="verify a scenario config on its grid"
+    )
     p.add_argument("config", help="scenario JSON document")
-    p.add_argument("--step", type=float, help="override stencil step")
-    p.add_argument("--threshold", type=float, help="override residual threshold")
-    p.add_argument("--branch", choices=["plus", "minus"], help="override branch")
     p.add_argument(
         "--output", metavar="PATH", help="additionally export the grid CSV to PATH"
     )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
-        "sweep", help="repeat `run` over the config's sweep override list"
+        "sweep",
+        parents=[overrides],
+        help="repeat `run` over the config's sweep override list",
     )
     p.add_argument("config", help="scenario JSON document with a 'sweep' list")
-    p.add_argument("--step", type=float, help="override stencil step")
-    p.add_argument("--threshold", type=float, help="override residual threshold")
-    p.add_argument("--branch", choices=["plus", "minus"], help="override branch")
     p.set_defaults(func=cmd_sweep, output=None)
 
     p = sub.add_parser(
-        "reduce", help="check the (1+1)-dimensional solitary wave (a = c)"
+        "reduce",
+        parents=[overrides],
+        help="check the (1+1)-dimensional solitary wave (a = c)",
     )
     p.add_argument("a", type=float, help="wave parameter a (= c)")
     p.add_argument("d", type=float, help="phase offset d")
-    p.add_argument("--branch", choices=["plus", "minus"], default="plus")
-    p.add_argument("--step", type=float, default=5e-3)
-    p.add_argument("--threshold", type=float, default=1e-5)
     p.add_argument("--z0", type=float, default=-5.0)
     p.add_argument("--z1", type=float, default=5.0)
     p.add_argument("--nz", type=int, default=41)
@@ -213,7 +194,9 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"error: field evaluation failed: {exc}", file=sys.stderr)
     except OSError as exc:  # load_config reports read errors, so this is a write
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # an error with no file name comes from standard output, e.g. a closed pipe
+        target = "standard output" if exc.filename is None else exc.filename
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
     return 2
 
 

@@ -281,7 +281,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     stencil_raw = raw.get("stencil", {})
     if not isinstance(stencil_raw, dict):
         raise ConfigError(f"{where}.stencil: expected an object")
-    step = _number(stencil_raw.get("step", 5e-3), f"{where}.stencil.step")
+    step = _number(stencil_raw.get("step", StencilConfig.step), f"{where}.stencil.step")
     try:
         stencil = StencilConfig(step=step)
     except ValueError as exc:

@@ -458,36 +458,6 @@ def test_reduce_csv_export(tmp_path, capsys):
     assert len(rows) == 5 * 5  # nz * nt
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--nz", "0"], "--nz must be >= 1"),
-        (["--nt", "0"], "--nt must be >= 1"),
-        (["--nt", "-3"], "--nt must be >= 1"),
-        (["--step", "0"], "--step must be positive"),
-    ],
-)
-def test_reduce_rejects_bad_grid_flags(capsys, flags, message):
-    assert main(["reduce", "1.0", "0.0", *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--z0", "5", "--z1", "-5"], "--z0 must not exceed --z1"),
-        (["--t0", "1", "--t1", "0"], "--t0 must not exceed --t1"),
-    ],
-)
-def test_reduce_rejects_reversed_ranges(capsys, flags, message):
-    assert main(["reduce", "1.0", "0.0", *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
 def linspace(lo, hi, count):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
@@ -528,50 +498,104 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     assert code == (0 if max(worst) <= threshold else 1)
 
 
+# where each `reduce` grid flag lands in the document it builds
+REDUCE_GRID_FLAGS = {
+    "--z0": ("x", 0), "--z1": ("x", 1), "--nz": ("x", 2),
+    "--t0": ("t", 0), "--t1": ("t", 1), "--nt": ("t", 2),
+}
+
+
+def reduce_equivalent(argv):
+    """The exact-const document and `run` flags equivalent to `reduce *argv`."""
+    a, d, *flags = argv
+    grid = {"x": [-5.0, 5.0, 41], "y": [0.0, 0.0, 1], "t": [0.0, 1.0, 5]}
+    run_flags = []
+    for flag, value in zip(flags[::2], flags[1::2]):
+        if flag in REDUCE_GRID_FLAGS:
+            axis, pos = REDUCE_GRID_FLAGS[flag]
+            grid[axis][pos] = int(value) if pos == 2 else float(value)
+        else:
+            run_flags += [flag, value]
+    config = {
+        "branch": "plus",
+        "solution_path": "exact-const",
+        "params": {"a": float(a), "c": float(a), "d": float(d)},
+        "grid": grid,
+    }
+    return config, run_flags
+
+
+NOT_FINITE = "expected a finite number, got"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param(["nan", "0"], "a must be a finite number", id="a-nan"),
-        pytest.param(["1", "inf"], "d must be a finite number", id="d-inf"),
+        pytest.param(["1", "0", "--nz", "0"], "grid: x count must be >= 1", id="nz-0"),
+        pytest.param(["1", "0", "--nt", "0"], "grid: t count must be >= 1", id="nt-0"),
+        pytest.param(
+            ["1", "0", "--nt", "-3"], "grid: t count must be >= 1", id="nt-negative"
+        ),
+        pytest.param(
+            ["1", "0", "--step", "0"], "stencil: step must be positive", id="step-0"
+        ),
+        pytest.param(
+            ["1", "0", "--z0", "5", "--z1", "-5"],
+            "grid: x range must be ordered",
+            id="z-reversed",
+        ),
+        pytest.param(
+            ["1", "0", "--t0", "1", "--t1", "0"],
+            "grid: t range must be ordered",
+            id="t-reversed",
+        ),
+        pytest.param(["nan", "0"], f"params.a: {NOT_FINITE} nan", id="a-nan"),
+        pytest.param(["1", "inf"], f"params.d: {NOT_FINITE} inf", id="d-inf"),
         pytest.param(
             ["1", "0", "--nz", "1", "--z0", "inf", "--z1", "inf"],
-            "--z0 must be a finite number",
+            f"grid.x[0]: {NOT_FINITE} inf",
             id="z0-inf",
         ),
         pytest.param(
-            ["1", "0", "--z1", "inf"], "--z1 must be a finite number", id="z1-inf"
+            ["1", "0", "--z1", "inf"], f"grid.x[1]: {NOT_FINITE} inf", id="z1-inf"
         ),
         pytest.param(
-            ["1", "0", "--t0", "nan"], "--t0 must be a finite number", id="t0-nan"
+            ["1", "0", "--t0", "nan"], f"grid.t[0]: {NOT_FINITE} nan", id="t0-nan"
         ),
         pytest.param(
-            ["1", "0", "--t1", "inf"], "--t1 must be a finite number", id="t1-inf"
+            ["1", "0", "--t1", "inf"], f"grid.t[1]: {NOT_FINITE} inf", id="t1-inf"
         ),
         pytest.param(
-            ["1", "0", "--step", "inf"], "--step must be a finite number", id="step-inf"
+            ["1", "0", "--step", "inf"],
+            f"stencil.step: {NOT_FINITE} inf",
+            id="step-inf",
         ),
         pytest.param(
             ["1", "0", "--threshold", "nan"],
-            "--threshold must be a finite number",
+            f"thresholds.max_residual: {NOT_FINITE} nan",
             id="threshold-nan",
         ),
         pytest.param(
             ["1", "0", "--threshold", "-1"],
-            "--threshold must be positive",
+            "thresholds.max_residual: must be positive",
             id="threshold-negative",
         ),
         pytest.param(
             ["1", "0", "--threshold", "0"],
-            "--threshold must be positive",
+            "thresholds.max_residual: must be positive",
             id="threshold-zero",
         ),
     ],
 )
-def test_reduce_rejects_non_finite_input(capsys, argv, message):
+def test_reduce_input_errors_read_as_run_errors(tmp_path, capsys, argv, message):
     assert main(["reduce", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    reduced = capsys.readouterr()
+    config, run_flags = reduce_equivalent(argv)
+    assert main(["run", write_config(tmp_path, config), *run_flags]) == 2
+    ran = capsys.readouterr()
+    assert reduced.out == ran.out == ""
+    assert reduced.err == f"error: reduce.{message}\n"
+    assert reduced.err == ran.err.replace("error: config.", "error: reduce.")
 
 
 def test_reduce_fields_equal_the_exact_const_run(tmp_path, capsys):
@@ -596,16 +620,25 @@ def test_reduce_fields_equal_the_exact_const_run(tmp_path, capsys):
 
 
 def test_reduce_prints_the_run_summary(capsys):
-    argv = ["reduce", "0.5", "0.3", "--branch", "minus", "--nz", "7", "--nt", "3"]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (
-        "reduce: branch minus, exact-const path, grid 7x1x3, step 0.005\n"
-        "  max residual: r1 = 2.250879e-08, r2 = 2.063504e-08 (threshold 1e-05)\n"
-        "  mean residual: r1 = 9.572973e-09, r2 = 8.027050e-09; evaluated 21 points\n"
-        "  verdict: PASS\n"
-    )
-    assert captured.err == "reduce: skipped 0 pole-adjacent points\n"
+    # the second input takes branch, step and threshold from the document defaults
+    summaries = {
+        "--branch minus": (
+            "reduce: branch minus, exact-const path, grid 7x1x3, step 0.005\n"
+            "  max residual: r1 = 2.250879e-08, r2 = 2.063504e-08 (threshold 1e-05)\n"
+            "  mean residual: r1 = 9.572973e-09, r2 = 8.027050e-09; evaluated 21 points\n"
+        ),
+        "": (
+            "reduce: branch plus, exact-const path, grid 7x1x3, step 0.005\n"
+            "  max residual: r1 = 2.435306e-08, r2 = 2.063504e-08 (threshold 1e-05)\n"
+            "  mean residual: r1 = 1.006041e-08, r2 = 8.446975e-09; evaluated 21 points\n"
+        ),
+    }
+    for flags, summary in summaries.items():
+        argv = ["reduce", "0.5", "0.3", *flags.split(), "--nz", "7", "--nt", "3"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == summary + "  verdict: PASS\n"
+        assert captured.err == "reduce: skipped 0 pole-adjacent points\n"
 
 
 def test_reduce_phi_overflow_writes_inf(tmp_path, capsys):
@@ -630,8 +663,8 @@ OUT_OF_RANGE = "is out of range: its square and cube must be nonzero and finite"
         ("run", "1e300", "config.stencil"),
         ("sweep", "1e-200", "sweep[0].stencil"),
         ("sweep", "1e103", "sweep[0].stencil"),
-        ("reduce", "1e-160", "--step"),
-        ("reduce", "1e300", "--step"),
+        ("reduce", "1e-160", "reduce.stencil"),
+        ("reduce", "1e300", "reduce.stencil"),
     ],
 )
 def test_step_the_stencils_cannot_divide_by_exits_2(tmp_path, capsys, command, step, where):
@@ -654,8 +687,8 @@ def test_step_the_stencils_cannot_divide_by_exits_2(tmp_path, capsys, command, s
         ("run", "1e-17", "config.stencil", -1.0),
         ("run", "1e-100", "config.stencil", -1.0),
         ("sweep", "1e-17", "sweep[0].stencil", -1.0),
-        ("reduce", "1e-17", "--step", -5.0),
-        ("reduce", "1e-100", "--step", -5.0),
+        ("reduce", "1e-17", "reduce.stencil", -5.0),
+        ("reduce", "1e-100", "reduce.stencil", -5.0),
     ],
 )
 def test_step_that_leaves_a_grid_coordinate_unchanged_exits_2(
@@ -745,6 +778,27 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {target}: {reason}\n"
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone, as in `dlw derive | head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv", (["derive"], ["reduce", "1", "0", "--nz", "3"]), ids=("derive", "reduce")
+)
+def test_closed_standard_output_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(argv) == 2
+    reason = os.strerror(errno.EPIPE)
+    expected = f"error: cannot write standard output: {reason}\n"
+    assert capsys.readouterr().err == expected
 
 
 # -- argparse surface ---------------------------------------------------------------------
