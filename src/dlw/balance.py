@@ -10,7 +10,7 @@ zero polynomial or fails loudly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -158,42 +158,27 @@ def _leading_coefficient(e: JetPoly) -> JetPoly:
     return JetPoly(stripped)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivationCheck:
-    """Residual polynomials of one branch's symbolic checks.
+    """Residual polynomials of one branch's symbolic checks, by label in
+    report order (ode[i], identity[i], e1, e2, delta1, delta2).
 
-    A check passes iff every stored polynomial is zero.  Fields left at None
-    were not run.
+    A check passes iff every residual is the zero polynomial.
     """
 
     branch: Branch
-    ode_residuals: tuple[JetPoly, ...] = ()
-    identity_residuals: tuple[JetPoly, ...] = ()
-    e1_residual: JetPoly | None = None
-    e2_residual: JetPoly | None = None
-    factorization_deltas: tuple[JetPoly, JetPoly] | None = None
+    residuals: dict[str, JetPoly]
 
     @property
     def passed(self) -> bool:
-        return all(poly is None or poly.is_zero for _, poly in self._labelled())
+        return all(poly.is_zero for poly in self.residuals.values())
 
     def failures(self) -> list[str]:
-        out = []
-        for label, poly in self._labelled():
-            if poly is not None and not poly.is_zero:
-                out.append(f"{label}: {poly.render()}")
-        return out
-
-    def _labelled(self):
-        for i, p in enumerate(self.ode_residuals):
-            yield f"ode[{i}]", p
-        for i, p in enumerate(self.identity_residuals):
-            yield f"identity[{i}]", p
-        yield "e1", self.e1_residual
-        yield "e2", self.e2_residual
-        if self.factorization_deltas is not None:
-            yield "delta1", self.factorization_deltas[0]
-            yield "delta2", self.factorization_deltas[1]
+        return [
+            f"{label}: {poly.render()}"
+            for label, poly in self.residuals.items()
+            if not poly.is_zero
+        ]
 
 
 def check_ode_system(branch: Branch) -> DerivationCheck:
@@ -205,14 +190,19 @@ def check_ode_system(branch: Branch) -> DerivationCheck:
     """
     e1, e2 = build_residuals()
     sym = JetPoly.symbol
-    ode = tuple(
-        specialize_log(_leading_coefficient(e), branch) for e in (e1, e2)
+    return DerivationCheck(
+        branch,
+        {
+            "ode[0]": specialize_log(_leading_coefficient(e1), branch),
+            "ode[1]": specialize_log(_leading_coefficient(e2), branch),
+            "identity[0]": specialize_log(
+                sym("G", 1) * sym("G", 2) + sym("G", 3), branch
+            ),
+            "identity[1]": specialize_log(
+                sym("G", 1) * sym("G", 1) + 2 * sym("G", 2), branch
+            ),
+        },
     )
-    identities = (
-        specialize_log(sym("G", 1) * sym("G", 2) + sym("G", 3), branch),
-        specialize_log(sym("G", 1) * sym("G", 1) + 2 * sym("G", 2), branch),
-    )
-    return DerivationCheck(branch, ode_residuals=ode, identity_residuals=identities)
 
 
 def _heat_constraint(branch: Branch) -> JetPoly:
@@ -253,15 +243,14 @@ def verify_factorization(
     e1, e2 = build_residuals(a_const)
     s1 = specialize_log(e1, branch)
     s2 = specialize_log(e2, branch)
-    deltas = (
-        s1 - _factored_form("F", branch),
-        s2 - _factored_form("G", branch),
-    )
     return DerivationCheck(
         branch,
-        e1_residual=reduce_heat(s1, branch),
-        e2_residual=reduce_heat(s2, branch),
-        factorization_deltas=deltas,
+        {
+            "e1": reduce_heat(s1, branch),
+            "e2": reduce_heat(s2, branch),
+            "delta1": s1 - _factored_form("F", branch),
+            "delta2": s2 - _factored_form("G", branch),
+        },
     )
 
 
@@ -283,13 +272,8 @@ def derive() -> BalanceReport:
     checks = []
     for branch in (Branch.PLUS, Branch.MINUS):
         ode = check_ode_system(branch)
-        checks.append(
-            replace(
-                verify_factorization(branch),
-                ode_residuals=ode.ode_residuals,
-                identity_residuals=ode.identity_residuals,
-            )
-        )
+        fact = verify_factorization(branch)
+        checks.append(DerivationCheck(branch, {**ode.residuals, **fact.residuals}))
     failures = [
         f"branch {check.branch.name.lower()}: {line}"
         for check in checks

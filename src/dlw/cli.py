@@ -11,6 +11,7 @@ that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,7 +63,8 @@ def _print_summary(label: str, sc, report) -> bool:
     ok = report.passes(sc.max_residual)
     print(
         f"{label}: branch {sc.branch.name.lower()}, {sc.solution_path} path, "
-        f"grid {sc.grid.nx}x{sc.grid.ny}x{sc.grid.nt}, step {sc.stencil.step:g}"
+        f"grid {sc.grid.x[2]}x{sc.grid.y[2]}x{sc.grid.t[2]}, "
+        f"step {sc.stencil.step:g}"
     )
     print(
         f"  max residual: r1 = {report.max_abs[0]:.6e}, "
@@ -124,6 +126,8 @@ def cmd_reduce(args) -> int:
     return 0 if _verify("reduce", raw, args, "reduce", fd_residual_1d) else 1
 
 
+# built on first use, not at import; in-process callers run main many times
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlw",

@@ -58,24 +58,15 @@ class StencilConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive-endpoint evaluation grid; any count may be 1."""
+    """Inclusive-endpoint evaluation grid, one (lo, hi, count) per axis as a
+    scenario document gives it; any count may be 1."""
 
-    x0: float
-    x1: float
-    nx: int
-    y0: float
-    y1: float
-    ny: int
-    t0: float
-    t1: float
-    nt: int
+    x: tuple[float, float, int]
+    y: tuple[float, float, int]
+    t: tuple[float, float, int]
 
     def __post_init__(self):
-        for axis, lo, hi, count in (
-            ("x", self.x0, self.x1, self.nx),
-            ("y", self.y0, self.y1, self.ny),
-            ("t", self.t0, self.t1, self.nt),
-        ):
+        for axis, (lo, hi, count) in zip("xyt", (self.x, self.y, self.t)):
             if count < 1:
                 raise ValueError(f"{axis} count must be >= 1")
             if hi < lo:
@@ -83,11 +74,7 @@ class GridSpec:
 
     def _axes(self) -> tuple[list[float], list[float], list[float]]:
         """The coordinates the grid takes on x, y and t."""
-        return (
-            _linspace(self.x0, self.x1, self.nx),
-            _linspace(self.y0, self.y1, self.ny),
-            _linspace(self.t0, self.t1, self.nt),
-        )
+        return tuple(_linspace(*span) for span in (self.x, self.y, self.t))
 
     def points(self) -> list[Point]:
         """Grid points with x varying fastest, then y, then t."""
@@ -109,7 +96,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return self.nx * self.ny * self.nt
+        return self.x[2] * self.y[2] * self.t[2]
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

@@ -164,6 +164,12 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return value
+
+
 def _expr(value, where: str):
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected an expression string, got {value!r}")
@@ -174,8 +180,7 @@ def _expr(value, where: str):
 
 
 def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
+    raw = _object(raw, where)
     kind = _require(raw, "kind", where)
     if kind not in SEED_KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
@@ -183,8 +188,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
     kernels = []
     for pos, entry in enumerate(_list(raw.get("kernels", []), f"{where}.kernels")):
         label = f"{where}.kernels[{pos}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{label}: expected an object")
+        entry = _object(entry, label)
         kernels.append(
             Kernel(
                 amplitude=_number(entry.get("amplitude", 1.0), f"{label}.amplitude"),
@@ -194,10 +198,8 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
         )
     poly = None
     if "poly" in raw:
-        entry = raw["poly"]
         label = f"{where}.poly"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{label}: expected an object")
+        entry = _object(raw["poly"], label)
         poly = HeatPolynomial(
             c2=_expr(entry.get("c2", "0"), f"{label}.c2"),
             c1=_expr(entry.get("c1", "0"), f"{label}.c1"),
@@ -218,8 +220,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
 
 
 def _parse_grid(raw, where: str) -> GridSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
+    raw = _object(raw, where)
     spans = {}
     for axis in ("x", "y", "t"):
         entry = _require(raw, axis, where)
@@ -231,11 +232,7 @@ def _parse_grid(raw, where: str) -> GridSpec:
             raise ConfigError(f"{where}.{axis}[2]: expected an integer count")
         spans[axis] = (lo, hi, entry[2])
     try:
-        return GridSpec(
-            *spans["x"][0:2], spans["x"][2],
-            *spans["y"][0:2], spans["y"][2],
-            *spans["t"][0:2], spans["t"][2],
-        )
+        return GridSpec(**spans)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -255,9 +252,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     seed = None
     params = None
     if path == "exact-const":
-        entry = _require(raw, "params", where)
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}.params: expected an object")
+        entry = _object(_require(raw, "params", where), f"{where}.params")
         params = ConstParams(
             a=_number(_require(entry, "a", f"{where}.params"), f"{where}.params.a"),
             c=_number(_require(entry, "c", f"{where}.params"), f"{where}.params.c"),
@@ -278,18 +273,14 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
                     "one kernel of amplitude 1"
                 )
 
-    stencil_raw = raw.get("stencil", {})
-    if not isinstance(stencil_raw, dict):
-        raise ConfigError(f"{where}.stencil: expected an object")
+    stencil_raw = _object(raw.get("stencil", {}), f"{where}.stencil")
     step = _number(stencil_raw.get("step", StencilConfig.step), f"{where}.stencil.step")
     try:
         stencil = StencilConfig(step=step)
     except ValueError as exc:
         raise ConfigError(f"{where}.stencil: {exc}") from None
 
-    thresholds = raw.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError(f"{where}.thresholds: expected an object")
+    thresholds = _object(raw.get("thresholds", {}), f"{where}.thresholds")
     max_residual = _number(
         thresholds.get("max_residual", 1e-5), f"{where}.thresholds.max_residual"
     )
@@ -299,8 +290,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     outputs = []
     for pos, entry in enumerate(_list(raw.get("outputs", []), f"{where}.outputs")):
         label = f"{where}.outputs[{pos}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{label}: expected an object")
+        entry = _object(entry, label)
         fmt = _require(entry, "format", label)
         if fmt not in ("csv", "report"):
             raise ConfigError(f"{label}.format: unknown format {fmt!r}")
@@ -309,9 +299,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
             raise ConfigError(f"{label}.path: expected a string")
         outputs.append(ExportSpec(format=fmt, path=target))
 
-    debug = raw.get("debug", {})
-    if not isinstance(debug, dict):
-        raise ConfigError(f"{where}.debug: expected an object")
+    debug = _object(raw.get("debug", {}), f"{where}.debug")
     perturb_h = _number(debug.get("perturb_h", 0.0), f"{where}.debug.perturb_h")
 
     grid = _parse_grid(_require(raw, "grid", where), f"{where}.grid")
@@ -423,7 +411,6 @@ def export_csv(records: list[PointRecord], path: str | Path) -> None:
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
     """Machine-readable run report: the report's fields plus the run's grid
     and step."""
-    grid = sc.grid
     payload = {
         "scenario": {
             "branch": sc.branch.name.lower(),
@@ -433,12 +420,8 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
         },
         "report": {
             **asdict(report),
-            "grid": {
-                "x": [grid.x0, grid.x1, grid.nx],
-                "y": [grid.y0, grid.y1, grid.ny],
-                "t": [grid.t0, grid.t1, grid.nt],
-            },
-            "stencil": {"step": sc.stencil.step},
+            "grid": asdict(sc.grid),
+            "stencil": asdict(sc.stencil),
         },
         "verified": report.passes(sc.max_residual),
     }

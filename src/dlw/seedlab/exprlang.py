@@ -226,7 +226,10 @@ class _Parser:
     def parse_atom(self) -> tuple[CoeffExpr, int]:
         token = self.advance()
         if token.kind == "number":
-            return Num(float(token.text)), 0
+            value = float(token.text)
+            if math.isinf(value):
+                raise ExprSyntaxError("number out of range", token.pos)
+            return Num(value), 0
         if token.kind == "ident":
             if token.text == "y":
                 return Var(), 0

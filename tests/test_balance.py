@@ -136,11 +136,10 @@ def test_residual_degrees():
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_ode_system_reduces_to_zero(branch):
     check = check_ode_system(branch)
-    assert len(check.ode_residuals) == 2
-    assert len(check.identity_residuals) == 2
+    assert list(check.residuals) == ["ode[0]", "ode[1]", "identity[0]", "identity[1]"]
     assert check.passed
-    assert all(p.is_zero for p in check.ode_residuals)
-    assert all(p.is_zero for p in check.identity_residuals)
+    assert all(check.residuals[f"ode[{i}]"].is_zero for i in range(2))
+    assert all(check.residuals[f"identity[{i}]"].is_zero for i in range(2))
 
 
 def test_log_identities_by_direct_construction():
@@ -157,9 +156,10 @@ def test_log_identities_by_direct_construction():
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_factorization_reduces_to_zero(branch):
     check = verify_factorization(branch)
-    assert check.e1_residual.is_zero
-    assert check.e2_residual.is_zero
-    delta1, delta2 = check.factorization_deltas
+    assert list(check.residuals) == ["e1", "e2", "delta1", "delta2"]
+    assert check.residuals["e1"].is_zero
+    assert check.residuals["e2"].is_zero
+    delta1, delta2 = check.residuals["delta1"], check.residuals["delta2"]
     assert delta1.is_zero and delta2.is_zero
     assert check.passed
 
@@ -167,7 +167,7 @@ def test_factorization_reduces_to_zero(branch):
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_wrong_constant_leaves_forced_remainder(branch):
     check = verify_factorization(branch, Fraction(0))
-    assert check.e1_residual.is_zero  # the first equation never sees A
+    assert check.residuals["e1"].is_zero  # the first equation never sees A
     # remainder is (A+1)*(f''*phi_x^2 + f'*phi_xx), specialized, with A = 0
     expected = reduce_heat(
         specialize_log(
@@ -176,7 +176,7 @@ def test_wrong_constant_leaves_forced_remainder(branch):
         branch,
     )
     assert not expected.is_zero
-    assert check.e2_residual == expected
+    assert check.residuals["e2"] == expected
     assert not check.passed
 
 
@@ -205,8 +205,8 @@ def test_any_constant_other_than_minus_one_fails(a_const):
         sym("F", 2) * jet(1, 0, 0) ** 2 + sym("F", 1) * jet(2, 0, 0), Branch.PLUS
     )
     check = verify_factorization(Branch.PLUS, a_const)
-    assert check.e2_residual == (a_const + 1) * base
-    assert not check.e2_residual.is_zero
+    assert check.residuals["e2"] == (a_const + 1) * base
+    assert not check.residuals["e2"].is_zero
 
 
 # -- full derivation -----------------------------------------------------------------

@@ -326,6 +326,17 @@ def test_deeply_nested_expression_exits_2_naming_its_key(tmp_path, capsys, text,
     )
 
 
+def test_number_past_the_float_range_exits_2_naming_its_key(tmp_path, capsys):
+    config = base_config()
+    config["seed"]["kernels"][0]["a"] = "2*1e999"
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config.seed.kernels[0].a: number out of range (offset 2)\n"
+    )
+
+
 # -- shipped scenarios ------------------------------------------------------------------
 
 
@@ -754,6 +765,31 @@ def test_non_list_kernels_or_outputs_exits_2(tmp_path, capsys, command, csv_flag
     assert captured.out == ""
     assert captured.err == f"error: {where}.{key}: expected a list\n"
     assert not extra.exists()
+
+
+_NON_OBJECTS = [
+    ("run", {"seed": 5}, "config.seed"),
+    ("run", {"seed": {"kernels": ["ab"]}}, "config.seed.kernels[0]"),
+    ("run", {"seed": {"poly": [1]}}, "config.seed.poly"),
+    ("run", {"grid": None}, "config.grid"),
+    ("run", {"solution_path": "exact-const", "params": 5}, "config.params"),
+    ("run", {"stencil": [5e-3]}, "config.stencil"),
+    ("run", {"thresholds": 1e-5}, "config.thresholds"),
+    ("run", {"outputs": [None]}, "config.outputs[0]"),
+    ("run", {"debug": "ab"}, "config.debug"),
+    ("sweep", {"sweep": [5]}, "sweep[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, edit, where", _NON_OBJECTS, ids=[where for _, _, where in _NON_OBJECTS]
+)
+def test_non_object_exits_2_naming_its_key(tmp_path, capsys, command, edit, where):
+    config = merge_config(base_config(), edit)
+    assert main([command, write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: expected an object\n"
 
 
 # -- outputs ----------------------------------------------------------------------------

@@ -117,6 +117,22 @@ def test_nesting_past_the_cap_is_a_syntax_error_with_an_offset(form, offset):
     assert str(err.value) == f"expression nested too deeply (offset {offset})"
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("1e999", 0), ("2*1e999", 2), ("y + .5e400", 4), ("1" + "0" * 400, 0), ("1.8e308", 0)],
+    ids=("exponent", "product", "sum", "long-integer", "past-max"),
+)
+def test_number_past_the_float_range_is_a_syntax_error_with_an_offset(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_coeff_expr(text)
+    assert str(err.value) == f"number out of range (offset {offset})"
+
+
+def test_numbers_at_the_ends_of_the_float_range_parse():
+    assert parse_coeff_expr("1.7976931348623157e308") == Num(1.7976931348623157e308)
+    assert parse_coeff_expr("1e-999") == Num(0.0)
+
+
 def test_non_integer_exponent_rejected():
     with pytest.raises(ExprSyntaxError) as err:
         parse_coeff_expr("y^2.5")

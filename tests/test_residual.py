@@ -169,7 +169,7 @@ def kernel_field(branch=Branch.PLUS):
 
 
 def test_grid_report_single_kernel():
-    grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
+    grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
     report = grid_residuals(transform_sampler(kernel_field()), grid)
     assert report.skipped == 0
     assert report.evaluated == grid.size
@@ -190,7 +190,7 @@ def test_grid_report_two_kernel_family():
             ),
         )
     )
-    grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
+    grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
     report = grid_residuals(transform_sampler(field), grid)
     assert report.skipped == 0
     assert max(report.max_abs) <= 1e-5
@@ -200,7 +200,7 @@ def test_grid_report_skips_pole_band():
     field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
-    grid = GridSpec(-1, 1, 21, -1, 1, 5, 0, 1, 5)  # crosses phi = x^2 - 2t = 0
+    grid = GridSpec((-1, 1, 21), (-1, 1, 5), (0, 1, 5))  # crosses phi = x^2 - 2t = 0
     report = grid_residuals(transform_sampler(field), grid)
     assert report.skipped > 0
     assert report.skipped + report.evaluated == grid.size
@@ -217,14 +217,14 @@ def test_unit_scale_solitary_waves_verify(a, c):
     def sampler(x, y, t):
         return exact_uh_const(a, c, 0.1, Branch.PLUS, (x, y, t))
 
-    grid = GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5)
+    grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
     report = grid_residuals(sampler, grid)
     assert report.skipped == 0
     assert max(report.max_abs) <= 1e-5
 
 
 def test_threads_sharing_one_field_fill_its_table_consistently():
-    points = GridSpec(-2, 2, 5, -2, 2, 9, 0, 1, 2).points()
+    points = GridSpec((-2, 2, 5), (-2, 2, 9), (0, 1, 2)).points()
     # index sets beyond the stencil's, so the threads also fill the plans
     index_sets = (((0, 0, 1), (2, 0, 0)), [[2, 1, 0], [3, 0, 0]], ((0, 0, 0),))
 
@@ -258,7 +258,7 @@ def test_threads_sharing_one_field_fill_its_table_consistently():
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_non_finite_residual_is_never_scored_as_zero(bad):
-    grid = GridSpec(0, 3, 4, 0, 0, 1, 0, 0, 1)
+    grid = GridSpec((0, 3, 4), (0, 0, 1), (0, 0, 1))
     points = grid.points()
     results = [(1e-9, 2e-9), (bad, 1e-9), (3e-9, bad), None]
     report = aggregate_residuals(points, results)
@@ -272,7 +272,7 @@ def test_all_skipped_grid_reports_nan():
     def always_pole(x, y, t):
         raise PoleError((x, y, t), 0.0)
 
-    grid = GridSpec(0, 1, 2, 0, 1, 2, 0, 0, 1)
+    grid = GridSpec((0, 1, 2), (0, 1, 2), (0, 0, 1))
     report = grid_residuals(always_pole, grid)
     assert report.evaluated == 0
     assert report.skipped == grid.size
@@ -283,7 +283,7 @@ def test_all_skipped_grid_reports_nan():
 
 
 def test_grid_spec_points_order_x_fastest():
-    grid = GridSpec(0, 1, 2, 0, 1, 2, 0, 1, 2)
+    grid = GridSpec((0, 1, 2), (0, 1, 2), (0, 1, 2))
     points = grid.points()
     assert points[0] == (0.0, 0.0, 0.0)
     assert points[1] == (1.0, 0.0, 0.0)
@@ -294,9 +294,9 @@ def test_grid_spec_points_order_x_fastest():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(0, 1, 0, 0, 1, 1, 0, 1, 1)
+        GridSpec((0, 1, 0), (0, 1, 1), (0, 1, 1))
     with pytest.raises(ValueError):
-        GridSpec(1, 0, 2, 0, 1, 1, 0, 1, 1)
+        GridSpec((1, 0, 2), (0, 1, 1), (0, 1, 1))
 
 
 def test_stencil_validation():
@@ -318,10 +318,10 @@ def test_stencil_accepts_a_step_with_a_finite_nonzero_cube(step):
 @pytest.mark.parametrize(
     "grid, step, coordinate",
     [
-        (GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5), 1e-17, -3.0),
-        (GridSpec(0.0, 1e6, 2, 0.0, 0.0, 1, 0.0, 0.0, 1), 1e-12, 1e6),
-        (GridSpec(0.0, 0.0, 1, -2.0, 2.0, 3, 0.0, 0.0, 1), 1e-16, -2.0),
-        (GridSpec(0.0, 0.0, 1, 0.0, 0.0, 1, 100.0, 100.0, 1), 1e-15, 100.0),
+        (GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5)), 1e-17, -3.0),
+        (GridSpec((0.0, 1e6, 2), (0.0, 0.0, 1), (0.0, 0.0, 1)), 1e-12, 1e6),
+        (GridSpec((0.0, 0.0, 1), (-2.0, 2.0, 3), (0.0, 0.0, 1)), 1e-16, -2.0),
+        (GridSpec((0.0, 0.0, 1), (0.0, 0.0, 1), (100.0, 100.0, 1)), 1e-15, 100.0),
     ],
 )
 def test_grid_rejects_a_step_that_leaves_a_coordinate_unchanged(grid, step, coordinate):
@@ -333,8 +333,8 @@ def test_grid_rejects_a_step_that_leaves_a_coordinate_unchanged(grid, step, coor
 @pytest.mark.parametrize(
     "grid, step",
     [
-        *((GridSpec(-3, 3, 21, -3, 3, 21, 0, 1, 5), s) for s in (3e-16, 1e-10, 5e-3, 1e10)),
-        (GridSpec(0.0, 0.0, 1, 0.0, 0.0, 1, 0.0, 0.0, 1), 1e-300),
+        *((GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5)), s) for s in (3e-16, 1e-10, 5e-3, 1e10)),
+        (GridSpec((0.0, 0.0, 1), (0.0, 0.0, 1), (0.0, 0.0, 1)), 1e-300),
     ],
 )
 def test_grid_accepts_a_step_that_moves_every_coordinate(grid, step):

@@ -105,7 +105,7 @@ def test_each_coefficient_is_evaluated_once_per_distinct_y(path, monkeypatch):
     evaluate_scenario(sc, fd_residual_dlw)
     assert calls and len(calls) == len(set(calls))
     exprs = 7 if path == "transform" else 2
-    assert len(calls) <= 3 * sc.grid.ny * exprs  # y and y +/- step
+    assert len(calls) <= 3 * sc.grid.y[2] * exprs  # y and y +/- step
 
 
 @pytest.mark.parametrize("path", ("transform", "exact"))
@@ -141,7 +141,7 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
         calls.append(("centre", x))
         return FieldPair(x, -1.0)
 
-    grid = GridSpec(0.0, 2.0, 3, 0.0, 0.0, 1, 0.0, 0.0, 1)
+    grid = GridSpec((0.0, 2.0, 3), (0.0, 0.0, 1), (0.0, 0.0, 1))
     report, records = evaluate_grid(grid, StencilConfig(), residual, sampler, phi_value)
     assert calls == [
         ("phi", 0.0), ("residual", 0.0), ("centre", 0.0),
