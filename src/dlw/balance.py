@@ -78,16 +78,20 @@ def _satisfies_balance(l: int, m: int, n: int, p: int, q: int, r: int) -> bool:
 
 
 def solve_balance_exponents() -> BalanceExponents:
-    """Solve the six balance equations by exhaustive search.
+    """Solve the six balance equations by a scan of 125 candidates.
 
-    The search box [0, 4]^6 is tiny, and scanning it yields the uniqueness
-    assertion for free.
+    The first three equations fix (p, q, r) = (2l - 1, 2m + 1, 2n), so the
+    scan runs over (l, m, n) in [0, 4]^3 and drops a candidate whose p, q or
+    r leaves [0, 4].  The candidates it keeps are exactly the tuples of the
+    box [0, 4]^6 that can pass, and each must satisfy all six equations, so
+    the uniqueness assertion still covers the whole box.
     """
-    solutions = [
-        BalanceExponents(*combo)
-        for combo in itertools.product(range(_SEARCH_BOX + 1), repeat=6)
-        if _satisfies_balance(*combo)
-    ]
+    solutions = []
+    for l, m, n in itertools.product(range(_SEARCH_BOX + 1), repeat=3):
+        p, q, r = 2 * l - 1, 2 * m + 1, 2 * n  # q and r are never negative
+        in_box = 0 <= p <= _SEARCH_BOX and max(q, r) <= _SEARCH_BOX
+        if in_box and _satisfies_balance(l, m, n, p, q, r):
+            solutions.append(BalanceExponents(l, m, n, p, q, r))
     if not solutions:
         raise DerivationError("balance system has no solution in the search box")
     if len(solutions) > 1:

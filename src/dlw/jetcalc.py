@@ -142,8 +142,16 @@ def _jet_key(idx: JetIndex):
 
 
 def _canonical_key(phi_power, jets, syms) -> _Key:
-    jets = tuple(sorted((JetIndex(*idx) for idx in jets), key=_jet_key))
-    syms = tuple(sorted(CoeffSymbol(*sym) for sym in syms))
+    # a factor that is already a JetIndex or CoeffSymbol is kept, not rebuilt
+    jets = tuple(
+        sorted(
+            (idx if type(idx) is JetIndex else JetIndex(*idx) for idx in jets),
+            key=_jet_key,
+        )
+    )
+    syms = tuple(
+        sorted(sym if type(sym) is CoeffSymbol else CoeffSymbol(*sym) for sym in syms)
+    )
     for idx in jets:
         if min(idx) < 0 or idx.order == 0:
             raise ValueError(f"invalid jet factor {idx}")
@@ -162,14 +170,27 @@ def _term_order(key: _Key):
     return (-len(jets), -phi_power, jets, syms)
 
 
+def _normalised(pairs: Iterable[tuple[_Key, Fraction]]) -> dict[_Key, Fraction]:
+    """Terms of (canonical key, Fraction) pairs: like terms merged, zeros
+    dropped, keys in _term_order."""
+    merged: dict[_Key, Fraction] = {}
+    for key, coeff in pairs:
+        merged[key] = merged.get(key, _ZERO) + coeff
+    kept = sorted((key for key, value in merged.items() if value), key=_term_order)
+    return {key: merged[key] for key in kept}
+
+
 class JetPoly:
     """Exact polynomial in jet variables, phi powers and coefficient symbols.
 
     Instances are immutable and canonical: factor tuples sorted, like terms
     merged, zero coefficients dropped, term order deterministic.  The
-    constructor is the only code that canonicalises; every operation hands it
-    raw (key, coeff) pairs, in which a key may repeat and factors may come in
-    any order.  Arithmetic accepts ints and Fractions as scalars.
+    constructor takes raw (key, coeff) pairs, in which a key may repeat and
+    factors may come in any order: it validates and sorts each key
+    (_canonical_key), then hands the pairs to the one normaliser
+    (_normalised), which merges, drops zeros and orders the terms.  Sums,
+    negation and scalar products, whose keys are canonical already, call
+    the normaliser alone.  Arithmetic accepts ints and Fractions as scalars.
     """
 
     __slots__ = ("_terms",)
@@ -181,12 +202,20 @@ class JetPoly:
     ):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        merged: dict[_Key, Fraction] = {}
-        for (phi_power, jets, syms), coeff in terms:
-            key = _canonical_key(phi_power, jets, syms)
-            merged[key] = merged.get(key, _ZERO) + Fraction(coeff)
-        kept = sorted((key for key, value in merged.items() if value), key=_term_order)
-        self._terms = {key: merged[key] for key in kept}
+        self._terms = _normalised(
+            (
+                _canonical_key(*key),
+                coeff if type(coeff) is Fraction else Fraction(coeff),
+            )
+            for key, coeff in terms
+        )
+
+    @classmethod
+    def _canonical(cls, pairs: Iterable[tuple[_Key, Fraction]]) -> "JetPoly":
+        """Skips _canonical_key: every key must be canonical already."""
+        poly = cls.__new__(cls)
+        poly._terms = _normalised(pairs)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -254,10 +283,10 @@ class JetPoly:
     def __add__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return JetPoly([*self._terms.items(), *other._terms.items()])
+        return JetPoly._canonical([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "JetPoly":
-        return JetPoly({key: -coeff for key, coeff in self._terms.items()})
+        return JetPoly._canonical((key, -coeff) for key, coeff in self._terms.items())
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
@@ -268,8 +297,8 @@ class JetPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return JetPoly()
-            return JetPoly(
-                {key: coeff * other for key, coeff in self._terms.items()}
+            return JetPoly._canonical(
+                (key, coeff * other) for key, coeff in self._terms.items()
             )
         if not isinstance(other, JetPoly):
             return NotImplemented

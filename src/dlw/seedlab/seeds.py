@@ -156,19 +156,24 @@ class SeedField:
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
-        for pos, amplitude in enumerate(self._amplitudes):
-            a, b = row[pos] or self._resolve(row, pos, y)
-            a_value, a_prime = a.value, a.deriv
-            theta = a_value * x - sign * a_value**2 * t + b.value
-            theta_y = a_prime * x - sign * 2.0 * a_value * a_prime * t + b.deriv
-            try:
-                scale = amplitude * math.exp(theta)
-            except OverflowError:
-                raise EvaluationError(
-                    f"kernel overflow at exponent {theta!r}"
-                ) from None
-            for slot, factor in enumerate(plan.kernel_factors):
-                totals[slot] += factor(a_value, a_prime, theta_y, sign) * scale
+        try:
+            for pos, amplitude in enumerate(self._amplitudes):
+                a, b = row[pos] or self._resolve(row, pos, y)
+                a_value, a_prime = a.value, a.deriv
+                theta = a_value * x - sign * a_value**2 * t + b.value
+                theta_y = a_prime * x - sign * 2.0 * a_value * a_prime * t + b.deriv
+                try:
+                    scale = amplitude * math.exp(theta)
+                except OverflowError:
+                    raise EvaluationError(
+                        f"kernel overflow at exponent {theta!r}"
+                    ) from None
+                for slot, factor in enumerate(plan.kernel_factors):
+                    totals[slot] += factor(a_value, a_prime, theta_y, sign) * scale
+        except OverflowError:
+            # float ** raises where * rounds to inf: a power past the float
+            # range is a non-finite value, failed like the check below
+            raise EvaluationError("non-finite seed value") from None
 
         if self.spec.poly is not None:
             c2, c1, c0 = row[-1] or self._resolve(row, -1, y)

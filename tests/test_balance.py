@@ -74,7 +74,8 @@ def test_balance_search_without_a_solution_fails(monkeypatch):
 
 
 def test_balance_search_with_two_solutions_fails(monkeypatch):
-    accepted = {(1, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0)}
+    # the second tuple meets the first three equations, so the scan visits it
+    accepted = {(1, 0, 0, 1, 1, 0), (2, 0, 0, 3, 1, 0)}
     monkeypatch.setattr(
         balance, "_satisfies_balance", lambda *exponents: exponents in accepted
     )
@@ -82,6 +83,22 @@ def test_balance_search_with_two_solutions_fails(monkeypatch):
         solve_balance_exponents()
     for exponents in accepted:
         assert repr(BalanceExponents(*exponents)) in str(raised.value)
+
+
+def test_balance_search_visits_every_tuple_the_first_equations_allow(monkeypatch):
+    visited = []
+    monkeypatch.setattr(
+        balance, "_satisfies_balance", lambda *exponents: visited.append(exponents)
+    )
+    with pytest.raises(DerivationError, match="no solution"):
+        solve_balance_exponents()
+    allowed = {
+        (l, m, n, p, q, r)
+        for l, m, n, p, q, r in itertools.product(range(5), repeat=6)
+        if 2 * l + 1 == p + 2 and 2 * m + 1 == q and 2 * n == r
+    }
+    assert len(visited) == len(set(visited))
+    assert set(visited) == allowed
 
 
 # -- ansatz ---------------------------------------------------------------------

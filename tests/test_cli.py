@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import dlw.scenario
 from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
-from dlw.transform import exact_uh_const, one_plus_exp
+from dlw.transform import FieldPair, exact_uh_const, one_plus_exp
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = sorted(SCENARIOS_DIR.glob("*.json"))
 MAX_RESIDUAL = re.compile(r"max residual: r1 = (\S+), r2 = (\S+) ")
 
 
@@ -326,6 +328,17 @@ def test_deeply_nested_expression_exits_2_naming_its_key(tmp_path, capsys, text,
     )
 
 
+def test_coefficient_whose_power_overflows_exits_2(tmp_path, capsys, monkeypatch):
+    # y^400 is finite on the grid, but a**2 in the kernel exponent is not
+    monkeypatch.chdir(tmp_path)
+    document = json.loads((SCENARIOS_DIR / "single_kernel.json").read_text())
+    document["seed"]["kernels"][0]["a"] = "y^400"
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field evaluation failed: non-finite seed value\n"
+
+
 def test_number_past_the_float_range_exits_2_naming_its_key(tmp_path, capsys):
     config = base_config()
     config["seed"]["kernels"][0]["a"] = "2*1e999"
@@ -350,6 +363,29 @@ def _verify_shipped(document, tmp_path, capsys):
     return code, maxima
 
 
+def _fails_over_threshold(document, tmp_path, capsys):
+    """Whether the command exits 1 with every maximum over the threshold."""
+    code, maxima = _verify_shipped(document, tmp_path, capsys)
+    threshold = document["thresholds"]["max_residual"]
+    return code == 1 and all(max(r1, r2) > threshold for r1, r2 in maxima)
+
+
+def _perturbed_u(scale):
+    """build_sampler whose samplers add scale*x^2*t to u."""
+    build_sampler = dlw.scenario.build_sampler
+
+    def build(sc):
+        sampler, phi_value = build_sampler(sc)
+
+        def perturbed(x, y, t):
+            u, h = sampler(x, y, t)
+            return FieldPair(u + scale * x * x * t, h)
+
+        return perturbed, phi_value
+
+    return build
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.name)
 def test_shipped_scenario_passes_checks_something_and_fails_its_control(
     path, tmp_path, capsys, monkeypatch
@@ -360,14 +396,14 @@ def test_shipped_scenario_passes_checks_something_and_fails_its_control(
     assert code == 0
     for r1, r2 in maxima:
         assert (r1, r2) != (0.0, 0.0), "a residual that is exactly zero checks nothing"
-    document["debug"] = {"perturb_h": 1e-3}
     for entry in document.get("sweep", []):
         assert "debug" not in entry
-    code, maxima = _verify_shipped(document, tmp_path, capsys)
-    assert code == 1
-    threshold = document["thresholds"]["max_residual"]
-    for r1, r2 in maxima:
-        assert max(r1, r2) > threshold
+    # each negative control fails on its own
+    document["debug"] = {"perturb_h": 1e-3}
+    assert _fails_over_threshold(document, tmp_path, capsys), "h + 1e-3*x^2"
+    del document["debug"]
+    monkeypatch.setattr(dlw.scenario, "build_sampler", _perturbed_u(1e-3))
+    assert _fails_over_threshold(document, tmp_path, capsys), "u + 1e-3*x^2*t"
 
 
 # -- alternate solution paths ---------------------------------------------------------

@@ -272,6 +272,29 @@ def test_raw_pairs_canonicalise_to_the_merged_mapping(terms, cancelled, split, r
     assert len(got.monomials()) == len(terms)
 
 
+def _raw_pairs(p: JetPoly, scale: Fraction | int = 1) -> list:
+    return [((m.phi_power, m.jets, m.syms), m.coeff * scale) for m in p.monomials()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys, _coeffs)
+def test_canonical_operations_equal_the_validating_constructor(a, b, k):
+    # sums, negation and scalar products skip key canonicalisation; each must
+    # still give the polynomial, and the term order, of the full constructor
+    cases = [
+        (a + b, _raw_pairs(a) + _raw_pairs(b)),
+        (a - b, _raw_pairs(a) + _raw_pairs(b, -1)),
+        (-a, _raw_pairs(a, -1)),
+        (k * a, _raw_pairs(a, k)),
+        (a * k, _raw_pairs(a, k)),
+    ]
+    for got, pairs in cases:
+        expected = JetPoly(pairs)
+        assert got == expected
+        assert got.monomials() == expected.monomials()
+        assert all(type(m.coeff) is Fraction for m in got.monomials())
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys, _polys, _polys)
 def test_ring_laws(a, b, c):

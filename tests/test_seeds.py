@@ -193,6 +193,20 @@ def test_kernel_overflow_surfaces_as_evaluation_error():
         field.value((1e4, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "a_text, point, index",
+    [
+        ("1e160", (0.5, 0.0, 0.5), (0, 0, 0)),  # a**2 in the exponent
+        ("1e110", (-1.0, 0.0, 0.0), (3, 0, 0)),  # a**3 in a factor; exp(theta) = 0
+    ],
+)
+def test_power_overflow_surfaces_as_evaluation_error(a_text, point, index):
+    # float ** raises OverflowError where * gives inf
+    field = unit_kernel_seed(Branch.PLUS, a_text, "0")
+    with pytest.raises(EvaluationError, match="non-finite seed value"):
+        field.partial(point, index)
+
+
 def test_coefficient_evaluation_errors_propagate():
     field = unit_kernel_seed(Branch.PLUS, "1/y", "0")
     for _ in range(2):  # the failure is raised again, never stored
