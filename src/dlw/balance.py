@@ -4,7 +4,7 @@ Re-derives, in exact rational arithmetic, the three steps that turn the
 dispersive long wave system into a linear heat-type constraint: balance the
 leading derivative degrees, resolve the ansatz functions to logarithms, and
 factor the system residuals through the constraint.  Every check lands on the
-zero polynomial or fails loudly.
+zero polynomial, or the report names the nonzero residuals and reads FAIL.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ G_RESOLVED = "g = 2*ln(phi)"
 
 
 class DerivationError(Exception):
-    """A symbolic check that must reduce to zero did not."""
+    """The derivation cannot be set up: the balance system has no unique
+    solution, or a residual's top-degree part has an unexpected jet."""
 
 
 class BalanceExponents(NamedTuple):
@@ -265,26 +266,20 @@ class BalanceReport:
     exponents: BalanceExponents
     checks: tuple[DerivationCheck, ...]
 
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
 
 def derive() -> BalanceReport:
-    """Run every symbolic check for both branches and assemble the report.
-
-    Raises DerivationError, with the offending residuals rendered, if any
-    check leaves a nonzero polynomial.
-    """
+    """Run every symbolic check for both branches and assemble the report;
+    `report.passed` is the verdict."""
     exponents = solve_balance_exponents()
     checks = []
     for branch in (Branch.PLUS, Branch.MINUS):
         ode = check_ode_system(branch)
         fact = verify_factorization(branch)
         checks.append(DerivationCheck(branch, {**ode.residuals, **fact.residuals}))
-    failures = [
-        f"branch {check.branch.name.lower()}: {line}"
-        for check in checks
-        for line in check.failures()
-    ]
-    if failures:
-        raise DerivationError("derivation checks failed:\n" + "\n".join(failures))
     return BalanceReport(exponents=exponents, checks=tuple(checks))
 
 
@@ -305,6 +300,7 @@ def render_report(report: BalanceReport) -> str:
             f"branch {check.branch.name.lower()}: ode system, log identities, "
             f"residual reduction, factorization -> {verdict}"
         )
+        lines.extend(f"  {line}" for line in check.failures())
     return "\n".join(lines)
 
 

@@ -41,7 +41,7 @@ def cmd_derive(args) -> int:
         payload = json.dumps(balance.report_to_dict(report), indent=2, sort_keys=True)
         Path(args.output).write_text(payload + "\n")
     print(balance.render_report(report))
-    return 0
+    return 0 if report.passed else 1
 
 
 def _apply_overrides(raw: dict, args) -> dict:

@@ -38,8 +38,9 @@ MAX_ORDER = 8
 _AXES = ("x", "y", "t")
 
 
-class OrderLimitError(Exception):
-    """A rewrite would push a jet factor or symbol order above MAX_ORDER."""
+class OrderLimitError(ValueError):
+    """A jet factor or symbol order above MAX_ORDER; raised by _canonical_key
+    alone, so every operation that builds keys through it is capped."""
 
 
 class SpecializationError(Exception):
@@ -156,12 +157,12 @@ def _canonical_key(phi_power, jets, syms) -> _Key:
         if min(idx) < 0 or idx.order == 0:
             raise ValueError(f"invalid jet factor {idx}")
         if idx.order > MAX_ORDER:
-            raise ValueError(f"jet factor {idx} exceeds order cap {MAX_ORDER}")
+            raise OrderLimitError(f"{idx.render()} exceeds order cap {MAX_ORDER}")
     for sym in syms:
-        if sym.family not in ("F", "G"):
-            raise ValueError(f"invalid symbol family {sym.family!r}")
-        if not 0 <= sym.order <= MAX_ORDER:
-            raise ValueError(f"symbol order {sym.order} outside [0, {MAX_ORDER}]")
+        if sym.family not in ("F", "G") or sym.order < 0:
+            raise ValueError(f"invalid symbol {sym}")
+        if sym.order > MAX_ORDER:
+            raise OrderLimitError(f"{sym.render()} exceeds order cap {MAX_ORDER}")
     return (int(phi_power), jets, syms)
 
 
@@ -189,8 +190,9 @@ class JetPoly:
     factors may come in any order: it validates and sorts each key
     (_canonical_key), then hands the pairs to the one normaliser
     (_normalised), which merges, drops zeros and orders the terms.  Sums,
-    negation and scalar products, whose keys are canonical already, call
-    the normaliser alone.  Arithmetic accepts ints and Fractions as scalars.
+    negation, scalar products, log specialization and degree decomposition,
+    whose keys are canonical already, call the normaliser alone.  Arithmetic
+    accepts ints and Fractions as scalars.
     """
 
     __slots__ = ("_terms",)
@@ -342,25 +344,14 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
         if phi_power:
             out.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
         for idx in set(jets):
-            bumped = idx.bumped(direction)
-            if bumped.order > MAX_ORDER:
-                raise OrderLimitError(
-                    f"derivative order above {MAX_ORDER} while differentiating "
-                    f"{Monomial(coeff, phi_power, jets, syms).render()}"
-                )
             out.append(
                 (
-                    (phi_power, _with_replaced(jets, idx, bumped), syms),
+                    (phi_power, _with_replaced(jets, idx, idx.bumped(direction)), syms),
                     coeff * jets.count(idx),
                 )
             )
         for sym in set(syms):
             raised = CoeffSymbol(sym.family, sym.order + 1)
-            if raised.order > MAX_ORDER:
-                raise OrderLimitError(
-                    f"symbol order above {MAX_ORDER} while differentiating "
-                    f"{Monomial(coeff, phi_power, jets, syms).render()}"
-                )
             out.append(
                 (
                     (phi_power, (*jets, unit), _with_replaced(syms, sym, raised)),
@@ -392,7 +383,8 @@ def specialize_log(p: JetPoly, branch: Branch) -> JetPoly:
                 value *= branch.sign
             power -= order
         out.append(((power, jets, ()), value))
-    return JetPoly(out)
+    # jets come from a canonical key and stay sorted without the symbols
+    return JetPoly._canonical(out)
 
 
 def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
@@ -411,14 +403,8 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
         new_jets = []
         for idx in jets:
             if idx.k:
-                rewritten = JetIndex(idx.i + 2 * idx.k, idx.j, 0)
-                if rewritten.order > MAX_ORDER:
-                    raise OrderLimitError(
-                        f"derivative order above {MAX_ORDER} while rewriting "
-                        f"{Monomial(coeff, phi_power, jets, ()).render()}"
-                    )
                 factor *= (-branch.sign) ** idx.k
-                new_jets.append(rewritten)
+                new_jets.append(JetIndex(idx.i + 2 * idx.k, idx.j, 0))
             else:
                 new_jets.append(idx)
         out.append(((phi_power, new_jets, ()), coeff * factor))
@@ -427,7 +413,7 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
 
 def degree_decompose(p: JetPoly) -> dict[int, JetPoly]:
     """Partition terms by homogeneous degree (count of proper jet factors)."""
-    buckets: dict[int, dict[_Key, Fraction]] = {}
-    for key, coeff in p._terms.items():
-        buckets.setdefault(len(key[1]), {})[key] = coeff
-    return {degree: JetPoly(terms) for degree, terms in sorted(buckets.items())}
+    buckets: dict[int, list[tuple[_Key, Fraction]]] = {}
+    for pair in p._terms.items():  # canonical keys, so each bucket is canonical
+        buckets.setdefault(len(pair[0][1]), []).append(pair)
+    return {d: JetPoly._canonical(pairs) for d, pairs in sorted(buckets.items())}

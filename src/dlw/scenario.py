@@ -53,6 +53,9 @@ __all__ = [
 
 SOLUTION_PATHS = ("transform", "exact", "exact-const")
 SEED_KINDS = ("constant", "kernels", "poly", "mixed")
+# top-level keys; `dlw sweep` checks each `sweep` entry merged onto the rest
+_DOCUMENT_KEYS = ("branch", "solution_path", "seed", "params", "grid", "stencil",
+                  "thresholds", "outputs", "debug", "sweep")
 
 # fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> (r1, r2)
 Residual = Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]]
@@ -164,9 +167,14 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, keys: tuple[str, ...]) -> dict:
+    """An object whose keys are all among `keys`: a misspelt key is an error,
+    not a silently ignored setting."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}")
     return value
 
 
@@ -180,7 +188,7 @@ def _expr(value, where: str):
 
 
 def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
-    raw = _object(raw, where)
+    raw = _object(raw, where, ("kind", "constant", "kernels", "poly"))
     kind = _require(raw, "kind", where)
     if kind not in SEED_KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
@@ -188,7 +196,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
     kernels = []
     for pos, entry in enumerate(_list(raw.get("kernels", []), f"{where}.kernels")):
         label = f"{where}.kernels[{pos}]"
-        entry = _object(entry, label)
+        entry = _object(entry, label, ("amplitude", "a", "b"))
         kernels.append(
             Kernel(
                 amplitude=_number(entry.get("amplitude", 1.0), f"{label}.amplitude"),
@@ -199,7 +207,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
     poly = None
     if "poly" in raw:
         label = f"{where}.poly"
-        entry = _object(raw["poly"], label)
+        entry = _object(raw["poly"], label, ("c2", "c1", "c0"))
         poly = HeatPolynomial(
             c2=_expr(entry.get("c2", "0"), f"{label}.c2"),
             c1=_expr(entry.get("c1", "0"), f"{label}.c1"),
@@ -220,7 +228,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
 
 
 def _parse_grid(raw, where: str) -> GridSpec:
-    raw = _object(raw, where)
+    raw = _object(raw, where, ("x", "y", "t"))
     spans = {}
     for axis in ("x", "y", "t"):
         entry = _require(raw, axis, where)
@@ -239,6 +247,7 @@ def _parse_grid(raw, where: str) -> GridSpec:
 
 def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     """Validate a loaded document into a Scenario."""
+    _object(raw, where, _DOCUMENT_KEYS)
     branch_name = _require(raw, "branch", where)
     try:
         branch = Branch.from_name(str(branch_name))
@@ -252,11 +261,12 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     seed = None
     params = None
     if path == "exact-const":
-        entry = _object(_require(raw, "params", where), f"{where}.params")
+        label = f"{where}.params"
+        entry = _object(_require(raw, "params", where), label, ("a", "c", "d"))
         params = ConstParams(
-            a=_number(_require(entry, "a", f"{where}.params"), f"{where}.params.a"),
-            c=_number(_require(entry, "c", f"{where}.params"), f"{where}.params.c"),
-            d=_number(_require(entry, "d", f"{where}.params"), f"{where}.params.d"),
+            a=_number(_require(entry, "a", label), f"{label}.a"),
+            c=_number(_require(entry, "c", label), f"{label}.c"),
+            d=_number(_require(entry, "d", label), f"{label}.d"),
         )
     else:
         seed = _parse_seed(_require(raw, "seed", where), branch, f"{where}.seed")
@@ -273,14 +283,16 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
                     "one kernel of amplitude 1"
                 )
 
-    stencil_raw = _object(raw.get("stencil", {}), f"{where}.stencil")
+    stencil_raw = _object(raw.get("stencil", {}), f"{where}.stencil", ("step",))
     step = _number(stencil_raw.get("step", StencilConfig.step), f"{where}.stencil.step")
     try:
         stencil = StencilConfig(step=step)
     except ValueError as exc:
         raise ConfigError(f"{where}.stencil: {exc}") from None
 
-    thresholds = _object(raw.get("thresholds", {}), f"{where}.thresholds")
+    thresholds = _object(
+        raw.get("thresholds", {}), f"{where}.thresholds", ("max_residual",)
+    )
     max_residual = _number(
         thresholds.get("max_residual", 1e-5), f"{where}.thresholds.max_residual"
     )
@@ -290,7 +302,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     outputs = []
     for pos, entry in enumerate(_list(raw.get("outputs", []), f"{where}.outputs")):
         label = f"{where}.outputs[{pos}]"
-        entry = _object(entry, label)
+        entry = _object(entry, label, ("format", "path"))
         fmt = _require(entry, "format", label)
         if fmt not in ("csv", "report"):
             raise ConfigError(f"{label}.format: unknown format {fmt!r}")
@@ -299,7 +311,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
             raise ConfigError(f"{label}.path: expected a string")
         outputs.append(ExportSpec(format=fmt, path=target))
 
-    debug = _object(raw.get("debug", {}), f"{where}.debug")
+    debug = _object(raw.get("debug", {}), f"{where}.debug", ("perturb_h",))
     perturb_h = _number(debug.get("perturb_h", 0.0), f"{where}.debug.perturb_h")
 
     grid = _parse_grid(_require(raw, "grid", where), f"{where}.grid")

@@ -1,6 +1,8 @@
 """Exactness tests for the homogeneous-balance derivation."""
 
+import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from dlw.balance import (
     verify_factorization,
     _leading_coefficient,
 )
+from dlw.cli import main
 from dlw.jetcalc import (
     Branch,
     JetPoly,
@@ -214,6 +217,31 @@ _A_ZERO_FAILURES = {
 def test_wrong_constant_failures_render_in_canonical_order(branch):
     failures = verify_factorization(branch, Fraction(0)).failures()
     assert failures == _A_ZERO_FAILURES[branch]
+
+
+def test_derive_with_a_wrong_constant_reports_fail_and_still_writes_output(
+    tmp_path, capsys, monkeypatch
+):
+    with_a_zero = functools.partial(verify_factorization, a_const=Fraction(0))
+    monkeypatch.setattr(balance, "verify_factorization", with_a_zero)
+    assert not derive().passed
+    target = tmp_path / "derivation.json"
+    assert main(["derive", "--output", str(target)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    payload = json.loads(target.read_text())
+    expected = []
+    for branch in BRANCHES:
+        name = branch.name.lower()
+        expected.append(
+            f"branch {name}: ode system, log identities, "
+            "residual reduction, factorization -> FAIL"
+        )
+        expected += [f"  {line}" for line in _A_ZERO_FAILURES[branch]]
+        assert payload["branches"][name] == {
+            "passed": False,
+            "failures": _A_ZERO_FAILURES[branch],
+        }
+    assert lines[6:] == expected
 
 
 @pytest.mark.parametrize("a_const", [Fraction(1), Fraction(3, 7), Fraction(-2)])

@@ -828,6 +828,51 @@ def test_non_object_exits_2_naming_its_key(tmp_path, capsys, command, edit, wher
     assert captured.err == f"error: {where}: expected an object\n"
 
 
+_UNKNOWN_KEYS = [
+    ("run", {"debug": {"perturb_hh": 1e-3}}, "config.debug", "perturb_hh"),
+    ("run", {"threshold": {"max_residual": 1e-12}}, "config", "threshold"),
+    ("run", {"seed": {"kind": "kernels", "kernel": []}}, "config.seed", "kernel"),
+    (
+        "run",
+        {"seed": {"kernels": [{"amplitud": 2.0, "a": "1", "b": "y"}]}},
+        "config.seed.kernels[0]",
+        "amplitud",
+    ),
+    (
+        "run",
+        {"seed": {"kind": "mixed", "poly": {"c3": "1"}}},
+        "config.seed.poly",
+        "c3",
+    ),
+    (
+        "run",
+        {"solution_path": "exact-const", "params": {"a": 1, "c": 1, "d": 0, "e": 0}},
+        "config.params",
+        "e",
+    ),
+    ("run", {"grid": {"z": [0.0, 1.0, 2]}}, "config.grid", "z"),
+    ("run", {"stencil": {"steps": 1e-3}}, "config.stencil", "steps"),
+    ("run", {"thresholds": {"max_residuals": 1.0}}, "config.thresholds", "max_residuals"),
+    ("run", {"outputs": [{"format": "csv", "file": "a.csv"}]}, "config.outputs[0]", "file"),
+    ("sweep", {"sweep": [{"brnach": "minus"}]}, "sweep[0]", "brnach"),
+    ("sweep", {"sweep": [{"debug": {"perturb_hh": 1e-3}}]}, "sweep[0].debug", "perturb_hh"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, edit, where, key",
+    _UNKNOWN_KEYS,
+    ids=[f"{where}.{key}" for _, _, where, key in _UNKNOWN_KEYS],
+)
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, command, edit, where, key):
+    # a misspelt key used to be ignored, so a negative control could PASS
+    config = merge_config(base_config(), edit)
+    assert main([command, write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: unknown key {key!r}\n"
+
+
 # -- outputs ----------------------------------------------------------------------------
 
 

@@ -277,22 +277,31 @@ def _raw_pairs(p: JetPoly, scale: Fraction | int = 1) -> list:
 
 
 @settings(max_examples=60, deadline=None)
-@given(_polys, _polys, _coeffs)
-def test_canonical_operations_equal_the_validating_constructor(a, b, k):
-    # sums, negation and scalar products skip key canonicalisation; each must
-    # still give the polynomial, and the term order, of the full constructor
+@given(_polys, _polys, _coeffs, st.sampled_from(BRANCHES))
+def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
+    # sums, negation, scalar products, log specialization and degree
+    # decomposition skip key canonicalisation; each must still give the
+    # polynomial, and the term order, of the full constructor
+    special = specialize_log(a, branch)
     cases = [
         (a + b, _raw_pairs(a) + _raw_pairs(b)),
         (a - b, _raw_pairs(a) + _raw_pairs(b, -1)),
         (-a, _raw_pairs(a, -1)),
         (k * a, _raw_pairs(a, k)),
         (a * k, _raw_pairs(a, k)),
+        (special, _raw_pairs(special)),
+        *((part, _raw_pairs(part)) for part in degree_decompose(a).values()),
     ]
     for got, pairs in cases:
         expected = JetPoly(pairs)
         assert got == expected
         assert got.monomials() == expected.monomials()
         assert all(type(m.coeff) is Fraction for m in got.monomials())
+    # the validating constructor is the one place the order cap is enforced
+    for over_cap in ((0, (JetIndex(9, 0, 0),), ()), (0, (), (CoeffSymbol("G", 9),))):
+        with pytest.raises(OrderLimitError) as raised:
+            JetPoly(_raw_pairs(a) + [(over_cap, k)])
+        assert isinstance(raised.value, ValueError)
 
 
 @settings(max_examples=60, deadline=None)
