@@ -27,6 +27,7 @@ from .scenario import (
     write_outputs,
 )
 from .seedlab.exprlang import EvaluationError
+from .seedlab.seeds import CoefficientError
 
 __all__ = ["main"]
 
@@ -79,17 +80,19 @@ def _print_summary(label: str, sc, report) -> bool:
     return ok
 
 
-def _verify(label: str, raw: dict, args, where: str, residual) -> bool:
-    """One scenario: overrides, parse, evaluate, write, summarise."""
-    sc = scenario_from_dict(_apply_overrides(raw, args), where=where)
-    report, records = evaluate_scenario(sc, residual)
+def _verify(label: str, sc, where: str, residual) -> bool:
+    """One parsed scenario: evaluate, write, summarise."""
+    try:
+        report, records = evaluate_scenario(sc, residual)
+    except CoefficientError as exc:  # name the expression by its document key
+        raise EvaluationError(f"{where}.seed.{exc}") from None
     write_outputs(sc, report, records)
     return _print_summary(label, sc, report)
 
 
 def cmd_run(args) -> int:
-    ok = _verify("run", load_config(args.config), args, "config", fd_residual_dlw)
-    return 0 if ok else 1
+    sc = scenario_from_dict(_apply_overrides(load_config(args.config), args))
+    return 0 if _verify("run", sc, "config", fd_residual_dlw) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -98,7 +101,9 @@ def cmd_sweep(args) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config has no nonempty 'sweep' list")
     base = {key: value for key, value in raw.items() if key != "sweep"}
-    all_ok = True
+    # every entry is validated before any runs, so an input error prints
+    # no summary and writes no file
+    scenarios = []
     for pos, entry in enumerate(entries):
         label = f"sweep[{pos}]"
         if not isinstance(entry, dict):
@@ -106,7 +111,11 @@ def cmd_sweep(args) -> int:
         merged = merge_config(base, entry)
         if "outputs" not in entry:
             merged["outputs"] = []  # avoid runs overwriting a shared path
-        all_ok = _verify(label, merged, args, label, fd_residual_dlw) and all_ok
+        sc = scenario_from_dict(_apply_overrides(merged, args), where=label)
+        scenarios.append((label, sc))
+    all_ok = True
+    for label, sc in scenarios:
+        all_ok = _verify(label, sc, label, fd_residual_dlw) and all_ok
     return 0 if all_ok else 1
 
 
@@ -123,7 +132,8 @@ def cmd_reduce(args) -> int:
             "t": [args.t0, args.t1, args.nt],
         },
     }
-    return 0 if _verify("reduce", raw, args, "reduce", fd_residual_1d) else 1
+    sc = scenario_from_dict(_apply_overrides(raw, args), where="reduce")
+    return 0 if _verify("reduce", sc, "reduce", fd_residual_1d) else 1
 
 
 # built on first use, not at import; in-process callers run main many times

@@ -23,23 +23,26 @@ __all__ = [
     "HeatPolynomial",
     "SeedSpec",
     "SeedField",
+    "CoefficientError",
     "heat_residual",
 ]
 
 Point = tuple[float, float, float]
 
-# Per supported index (i, j, k): the factor multiplying a kernel's
-# amp*exp(theta), from a, a' = da/dy, theta_y and the branch sign (a power
-# stays a power: a**3 and a*a*a can round apart) ...
+# Per supported index (i, j, k): the position, in a kernel's factor vector,
+# of the factor multiplying its amp*exp(theta). The vector is
+#   (a**0, a**1, a**2, a**3, theta_y, theta_t = -sign*a*a,
+#    a' + a*theta_y, 2*a*a' + a*a*theta_y)
+# with a' = da/dy (a power stays a power: a**3 and a*a*a can round apart) ...
 _KERNEL_FACTORS = {
-    (0, 0, 0): lambda a, a_prime, theta_y, sign: a**0,
-    (1, 0, 0): lambda a, a_prime, theta_y, sign: a**1,
-    (2, 0, 0): lambda a, a_prime, theta_y, sign: a**2,
-    (3, 0, 0): lambda a, a_prime, theta_y, sign: a**3,
-    (0, 1, 0): lambda a, a_prime, theta_y, sign: theta_y,
-    (0, 0, 1): lambda a, a_prime, theta_y, sign: -sign * a * a,  # theta_t
-    (1, 1, 0): lambda a, a_prime, theta_y, sign: a_prime + a * theta_y,
-    (2, 1, 0): lambda a, a_prime, theta_y, sign: 2.0 * a * a_prime + a * a * theta_y,
+    (0, 0, 0): 0,
+    (1, 0, 0): 1,
+    (2, 0, 0): 2,
+    (3, 0, 0): 3,
+    (0, 1, 0): 4,
+    (0, 0, 1): 5,
+    (1, 1, 0): 6,
+    (2, 1, 0): 7,
 }
 
 # ... and the heat polynomial's term, from the duals of c2, c1, c0.
@@ -66,8 +69,46 @@ class _Plan(NamedTuple):
     """A validated index set, resolved once per field."""
 
     start: tuple[float, ...]  # 0.0 per index, plus the constant term at phi
-    kernel_factors: tuple  # one _KERNEL_FACTORS entry per index
+    kernel_terms: tuple  # (index slot, factor vector position) per index
     poly_terms: tuple  # one _POLY_TERMS entry per index
+
+
+class CoefficientError(EvaluationError):
+    """A coefficient expression failed to evaluate; the message starts with
+    its member of the seed (`kernels[0].a`, `poly.c1`) and the y value."""
+
+
+def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
+    """The x- and t-free constants of one kernel at one y, in the order
+    `partials` unpacks them, then the kernel's duals (a, b)."""
+    a_value, a_prime = a.value, a.deriv
+    try:
+        square = a_value**2
+    except OverflowError:
+        # float ** raises where * rounds to inf; every sample needs a**2
+        raise EvaluationError("non-finite seed value") from None
+    try:
+        cube = a_value**3
+    except OverflowError:
+        # only phi_xxx reads it: inf fails just the index sets holding (3, 0, 0)
+        cube = math.inf
+    return (
+        amplitude,
+        a_value,
+        a_prime,
+        b.value,
+        b.deriv,
+        sign * square,
+        sign * 2.0 * a_value * a_prime,
+        a_value**0,
+        a_value**1,
+        square,
+        cube,
+        -sign * a_value * a_value,
+        2.0 * a_value * a_prime,
+        a_value * a_value,
+        (a, b),
+    )
 
 
 @dataclass(frozen=True)
@@ -100,28 +141,37 @@ class SeedField:
     """Evaluator of a seed and its supported partial derivatives at a point.
 
     The coefficients depend on y alone, so the field keeps a table with one
-    row per distinct y and one slot per coefficient group: each kernel's
-    (a, b), then the poly's (c2, c1, c0). A slot is evaluated when a point
-    first needs it, in the order the seed's terms are summed, so an error
-    surfaces where it would without the table; an EvaluationError leaves the
-    slot empty and is raised again on the next request. Each index set asked
-    of `partials` is validated once into a plan, kept per field; an
-    unsupported index stores no plan and is rejected on every call. Both are
-    filled idempotently: a field shared across threads may evaluate a slot
-    or a plan twice, never differently.
+    row per distinct y and one slot per coefficient group: each kernel, then
+    the poly. A kernel's slot holds its x- and t-free constants (amplitude,
+    a, a', b, b', the products and powers of a its factors use) and its
+    duals (a, b); the poly's holds the duals (c2, c1, c0). A slot is filled
+    when a point first needs it, in the order the seed's terms are summed, so
+    an error surfaces where it would without the table; an EvaluationError
+    leaves the slot empty and is raised again on the next request. A
+    coefficient's error is a CoefficientError naming its member and y. Each
+    index set asked of `partials` is validated once into a plan, kept per
+    field; an unsupported index stores no plan and is rejected on every
+    call. Both are filled idempotently: a field shared across threads may
+    evaluate a slot or a plan twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
         self.spec = spec
         self.branch = spec.branch
-        self._amplitudes = tuple(kernel.amplitude for kernel in spec.kernels)
-        self._groups = tuple((kernel.a, kernel.b) for kernel in spec.kernels)
+        self._kernel_slots = range(len(spec.kernels))
+        self._groups = tuple(
+            ((f"kernels[{pos}].a", kernel.a), (f"kernels[{pos}].b", kernel.b))
+            for pos, kernel in enumerate(spec.kernels)
+        )
         if spec.poly is not None:
-            self._groups += ((spec.poly.c2, spec.poly.c1, spec.poly.c0),)
-        self._rows: dict[object, list[tuple[Dual, ...] | None]] = {}
+            poly = spec.poly
+            self._groups += (
+                (("poly.c2", poly.c2), ("poly.c1", poly.c1), ("poly.c0", poly.c0)),
+            )
+        self._rows: dict[object, list[tuple | None]] = {}
         self._plans: dict[tuple, _Plan] = {}
 
-    def _row(self, y: float) -> list[tuple[Dual, ...] | None]:
+    def _row(self, y: float) -> list[tuple | None]:
         # Keyed on the exact float. Equal floats share a row except the
         # signed zeros, which eval_dual can tell apart; NaNs, equal to
         # nothing, share one key.
@@ -131,16 +181,31 @@ class SeedField:
             row = self._rows[key] = [None] * len(self._groups)
         return row
 
-    def _resolve(self, row: list, slot: int, y: float) -> tuple[Dual, ...]:
-        duals = tuple(eval_dual(expr, y) for expr in self._groups[slot])
-        row[slot] = duals
-        return duals
+    def _resolve(self, row: list, slot: int, y: float) -> tuple:
+        duals = []
+        for member, expr in self._groups[slot]:
+            try:
+                duals.append(eval_dual(expr, y))
+            except EvaluationError as exc:
+                raise CoefficientError(f"{member} at y = {y!r}: {exc}") from None
+        if slot in self._kernel_slots:
+            entry = _kernel_constants(
+                self.spec.kernels[slot].amplitude, *duals, self.branch.sign
+            )
+        else:
+            entry = tuple(duals)
+        row[slot] = entry
+        return entry
 
     def duals(self, y: float, slot: int) -> tuple[Dual, ...]:
         """Duals of one coefficient group at y: kernel `slot`'s (a, b), or
-        the poly's (c2, c1, c0) at slot -1."""
+        the poly's (c2, c1, c0) at slot -1. A kernel whose a**2 passes the
+        float range raises `non-finite seed value`, as `partials` does."""
+        if slot < 0:
+            slot += len(self._groups)
         row = self._row(y)
-        return row[slot] or self._resolve(row, slot, y)
+        entry = row[slot] or self._resolve(row, slot, y)
+        return entry[-1] if slot in self._kernel_slots else entry
 
     def partials(self, point: Point, indices) -> tuple[float, ...]:
         """Evaluate several partial derivatives sharing one coefficient pass."""
@@ -149,34 +214,35 @@ class SeedField:
         except (KeyError, TypeError):  # a new index set, or an unhashable one
             plan = self._plan(indices)
         x, y, t = point
-        sign = self.branch.sign
         totals = list(plan.start)
 
         key = y if y and y == y else repr(y)  # as in _row
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
-        try:
-            for pos, amplitude in enumerate(self._amplitudes):
-                a, b = row[pos] or self._resolve(row, pos, y)
-                a_value, a_prime = a.value, a.deriv
-                theta = a_value * x - sign * a_value**2 * t + b.value
-                theta_y = a_prime * x - sign * 2.0 * a_value * a_prime * t + b.deriv
-                try:
-                    scale = amplitude * math.exp(theta)
-                except OverflowError:
-                    raise EvaluationError(
-                        f"kernel overflow at exponent {theta!r}"
-                    ) from None
-                for slot, factor in enumerate(plan.kernel_factors):
-                    totals[slot] += factor(a_value, a_prime, theta_y, sign) * scale
-        except OverflowError:
-            # float ** raises where * rounds to inf: a power past the float
-            # range is a non-finite value, failed like the check below
-            raise EvaluationError("non-finite seed value") from None
+        for pos in self._kernel_slots:
+            (
+                amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime,
+                a0, a1, a2, a3, theta_t, two_aa_prime, aa, _,
+            ) = row[pos] or self._resolve(row, pos, y)
+            theta = a * x - sign_a2 * t + b
+            theta_y = a_prime * x - sign_2aa_prime * t + b_prime
+            try:
+                scale = amplitude * math.exp(theta)
+            except OverflowError:
+                raise EvaluationError(
+                    f"kernel overflow at exponent {theta!r}"
+                ) from None
+            factors = (
+                a0, a1, a2, a3, theta_y, theta_t,
+                a_prime + a * theta_y, two_aa_prime + aa * theta_y,
+            )
+            for slot, position in plan.kernel_terms:
+                totals[slot] += factors[position] * scale
 
         if self.spec.poly is not None:
             c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
+            sign = self.branch.sign
             for slot, term in enumerate(plan.poly_terms):
                 totals[slot] += term(c2, c1, c0, x, t, sign)
 
@@ -192,7 +258,9 @@ class SeedField:
                 0.0 + constant if constant and index == (0, 0, 0) else 0.0
                 for index in key
             ),
-            kernel_factors=tuple(_KERNEL_FACTORS[index] for index in key),
+            kernel_terms=tuple(
+                (slot, _KERNEL_FACTORS[index]) for slot, index in enumerate(key)
+            ),
             poly_terms=tuple(_POLY_TERMS[index] for index in key),
         )
         self._plans[key] = plan

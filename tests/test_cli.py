@@ -339,6 +339,53 @@ def test_coefficient_whose_power_overflows_exits_2(tmp_path, capsys, monkeypatch
     assert captured.err == "error: field evaluation failed: non-finite seed value\n"
 
 
+def test_exact_path_power_overflow_exits_2(tmp_path, capsys):
+    # a**2 is finite at the grid's y = 2.428 but not at y + step, where the
+    # stencil samples the exact solution
+    document = {
+        "branch": "plus",
+        "solution_path": "exact",
+        "seed": {"kind": "kernels", "constant": 1.0, "kernels": [{"a": "y^400", "b": "0"}]},
+        "grid": {"x": [0, 0, 1], "y": [2.428, 2.428, 1], "t": [0, 0, 1]},
+    }
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field evaluation failed: non-finite seed value\n"
+
+
+@pytest.mark.parametrize("command", ("run", "sweep"))
+@pytest.mark.parametrize("path", ("transform", "exact"))
+def test_failing_coefficient_names_its_key_and_y(tmp_path, capsys, command, path):
+    config = base_config(solution_path=path)
+    bad = {"seed": {"kernels": [{"amplitude": 1.0, "a": "1e308*10", "b": "1*y"}]}}
+    if command == "sweep":
+        config["sweep"] = [{}, bad]
+        where = "sweep[1]"
+    else:
+        config = merge_config(config, bad)
+        where = "config"
+    assert main([command, write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    if command == "run":
+        assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: field evaluation failed: {where}.seed.kernels[0].a at y = -1.0: "
+        "non-finite result"
+    )
+
+
+def test_kernel_overflow_names_no_key(tmp_path, capsys):
+    config = base_config()
+    config["seed"]["kernels"][0]["b"] = "800 + 1*y"
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: field evaluation failed: kernel overflow at exponent "
+    )
+
+
 def test_number_past_the_float_range_exits_2_naming_its_key(tmp_path, capsys):
     config = base_config()
     config["seed"]["kernels"][0]["a"] = "2*1e999"
@@ -778,6 +825,20 @@ def test_sweep_fails_if_any_entry_fails(tmp_path, capsys):
     assert main(["sweep", write_config(tmp_path, config)]) == 1
     out = capsys.readouterr().out
     assert "verdict: PASS" in out and "verdict: FAIL" in out
+
+
+def test_sweep_validates_every_entry_before_running_any(tmp_path, capsys):
+    config = base_config()
+    first = tmp_path / "first.csv"
+    config["sweep"] = [
+        {"outputs": [{"format": "csv", "path": str(first)}]},
+        {"debug": {"perturb_hh": 1e-3}},
+    ]
+    assert main(["sweep", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep[1].debug: unknown key 'perturb_hh'\n"
+    assert not first.exists()
 
 
 def test_sweep_requires_list(tmp_path, capsys):

@@ -121,7 +121,10 @@ def test_failing_coefficient_through_y_zero_exits_2(path, tmp_path, capsys):
     assert main(["run", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: field evaluation failed: division by zero\n"
+    assert captured.err == (
+        "error: field evaluation failed: "
+        "config.seed.kernels[0].b at y = 0.0: division by zero\n"
+    )
 
 
 def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():

@@ -5,11 +5,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlw.jetcalc import Branch, JetIndex
 from dlw.seedlab.exprlang import EvaluationError, eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import (
     SUPPORTED_INDICES,
+    CoefficientError,
     HeatPolynomial,
     Kernel,
     SeedField,
@@ -209,12 +212,29 @@ def test_power_overflow_surfaces_as_evaluation_error(a_text, point, index):
 
 def test_coefficient_evaluation_errors_propagate():
     field = unit_kernel_seed(Branch.PLUS, "1/y", "0")
+    message = re.escape("kernels[0].a at y = 0.0: division by zero")
     for _ in range(2):  # the failure is raised again, never stored
-        with pytest.raises(EvaluationError, match="division by zero"):
+        with pytest.raises(CoefficientError, match=f"^{message}$"):
             field.value((0.0, 0.0, 0.0))
-        with pytest.raises(EvaluationError, match="division by zero"):
+        with pytest.raises(CoefficientError, match=f"^{message}$"):
             field.duals(0.0, 0)
     assert field.value((1.0, 0.5, 0.0)) == pytest.approx(1.0 + math.e**2)
+
+
+def test_coefficient_error_names_its_member_and_y():
+    spec = SeedSpec(
+        Branch.MINUS,
+        0.0,
+        (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1e308*10"), P("0"))),
+        HeatPolynomial(P("1"), P("1/(y - 0.25)"), P("0")),
+    )
+    field = SeedField(spec)
+    with pytest.raises(
+        CoefficientError, match=r"^kernels\[1\]\.a at y = -0\.5: non-finite result$"
+    ):
+        field.value((0.0, -0.5, 0.0))
+    with pytest.raises(CoefficientError, match=r"^poly\.c1 at y = 0\.25: division by zero$"):
+        field.duals(0.25, -1)
 
 
 def test_first_failing_term_names_the_error():
@@ -222,10 +242,46 @@ def test_first_failing_term_names_the_error():
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
-    with pytest.raises(EvaluationError, match="kernel overflow"):
+    with pytest.raises(EvaluationError, match=r"^kernel overflow at exponent 10000\.0$"):
         SeedField(spec).value((1e4, 0.0, 0.0))
-    with pytest.raises(EvaluationError, match="division by zero"):
+    with pytest.raises(
+        CoefficientError, match=re.escape("kernels[1].b at y = 0.0: division by zero")
+    ):
         SeedField(spec).value((1.0, 0.0, 0.0))
+    # kernel 0's a**2 past the float range, before kernel 1's coefficient
+    spec = SeedSpec(
+        Branch.PLUS, 1.0, (Kernel(1.0, P("1e160"), P("0")), Kernel(1.0, P("1"), P("1/y")))
+    )
+    with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+        SeedField(spec).value((1.0, 0.0, 0.0))
+
+
+def test_cube_overflow_fails_only_the_index_sets_that_read_it():
+    # a = 1e120: a**2 = 1e240 is finite and a**3 is not; theta = b at x = t = 0
+    spec = SeedSpec(Branch.PLUS, 1.0, (Kernel(1.0, P("1e120"), P("0.5*y")),))
+    field = SeedField(spec)
+    point = (0.0, 0.0, 0.0)
+    index_sets = [(index,) for index in ALL_INDICES]
+    index_sets += [(first, second) for first in ALL_INDICES for second in ALL_INDICES]
+    index_sets += [ALL_INDICES, tuple(reversed(ALL_INDICES))]
+    for indices in index_sets:
+        if (3, 0, 0) in indices:
+            with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+                field.partials(point, indices)
+        else:
+            expected = reference_partials(spec, point, indices)
+            assert repr(field.partials(point, indices)) == repr(expected)
+    assert field.value(point) == 2.0
+
+
+def test_duals_of_a_kernel_whose_square_overflows_fail_as_a_seed_value():
+    # the exact path reads the duals; its exponent needs a**2 like `partials`
+    field = unit_kernel_seed(Branch.PLUS, "y^400", "0")
+    a, b = field.duals(2.428, 0)  # a**2 = 1.6e308
+    assert (a.value, b.value) == (eval_dual(P("y^400"), 2.428).value, 0.0)
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+            field.duals(2.43, 0)
 
 
 # -- the coefficient table ------------------------------------------------------------
@@ -259,17 +315,18 @@ def test_table_keys_the_exact_float():
 # -- the per-index plans against the formulas they were resolved from ------------------
 
 
-def reference_kernel_factor(index, a, a_prime, theta_y, sign):
-    i, j, _ = index
-    if index == (0, 0, 1):
-        return -sign * a * a  # theta_t
-    if j == 0:
-        return a**i
-    if index == (0, 1, 0):
-        return theta_y
-    if index == (1, 1, 0):
-        return a_prime + a * theta_y
-    return 2.0 * a * a_prime + a * a * theta_y  # (2, 1, 0)
+# The per-index factors as `partials` once looked them up, one function per
+# index: the factor multiplying a kernel's amp*exp(theta).
+REFERENCE_KERNEL_FACTORS = {
+    (0, 0, 0): lambda a, a_prime, theta_y, sign: a**0,
+    (1, 0, 0): lambda a, a_prime, theta_y, sign: a**1,
+    (2, 0, 0): lambda a, a_prime, theta_y, sign: a**2,
+    (3, 0, 0): lambda a, a_prime, theta_y, sign: a**3,
+    (0, 1, 0): lambda a, a_prime, theta_y, sign: theta_y,
+    (0, 0, 1): lambda a, a_prime, theta_y, sign: -sign * a * a,  # theta_t
+    (1, 1, 0): lambda a, a_prime, theta_y, sign: a_prime + a * theta_y,
+    (2, 1, 0): lambda a, a_prime, theta_y, sign: 2.0 * a * a_prime + a * a * theta_y,
+}
 
 
 def reference_poly_partial(index, c2, c1, c0, x, t, sign):
@@ -292,7 +349,8 @@ def reference_poly_partial(index, c2, c1, c0, x, t, sign):
 
 def reference_partials(spec, point, indices):
     """Each total from 0.0: the constant, the kernels in spec order, the poly;
-    coefficients from eval_dual at every call, with no table."""
+    coefficients from eval_dual at every call, with no table, and each
+    kernel factor from its own function."""
     indices = [tuple(index) for index in indices]
     x, y, t = point
     sign = spec.branch.sign
@@ -303,18 +361,25 @@ def reference_partials(spec, point, indices):
                 totals[slot] += spec.constant_term
     for kernel in spec.kernels:
         a, b = eval_dual(kernel.a, y), eval_dual(kernel.b, y)
-        theta = a.value * x - sign * a.value**2 * t + b.value
-        theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
-        scale = kernel.amplitude * math.exp(theta)
-        for slot, index in enumerate(indices):
-            totals[slot] += (
-                reference_kernel_factor(index, a.value, a.deriv, theta_y, sign) * scale
-            )
+        try:
+            theta = a.value * x - sign * a.value**2 * t + b.value
+            theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
+            try:
+                scale = kernel.amplitude * math.exp(theta)
+            except OverflowError:
+                raise EvaluationError(f"kernel overflow at exponent {theta!r}") from None
+            for slot, index in enumerate(indices):
+                factor = REFERENCE_KERNEL_FACTORS[index]
+                totals[slot] += factor(a.value, a.deriv, theta_y, sign) * scale
+        except OverflowError:  # a float power past the float range
+            raise EvaluationError("non-finite seed value") from None
     if spec.poly is not None:
         poly = spec.poly
         c2, c1, c0 = (eval_dual(expr, y) for expr in (poly.c2, poly.c1, poly.c0))
         for slot, index in enumerate(indices):
             totals[slot] += reference_poly_partial(index, c2, c1, c0, x, t, sign)
+    if not all(map(math.isfinite, totals)):
+        raise EvaluationError("non-finite seed value")
     return tuple(totals)
 
 
@@ -430,3 +495,62 @@ def test_index_sets_given_as_lists_or_jet_indices_use_the_same_plan():
         iter(indices),
     ):
         assert exactly(field.partials(point, same)) == as_tuple
+
+
+# -- the factor vector against the per-index functions, on drawn seeds -----------------
+
+# Coefficients c + s*y: signed zeros, values whose cube (1e103, 1e120) or
+# square (1e160) passes the float range, and ordinary values.
+_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e103, -1e120, 1e160)) | st.floats(-3, 3)
+_SLOPES = st.just(0.0) | st.floats(-2, 2)
+_COORDS = st.sampled_from((0.0, -0.0)) | st.floats(-2, 2)
+
+
+@st.composite
+def _coefficients(draw, values=_VALUES):
+    value, slope = draw(values), draw(_SLOPES)
+    return P(repr(value) if slope == 0.0 else f"{value!r} + {slope!r}*y")
+
+
+@st.composite
+def _seeds(draw):
+    kernels = tuple(
+        Kernel(
+            draw(st.sampled_from((1.0, 0.5, -2.0, 0.0))),
+            draw(_coefficients()),
+            draw(_coefficients(st.floats(-3, 3))),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    poly = None
+    if draw(st.booleans()):
+        poly = HeatPolynomial(*(P(draw(st.sampled_from(POLY_EXPRS))) for _ in range(3)))
+    constant = draw(st.sampled_from((0.0, 1.0)) | st.floats(-3, 3))
+    return SeedSpec(draw(st.sampled_from(BRANCHES)), constant, kernels, poly)
+
+
+def _outcome(evaluate):
+    try:
+        return "values", repr(evaluate())
+    except EvaluationError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    spec=_seeds(),
+    point=st.tuples(_COORDS, _COORDS, st.sampled_from((0.0, -0.0)) | st.floats(0, 1)),
+    indices=st.lists(st.sampled_from(ALL_INDICES), min_size=1, max_size=8),
+)
+def test_factor_vector_equals_the_per_index_functions(spec, point, indices):
+    expected = _outcome(lambda: reference_partials(spec, point, indices))
+    field = SeedField(spec)
+    for _ in range(2):  # a fresh coefficient row, then the stored one
+        got = _outcome(lambda: field.partials(point, indices))
+        if got != expected:
+            # the one reordering: an a**3 past the float range is stored as
+            # inf and fails at the final finiteness check, so a later
+            # kernel's exponent overflow at the point is raised first
+            assert expected == ("error", "non-finite seed value")
+            assert (3, 0, 0) in indices
+            assert got[1].startswith("kernel overflow at exponent")
