@@ -80,19 +80,25 @@ def _print_summary(label: str, sc, report) -> bool:
     return ok
 
 
-def _verify(label: str, sc, where: str, residual) -> bool:
-    """One parsed scenario: evaluate, write, summarise."""
-    try:
-        report, records = evaluate_scenario(sc, residual)
-    except CoefficientError as exc:  # name the expression by its document key
-        raise EvaluationError(f"{where}.seed.{exc}") from None
-    write_outputs(sc, report, records)
-    return _print_summary(label, sc, report)
+def _verify(runs, residual) -> bool:
+    """Evaluate every (label, document key, scenario) first, so an evaluation
+    error prints no summary and writes no file; then write and summarise each."""
+    results = []
+    for _, where, sc in runs:
+        try:
+            results.append(evaluate_scenario(sc, residual))
+        except CoefficientError as exc:  # name the expression by its document key
+            raise EvaluationError(f"{where}.seed.{exc}") from None
+    all_ok = True
+    for (label, _, sc), (report, records) in zip(runs, results):
+        write_outputs(sc, report, records)
+        all_ok = _print_summary(label, sc, report) and all_ok
+    return all_ok
 
 
 def cmd_run(args) -> int:
     sc = scenario_from_dict(_apply_overrides(load_config(args.config), args))
-    return 0 if _verify("run", sc, "config", fd_residual_dlw) else 1
+    return 0 if _verify([("run", "config", sc)], fd_residual_dlw) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -103,7 +109,7 @@ def cmd_sweep(args) -> int:
     base = {key: value for key, value in raw.items() if key != "sweep"}
     # every entry is validated before any runs, so an input error prints
     # no summary and writes no file
-    scenarios = []
+    runs = []
     for pos, entry in enumerate(entries):
         label = f"sweep[{pos}]"
         if not isinstance(entry, dict):
@@ -112,11 +118,8 @@ def cmd_sweep(args) -> int:
         if "outputs" not in entry:
             merged["outputs"] = []  # avoid runs overwriting a shared path
         sc = scenario_from_dict(_apply_overrides(merged, args), where=label)
-        scenarios.append((label, sc))
-    all_ok = True
-    for label, sc in scenarios:
-        all_ok = _verify(label, sc, label, fd_residual_dlw) and all_ok
-    return 0 if all_ok else 1
+        runs.append((label, label, sc))
+    return 0 if _verify(runs, fd_residual_dlw) else 1
 
 
 def cmd_reduce(args) -> int:
@@ -133,7 +136,7 @@ def cmd_reduce(args) -> int:
         },
     }
     sc = scenario_from_dict(_apply_overrides(raw, args), where="reduce")
-    return 0 if _verify("reduce", sc, "reduce", fd_residual_1d) else 1
+    return 0 if _verify([("reduce", "reduce", sc)], fd_residual_1d) else 1
 
 
 # built on first use, not at import; in-process callers run main many times

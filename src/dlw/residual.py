@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .transform import FieldPair
-
 __all__ = [
     "FieldSampler",
     "StencilConfig",
@@ -28,7 +26,7 @@ __all__ = [
 ]
 
 Point = tuple[float, float, float]
-FieldSampler = Callable[[float, float, float], FieldPair]
+FieldSampler = Callable[[float, float, float], tuple[float, float]]
 
 # Residuals below this are treated as exact to roundoff.
 ROUNDOFF_FLOOR = 1e-13
@@ -119,30 +117,30 @@ def fd_residual_dlw(
     x, y, t = point
     s = cfg.step
 
-    center = sampler(x, y, t)
-    xp, xm = sampler(x + s, y, t), sampler(x - s, y, t)
-    yp, ym = sampler(x, y + s, t), sampler(x, y - s, t)
-    tp, tm = sampler(x, y, t + s), sampler(x, y, t - s)
-    xpyp, xpym = sampler(x + s, y + s, t), sampler(x + s, y - s, t)
-    xmyp, xmym = sampler(x - s, y + s, t), sampler(x - s, y - s, t)
-    yptp, yptm = sampler(x, y + s, t + s), sampler(x, y + s, t - s)
-    ymtp, ymtm = sampler(x, y - s, t + s), sampler(x, y - s, t - s)
+    _, center_h = sampler(x, y, t)
+    (xp_u, xp_h), (xm_u, xm_h) = sampler(x + s, y, t), sampler(x - s, y, t)
+    (yp_u, _), (ym_u, _) = sampler(x, y + s, t), sampler(x, y - s, t)
+    (_, tp_h), (_, tm_h) = sampler(x, y, t + s), sampler(x, y, t - s)
+    (xpyp_u, _), (xpym_u, _) = sampler(x + s, y + s, t), sampler(x + s, y - s, t)
+    (xmyp_u, _), (xmym_u, _) = sampler(x - s, y + s, t), sampler(x - s, y - s, t)
+    (yptp_u, _), (yptm_u, _) = sampler(x, y + s, t + s), sampler(x, y + s, t - s)
+    (ymtp_u, _), (ymtm_u, _) = sampler(x, y - s, t + s), sampler(x, y - s, t - s)
 
     quarter = 1.0 / (4.0 * s * s)
-    u_yt = (yptp.u - yptm.u - ymtp.u + ymtm.u) * quarter
-    h_xx = (xp.h - 2.0 * center.h + xm.h) / (s * s)
+    u_yt = (yptp_u - yptm_u - ymtp_u + ymtm_u) * quarter
+    h_xx = (xp_h - 2.0 * center_h + xm_h) / (s * s)
     usq_xy = (
-        xpyp.u * xpyp.u - xpym.u * xpym.u - xmyp.u * xmyp.u + xmym.u * xmym.u
+        xpyp_u * xpyp_u - xpym_u * xpym_u - xmyp_u * xmyp_u + xmym_u * xmym_u
     ) * quarter
     r1 = u_yt + h_xx + 0.5 * usq_xy
 
-    h_t = (tp.h - tm.h) / (2.0 * s)
-    flux_x = ((xp.u * xp.h + xp.u) - (xm.u * xm.h + xm.u)) / (2.0 * s)
+    h_t = (tp_h - tm_h) / (2.0 * s)
+    flux_x = ((xp_u * xp_h + xp_u) - (xm_u * xm_h + xm_u)) / (2.0 * s)
     # each y-difference is scaled before it is combined
     u_xxy = (
-        (xpyp.u - xpym.u) / (2.0 * s)
-        - 2.0 * ((yp.u - ym.u) / (2.0 * s))
-        + (xmyp.u - xmym.u) / (2.0 * s)
+        (xpyp_u - xpym_u) / (2.0 * s)
+        - 2.0 * ((yp_u - ym_u) / (2.0 * s))
+        + (xmyp_u - xmym_u) / (2.0 * s)
     ) / (s * s)
     r2 = h_t + flux_x + u_xxy
     return r1, r2
@@ -159,18 +157,18 @@ def fd_residual_1d(
     """
     z, y, t = point
     s = cfg.step
-    zp, zm = sampler(z + s, y, t), sampler(z - s, y, t)
-    zpp, zmm = sampler(z + 2.0 * s, y, t), sampler(z - 2.0 * s, y, t)
-    tp, tm = sampler(z, y, t + s), sampler(z, y, t - s)
+    (zp_u, zp_h), (zm_u, zm_h) = sampler(z + s, y, t), sampler(z - s, y, t)
+    (zpp_u, _), (zmm_u, _) = sampler(z + 2.0 * s, y, t), sampler(z - 2.0 * s, y, t)
+    (tp_u, tp_h), (tm_u, tm_h) = sampler(z, y, t + s), sampler(z, y, t - s)
 
-    u_t = (tp.u - tm.u) / (2.0 * s)
-    h_z = (zp.h - zm.h) / (2.0 * s)
-    usq_z = (zp.u * zp.u - zm.u * zm.u) / (2.0 * s)
+    u_t = (tp_u - tm_u) / (2.0 * s)
+    h_z = (zp_h - zm_h) / (2.0 * s)
+    usq_z = (zp_u * zp_u - zm_u * zm_u) / (2.0 * s)
     r1 = u_t + h_z + 0.5 * usq_z
 
-    h_t = (tp.h - tm.h) / (2.0 * s)
-    flux_z = ((zp.u * zp.h + zp.u) - (zm.u * zm.h + zm.u)) / (2.0 * s)
-    u_zzz = (zpp.u - 2.0 * zp.u + 2.0 * zm.u - zmm.u) / (2.0 * s**3)
+    h_t = (tp_h - tm_h) / (2.0 * s)
+    flux_z = ((zp_u * zp_h + zp_u) - (zm_u * zm_h + zm_u)) / (2.0 * s)
+    u_zzz = (zpp_u - 2.0 * zp_u + 2.0 * zm_u - zmm_u) / (2.0 * s**3)
     r2 = h_t + flux_z + u_zzz
     return r1, r2
 

@@ -151,8 +151,10 @@ class SeedField:
     coefficient's error is a CoefficientError naming its member and y. Each
     index set asked of `partials` is validated once into a plan, kept per
     field; an unsupported index stores no plan and is rejected on every
-    call. Both are filled idempotently: a field shared across threads may
-    evaluate a slot or a plan twice, never differently.
+    call. The last tuple found among the plans is kept with its plan, in one
+    pair, so passing that tuple again skips hashing it; a list, which can
+    change between calls, is never kept. All are filled idempotently: a field
+    shared across threads may evaluate a slot or plan twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -170,6 +172,7 @@ class SeedField:
             )
         self._rows: dict[object, list[tuple | None]] = {}
         self._plans: dict[tuple, _Plan] = {}
+        self._last_plan = (object(), None)  # matches no caller's indices
 
     def _row(self, y: float) -> list[tuple | None]:
         # Keyed on the exact float. Equal floats share a row except the
@@ -209,10 +212,14 @@ class SeedField:
 
     def partials(self, point: Point, indices) -> tuple[float, ...]:
         """Evaluate several partial derivatives sharing one coefficient pass."""
-        try:
-            plan = self._plans[indices]
-        except (KeyError, TypeError):  # a new index set, or an unhashable one
-            plan = self._plan(indices)
+        last, plan = self._last_plan
+        if indices is not last:  # the same tuple again skips hashing it
+            try:
+                plan = self._plans[indices]
+            except (KeyError, TypeError):  # a new index set, or an unhashable one
+                plan = self._plan(indices)
+            else:
+                self._last_plan = (indices, plan)
         x, y, t = point
         totals = list(plan.start)
 

@@ -7,14 +7,12 @@ coefficient specialization.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .jetcalc import Branch
 from .seedlab.exprlang import Dual, sech
 from .seedlab.seeds import SeedField
 
 __all__ = [
-    "FieldPair",
     "POLE_TOLERANCE",
     "PoleError",
     "transform_point",
@@ -29,13 +27,6 @@ Point = tuple[float, float, float]
 POLE_TOLERANCE = 1e-12
 
 
-class FieldPair(NamedTuple):
-    """Field values (u, h) of the dispersive long wave system at one point."""
-
-    u: float
-    h: float
-
-
 class PoleError(ArithmeticError):
     """The transformation is singular: phi vanishes at the sampled point."""
 
@@ -48,17 +39,17 @@ class PoleError(ArithmeticError):
 _TRANSFORM_INDICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
-def transform_point(field: SeedField, point: Point) -> FieldPair:
+def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1."""
     phi, phi_x, phi_y, phi_xy = field.partials(point, _TRANSFORM_INDICES)
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi
     h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
-    return FieldPair(u, h)
+    return u, h
 
 
-def exact_uh(a: Dual, b: Dual, branch: Branch, point: Point) -> FieldPair:
+def exact_uh(a: Dual, b: Dual, branch: Branch, point: Point) -> tuple[float, float]:
     """Closed-form solution generated by the unit single-kernel seed.
 
     a and b are the duals (value, y-derivative) of the kernel coefficients at
@@ -74,12 +65,12 @@ def exact_uh(a: Dual, b: Dual, branch: Branch, point: Point) -> FieldPair:
     sh2 = sech(0.5 * theta) ** 2
     u = sign * a.value * (1.0 + th)
     h = 0.5 * a.value * theta_y * sh2 + a.deriv * th + a.deriv - 1.0
-    return FieldPair(u, h)
+    return u, h
 
 
 def exact_uh_const(
     a: float, c: float, d: float, branch: Branch, point: Point
-) -> FieldPair:
+) -> tuple[float, float]:
     """Constant-coefficient solitary wave.
 
     u = sign*a*(1 + tanh(arg/2)), h = (a*c/2)*sech(arg/2)^2 - 1 with
@@ -90,7 +81,7 @@ def exact_uh_const(
     arg = a * x - sign * a * a * t + c * y + d
     u = sign * a * (1.0 + math.tanh(0.5 * arg))
     h = 0.5 * a * c * sech(0.5 * arg) ** 2 - 1.0
-    return FieldPair(u, h)
+    return u, h
 
 
 def one_plus_exp(arg: float) -> float:

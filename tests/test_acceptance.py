@@ -28,7 +28,6 @@ from dlw.scenario import CSV_HEADER, evaluate_grid
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
 from dlw.transform import (
-    FieldPair,
     exact_uh,
     exact_uh_const,
     transform_point,
@@ -152,16 +151,16 @@ def test_criterion_06_constant_coefficient_specialization():
     worst = 0.0
     for _ in range(100):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
-        general = exact_at(*params, point)
-        special = exact_uh_const(a, c, d, Branch.PLUS, point)
-        worst = max(worst, abs(general.u - special.u), abs(general.h - special.h))
+        general_u, general_h = exact_at(*params, point)
+        special_u, special_h = exact_uh_const(a, c, d, Branch.PLUS, point)
+        worst = max(worst, abs(general_u - special_u), abs(general_h - special_h))
     assert worst <= 1e-14
     origin = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (0.0, 0.0, 0.0))
     assert origin == (1.0, -0.5)
-    down = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (-40.0, 0.0, 0.0))
-    up = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (40.0, 0.0, 0.0))
-    assert abs(down.u) <= 1e-12 and abs(down.h + 1.0) <= 1e-12
-    assert abs(up.u - 2.0) <= 1e-12 and abs(up.h + 1.0) <= 1e-12
+    down_u, down_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (-40.0, 0.0, 0.0))
+    up_u, up_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (40.0, 0.0, 0.0))
+    assert abs(down_u) <= 1e-12 and abs(down_h + 1.0) <= 1e-12
+    assert abs(up_u - 2.0) <= 1e-12 and abs(up_h + 1.0) <= 1e-12
     _pass(6, f"constant-coefficient specialization ({worst:.2e}); origin and limits")
 
 
@@ -190,7 +189,7 @@ def test_criterion_07_independent_numerical_certificate():
 
     def corrupted(x, y, t):
         u, h = single(x, y, t)
-        return FieldPair(u, h + 0.01 * x * x)
+        return u, h + 0.01 * x * x
 
     r1, _ = fd_residual_dlw(corrupted, (0.5, 0.5, 0.5), CFG)
     assert abs(r1) >= 1e-3
@@ -208,10 +207,10 @@ def test_criterion_08_reduction():
     for _ in range(100):
         z, t = rng.uniform(-4, 4), rng.uniform(0, 1)
         shift = rng.uniform(-2, 2)
-        first = exact_uh_const(a, a, d, Branch.PLUS, (z, 0.0, t))
-        second = exact_uh_const(a, a, d, Branch.PLUS, (z - shift, shift, t))
-        assert abs(first.u - second.u) <= 1e-14 * (1.0 + abs(first.u))
-        assert abs(first.h - second.h) <= 1e-14 * (1.0 + abs(first.h))
+        first_u, first_h = exact_uh_const(a, a, d, Branch.PLUS, (z, 0.0, t))
+        second_u, second_h = exact_uh_const(a, a, d, Branch.PLUS, (z - shift, shift, t))
+        assert abs(first_u - second_u) <= 1e-14 * (1.0 + abs(first_u))
+        assert abs(first_h - second_h) <= 1e-14 * (1.0 + abs(first_h))
 
     def sampler(z, y, t):
         return exact_uh_const(a, a, d, Branch.PLUS, (z, y, t))

@@ -15,7 +15,7 @@ from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
-from dlw.transform import FieldPair, exact_uh_const, one_plus_exp
+from dlw.transform import exact_uh_const, one_plus_exp
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIOS = sorted(SCENARIOS_DIR.glob("*.json"))
@@ -359,20 +359,22 @@ def test_exact_path_power_overflow_exits_2(tmp_path, capsys):
 def test_failing_coefficient_names_its_key_and_y(tmp_path, capsys, command, path):
     config = base_config(solution_path=path)
     bad = {"seed": {"kernels": [{"amplitude": 1.0, "a": "1e308*10", "b": "1*y"}]}}
+    first_csv = tmp_path / "first.csv"
     if command == "sweep":
-        config["sweep"] = [{}, bad]
+        # the first entry evaluates cleanly, yet prints and writes nothing
+        config["sweep"] = [{"outputs": [{"format": "csv", "path": str(first_csv)}]}, bad]
         where = "sweep[1]"
     else:
         config = merge_config(config, bad)
         where = "config"
     assert main([command, write_config(tmp_path, config)]) == 2
     captured = capsys.readouterr()
-    if command == "run":
-        assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
         f"error: field evaluation failed: {where}.seed.kernels[0].a at y = -1.0: "
         "non-finite result"
-    )
+    ]
+    assert not first_csv.exists()
 
 
 def test_kernel_overflow_names_no_key(tmp_path, capsys):
@@ -426,7 +428,7 @@ def _perturbed_u(scale):
 
         def perturbed(x, y, t):
             u, h = sampler(x, y, t)
-            return FieldPair(u + scale * x * x * t, h)
+            return u + scale * x * x * t, h
 
         return perturbed, phi_value
 

@@ -21,7 +21,6 @@ from dlw.scenario import evaluate_grid
 from dlw.seedlab.exprlang import parse_coeff_expr
 from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import (
-    FieldPair,
     PoleError,
     exact_uh_const,
     transform_point,
@@ -32,7 +31,7 @@ CFG = StencilConfig(5e-3)
 
 
 def vacuum_sampler(x, y, t):
-    return FieldPair(0.0, -1.0)
+    return 0.0, -1.0
 
 
 def soliton_sampler(x, y, t):
@@ -41,7 +40,7 @@ def soliton_sampler(x, y, t):
 
 def corrupted_sampler(x, y, t):
     u, h = soliton_sampler(x, y, t)
-    return FieldPair(u, h + 0.01 * x * x)
+    return u, h + 0.01 * x * x
 
 
 def transform_sampler(field):
@@ -108,7 +107,7 @@ def test_1d_stencil_samples_six_offsets_at_the_points_y():
 
     def recording_sampler(x, y, t):
         samples.append((x, y, t))
-        return FieldPair(0.0, -1.0)
+        return 0.0, -1.0
 
     z, y, t = 0.1, 0.25, 0.7
     s = CFG.step

@@ -23,8 +23,9 @@ from dlw.scenario import (
     scenario_from_dict,
 )
 from dlw.seedlab import seeds
-from dlw.seedlab.seeds import SeedField
-from dlw.transform import FieldPair, PoleError
+from dlw.seedlab.exprlang import parse_coeff_expr
+from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
+from dlw.transform import PoleError, exact_uh, exact_uh_const, transform_point
 
 A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")
 B_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "y^2/4", "-0.4*y + 1")
@@ -142,7 +143,7 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
 
     def sampler(x, y, t):
         calls.append(("centre", x))
-        return FieldPair(x, -1.0)
+        return x, -1.0
 
     grid = GridSpec((0.0, 2.0, 3), (0.0, 0.0, 1), (0.0, 0.0, 1))
     report, records = evaluate_grid(grid, StencilConfig(), residual, sampler, phi_value)
@@ -163,3 +164,29 @@ def test_csv_header_is_the_point_record_fields(tmp_path):
     export_csv([PointRecord(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
     row = "0.5,0,-0,2,nan,inf,1e-300,0.10000000000000001"
     assert path.read_text() == f"{CSV_HEADER}\n{row}\n"
+
+
+def test_csv_rows_read_as_format_17g_of_every_value(tmp_path):
+    values = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+              0.1, 1 / 3, -math.nan, 2.5, -1e-310, 123456789.0)
+    rng = random.Random(17)
+    records = [PointRecord(*values[:8]), PointRecord(*values[4:])]
+    records += [PointRecord(*rng.choices(values, k=8)) for _ in range(20)]
+    path = tmp_path / "grid.csv"
+    export_csv(records, path)
+    reference = [CSV_HEADER]
+    reference += [",".join(format(v, ".17g") for v in record) for record in records]
+    assert path.read_text() == "\n".join(reference) + "\n"
+
+
+def test_samplers_return_a_plain_pair_of_floats():
+    kernel = Kernel(1.0, parse_coeff_expr("1"), parse_coeff_expr("0.5*y"))
+    field = SeedField(SeedSpec(Branch.PLUS, 1.0, (kernel,)))
+    a, b = field.duals(0.3, 0)
+    for pair in (
+        transform_point(field, (0.2, 0.3, 0.1)),
+        exact_uh(a, b, Branch.PLUS, (0.2, 0.3, 0.1)),
+        exact_uh_const(1.0, 1.0, 0.0, Branch.MINUS, (0.2, 0.3, 0.1)),
+    ):
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(value) is float for value in pair)

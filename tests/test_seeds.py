@@ -17,9 +17,10 @@ from dlw.seedlab.seeds import (
     Kernel,
     SeedField,
     SeedSpec,
+    _PHI,
     heat_residual,
 )
-from dlw.transform import POLE_TOLERANCE, FieldPair, PoleError, transform_point
+from dlw.transform import _TRANSFORM_INDICES, POLE_TOLERANCE, PoleError, transform_point
 
 P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
@@ -391,7 +392,7 @@ def reference_transform(spec, point):
         raise PoleError(point, phi)
     u = spec.branch.sign * 2.0 * phi_x / phi
     h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
-    return FieldPair(u, h)
+    return u, h
 
 
 def exactly(values):
@@ -495,6 +496,54 @@ def test_index_sets_given_as_lists_or_jet_indices_use_the_same_plan():
         iter(indices),
     ):
         assert exactly(field.partials(point, same)) == as_tuple
+
+
+def _result(call):
+    """What a call returns, by repr, or the exception it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # compared against the fresh field's
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("kind", ("kernels", "poly", "mixed"))
+def test_interleaved_index_sets_each_get_their_own_plan(kind):
+    # one field remembers the last index set it found among its plans; each
+    # call must still read as it does on a fresh field
+    rng = random.Random(f"plans-{kind}")
+    calls = (
+        lambda field, point: field.partials(point, _PHI),
+        lambda field, point: field.partials(point, _TRANSFORM_INDICES),
+        lambda field, point: field.value(point),
+        lambda field, point: heat_residual(field, point),
+        lambda field, point: field.partials(point, ((0, 0, 0), (0, 2, 0))),
+        lambda field, point: transform_point(field, point),
+        lambda field, point: field.partials(point, _TRANSFORM_INDICES),
+    )
+    for branch in BRANCHES:
+        spec = random_spec(rng, branch, kind)
+        field = SeedField(spec)
+        for point in random_points(rng):
+            for call in calls + calls[::-1]:
+                assert _result(lambda: call(field, point)) == _result(
+                    lambda: call(SeedField(spec), point)
+                )
+    assert _result(lambda: calls[4](field, point))[0] == "ValueError"
+
+
+def test_a_list_mutated_between_calls_gets_the_plan_for_its_new_contents():
+    spec = random_spec(random.Random(5), Branch.PLUS, "mixed")
+    field = SeedField(spec)
+    point = (0.3, -0.7, 0.2)
+    indices = []
+    for contents in ([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2, 0, 0)], [(0, 0, 1)]):
+        indices[:] = contents
+        for _ in range(2):
+            got = field.partials(point, indices)
+            assert exactly(got) == exactly(SeedField(spec).partials(point, tuple(contents)))
+    indices.append((0, 2, 0))
+    with pytest.raises(ValueError, match="unsupported jet index"):
+        field.partials(point, indices)
 
 
 # -- the factor vector against the per-index functions, on drawn seeds -----------------
