@@ -81,17 +81,23 @@ def _print_summary(label: str, sc, report) -> bool:
 
 
 def _verify(runs, residual) -> bool:
-    """Evaluate every (label, document key, scenario) first, so an evaluation
-    error prints no summary and writes no file; then write and summarise each."""
+    """Evaluate every (label, document key, scenario), then write every
+    output, then print every summary: an evaluation error writes no file, and
+    neither it nor an unwritable output prints anything. Only a scenario
+    with a csv output keeps its point records until its outputs are written."""
     results = []
     for _, where, sc in runs:
         try:
-            results.append(evaluate_scenario(sc, residual))
+            report, records = evaluate_scenario(sc, residual)
         except CoefficientError as exc:  # name the expression by its document key
             raise EvaluationError(f"{where}.seed.{exc}") from None
-    all_ok = True
-    for (label, _, sc), (report, records) in zip(runs, results):
+        if not any(spec.format == "csv" for spec in sc.outputs):
+            records = []
+        results.append((report, records))
+    for (_, _, sc), (report, records) in zip(runs, results):
         write_outputs(sc, report, records)
+    all_ok = True
+    for (label, _, sc), (report, _) in zip(runs, results):
         all_ok = _print_summary(label, sc, report) and all_ok
     return all_ok
 

@@ -148,13 +148,13 @@ class SeedField:
     when a point first needs it, in the order the seed's terms are summed, so
     an error surfaces where it would without the table; an EvaluationError
     leaves the slot empty and is raised again on the next request. A
-    coefficient's error is a CoefficientError naming its member and y. Each
-    index set asked of `partials` is validated once into a plan, kept per
-    field; an unsupported index stores no plan and is rejected on every
-    call. The last tuple found among the plans is kept with its plan, in one
-    pair, so passing that tuple again skips hashing it; a list, which can
-    change between calls, is never kept. All are filled idempotently: a field
-    shared across threads may evaluate a slot or plan twice, never differently.
+    coefficient's error is a CoefficientError naming its member and y.
+    `transform_partials` reads the four partials a transform sample needs in
+    one straight pass; `partials` serves the phi column and any other index
+    set, each validated once into a plan kept per field (an unsupported index
+    stores no plan and is rejected on every call). Both are filled
+    idempotently: a field shared across threads may evaluate a slot or plan
+    twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -170,9 +170,10 @@ class SeedField:
             self._groups += (
                 (("poly.c2", poly.c2), ("poly.c1", poly.c1), ("poly.c0", poly.c0)),
             )
+        constant = spec.constant_term
+        self._phi_start = 0.0 + constant if constant else 0.0  # never -0.0
         self._rows: dict[object, list[tuple | None]] = {}
         self._plans: dict[tuple, _Plan] = {}
-        self._last_plan = (object(), None)  # matches no caller's indices
 
     def _row(self, y: float) -> list[tuple | None]:
         # Keyed on the exact float. Equal floats share a row except the
@@ -212,21 +213,14 @@ class SeedField:
 
     def partials(self, point: Point, indices) -> tuple[float, ...]:
         """Evaluate several partial derivatives sharing one coefficient pass."""
-        last, plan = self._last_plan
-        if indices is not last:  # the same tuple again skips hashing it
-            try:
-                plan = self._plans[indices]
-            except (KeyError, TypeError):  # a new index set, or an unhashable one
-                plan = self._plan(indices)
-            else:
-                self._last_plan = (indices, plan)
+        try:
+            plan = self._plans[indices]
+        except (KeyError, TypeError):  # a new index set, or an unhashable one
+            plan = self._plan(indices)
         x, y, t = point
         totals = list(plan.start)
 
-        key = y if y and y == y else repr(y)  # as in _row
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [None] * len(self._groups)
+        row = self._row(y)
         for pos in self._kernel_slots:
             (
                 amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime,
@@ -257,13 +251,54 @@ class SeedField:
             raise EvaluationError("non-finite seed value")
         return tuple(totals)
 
+    def transform_partials(self, point: Point) -> tuple[float, float, float, float]:
+        """(phi, phi_x, phi_y, phi_xy) at a point: what `partials` gives for
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), term for term and with
+        the same errors, in one pass with no plan."""
+        x, y, t = point
+        phi = self._phi_start
+        phi_x = phi_y = phi_xy = 0.0
+
+        key = y if y and y == y else repr(y)  # as in _row
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self._groups)
+        for pos in self._kernel_slots:
+            (
+                amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime,
+                a0, a1, _, _, _, _, _, _,
+            ) = row[pos] or self._resolve(row, pos, y)
+            theta = a * x - sign_a2 * t + b
+            theta_y = a_prime * x - sign_2aa_prime * t + b_prime
+            try:
+                scale = amplitude * math.exp(theta)
+            except OverflowError:
+                raise EvaluationError(
+                    f"kernel overflow at exponent {theta!r}"
+                ) from None
+            phi += a0 * scale
+            phi_x += a1 * scale
+            phi_y += theta_y * scale
+            phi_xy += (a_prime + a * theta_y) * scale
+
+        if self.spec.poly is not None:
+            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
+            quadratic = x * x - self.branch.sign * 2.0 * t
+            phi += c2.value * quadratic + c1.value * x + c0.value
+            phi_x += 2.0 * c2.value * x + c1.value
+            phi_y += c2.deriv * quadratic + c1.deriv * x + c0.deriv
+            phi_xy += 2.0 * c2.deriv * x + c1.deriv
+
+        isfinite = math.isfinite
+        if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
+            raise EvaluationError("non-finite seed value")
+        return phi, phi_x, phi_y, phi_xy
+
     def _plan(self, indices) -> _Plan:
         key = tuple(self._checked(index) for index in indices)
-        constant = self.spec.constant_term
         plan = _Plan(
             start=tuple(
-                0.0 + constant if constant and index == (0, 0, 0) else 0.0
-                for index in key
+                self._phi_start if index == (0, 0, 0) else 0.0 for index in key
             ),
             kernel_terms=tuple(
                 (slot, _KERNEL_FACTORS[index]) for slot, index in enumerate(key)

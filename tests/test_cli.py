@@ -15,7 +15,7 @@ from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
-from dlw.transform import exact_uh_const, one_plus_exp
+from dlw.transform import POLE_TOLERANCE, PoleError, exact_uh_const, one_plus_exp
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIOS = sorted(SCENARIOS_DIR.glob("*.json"))
@@ -453,6 +453,41 @@ def test_shipped_scenario_passes_checks_something_and_fails_its_control(
     del document["debug"]
     monkeypatch.setattr(dlw.scenario, "build_sampler", _perturbed_u(1e-3))
     assert _fails_over_threshold(document, tmp_path, capsys), "u + 1e-3*x^2*t"
+
+
+def _transform_through_partials(field, point):
+    """transform_point reading its four partials through the general
+    SeedField.partials, as the reference for the one-pass read."""
+    indices = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+    phi, phi_x, phi_y, phi_xy = field.partials(point, indices)
+    if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
+        raise PoleError(point, phi)
+    u = field.branch.sign * 2.0 * phi_x / phi
+    h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
+    return u, h
+
+
+def _command_bytes(path, workdir, capsys, monkeypatch):
+    """Exit code, stdout, stderr and every written file of a shipped document's
+    command, run in workdir."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)  # the documents write relative output paths
+    command = "sweep" if "sweep" in json.loads(path.read_text()) else "run"
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.name)
+def test_shipped_scenario_bytes_equal_the_general_partials_reference(
+    path, tmp_path, capsys, monkeypatch
+):
+    got = _command_bytes(path, tmp_path / "got", capsys, monkeypatch)
+    monkeypatch.setattr(dlw.scenario, "transform_point", _transform_through_partials)
+    expected = _command_bytes(path, tmp_path / "expected", capsys, monkeypatch)
+    assert got == expected
+    assert got[0] == 0 and got[1]
 
 
 # -- alternate solution paths ---------------------------------------------------------
@@ -958,6 +993,21 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {target}: {reason}\n"
+
+
+def test_unwritable_later_sweep_output_prints_nothing(tmp_path, capsys, monkeypatch):
+    # every entry writes its outputs before any summary is printed
+    monkeypatch.chdir(tmp_path)
+    config = base_config()
+    config["sweep"] = [
+        {"outputs": [{"format": "csv", "path": "first.csv"}]},
+        {"outputs": [{"format": "csv", "path": "no/such/dir/second.csv"}]},
+    ]
+    assert main(["sweep", write_config(tmp_path, config)]) == 2
+    reason = os.strerror(errno.ENOENT)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write no/such/dir/second.csv: {reason}\n"
 
 
 class ClosedPipe:

@@ -20,10 +20,12 @@ from dlw.seedlab.seeds import (
     _PHI,
     heat_residual,
 )
-from dlw.transform import _TRANSFORM_INDICES, POLE_TOLERANCE, PoleError, transform_point
+from dlw.transform import POLE_TOLERANCE, PoleError, transform_point
 
 P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
+# what SeedField.transform_partials reads, as an index set for partials
+TRANSFORM_INDICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
 def unit_kernel_seed(branch, a_text, b_text):
@@ -385,9 +387,7 @@ def reference_partials(spec, point, indices):
 
 
 def reference_transform(spec, point):
-    phi, phi_x, phi_y, phi_xy = reference_partials(
-        spec, point, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
-    )
+    phi, phi_x, phi_y, phi_xy = reference_partials(spec, point, TRANSFORM_INDICES)
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = spec.branch.sign * 2.0 * phi_x / phi
@@ -405,7 +405,7 @@ PHASE_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "-0.4*y + 1")
 # "0*y" and "-0.5*y^2" give signed zeros at y = -0.0 and y < 0
 POLY_EXPRS = ("0", "0*y", "0.5", "cos(y)", "-0.5*y^2", "tanh(y)", "1 - 0.2*y")
 USED_INDEX_SETS = (
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # transform_point
+    TRANSFORM_INDICES,
     ((0, 0, 0),),  # SeedField.value
     ((0, 0, 1), (2, 0, 0)),  # heat_residual
 )
@@ -508,17 +508,17 @@ def _result(call):
 
 @pytest.mark.parametrize("kind", ("kernels", "poly", "mixed"))
 def test_interleaved_index_sets_each_get_their_own_plan(kind):
-    # one field remembers the last index set it found among its plans; each
-    # call must still read as it does on a fresh field
+    # one field keeps a plan per index set and a row per y, which every call
+    # shares; each call must still read as it does on a fresh field
     rng = random.Random(f"plans-{kind}")
     calls = (
         lambda field, point: field.partials(point, _PHI),
-        lambda field, point: field.partials(point, _TRANSFORM_INDICES),
+        lambda field, point: field.partials(point, TRANSFORM_INDICES),
         lambda field, point: field.value(point),
         lambda field, point: heat_residual(field, point),
         lambda field, point: field.partials(point, ((0, 0, 0), (0, 2, 0))),
         lambda field, point: transform_point(field, point),
-        lambda field, point: field.partials(point, _TRANSFORM_INDICES),
+        lambda field, point: field.partials(point, TRANSFORM_INDICES),
     )
     for branch in BRANCHES:
         spec = random_spec(rng, branch, kind)
@@ -553,6 +553,7 @@ def test_a_list_mutated_between_calls_gets_the_plan_for_its_new_contents():
 _VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e103, -1e120, 1e160)) | st.floats(-3, 3)
 _SLOPES = st.just(0.0) | st.floats(-2, 2)
 _COORDS = st.sampled_from((0.0, -0.0)) | st.floats(-2, 2)
+_POINTS = st.tuples(_COORDS, _COORDS, st.sampled_from((0.0, -0.0)) | st.floats(0, 1))
 
 
 @st.composite
@@ -588,7 +589,7 @@ def _outcome(evaluate):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     spec=_seeds(),
-    point=st.tuples(_COORDS, _COORDS, st.sampled_from((0.0, -0.0)) | st.floats(0, 1)),
+    point=_POINTS,
     indices=st.lists(st.sampled_from(ALL_INDICES), min_size=1, max_size=8),
 )
 def test_factor_vector_equals_the_per_index_functions(spec, point, indices):
@@ -603,3 +604,12 @@ def test_factor_vector_equals_the_per_index_functions(spec, point, indices):
             assert expected == ("error", "non-finite seed value")
             assert (3, 0, 0) in indices
             assert got[1].startswith("kernel overflow at exponent")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=_seeds(), point=_POINTS)
+def test_transform_partials_equal_the_general_partials(spec, point):
+    expected = _outcome(lambda: SeedField(spec).partials(point, TRANSFORM_INDICES))
+    field = SeedField(spec)
+    for _ in range(2):  # a fresh coefficient row, then the stored one
+        assert _outcome(lambda: field.transform_partials(point)) == expected
