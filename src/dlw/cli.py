@@ -82,9 +82,9 @@ def _print_summary(label: str, sc, report) -> bool:
 
 def _verify(runs, residual) -> bool:
     """Evaluate every (label, document key, scenario), then write every
-    output, then print every summary: an evaluation error writes no file, and
-    neither it nor an unwritable output prints anything. Only a scenario
-    with a csv output keeps its point records until its outputs are written."""
+    output, then print every summary: neither an evaluation error nor an
+    unwritable output prints or writes anything. Only a scenario with a csv
+    output keeps its point records until its outputs are written."""
     results = []
     for _, where, sc in runs:
         try:
@@ -93,11 +93,10 @@ def _verify(runs, residual) -> bool:
             raise EvaluationError(f"{where}.seed.{exc}") from None
         if not any(spec.format == "csv" for spec in sc.outputs):
             records = []
-        results.append((report, records))
-    for (_, _, sc), (report, records) in zip(runs, results):
-        write_outputs(sc, report, records)
+        results.append((sc, report, records))
+    write_outputs(results)
     all_ok = True
-    for (label, _, sc), (report, _) in zip(runs, results):
+    for (label, _, _), (sc, report, _) in zip(runs, results):
         all_ok = _print_summary(label, sc, report) and all_ok
     return all_ok
 

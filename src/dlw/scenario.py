@@ -8,8 +8,11 @@ coefficient-expression grammar.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -440,11 +443,28 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_outputs(
-    sc: Scenario, report: ResidualReport, records: list[PointRecord]
-) -> None:
-    for spec in sc.outputs:
-        if spec.format == "csv":
-            export_csv(records, spec.path)
-        else:
-            export_report(sc, report, spec.path)
+def write_outputs(results: list[tuple[Scenario, ResidualReport, list]]) -> None:
+    """Write every output of every (scenario, report, records), or none: each
+    file goes to a temporary sibling, and the siblings replace their paths
+    once all are written. An OSError removes them and names the output."""
+    pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
+    try:
+        for sc, report, records in results:
+            for spec in sc.outputs:
+                path = Path(spec.path)
+                if path.is_dir():  # fail before any sibling replaces its path
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
+                pending.append((temp, path))
+                if spec.format == "csv":
+                    export_csv(records, temp)
+                else:
+                    export_report(sc, report, temp)
+        for temp, path in pending:
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp, _ in pending:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+        exc.filename = str(path)
+        raise

@@ -12,65 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from ..jetcalc import Branch, JetIndex
+from ..jetcalc import Branch
 from .exprlang import CoeffExpr, Dual, EvaluationError, eval_dual
 
 __all__ = [
-    "SUPPORTED_INDICES",
     "Kernel",
     "HeatPolynomial",
     "SeedSpec",
     "SeedField",
     "CoefficientError",
-    "heat_residual",
 ]
 
 Point = tuple[float, float, float]
-
-# Per supported index (i, j, k): the position, in a kernel's factor vector,
-# of the factor multiplying its amp*exp(theta). The vector is
-#   (a**0, a**1, a**2, a**3, theta_y, theta_t = -sign*a*a,
-#    a' + a*theta_y, 2*a*a' + a*a*theta_y)
-# with a' = da/dy (a power stays a power: a**3 and a*a*a can round apart) ...
-_KERNEL_FACTORS = {
-    (0, 0, 0): 0,
-    (1, 0, 0): 1,
-    (2, 0, 0): 2,
-    (3, 0, 0): 3,
-    (0, 1, 0): 4,
-    (0, 0, 1): 5,
-    (1, 1, 0): 6,
-    (2, 1, 0): 7,
-}
-
-# ... and the heat polynomial's term, from the duals of c2, c1, c0.
-_POLY_TERMS = {
-    (0, 0, 0): lambda c2, c1, c0, x, t, sign: (
-        c2.value * (x * x - sign * 2.0 * t) + c1.value * x + c0.value
-    ),
-    (1, 0, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.value * x + c1.value,
-    (2, 0, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.value,
-    (3, 0, 0): lambda c2, c1, c0, x, t, sign: 0.0,
-    (0, 1, 0): lambda c2, c1, c0, x, t, sign: (
-        c2.deriv * (x * x - sign * 2.0 * t) + c1.deriv * x + c0.deriv
-    ),
-    (0, 0, 1): lambda c2, c1, c0, x, t, sign: -sign * 2.0 * c2.value,
-    (1, 1, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.deriv * x + c1.deriv,
-    (2, 1, 0): lambda c2, c1, c0, x, t, sign: 2.0 * c2.deriv,
-}
-
-SUPPORTED_INDICES = frozenset(_KERNEL_FACTORS)
-_PHI = ((0, 0, 0),)
-
-
-class _Plan(NamedTuple):
-    """A validated index set, resolved once per field."""
-
-    start: tuple[float, ...]  # 0.0 per index, plus the constant term at phi
-    kernel_terms: tuple  # (index slot, factor vector position) per index
-    poly_terms: tuple  # one _POLY_TERMS entry per index
 
 
 class CoefficientError(EvaluationError):
@@ -87,11 +41,6 @@ def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
     except OverflowError:
         # float ** raises where * rounds to inf; every sample needs a**2
         raise EvaluationError("non-finite seed value") from None
-    try:
-        cube = a_value**3
-    except OverflowError:
-        # only phi_xxx reads it: inf fails just the index sets holding (3, 0, 0)
-        cube = math.inf
     return (
         amplitude,
         a_value,
@@ -100,13 +49,6 @@ def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
         b.deriv,
         sign * square,
         sign * 2.0 * a_value * a_prime,
-        a_value**0,
-        a_value**1,
-        square,
-        cube,
-        -sign * a_value * a_value,
-        2.0 * a_value * a_prime,
-        a_value * a_value,
         (a, b),
     )
 
@@ -138,23 +80,20 @@ class SeedSpec:
 
 
 class SeedField:
-    """Evaluator of a seed and its supported partial derivatives at a point.
+    """Evaluator of a seed and the four partials the transformation reads.
 
     The coefficients depend on y alone, so the field keeps a table with one
     row per distinct y and one slot per coefficient group: each kernel, then
     the poly. A kernel's slot holds its x- and t-free constants (amplitude,
-    a, a', b, b', the products and powers of a its factors use) and its
-    duals (a, b); the poly's holds the duals (c2, c1, c0). A slot is filled
-    when a point first needs it, in the order the seed's terms are summed, so
-    an error surfaces where it would without the table; an EvaluationError
+    a, a', b, b', sign*a^2 and sign*2aa' of its exponent) and its duals
+    (a, b); the poly's holds the duals (c2, c1, c0). A slot is filled when a
+    point first needs it, in the order the seed's terms are summed, so an
+    error surfaces where it would without the table; an EvaluationError
     leaves the slot empty and is raised again on the next request. A
     coefficient's error is a CoefficientError naming its member and y.
-    `transform_partials` reads the four partials a transform sample needs in
-    one straight pass; `partials` serves the phi column and any other index
-    set, each validated once into a plan kept per field (an unsupported index
-    stores no plan and is rejected on every call). Both are filled
-    idempotently: a field shared across threads may evaluate a slot or plan
-    twice, never differently.
+    Three readers share the table: `partials`, `value` and `duals`. The
+    table is its only state, filled idempotently: a field shared across
+    threads may evaluate a slot twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -173,7 +112,6 @@ class SeedField:
         constant = spec.constant_term
         self._phi_start = 0.0 + constant if constant else 0.0  # never -0.0
         self._rows: dict[object, list[tuple | None]] = {}
-        self._plans: dict[tuple, _Plan] = {}
 
     def _row(self, y: float) -> list[tuple | None]:
         # Keyed on the exact float. Equal floats share a row except the
@@ -211,50 +149,10 @@ class SeedField:
         entry = row[slot] or self._resolve(row, slot, y)
         return entry[-1] if slot in self._kernel_slots else entry
 
-    def partials(self, point: Point, indices) -> tuple[float, ...]:
-        """Evaluate several partial derivatives sharing one coefficient pass."""
-        try:
-            plan = self._plans[indices]
-        except (KeyError, TypeError):  # a new index set, or an unhashable one
-            plan = self._plan(indices)
-        x, y, t = point
-        totals = list(plan.start)
-
-        row = self._row(y)
-        for pos in self._kernel_slots:
-            (
-                amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime,
-                a0, a1, a2, a3, theta_t, two_aa_prime, aa, _,
-            ) = row[pos] or self._resolve(row, pos, y)
-            theta = a * x - sign_a2 * t + b
-            theta_y = a_prime * x - sign_2aa_prime * t + b_prime
-            try:
-                scale = amplitude * math.exp(theta)
-            except OverflowError:
-                raise EvaluationError(
-                    f"kernel overflow at exponent {theta!r}"
-                ) from None
-            factors = (
-                a0, a1, a2, a3, theta_y, theta_t,
-                a_prime + a * theta_y, two_aa_prime + aa * theta_y,
-            )
-            for slot, position in plan.kernel_terms:
-                totals[slot] += factors[position] * scale
-
-        if self.spec.poly is not None:
-            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
-            sign = self.branch.sign
-            for slot, term in enumerate(plan.poly_terms):
-                totals[slot] += term(c2, c1, c0, x, t, sign)
-
-        if not all(map(math.isfinite, totals)):
-            raise EvaluationError("non-finite seed value")
-        return tuple(totals)
-
-    def transform_partials(self, point: Point) -> tuple[float, float, float, float]:
-        """(phi, phi_x, phi_y, phi_xy) at a point: what `partials` gives for
-        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), term for term and with
-        the same errors, in one pass with no plan."""
+    def partials(self, point: Point) -> tuple[float, float, float, float]:
+        """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
+        row: the constant, the kernels in spec order, then the poly. Raises
+        `kernel overflow at exponent ...` or `non-finite seed value`."""
         x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
@@ -264,10 +162,9 @@ class SeedField:
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
         for pos in self._kernel_slots:
-            (
-                amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime,
-                a0, a1, _, _, _, _, _, _,
-            ) = row[pos] or self._resolve(row, pos, y)
+            amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime, _ = (
+                row[pos] or self._resolve(row, pos, y)
+            )
             theta = a * x - sign_a2 * t + b
             theta_y = a_prime * x - sign_2aa_prime * t + b_prime
             try:
@@ -276,8 +173,8 @@ class SeedField:
                 raise EvaluationError(
                     f"kernel overflow at exponent {theta!r}"
                 ) from None
-            phi += a0 * scale
-            phi_x += a1 * scale
+            phi += scale
+            phi_x += a * scale
             phi_y += theta_y * scale
             phi_xy += (a_prime + a * theta_y) * scale
 
@@ -294,36 +191,29 @@ class SeedField:
             raise EvaluationError("non-finite seed value")
         return phi, phi_x, phi_y, phi_xy
 
-    def _plan(self, indices) -> _Plan:
-        key = tuple(self._checked(index) for index in indices)
-        plan = _Plan(
-            start=tuple(
-                self._phi_start if index == (0, 0, 0) else 0.0 for index in key
-            ),
-            kernel_terms=tuple(
-                (slot, _KERNEL_FACTORS[index]) for slot, index in enumerate(key)
-            ),
-            poly_terms=tuple(_POLY_TERMS[index] for index in key),
-        )
-        self._plans[key] = plan
-        return plan
-
-    def partial(self, point: Point, index) -> float:
-        return self.partials(point, (index,))[0]
-
     def value(self, point: Point) -> float:
-        return self.partials(point, _PHI)[0]
+        """phi alone at a point: the terms and errors of `partials`' phi,
+        except that only phi itself must be finite."""
+        x, y, t = point
+        phi = self._phi_start
+        row = self._row(y)
+        for pos in self._kernel_slots:
+            amplitude, a, _, b, _, sign_a2, _, _ = (
+                row[pos] or self._resolve(row, pos, y)
+            )
+            theta = a * x - sign_a2 * t + b
+            try:
+                phi += amplitude * math.exp(theta)
+            except OverflowError:
+                raise EvaluationError(
+                    f"kernel overflow at exponent {theta!r}"
+                ) from None
 
-    @staticmethod
-    def _checked(index) -> tuple[int, int, int]:
-        key = tuple(index)
-        if key not in SUPPORTED_INDICES:
-            name = JetIndex(*key).render() if len(key) == 3 else repr(key)
-            raise ValueError(f"unsupported jet index {name}")
-        return key
+        if self.spec.poly is not None:
+            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
+            quadratic = x * x - self.branch.sign * 2.0 * t
+            phi += c2.value * quadratic + c1.value * x + c0.value
 
-
-def heat_residual(field, point: Point) -> float:
-    """phi_t + sign*phi_xx at a point; zero for every genuine seed."""
-    phi_t, phi_xx = field.partials(point, ((0, 0, 1), (2, 0, 0)))
-    return phi_t + field.branch.sign * phi_xx
+        if not math.isfinite(phi):
+            raise EvaluationError("non-finite seed value")
+        return phi

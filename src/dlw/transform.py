@@ -38,7 +38,7 @@ class PoleError(ArithmeticError):
 
 def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1."""
-    phi, phi_x, phi_y, phi_xy = field.transform_partials(point)
+    phi, phi_x, phi_y, phi_xy = field.partials(point)
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi

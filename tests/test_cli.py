@@ -15,7 +15,9 @@ from dlw.cli import main
 from dlw.jetcalc import Branch
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
-from dlw.transform import POLE_TOLERANCE, PoleError, exact_uh_const, one_plus_exp
+from dlw.seedlab.seeds import SeedField
+from dlw.transform import exact_uh_const, one_plus_exp
+from test_seeds import reference_transform
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIOS = sorted(SCENARIOS_DIR.glob("*.json"))
@@ -455,25 +457,18 @@ def test_shipped_scenario_passes_checks_something_and_fails_its_control(
     assert _fails_over_threshold(document, tmp_path, capsys), "u + 1e-3*x^2*t"
 
 
-def _transform_through_partials(field, point):
-    """transform_point reading its four partials through the general
-    SeedField.partials, as the reference for the one-pass read."""
-    indices = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
-    phi, phi_x, phi_y, phi_xy = field.partials(point, indices)
-    if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
-        raise PoleError(point, phi)
-    u = field.branch.sign * 2.0 * phi_x / phi
-    h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
-    return u, h
+def _transform_by_reference(field, point):
+    """transform_point from the table-free reference of the seed tests."""
+    return reference_transform(field.spec, point)
 
 
-def _command_bytes(path, workdir, capsys, monkeypatch):
+def _command_bytes(path, branch, workdir, capsys, monkeypatch):
     """Exit code, stdout, stderr and every written file of a shipped document's
-    command, run in workdir."""
+    command on `branch`, run in workdir."""
     workdir.mkdir()
     monkeypatch.chdir(workdir)  # the documents write relative output paths
     command = "sweep" if "sweep" in json.loads(path.read_text()) else "run"
-    code = main([command, str(path)])
+    code = main([command, str(path), "--branch", branch])
     captured = capsys.readouterr()
     files = {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
     return code, captured.out, captured.err, files
@@ -483,11 +478,40 @@ def _command_bytes(path, workdir, capsys, monkeypatch):
 def test_shipped_scenario_bytes_equal_the_general_partials_reference(
     path, tmp_path, capsys, monkeypatch
 ):
-    got = _command_bytes(path, tmp_path / "got", capsys, monkeypatch)
-    monkeypatch.setattr(dlw.scenario, "transform_point", _transform_through_partials)
-    expected = _command_bytes(path, tmp_path / "expected", capsys, monkeypatch)
-    assert got == expected
-    assert got[0] == 0 and got[1]
+    for branch in ("plus", "minus"):
+        got = _command_bytes(path, branch, tmp_path / f"got-{branch}", capsys, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(dlw.scenario, "transform_point", _transform_by_reference)
+            expected = _command_bytes(
+                path, branch, tmp_path / f"expected-{branch}", capsys, monkeypatch
+            )
+        assert got == expected, branch
+        assert got[0] == 0 and got[1], branch
+
+
+def test_every_transform_sample_reads_its_seed_through_partials(
+    tmp_path, capsys, monkeypatch
+):
+    # the seed layer of a transform sample is SeedField.partials, one call each
+    calls = {"partials": 0, "transform_point": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(SeedField, "partials", counted("partials", SeedField.partials))
+    monkeypatch.setattr(
+        dlw.scenario,
+        "transform_point",
+        counted("transform_point", dlw.scenario.transform_point),
+    )
+    assert main(["run", write_config(tmp_path, base_config())]) == 0
+    capsys.readouterr()
+    assert calls["transform_point"] > 0
+    assert calls["partials"] == calls["transform_point"]
 
 
 # -- alternate solution paths ---------------------------------------------------------
@@ -1008,6 +1032,39 @@ def test_unwritable_later_sweep_output_prints_nothing(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write no/such/dir/second.csv: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ("run", "sweep"))
+@pytest.mark.parametrize(
+    "bad, errno_code",
+    [("no/such/dir/second.csv", errno.ENOENT), ("a_directory", errno.EISDIR)],
+    ids=("missing_directory", "directory"),
+)
+def test_unwritable_output_leaves_every_file_as_it_was(
+    tmp_path, capsys, monkeypatch, command, bad, errno_code
+):
+    # outputs are all-or-nothing: one that cannot be written keeps the others
+    # from being created or replaced, and leaves no temporary behind
+    monkeypatch.chdir(tmp_path)
+    Path("a_directory").mkdir()
+    Path("kept.json").write_text("old\n")
+    outputs = [
+        {"format": "csv", "path": "first.csv"},
+        {"format": "report", "path": "kept.json"},
+    ]
+    last = {"format": "csv", "path": bad}
+    if command == "run":
+        config = base_config(outputs=[*outputs, last])
+    else:
+        config = base_config()
+        config["sweep"] = [{"outputs": outputs}, {}, {"outputs": [last]}]
+    assert main([command, write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {bad}: {os.strerror(errno_code)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["a_directory", "kept.json", "scenario.json"]
+    assert os.listdir("a_directory") == []
+    assert Path("kept.json").read_text() == "old\n"
 
 
 class ClosedPipe:
