@@ -18,18 +18,17 @@ __all__ = [
     "StencilConfig",
     "GridSpec",
     "ResidualReport",
-    "ConvergenceResult",
+    "Terms",
     "fd_residual_dlw",
     "fd_residual_1d",
-    "convergence_order",
     "aggregate_residuals",
 ]
 
 Point = tuple[float, float, float]
 FieldSampler = Callable[[float, float, float], tuple[float, float]]
-
-# Residuals below this are treated as exact to roundoff.
-ROUNDOFF_FLOOR = 1e-13
+# A stencil's six terms, three per equation: r1 is the sum of the first three
+# and r2 of the last three, each added left to right.
+Terms = tuple[float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,11 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 def fd_residual_dlw(
     sampler: FieldSampler, point: Point, cfg: StencilConfig = StencilConfig()
-) -> tuple[float, float]:
-    """Finite-difference residuals of both equations at one point.
+) -> Terms:
+    """Finite-difference terms of both equations at one point:
+    (u_yt, h_xx, (1/2)(u^2)_xy, h_t, (u*h + u)_x, u_xxy).
 
-    r1 = u_yt + h_xx + (1/2)(u^2)_xy  with cross derivatives from the 4-point
+    r1 = u_yt + h_xx + (1/2)(u^2)_xy with cross derivatives from the 4-point
     cross stencil; r2 = h_t + (u*h + u)_x + u_xxy with u_xxy formed as the
     x-second-difference of the y-first-difference.  Raises PoleError if any
     stencil sample hits a pole.
@@ -132,7 +132,6 @@ def fd_residual_dlw(
     usq_xy = (
         xpyp_u * xpyp_u - xpym_u * xpym_u - xmyp_u * xmyp_u + xmym_u * xmym_u
     ) * quarter
-    r1 = u_yt + h_xx + 0.5 * usq_xy
 
     h_t = (tp_h - tm_h) / (2.0 * s)
     flux_x = ((xp_u * xp_h + xp_u) - (xm_u * xm_h + xm_u)) / (2.0 * s)
@@ -142,14 +141,14 @@ def fd_residual_dlw(
         - 2.0 * ((yp_u - ym_u) / (2.0 * s))
         + (xmyp_u - xmym_u) / (2.0 * s)
     ) / (s * s)
-    r2 = h_t + flux_x + u_xxy
-    return r1, r2
+    return u_yt, h_xx, 0.5 * usq_xy, h_t, flux_x, u_xxy
 
 
 def fd_residual_1d(
     sampler: FieldSampler, point: Point, cfg: StencilConfig = StencilConfig()
-) -> tuple[float, float]:
-    """Residuals of the (1+1)-dimensional system at one point (z, y, t).
+) -> Terms:
+    """Terms of the (1+1)-dimensional system at one point (z, y, t):
+    (u_t, h_z, (1/2)(u^2)_z, h_t, (u*h + u)_z, u_zzz).
 
     The sampler is read along z at the point's own y only.
     r1 = u_t + h_z + (1/2)(u^2)_z; r2 = h_t + (u*h + u)_z + u_zzz with u_zzz
@@ -164,44 +163,11 @@ def fd_residual_1d(
     u_t = (tp_u - tm_u) / (2.0 * s)
     h_z = (zp_h - zm_h) / (2.0 * s)
     usq_z = (zp_u * zp_u - zm_u * zm_u) / (2.0 * s)
-    r1 = u_t + h_z + 0.5 * usq_z
 
     h_t = (tp_h - tm_h) / (2.0 * s)
     flux_z = ((zp_u * zp_h + zp_u) - (zm_u * zm_h + zm_u)) / (2.0 * s)
     u_zzz = (zpp_u - 2.0 * zp_u + 2.0 * zm_u - zmm_u) / (2.0 * s**3)
-    r2 = h_t + flux_z + u_zzz
-    return r1, r2
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    """Residuals at two steps and the estimated order per equation.
-
-    An order of None means both residuals sit at the roundoff floor: the
-    sampler is exact to machine precision there, a success state.
-    """
-
-    coarse: tuple[float, float]
-    fine: tuple[float, float]
-    orders: tuple[float | None, float | None]
-
-
-def convergence_order(
-    sampler: FieldSampler, point: Point, steps: tuple[float, float] = (0.1, 0.05)
-) -> ConvergenceResult:
-    """Estimate the truncation order log2(|r(h)| / |r(h/2)|) per equation."""
-    big, small = steps
-    coarse = fd_residual_dlw(sampler, point, StencilConfig(big))
-    fine = fd_residual_dlw(sampler, point, StencilConfig(small))
-    orders = []
-    for rc, rf in zip(coarse, fine):
-        if abs(rc) < ROUNDOFF_FLOOR and abs(rf) < ROUNDOFF_FLOOR:
-            orders.append(None)
-        elif abs(rf) == 0.0:
-            orders.append(math.inf)
-        else:
-            orders.append(math.log2(abs(rc) / abs(rf)))
-    return ConvergenceResult(coarse=coarse, fine=fine, orders=tuple(orders))
+    return u_t, h_z, 0.5 * usq_z, h_t, flux_z, u_zzz
 
 
 @dataclass(frozen=True)

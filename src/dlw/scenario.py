@@ -23,6 +23,7 @@ from .residual import (
     GridSpec,
     ResidualReport,
     StencilConfig,
+    Terms,
     aggregate_residuals,
 )
 from .seedlab.exprlang import ExprSyntaxError, parse_coeff_expr
@@ -59,8 +60,8 @@ SEED_KINDS = ("constant", "kernels", "poly", "mixed")
 _DOCUMENT_KEYS = ("branch", "solution_path", "seed", "params", "grid", "stencil",
                   "thresholds", "outputs", "debug", "sweep")
 
-# fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> (r1, r2)
-Residual = Callable[[FieldSampler, tuple, StencilConfig], tuple[float, float]]
+# fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> six terms
+Residual = Callable[[FieldSampler, tuple, StencilConfig], Terms]
 
 
 class ConfigError(ValueError):
@@ -399,7 +400,9 @@ def evaluate_grid(
     for x, y, t in points:
         phi = phi_value(x, y, t)
         try:
-            r1, r2 = residual(sampler, (x, y, t), cfg)
+            a1, b1, c1, a2, b2, c2 = residual(sampler, (x, y, t), cfg)
+            r1 = a1 + b1 + c1
+            r2 = a2 + b2 + c2
             u, h = sampler(x, y, t)
             results.append((r1, r2))
             records.append(PointRecord(x, y, t, phi, u, h, r1, r2))

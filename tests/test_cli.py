@@ -17,6 +17,7 @@ from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField
 from dlw.transform import exact_uh_const, one_plus_exp
+from test_residual import residuals
 from test_seeds import reference_transform
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -404,37 +405,55 @@ def test_number_past_the_float_range_exits_2_naming_its_key(tmp_path, capsys):
 # -- shipped scenarios ------------------------------------------------------------------
 
 
-def _verify_shipped(document, tmp_path, capsys):
-    """Exit code and printed (r1, r2) maxima of the document's command."""
+def _verify_shipped(document, branch, tmp_path, capsys):
+    """Exit code and printed (r1, r2) maxima of the document's command on
+    `branch`."""
     command = "sweep" if "sweep" in document else "run"
-    code = main([command, write_config(tmp_path, document, "shipped.json")])
+    path = write_config(tmp_path, document, "shipped.json")
+    code = main([command, path, "--branch", branch])
     out = capsys.readouterr().out
     maxima = [(float(r1), float(r2)) for r1, r2 in MAX_RESIDUAL.findall(out)]
     assert len(maxima) == len(document.get("sweep", [document]))
     return code, maxima
 
 
-def _fails_over_threshold(document, tmp_path, capsys):
+def _fails_over_threshold(document, branch, tmp_path, capsys):
     """Whether the command exits 1 with every maximum over the threshold."""
-    code, maxima = _verify_shipped(document, tmp_path, capsys)
+    code, maxima = _verify_shipped(document, branch, tmp_path, capsys)
     threshold = document["thresholds"]["max_residual"]
     return code == 1 and all(max(r1, r2) > threshold for r1, r2 in maxima)
 
 
-def _perturbed_u(scale):
-    """build_sampler whose samplers add scale*x^2*t to u."""
-    build_sampler = dlw.scenario.build_sampler
+def _fails_on_r2_alone(document, branch, tmp_path, capsys):
+    """Whether the command exits 1 with every r1 maximum within the
+    threshold and every r2 maximum over it."""
+    code, maxima = _verify_shipped(document, branch, tmp_path, capsys)
+    threshold = document["thresholds"]["max_residual"]
+    return code == 1 and all(r1 <= threshold < r2 for r1, r2 in maxima)
+
+
+def _perturbed(build_sampler, change):
+    """A build_sampler whose samplers return change(x, y, t, u, h) of the
+    samplers of `build_sampler`."""
 
     def build(sc):
         sampler, phi_value = build_sampler(sc)
 
         def perturbed(x, y, t):
-            u, h = sampler(x, y, t)
-            return u + scale * x * x * t, h
+            return change(x, y, t, *sampler(x, y, t))
 
         return perturbed, phi_value
 
     return build
+
+
+def _u_control(x, y, t, u, h):
+    return u + 1e-3 * x * x * t, h
+
+
+def _h_control(x, y, t, u, h):
+    """h_xx is unchanged and the flux gains 1e-3*y*u_x: r2 alone fails."""
+    return u, h + 1e-3 * y
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.name)
@@ -443,18 +462,29 @@ def test_shipped_scenario_passes_checks_something_and_fails_its_control(
 ):
     monkeypatch.chdir(tmp_path)  # the documents write relative output paths
     document = json.loads(path.read_text())
-    code, maxima = _verify_shipped(document, tmp_path, capsys)
-    assert code == 0
-    for r1, r2 in maxima:
-        assert (r1, r2) != (0.0, 0.0), "a residual that is exactly zero checks nothing"
     for entry in document.get("sweep", []):
         assert "debug" not in entry
-    # each negative control fails on its own
-    document["debug"] = {"perturb_h": 1e-3}
-    assert _fails_over_threshold(document, tmp_path, capsys), "h + 1e-3*x^2"
-    del document["debug"]
-    monkeypatch.setattr(dlw.scenario, "build_sampler", _perturbed_u(1e-3))
-    assert _fails_over_threshold(document, tmp_path, capsys), "u + 1e-3*x^2*t"
+    build_sampler = dlw.scenario.build_sampler
+    for branch in ("plus", "minus"):
+        code, maxima = _verify_shipped(document, branch, tmp_path, capsys)
+        assert code == 0, branch
+        for r1, r2 in maxima:
+            assert (r1, r2) != (0.0, 0.0), "a residual that is exactly zero checks nothing"
+        # each negative control fails on its own
+        document["debug"] = {"perturb_h": 1e-3}
+        assert _fails_over_threshold(document, branch, tmp_path, capsys), (
+            f"h + 1e-3*x^2 on {branch}"
+        )
+        del document["debug"]
+        monkeypatch.setattr(dlw.scenario, "build_sampler", _perturbed(build_sampler, _u_control))
+        assert _fails_over_threshold(document, branch, tmp_path, capsys), (
+            f"u + 1e-3*x^2*t on {branch}"
+        )
+        monkeypatch.setattr(dlw.scenario, "build_sampler", _perturbed(build_sampler, _h_control))
+        assert _fails_on_r2_alone(document, branch, tmp_path, capsys), (
+            f"h + 1e-3*y on {branch}"
+        )
+        monkeypatch.setattr(dlw.scenario, "build_sampler", build_sampler)
 
 
 def _transform_by_reference(field, point):
@@ -643,7 +673,7 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     expected, worst = [], [0.0, 0.0]
     for t in linspace(0.0, 1.0, nt):
         for z in linspace(-5.0, 5.0, nz):
-            r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), cfg)
+            r1, r2 = residuals(fd_residual_1d(sampler, (z, 0.0, t), cfg))
             u, h = sampler(z, 0.0, t)
             phi = one_plus_exp(a * z - sign * a * a * t + d)
             expected.append([z, 0.0, t, phi, u, h, r1, r2])

@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+import sympy as sp
 
 from dlw.jetcalc import Branch
 from dlw.residual import (
@@ -13,7 +14,6 @@ from dlw.residual import (
     ResidualReport,
     StencilConfig,
     aggregate_residuals,
-    convergence_order,
     fd_residual_1d,
     fd_residual_dlw,
 )
@@ -43,6 +43,12 @@ def corrupted_sampler(x, y, t):
     return u, h + 0.01 * x * x
 
 
+def residuals(terms):
+    """(r1, r2) from a stencil's six terms, summed as evaluate_grid sums them."""
+    a1, b1, c1, a2, b2, c2 = terms
+    return a1 + b1 + c1, a2 + b2 + c2
+
+
 def transform_sampler(field):
     return lambda x, y, t: transform_point(field, (x, y, t))
 
@@ -57,18 +63,18 @@ def grid_residuals(sampler, grid):
 
 
 def test_vacuum_residual_is_exactly_zero():
-    assert fd_residual_dlw(vacuum_sampler, (0.2, -0.4, 0.8), CFG) == (0.0, 0.0)
+    assert fd_residual_dlw(vacuum_sampler, (0.2, -0.4, 0.8), CFG) == (0.0,) * 6
 
 
 def test_soliton_point_residual_truncation_scale():
-    r1, r2 = fd_residual_dlw(soliton_sampler, (0.3, -0.2, 0.1), CFG)
+    r1, r2 = residuals(fd_residual_dlw(soliton_sampler, (0.3, -0.2, 0.1), CFG))
     # second-order truncation at step 5e-3; acceptance tolerance 1e-5
     assert abs(r1) <= 1e-5
     assert abs(r2) <= 1e-5
 
 
 def test_corrupted_sampler_flagged():
-    r1, _ = fd_residual_dlw(corrupted_sampler, (0.5, 0.5, 0.5), CFG)
+    r1, _ = residuals(fd_residual_dlw(corrupted_sampler, (0.5, 0.5, 0.5), CFG))
     # the perturbation contributes exactly d2x(0.01*x^2) = 0.02 to r1
     assert 0.018 <= abs(r1) <= 0.022
     assert abs(r1) >= 1e-3
@@ -93,13 +99,13 @@ def test_reduced_fields_satisfy_1d_system():
     rng = random.Random(3)
     for _ in range(25):
         z, t = rng.uniform(-4, 4), rng.uniform(0, 1)
-        r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), CFG)
+        r1, r2 = residuals(fd_residual_1d(sampler, (z, 0.0, t), CFG))
         assert abs(r1) <= 1e-5
         assert abs(r2) <= 1e-5
 
 
 def test_vacuum_1d_exact_zero():
-    assert fd_residual_1d(vacuum_sampler, (0.1, 0.0, 0.7), CFG) == (0.0, 0.0)
+    assert fd_residual_1d(vacuum_sampler, (0.1, 0.0, 0.7), CFG) == (0.0,) * 6
 
 
 def test_1d_stencil_samples_six_offsets_at_the_points_y():
@@ -132,30 +138,75 @@ def test_small_amplitude_1d_residuals():
     worst = 0.0
     for _ in range(50):
         z, t = rng.uniform(-5, 5), rng.uniform(0, 1)
-        r1, r2 = fd_residual_1d(sampler, (z, 0.0, t), CFG)
+        r1, r2 = residuals(fd_residual_1d(sampler, (z, 0.0, t), CFG))
         worst = max(worst, abs(r1), abs(r2))
     assert worst <= 1e-6
 
 
-# -- convergence order --------------------------------------------------------------
+# -- per-term order -----------------------------------------------------------------
+
+ORDER_STEPS = (1e-2, 5e-3)
 
 
-def test_convergence_order_on_exact_solution():
-    result = convergence_order(soliton_sampler, (0.3, -0.2, 0.1))
-    for order in result.orders:
-        assert order is not None
-        assert 1.5 <= order <= 2.5
+def exact_terms(a, c, d, branch, point, one_d=False):
+    """The six stencil terms of the exact-const wave, differentiated by sympy.
+
+    With one_d, x is the 1-d coordinate z, c must equal a and the terms are
+    those of fd_residual_1d at the point's y = 0.
+    """
+    x, y, t = sp.symbols("x y t")
+    a, c, d = (sp.Rational(repr(value)) for value in (a, c, d))
+    arg = a * x - branch.sign * a * a * t + c * (0 if one_d else y) + d
+    u = branch.sign * a * (1 + sp.tanh(arg / 2))
+    h = a * c / 2 * sp.sech(arg / 2) ** 2 - 1
+    if one_d:
+        first = (sp.diff(u, t), sp.diff(h, x), sp.diff(u * u, x) / 2)
+        second = (sp.diff(h, t), sp.diff(u * h + u, x), sp.diff(u, x, 3))
+    else:
+        first = (sp.diff(u, y, t), sp.diff(h, x, 2), sp.diff(u * u, x, y) / 2)
+        second = (sp.diff(h, t), sp.diff(u * h + u, x), sp.diff(u, x, 2, y))
+    at = dict(zip((x, y, t), point))
+    return [float(term.subs(at).evalf(30)) for term in first + second]
 
 
-def test_convergence_order_vacuum_is_roundoff_state():
-    result = convergence_order(vacuum_sampler, (0.3, -0.2, 0.1))
-    assert result.orders == (None, None)
+def term_errors(stencil, sampler, point, exact):
+    """Per term, |stencil - exact| at each of ORDER_STEPS."""
+    by_step = [stencil(sampler, point, StencilConfig(step)) for step in ORDER_STEPS]
+    return [[abs(terms[k] - exact[k]) for terms in by_step] for k in range(6)]
 
 
-def test_convergence_order_detects_near_miss():
-    result = convergence_order(corrupted_sampler, (0.5, 0.5, 0.5))
-    assert result.orders[0] is not None
-    assert abs(result.orders[0]) <= 0.5
+@pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS), ids=("plus", "minus"))
+@pytest.mark.parametrize(
+    "stencil, a, c, d, point",
+    [
+        (fd_residual_dlw, 1.0, 0.8, 0.1, (0.3, -0.2, 0.1)),
+        (fd_residual_1d, 0.7, 0.7, 0.3, (0.3, 0.0, 0.1)),
+    ],
+    ids=("dlw", "1d"),
+)
+def test_every_term_is_second_order(stencil, a, c, d, point, branch):
+    def sampler(x, y, t):
+        return exact_uh_const(a, c, d, branch, (x, y, t))
+
+    exact = exact_terms(a, c, d, branch, point, one_d=stencil is fd_residual_1d)
+    for k, (coarse, fine) in enumerate(term_errors(stencil, sampler, point, exact)):
+        # halving the step quarters a second-order error
+        assert 3.0 <= coarse / fine <= 5.0, (k, coarse, fine)
+
+
+def test_a_near_miss_term_does_not_converge():
+    point = (0.3, -0.2, 0.1)
+
+    def near_miss(x, y, t):
+        u, h = exact_uh_const(1.0, 0.8, 0.1, Branch.PLUS, (x, y, t))
+        return u, h + 0.01 * x * x
+
+    exact = exact_terms(1.0, 0.8, 0.1, Branch.PLUS, point)
+    coarse, fine = term_errors(fd_residual_dlw, near_miss, point, exact)[1]
+    # h_xx keeps the perturbation's 0.02 at every step: order 0, not 2
+    assert coarse == pytest.approx(0.02, abs=1e-4)
+    assert fine == pytest.approx(0.02, abs=1e-4)
+    assert not 3.0 <= coarse / fine <= 5.0
 
 
 # -- grid reports ---------------------------------------------------------------------

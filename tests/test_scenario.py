@@ -139,7 +139,8 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
         calls.append(("residual", point[0]))
         if point[0] == 1.0:
             raise PoleError(point, 0.0)
-        return (point[0] * 1e-9, -point[0])
+        x = point[0]
+        return (x * 2.0**-30, x * 2.0**-29, x * 2.0**-28, -x, -2.0 * x, -4.0 * x)
 
     def sampler(x, y, t):
         calls.append(("centre", x))
@@ -155,7 +156,9 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
     assert [record.phi for record in records] == [10.0, 11.0, 12.0]
     assert repr(records[1].u) == "nan" and repr(records[1].res2) == "nan"
     assert (report.evaluated, report.skipped) == (2, 1)
-    assert report.max_abs == (2e-9, 2.0) and report.worst_point == (2.0, 0.0, 0.0)
+    # each equation is the sum of its three terms
+    assert (records[2].res1, records[2].res2) == (14 * 2.0**-30, -14.0)
+    assert report.max_abs == (14 * 2.0**-30, 14.0) and report.worst_point == (2.0, 0.0, 0.0)
 
 
 def test_csv_header_is_the_point_record_fields(tmp_path):
