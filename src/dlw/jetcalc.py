@@ -5,7 +5,9 @@ A monomial multiplies an exact rational coefficient, an integer power of phi,
 a multiset of proper-derivative factors (phi_x, phi_xy, ...), and a multiset
 of formal symbols f^(n), g^(n) standing for derivatives of two undetermined
 functions of phi.  Polynomials are kept in a canonical normal form, and every
-operation is exact: no floating point enters this module.
+operation is exact: no floating point enters this module.  A coefficient is
+held as an int while it is integral and as a Fraction once a Fraction enters;
+Monomial.coeff is always a Fraction.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -134,12 +137,10 @@ class Monomial:
 
 
 _Key = tuple[int, tuple[JetIndex, ...], tuple[CoeffSymbol, ...]]
-_ZERO = Fraction(0)
+_Coeff = int | Fraction
 
-
-def _jet_key(idx: JetIndex):
-    # conventional factor order: phi_x, phi_xx, phi_y, phi_xy, ..., phi_t, ...
-    return (idx.k, idx.j, idx.i)
+# conventional factor order: phi_x, phi_xx, phi_y, phi_xy, ..., phi_t, ...
+_jet_key = itemgetter(2, 1, 0)
 
 
 def _canonical_key(phi_power, jets, syms) -> _Key:
@@ -154,9 +155,10 @@ def _canonical_key(phi_power, jets, syms) -> _Key:
         sorted(sym if type(sym) is CoeffSymbol else CoeffSymbol(*sym) for sym in syms)
     )
     for idx in jets:
-        if min(idx) < 0 or idx.order == 0:
+        order = idx.i + idx.j + idx.k
+        if min(idx) < 0 or order == 0:
             raise ValueError(f"invalid jet factor {idx}")
-        if idx.order > MAX_ORDER:
+        if order > MAX_ORDER:
             raise OrderLimitError(f"{idx.render()} exceeds order cap {MAX_ORDER}")
     for sym in syms:
         if sym.family not in ("F", "G") or sym.order < 0:
@@ -171,12 +173,12 @@ def _term_order(key: _Key):
     return (-len(jets), -phi_power, jets, syms)
 
 
-def _normalised(pairs: Iterable[tuple[_Key, Fraction]]) -> dict[_Key, Fraction]:
-    """Terms of (canonical key, Fraction) pairs: like terms merged, zeros
-    dropped, keys in _term_order."""
-    merged: dict[_Key, Fraction] = {}
+def _normalised(pairs: Iterable[tuple[_Key, _Coeff]]) -> dict[_Key, _Coeff]:
+    """Terms of (canonical key, int or Fraction) pairs: like terms merged,
+    zeros dropped, keys in _term_order."""
+    merged: dict[_Key, _Coeff] = {}
     for key, coeff in pairs:
-        merged[key] = merged.get(key, _ZERO) + coeff
+        merged[key] = merged.get(key, 0) + coeff
     kept = sorted((key for key, value in merged.items() if value), key=_term_order)
     return {key: merged[key] for key in kept}
 
@@ -192,28 +194,30 @@ class JetPoly:
     (_normalised), which merges, drops zeros and orders the terms.  Sums,
     negation, scalar products, log specialization and degree decomposition,
     whose keys are canonical already, call the normaliser alone.  Arithmetic
-    accepts ints and Fractions as scalars.
+    accepts ints and Fractions as scalars.  A stored coefficient is an int
+    or a Fraction, never a float: the constructor converts anything else
+    with Fraction().
     """
 
     __slots__ = ("_terms",)
 
     def __init__(
         self,
-        terms: Mapping[_Key, Fraction | int]
-        | Iterable[tuple[_Key, Fraction | int]] = (),
+        terms: Mapping[_Key, _Coeff] | Iterable[tuple[_Key, _Coeff]] = (),
     ):
         if isinstance(terms, Mapping):
             terms = terms.items()
         self._terms = _normalised(
             (
                 _canonical_key(*key),
-                coeff if type(coeff) is Fraction else Fraction(coeff),
+                coeff if type(coeff) is int or type(coeff) is Fraction
+                else Fraction(coeff),
             )
             for key, coeff in terms
         )
 
     @classmethod
-    def _canonical(cls, pairs: Iterable[tuple[_Key, Fraction]]) -> "JetPoly":
+    def _canonical(cls, pairs: Iterable[tuple[_Key, _Coeff]]) -> "JetPoly":
         """Skips _canonical_key: every key must be canonical already."""
         poly = cls.__new__(cls)
         poly._terms = _normalised(pairs)
@@ -223,21 +227,21 @@ class JetPoly:
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "JetPoly":
-        return cls({(0, (), ()): Fraction(value)})
+        return cls({(0, (), ()): value})
 
     @classmethod
     def phi_power(cls, power: int) -> "JetPoly":
-        return cls({(power, (), ()): Fraction(1)})
+        return cls({(power, (), ()): 1})
 
     @classmethod
     def jet(cls, i: int, j: int, k: int) -> "JetPoly":
         if i == j == k == 0:
             return cls.phi_power(1)
-        return cls({(0, (JetIndex(i, j, k),), ()): Fraction(1)})
+        return cls({(0, (JetIndex(i, j, k),), ()): 1})
 
     @classmethod
     def symbol(cls, family: str, order: int) -> "JetPoly":
-        return cls({(0, (), (CoeffSymbol(family, order),)): Fraction(1)})
+        return cls({(0, (), (CoeffSymbol(family, order),)): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -247,7 +251,7 @@ class JetPoly:
 
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(
-            Monomial(coeff, *key) for key, coeff in self._terms.items()
+            Monomial(Fraction(coeff), *key) for key, coeff in self._terms.items()
         )
 
     def has_symbols(self) -> bool:
@@ -257,8 +261,8 @@ class JetPoly:
         if not self._terms:
             return "0"
         parts = []
-        for key, coeff in self._terms.items():
-            text = Monomial(coeff, *key).render()
+        for mono in self.monomials():
+            text = mono.render()
             if not parts:
                 parts.append(text)
             elif text.startswith("-"):
@@ -339,7 +343,7 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
     if direction not in _AXES:
         raise ValueError(f"unknown direction {direction!r}")
     unit = JetIndex(0, 0, 0).bumped(direction)
-    out: list[tuple[_Key, Fraction]] = []
+    out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         if phi_power:
             out.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
@@ -369,7 +373,7 @@ def specialize_log(p: JetPoly, branch: Branch) -> JetPoly:
     rejected: the undifferentiated logarithm never appears in final
     expressions.
     """
-    out: list[tuple[_Key, Fraction]] = []
+    out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         power = phi_power
         value = coeff
@@ -397,7 +401,7 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
     """
     if p.has_symbols():
         raise SpecializationError("reduce_heat requires a symbol-free polynomial")
-    out: list[tuple[_Key, Fraction]] = []
+    out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, _), coeff in p._terms.items():
         factor = 1
         new_jets = []
@@ -413,7 +417,7 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
 
 def degree_decompose(p: JetPoly) -> dict[int, JetPoly]:
     """Partition terms by homogeneous degree (count of proper jet factors)."""
-    buckets: dict[int, list[tuple[_Key, Fraction]]] = {}
+    buckets: dict[int, list[tuple[_Key, _Coeff]]] = {}
     for pair in p._terms.items():  # canonical keys, so each bucket is canonical
         buckets.setdefault(len(pair[0][1]), []).append(pair)
     return {d: JetPoly._canonical(pairs) for d, pairs in sorted(buckets.items())}

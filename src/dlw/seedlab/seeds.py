@@ -28,8 +28,15 @@ Point = tuple[float, float, float]
 
 
 class CoefficientError(EvaluationError):
-    """A coefficient expression failed to evaluate; the message starts with
-    its member of the seed (`kernels[0].a`, `poly.c1`) and the y value."""
+    """A coefficient expression failed to evaluate, or a kernel's exponent
+    passed `exp`'s range; the message starts with its member of the seed
+    (`kernels[0].a`, `poly.c1`, `kernels[0]`) and the y value."""
+
+
+def _kernel_overflow(pos: int, y: float, theta: float) -> CoefficientError:
+    return CoefficientError(
+        f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
+    )
 
 
 def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
@@ -152,7 +159,8 @@ class SeedField:
     def partials(self, point: Point) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
         row: the constant, the kernels in spec order, then the poly. Raises
-        `kernel overflow at exponent ...` or `non-finite seed value`."""
+        `kernels[<pos>] at y = <y>: kernel overflow at exponent ...` (a
+        CoefficientError) or `non-finite seed value`."""
         x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
@@ -170,9 +178,7 @@ class SeedField:
             try:
                 scale = amplitude * math.exp(theta)
             except OverflowError:
-                raise EvaluationError(
-                    f"kernel overflow at exponent {theta!r}"
-                ) from None
+                raise _kernel_overflow(pos, y, theta) from None
             phi += scale
             phi_x += a * scale
             phi_y += theta_y * scale
@@ -205,9 +211,7 @@ class SeedField:
             try:
                 phi += amplitude * math.exp(theta)
             except OverflowError:
-                raise EvaluationError(
-                    f"kernel overflow at exponent {theta!r}"
-                ) from None
+                raise _kernel_overflow(pos, y, theta) from None
 
         if self.spec.poly is not None:
             c2, c1, c0 = row[-1] or self._resolve(row, -1, y)

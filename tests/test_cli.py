@@ -380,14 +380,23 @@ def test_failing_coefficient_names_its_key_and_y(tmp_path, capsys, command, path
     assert not first_csv.exists()
 
 
-def test_kernel_overflow_names_no_key(tmp_path, capsys):
+def test_kernel_overflow_names_its_kernel(tmp_path, capsys):
     config = base_config()
     config["seed"]["kernels"][0]["b"] = "800 + 1*y"
     assert main(["run", write_config(tmp_path, config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: field evaluation failed: kernel overflow at exponent "
+    assert captured.err == (
+        "error: field evaluation failed: config.seed.kernels[0] at y = -1.0: "
+        "kernel overflow at exponent 798.0\n"
+    )
+    sweep = base_config(sweep=[{}, {"seed": config["seed"]}])
+    assert main(["sweep", write_config(tmp_path, sweep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: field evaluation failed: sweep[1].seed.kernels[0] at y = -1.0: "
+        "kernel overflow at exponent 798.0\n"
     )
 
 

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlw import jetcalc
 from dlw.jetcalc import (
     Branch,
     CoeffSymbol,
@@ -14,6 +16,7 @@ from dlw.jetcalc import (
     JetPoly,
     OrderLimitError,
     SpecializationError,
+    _term_order,
     degree_decompose,
     reduce_heat,
     specialize_log,
@@ -302,6 +305,69 @@ def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
         with pytest.raises(OrderLimitError) as raised:
             JetPoly(_raw_pairs(a) + [(over_cap, k)])
         assert isinstance(raised.value, ValueError)
+
+
+def _fraction_normalised(pairs):
+    """Reference normaliser: every coefficient becomes a Fraction before it
+    merges, so every result built under it holds Fractions only."""
+    merged = {}
+    for key, coeff in pairs:
+        merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
+    kept = sorted((key for key, value in merged.items() if value), key=_term_order)
+    return {key: merged[key] for key in kept}
+
+
+def _operations(a: JetPoly, b: JetPoly, branch: Branch) -> list[JetPoly]:
+    special = specialize_log(a * b, branch)
+    return [
+        a + b,
+        a - b,
+        -a,
+        3 * a,
+        a * Fraction(3, 7),
+        a * b,
+        b**2,
+        *(total_derivative(a * b, direction) for direction in ("x", "y", "t")),
+        special,
+        reduce_heat(special, branch),
+        *degree_decompose(a + b).values(),
+    ]
+
+
+_int_polys = st.dictionaries(_keys, st.integers(-5, 5).filter(bool), max_size=3).map(
+    JetPoly
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, _int_polys, st.sampled_from(BRANCHES))
+def test_int_coefficients_match_a_fraction_only_reference(a, b, branch):
+    got = _operations(a, b, branch) + _operations(b, a, branch)
+    with mock.patch.object(jetcalc, "_normalised", _fraction_normalised):
+        a_ref, b_ref = JetPoly(_raw_pairs(a)), JetPoly(_raw_pairs(b))
+        expected = _operations(a_ref, b_ref, branch) + _operations(b_ref, a_ref, branch)
+    assert all(type(c) is Fraction for p in expected for c in p._terms.values())
+    assert len(got) == len(expected)
+    for poly, ref in zip(got, expected):
+        assert poly == ref
+        assert poly.monomials() == ref.monomials()  # the same terms in the same order
+        assert all(type(m.coeff) is Fraction for m in poly.monomials())
+        assert poly.render() == ref.render()
+        assert all(type(c) in (int, Fraction) for c in poly._terms.values())
+
+
+def test_no_float_coefficient_is_ever_stored():
+    half = JetPoly.constant(0.5)
+    assert [type(c) for c in half._terms.values()] == [Fraction]
+    assert half._terms == {(0, (), ()): Fraction(1, 2)}
+    built = JetPoly({(1, (), ()): 0.25, (2, (), ()): 3.0, (0, (), ()): True})
+    assert all(type(c) is not float for c in built._terms.values())
+    assert built.monomials() == JetPoly(
+        {(1, (), ()): Fraction(1, 4), (2, (), ()): 3, (0, (), ()): 1}
+    ).monomials()
+    assert [type(c) for c in jet(1, 0, 0)._terms.values()] == [int]
+    with pytest.raises(TypeError):
+        jet(1, 0, 0) * 0.5
 
 
 @settings(max_examples=60, deadline=None)

@@ -221,8 +221,10 @@ def test_first_failing_term_names_the_error():
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
-    with pytest.raises(EvaluationError, match=r"^kernel overflow at exponent 10000\.0$"):
-        SeedField(spec).value((1e4, 0.0, 0.0))
+    message = r"^kernels\[0\] at y = 0\.0: kernel overflow at exponent 10000\.0$"
+    for read in (SeedField(spec).value, SeedField(spec).partials):
+        with pytest.raises(CoefficientError, match=message):
+            read((1e4, 0.0, 0.0))
     with pytest.raises(
         CoefficientError, match=re.escape("kernels[1].b at y = 0.0: division by zero")
     ):
@@ -312,7 +314,7 @@ def reference_partials(spec, point, indices):
         for slot, index in enumerate(indices):
             if index == (0, 0, 0):
                 totals[slot] += spec.constant_term
-    for kernel in spec.kernels:
+    for pos, kernel in enumerate(spec.kernels):
         a, b = eval_dual(kernel.a, y), eval_dual(kernel.b, y)
         try:
             theta = a.value * x - sign * a.value**2 * t + b.value
@@ -320,7 +322,9 @@ def reference_partials(spec, point, indices):
             try:
                 scale = kernel.amplitude * math.exp(theta)
             except OverflowError:
-                raise EvaluationError(f"kernel overflow at exponent {theta!r}") from None
+                raise CoefficientError(
+                    f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
+                ) from None
             for slot, index in enumerate(indices):
                 factor = REFERENCE_KERNEL_FACTORS[index]
                 totals[slot] += factor(a.value, a.deriv, theta_y, sign) * scale
@@ -463,7 +467,7 @@ def _outcome(evaluate):
     try:
         return "values", repr(evaluate())
     except EvaluationError as exc:
-        return "error", str(exc)
+        return "error", type(exc).__name__, str(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
