@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "MAX_ORDER",
@@ -37,8 +37,6 @@ __all__ = [
 # Derivations in this package never exceed total order 4; the cap leaves
 # headroom while turning runaway differentiation into a detected error.
 MAX_ORDER = 8
-
-_AXES = ("x", "y", "t")
 
 
 class OrderLimitError(ValueError):
@@ -86,8 +84,14 @@ class JetIndex(NamedTuple):
         return self.i + self.j + self.k
 
     def bumped(self, direction: str) -> "JetIndex":
-        axis = _AXES.index(direction)
-        return JetIndex(*(n + 1 if pos == axis else n for pos, n in enumerate(self)))
+        i, j, k = self
+        if direction == "x":
+            return JetIndex(i + 1, j, k)
+        if direction == "y":
+            return JetIndex(i, j + 1, k)
+        if direction == "t":
+            return JetIndex(i, j, k + 1)
+        raise ValueError(f"unknown direction {direction!r}")
 
     def render(self) -> str:
         if self.order == 0:
@@ -175,25 +179,28 @@ def _term_order(key: _Key):
 
 def _normalised(pairs: Iterable[tuple[_Key, _Coeff]]) -> dict[_Key, _Coeff]:
     """Terms of (canonical key, int or Fraction) pairs: like terms merged,
-    zeros dropped, keys in _term_order."""
+    zeros dropped.  The terms are in no particular order; monomials() sorts
+    them by _term_order when they are read."""
     merged: dict[_Key, _Coeff] = {}
     for key, coeff in pairs:
         merged[key] = merged.get(key, 0) + coeff
-    kept = sorted((key for key, value in merged.items() if value), key=_term_order)
-    return {key: merged[key] for key in kept}
+    return {key: value for key, value in merged.items() if value}
 
 
 class JetPoly:
     """Exact polynomial in jet variables, phi powers and coefficient symbols.
 
     Instances are immutable and canonical: factor tuples sorted, like terms
-    merged, zero coefficients dropped, term order deterministic.  The
-    constructor takes raw (key, coeff) pairs, in which a key may repeat and
-    factors may come in any order: it validates and sorts each key
-    (_canonical_key), then hands the pairs to the one normaliser
-    (_normalised), which merges, drops zeros and orders the terms.  Sums,
-    negation, scalar products, log specialization and degree decomposition,
-    whose keys are canonical already, call the normaliser alone.  Arithmetic
+    merged, zero coefficients dropped.  Term order is imposed where it is
+    read: monomials(), and render() through it, sort the terms by
+    _term_order.  The constructor takes raw (key, coeff) pairs, in which a
+    key may repeat and factors may come in any order: it validates and sorts
+    each key (_canonical_key), then hands the pairs to the one normaliser
+    (_normalised), which merges and drops zeros.  Sums, negation, scalar
+    products, log specialization and degree decomposition, whose keys are
+    canonical already, call the normaliser alone, as do products, which
+    re-sort the factors of two canonical keys but need not re-validate
+    them: a product raises no factor's order.  Arithmetic
     accepts ints and Fractions as scalars.  A stored coefficient is an int
     or a Fraction, never a float: the constructor converts anything else
     with Fraction().
@@ -203,9 +210,9 @@ class JetPoly:
 
     def __init__(
         self,
-        terms: Mapping[_Key, _Coeff] | Iterable[tuple[_Key, _Coeff]] = (),
+        terms: dict[_Key, _Coeff] | Iterable[tuple[_Key, _Coeff]] = (),
     ):
-        if isinstance(terms, Mapping):
+        if isinstance(terms, dict):
             terms = terms.items()
         self._terms = _normalised(
             (
@@ -250,8 +257,11 @@ class JetPoly:
         return not self._terms
 
     def monomials(self) -> tuple[Monomial, ...]:
+        """The terms in _term_order, the one order output is rendered in."""
+        terms = self._terms
         return tuple(
-            Monomial(Fraction(coeff), *key) for key, coeff in self._terms.items()
+            Monomial(Fraction(terms[key]), *key)
+            for key in sorted(terms, key=_term_order)
         )
 
     def has_symbols(self) -> bool:
@@ -308,8 +318,15 @@ class JetPoly:
             )
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return JetPoly(
-            ((p1 + p2, jets1 + jets2, syms1 + syms2), c1 * c2)
+        return JetPoly._canonical(
+            (
+                (
+                    p1 + p2,
+                    tuple(sorted(jets1 + jets2, key=_jet_key)),
+                    tuple(sorted(syms1 + syms2)),
+                ),
+                c1 * c2,
+            )
             for (p1, jets1, syms1), c1 in self._terms.items()
             for (p2, jets2, syms2), c2 in other._terms.items()
         )
@@ -340,9 +357,7 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
     factor phi^e contributes e*phi^(e-1)*phi_d, a jet factor gets its order
     bumped, and a symbol C_n contributes C_(n+1)*phi_d by the chain rule.
     """
-    if direction not in _AXES:
-        raise ValueError(f"unknown direction {direction!r}")
-    unit = JetIndex(0, 0, 0).bumped(direction)
+    unit = JetIndex(0, 0, 0).bumped(direction)  # ValueError on an unknown direction
     out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         if phi_power:

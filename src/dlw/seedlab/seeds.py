@@ -28,9 +28,10 @@ Point = tuple[float, float, float]
 
 
 class CoefficientError(EvaluationError):
-    """A coefficient expression failed to evaluate, or a kernel's exponent
-    passed `exp`'s range; the message starts with its member of the seed
-    (`kernels[0].a`, `poly.c1`, `kernels[0]`) and the y value."""
+    """A coefficient expression failed to evaluate, a kernel's a^2 passed
+    the float range, or a kernel's exponent passed `exp`'s range; the message
+    starts with its member of the seed (`kernels[0].a`, `poly.c1`,
+    `kernels[0]`) and the y value."""
 
 
 def _kernel_overflow(pos: int, y: float, theta: float) -> CoefficientError:
@@ -43,18 +44,13 @@ def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
     """The x- and t-free constants of one kernel at one y, in the order
     `partials` unpacks them, then the kernel's duals (a, b)."""
     a_value, a_prime = a.value, a.deriv
-    try:
-        square = a_value**2
-    except OverflowError:
-        # float ** raises where * rounds to inf; every sample needs a**2
-        raise EvaluationError("non-finite seed value") from None
     return (
         amplitude,
         a_value,
         a_prime,
         b.value,
         b.deriv,
-        sign * square,
+        sign * a_value**2,  # OverflowError past the float range
         sign * 2.0 * a_value * a_prime,
         (a, b),
     )
@@ -138,9 +134,15 @@ class SeedField:
             except EvaluationError as exc:
                 raise CoefficientError(f"{member} at y = {y!r}: {exc}") from None
         if slot in self._kernel_slots:
-            entry = _kernel_constants(
-                self.spec.kernels[slot].amplitude, *duals, self.branch.sign
-            )
+            try:
+                entry = _kernel_constants(
+                    self.spec.kernels[slot].amplitude, *duals, self.branch.sign
+                )
+            except OverflowError:
+                # float ** raises where * rounds to inf; every sample needs a**2
+                raise CoefficientError(
+                    f"kernels[{slot}].a at y = {y!r}: a^2 overflows"
+                ) from None
         else:
             entry = tuple(duals)
         row[slot] = entry
@@ -148,8 +150,9 @@ class SeedField:
 
     def duals(self, y: float, slot: int) -> tuple[Dual, ...]:
         """Duals of one coefficient group at y: kernel `slot`'s (a, b), or
-        the poly's (c2, c1, c0) at slot -1. A kernel whose a**2 passes the
-        float range raises `non-finite seed value`, as `partials` does."""
+        the poly's (c2, c1, c0) at slot -1. A kernel whose a^2 passes the
+        float range raises `kernels[<pos>].a at y = <y>: a^2 overflows` (a
+        CoefficientError), as `partials` does."""
         if slot < 0:
             slot += len(self._groups)
         row = self._row(y)
@@ -159,8 +162,10 @@ class SeedField:
     def partials(self, point: Point) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
         row: the constant, the kernels in spec order, then the poly. Raises
-        `kernels[<pos>] at y = <y>: kernel overflow at exponent ...` (a
-        CoefficientError) or `non-finite seed value`."""
+        a CoefficientError naming the member and y (a coefficient that fails,
+        `kernels[<pos>].a at y = <y>: a^2 overflows`, `kernels[<pos>] at
+        y = <y>: kernel overflow at exponent ...`), or `non-finite seed
+        value` when a partial sums to inf or nan."""
         x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0

@@ -339,7 +339,18 @@ def test_coefficient_whose_power_overflows_exits_2(tmp_path, capsys, monkeypatch
     assert main(["run", write_config(tmp_path, document)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: field evaluation failed: non-finite seed value\n"
+    assert captured.err == (
+        "error: field evaluation failed: config.seed.kernels[0].a at y = -3.0: "
+        "a^2 overflows\n"
+    )
+    sweep = base_config(sweep=[{}, {"seed": {"kernels": [{"a": "1e200", "b": "y"}]}}])
+    assert main(["sweep", write_config(tmp_path, sweep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: field evaluation failed: sweep[1].seed.kernels[0].a at y = -1.0: "
+        "a^2 overflows\n"
+    )
 
 
 def test_exact_path_power_overflow_exits_2(tmp_path, capsys):
@@ -354,7 +365,10 @@ def test_exact_path_power_overflow_exits_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, document)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: field evaluation failed: non-finite seed value\n"
+    assert captured.err == (
+        "error: field evaluation failed: config.seed.kernels[0].a at y = 2.433: "
+        "a^2 overflows\n"
+    )
 
 
 @pytest.mark.parametrize("command", ("run", "sweep"))

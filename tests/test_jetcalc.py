@@ -279,11 +279,21 @@ def _raw_pairs(p: JetPoly, scale: Fraction | int = 1) -> list:
     return [((m.phi_power, m.jets, m.syms), m.coeff * scale) for m in p.monomials()]
 
 
+def _product_pairs(p: JetPoly, q: JetPoly) -> list:
+    """Raw pairs of p*q: every pair of terms, factors of p's term then q's,
+    left for the validating constructor to sort."""
+    return [
+        ((p1 + p2, (*jets1, *jets2), (*syms1, *syms2)), c1 * c2)
+        for (p1, jets1, syms1), c1 in _raw_pairs(p)
+        for (p2, jets2, syms2), c2 in _raw_pairs(q)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys, _polys, _coeffs, st.sampled_from(BRANCHES))
 def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
-    # sums, negation, scalar products, log specialization and degree
-    # decomposition skip key canonicalisation; each must still give the
+    # sums, negation, scalar products, products, log specialization and
+    # degree decomposition skip key validation; each must still give the
     # polynomial, and the term order, of the full constructor
     special = specialize_log(a, branch)
     cases = [
@@ -292,6 +302,9 @@ def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
         (-a, _raw_pairs(a, -1)),
         (k * a, _raw_pairs(a, k)),
         (a * k, _raw_pairs(a, k)),
+        (a * b, _product_pairs(a, b)),
+        (b * a, _product_pairs(b, a)),
+        (b**2, _product_pairs(b, b)),
         (special, _raw_pairs(special)),
         *((part, _raw_pairs(part)) for part in degree_decompose(a).values()),
     ]
@@ -354,6 +367,18 @@ def test_int_coefficients_match_a_fraction_only_reference(a, b, branch):
         assert all(type(m.coeff) is Fraction for m in poly.monomials())
         assert poly.render() == ref.render()
         assert all(type(c) in (int, Fraction) for c in poly._terms.values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, _polys, st.sampled_from(BRANCHES))
+def test_term_order_is_imposed_where_it_is_read(a, b, branch):
+    # the normaliser keeps terms in no particular order; monomials(), and
+    # render() through it, must read them in _term_order all the same
+    for p in _operations(a, b, branch):
+        keys = [(m.phi_power, m.jets, m.syms) for m in p.monomials()]
+        assert keys == sorted(keys, key=_term_order)
+        pairs = _raw_pairs(p)
+        assert JetPoly(pairs).render() == JetPoly(reversed(pairs)).render()
 
 
 def test_no_float_coefficient_is_ever_stored():

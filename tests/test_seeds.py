@@ -185,7 +185,9 @@ def test_power_overflow_surfaces_as_evaluation_error():
     # float ** raises OverflowError where * gives inf; a**2 is in the exponent
     field = unit_kernel_seed(Branch.PLUS, "1e160", "0")
     for read in (field.value, field.partials):
-        with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+        with pytest.raises(
+            CoefficientError, match=r"^kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
+        ):
             read((0.5, 0.0, 0.5))
 
 
@@ -233,17 +235,21 @@ def test_first_failing_term_names_the_error():
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1e160"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
-    with pytest.raises(EvaluationError, match="^non-finite seed value$"):
-        SeedField(spec).value((1.0, 0.0, 0.0))
+    message = r"^kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
+    for read in (SeedField(spec).value, SeedField(spec).partials):
+        with pytest.raises(CoefficientError, match=message):
+            read((1.0, 0.0, 0.0))
 
 
-def test_duals_of_a_kernel_whose_square_overflows_fail_as_a_seed_value():
+def test_duals_of_a_kernel_whose_square_overflows_name_the_kernel():
     # the exact path reads the duals; its exponent needs a**2 like `partials`
     field = unit_kernel_seed(Branch.PLUS, "y^400", "0")
     a, b = field.duals(2.428, 0)  # a**2 = 1.6e308
     assert (a.value, b.value) == (eval_dual(P("y^400"), 2.428).value, 0.0)
     for _ in range(2):
-        with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+        with pytest.raises(
+            CoefficientError, match=r"^kernels\[0\]\.a at y = 2\.43: a\^2 overflows$"
+        ):
             field.duals(2.43, 0)
 
 
@@ -328,8 +334,8 @@ def reference_partials(spec, point, indices):
             for slot, index in enumerate(indices):
                 factor = REFERENCE_KERNEL_FACTORS[index]
                 totals[slot] += factor(a.value, a.deriv, theta_y, sign) * scale
-        except OverflowError:  # a float power past the float range
-            raise EvaluationError("non-finite seed value") from None
+        except OverflowError:  # a**2 past the float range
+            raise CoefficientError(f"kernels[{pos}].a at y = {y!r}: a^2 overflows") from None
     if spec.poly is not None:
         poly = spec.poly
         c2, c1, c0 = (eval_dual(expr, y) for expr in (poly.c2, poly.c1, poly.c0))
