@@ -25,7 +25,6 @@ __all__ = [
     "EvaluationError",
     "FUNCTIONS",
     "parse_coeff_expr",
-    "render",
     "eval_dual",
     "sech",
 ]
@@ -112,11 +111,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             offset = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[offset]!r}", offset)
-        for kind in ("number", "ident", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
@@ -256,46 +252,6 @@ def parse_coeff_expr(text: str) -> CoeffExpr:
     return _Parser(text).parse()
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def render(expr: CoeffExpr) -> str:
-    """Render with minimal parentheses; parse(render(e)) == e."""
-    text, _ = _render(expr)
-    return text
-
-
-def _render(expr: CoeffExpr) -> tuple[str, int]:
-    if isinstance(expr, Num):
-        return repr(expr.value), _PREC["atom"]
-    if isinstance(expr, Var):
-        return "y", _PREC["atom"]
-    if isinstance(expr, Call):
-        return f"{expr.func}({_render(expr.arg)[0]})", _PREC["atom"]
-    if isinstance(expr, Neg):
-        inner, prec = _render(expr.arg)
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    if isinstance(expr, Pow):
-        base, prec = _render(expr.base)
-        if prec < _PREC["atom"]:
-            base = f"({base})"
-        return f"{base}^{expr.exponent}", _PREC["pow"]
-    if isinstance(expr, BinOp):
-        prec = _PREC[expr.op]
-        left, lp = _render(expr.left)
-        right, rp = _render(expr.right)
-        if lp < prec:
-            left = f"({left})"
-        # binary operators parse left-associative: a right operand at the
-        # same precedence needs parentheses to reproduce the tree
-        if rp <= prec:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}", prec
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def sech(x: float) -> float:
     """Hyperbolic secant, overflow-safe for large |x|."""
     a = math.exp(-abs(x))
@@ -304,93 +260,74 @@ def sech(x: float) -> float:
 
 @dataclass(frozen=True)
 class Dual:
-    """Value and first derivative in y, propagated forward."""
+    """Value and first derivative in y, as `eval_dual` returns them."""
 
     value: float
-    deriv: float = 0.0
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.value + other.value, self.deriv + other.deriv)
-
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual(self.value - other.value, self.deriv - other.deriv)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.value, -self.deriv)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        return Dual(
-            self.value * other.value,
-            self.deriv * other.value + self.value * other.deriv,
-        )
-
-    def __truediv__(self, other: "Dual") -> "Dual":
-        if other.value == 0.0:
-            raise EvaluationError("division by zero")
-        return Dual(
-            self.value / other.value,
-            (self.deriv * other.value - self.value * other.deriv)
-            / (other.value * other.value),
-        )
+    deriv: float
 
 
-def _dual_pow(base: Dual, n: int) -> Dual:
-    if n == 0:
-        return Dual(1.0, 0.0)
-    if base.value == 0.0 and n < 0:
-        raise EvaluationError("division by zero")
-    value = base.value**n
-    return Dual(value, n * base.value ** (n - 1) * base.deriv)
-
-
-def _dual_call(func: str, arg: Dual) -> Dual:
-    v, d = arg.value, arg.deriv
-    if func == "exp":
-        e = math.exp(v)
-        return Dual(e, d * e)
-    if func == "tanh":
-        t = math.tanh(v)
-        return Dual(t, d * (1.0 - t * t))
-    if func == "sech":
-        s = sech(v)
-        return Dual(s, -d * s * math.tanh(v))
-    if func == "sin":
-        return Dual(math.sin(v), d * math.cos(v))
-    if func == "cos":
-        return Dual(math.cos(v), -d * math.sin(v))
-    raise EvaluationError(f"unknown function {func!r}")
-
-
-def _eval(expr: CoeffExpr, y: Dual) -> Dual:
+def _eval(expr: CoeffExpr, y: float) -> tuple[float, float]:
+    """(value, y-derivative) of `expr` at y, propagated forward. Float
+    failures surface as Python's own exceptions, for `eval_dual` to name."""
     if isinstance(expr, Num):
-        return Dual(expr.value, 0.0)
+        return expr.value, 0.0
     if isinstance(expr, Var):
-        return y
+        return y, 1.0
     if isinstance(expr, Neg):
-        return -_eval(expr.arg, y)
+        a, da = _eval(expr.arg, y)
+        return -a, -da
     if isinstance(expr, BinOp):
-        left = _eval(expr.left, y)
-        right = _eval(expr.right, y)
+        a, da = _eval(expr.left, y)
+        b, db = _eval(expr.right, y)
         if expr.op == "+":
-            return left + right
+            return a + b, da + db
         if expr.op == "-":
-            return left - right
+            return a - b, da - db
         if expr.op == "*":
-            return left * right
-        return left / right
+            return a * b, da * b + a * db
+        value = a / b
+        square = b * b
+        if square == 0.0:  # b is nonzero, but its square underflows
+            return value, (da - value * db) / b
+        return value, (da * b - a * db) / square
     if isinstance(expr, Pow):
-        return _dual_pow(_eval(expr.base, y), expr.exponent)
+        a, da = _eval(expr.base, y)
+        n = expr.exponent
+        if n == 0:
+            return 1.0, 0.0
+        return a**n, n * a ** (n - 1) * da
     if isinstance(expr, Call):
-        return _dual_call(expr.func, _eval(expr.arg, y))
+        v, d = _eval(expr.arg, y)
+        if expr.func == "exp":
+            e = math.exp(v)
+            return e, d * e
+        if expr.func == "tanh":
+            t = math.tanh(v)
+            return t, d * (1.0 - t * t)
+        if expr.func == "sech":
+            s = sech(v)
+            return s, -d * s * math.tanh(v)
+        if expr.func == "sin":
+            return math.sin(v), d * math.cos(v)
+        if expr.func == "cos":
+            return math.cos(v), -d * math.sin(v)
+        raise EvaluationError(f"unknown function {expr.func!r}")
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def eval_dual(expr: CoeffExpr, y: float) -> Dual:
-    """Evaluate (f(y), f'(y)) by forward-mode propagation."""
+    """Evaluate (f(y), f'(y)) by forward-mode propagation. Every float
+    failure leaves as an EvaluationError: a zero divisor, an overflow, or a
+    result that is not finite (sin and cos of an infinite argument among
+    them)."""
     try:
-        result = _eval(expr, Dual(float(y), 1.0))
+        value, deriv = _eval(expr, float(y))
+    except ZeroDivisionError:
+        raise EvaluationError("division by zero") from None
     except OverflowError as exc:
         raise EvaluationError(f"overflow: {exc}") from None
-    if not (math.isfinite(result.value) and math.isfinite(result.deriv)):
+    except ValueError:
+        raise EvaluationError("non-finite result") from None
+    if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EvaluationError("non-finite result")
-    return result
+    return Dual(value, deriv)

@@ -394,6 +394,31 @@ def test_failing_coefficient_names_its_key_and_y(tmp_path, capsys, command, path
     assert not first_csv.exists()
 
 
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_sine_of_an_infinite_argument_exits_2_naming_its_key(tmp_path, capsys, command):
+    # 1e308*10 is inf, and sin(inf) is a math domain error inside eval_dual
+    seed = {"kind": "kernels", "constant": 1.0, "kernels": [{"a": "1", "b": "y"}]}
+    bad = {"kernels": [{"a": "1", "b": "sin(1e308*10*y)"}]}
+    document = {
+        "branch": "plus",
+        "seed": seed,
+        "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3], "t": [0, 1, 2]},
+    }
+    if command == "sweep":
+        document["sweep"] = [{}, {"seed": bad}]
+        where = "sweep[1]"
+    else:
+        document["seed"] = {**seed, **bad}
+        where = "config"
+    assert main([command, write_config(tmp_path, document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: field evaluation failed: {where}.seed.kernels[0].b at y = -1.0: "
+        "non-finite result\n"
+    )
+
+
 def test_kernel_overflow_names_its_kernel(tmp_path, capsys):
     config = base_config()
     config["seed"]["kernels"][0]["b"] = "800 + 1*y"

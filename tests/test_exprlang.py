@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dlw.seedlab.exprlang import (
     BinOp,
     Call,
+    CoeffExpr,
+    Dual,
     EvaluationError,
     ExprSyntaxError,
     FUNCTIONS,
@@ -20,9 +22,48 @@ from dlw.seedlab.exprlang import (
     Var,
     eval_dual,
     parse_coeff_expr,
-    render,
     sech,
 )
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+
+
+def render(expr: CoeffExpr) -> str:
+    """Render with minimal parentheses; parse(render(e)) == e."""
+    text, _ = _render(expr)
+    return text
+
+
+def _render(expr: CoeffExpr) -> tuple[str, int]:
+    if isinstance(expr, Num):
+        return repr(expr.value), _PREC["atom"]
+    if isinstance(expr, Var):
+        return "y", _PREC["atom"]
+    if isinstance(expr, Call):
+        return f"{expr.func}({_render(expr.arg)[0]})", _PREC["atom"]
+    if isinstance(expr, Neg):
+        inner, prec = _render(expr.arg)
+        if prec < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}", _PREC["neg"]
+    if isinstance(expr, Pow):
+        base, prec = _render(expr.base)
+        if prec < _PREC["atom"]:
+            base = f"({base})"
+        return f"{base}^{expr.exponent}", _PREC["pow"]
+    if isinstance(expr, BinOp):
+        prec = _PREC[expr.op]
+        left, lp = _render(expr.left)
+        right, rp = _render(expr.right)
+        if lp < prec:
+            left = f"({left})"
+        # binary operators parse left-associative: a right operand at the
+        # same precedence needs parentheses to reproduce the tree
+        if rp <= prec:
+            right = f"({right})"
+        return f"{left} {expr.op} {right}", prec
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # -- parsing --------------------------------------------------------------------
@@ -186,6 +227,29 @@ def test_eval_division_by_zero():
         eval_dual(parse_coeff_expr("y^-1"), 0.0)
 
 
+@pytest.mark.parametrize(
+    "text, y, message",
+    [
+        ("1/y", 0.0, "division by zero"),
+        ("y^-1", -0.0, "division by zero"),
+        ("sin(1e308*10*y)", -1.0, "non-finite result"),
+        ("cos(1e308*10*y)", 1.0, "non-finite result"),
+        ("y^400", 10.0, "overflow: (34, 'Numerical result out of range')"),
+    ],
+)
+def test_eval_float_failures_are_named_evaluation_errors(text, y, message):
+    with pytest.raises(EvaluationError) as err:
+        eval_dual(parse_coeff_expr(text), y)
+    assert str(err.value) == message
+
+
+def test_quotient_whose_divisor_squares_to_zero_is_finite():
+    # 1e-200 squared underflows to 0.0; the quotient rule divides by it twice
+    assert eval_dual(parse_coeff_expr("y/1e-200"), 0.0) == Dual(0.0, 1e200)
+    assert eval_dual(parse_coeff_expr("y/(1e-200*y)"), 1.0) == Dual(1e200, 0.0)
+    assert eval_dual(parse_coeff_expr("y/(2*y)"), 3.0) == Dual(0.5, 0.0)
+
+
 def test_eval_overflow_reported():
     with pytest.raises(EvaluationError):
         eval_dual(parse_coeff_expr("exp(y)"), 1000.0)
@@ -245,15 +309,22 @@ _atoms = st.one_of(
     st.integers(0, 64).map(lambda n: Num(n / 8.0)),
     st.just(Var()),
 )
-_exprs = st.recursive(
-    _atoms,
-    lambda children: st.one_of(
+
+
+def _nodes(children):
+    return st.one_of(
         st.builds(Neg, children),
         st.builds(BinOp, st.sampled_from("+-*/"), children, children),
         st.builds(Pow, children, st.integers(-2, 3)),
         st.builds(Call, st.sampled_from(FUNCTIONS), children),
-    ),
-    max_leaves=10,
+    )
+
+
+_exprs = st.recursive(_atoms, _nodes, max_leaves=10)
+# the same trees with literals at the ends of the float range, whose products
+# and squares overflow or underflow
+_extreme_exprs = st.recursive(
+    st.one_of(_atoms, st.sampled_from((Num(1e308), Num(1e-200)))), _nodes, max_leaves=10
 )
 
 
@@ -261,3 +332,13 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_render_parse_roundtrip_randomized(expr):
     assert parse_coeff_expr(render(expr)) == expr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_extreme_exprs, st.floats(-2.0, 2.0))
+def test_eval_dual_returns_finite_pairs_or_raises_evaluation_error(expr, y):
+    try:
+        result = eval_dual(expr, y)
+    except EvaluationError:
+        return
+    assert math.isfinite(result.value) and math.isfinite(result.deriv)
