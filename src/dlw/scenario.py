@@ -355,19 +355,23 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
         # and every sample of either path.
         field = SeedField(sc.seed)
 
-        def phi_value(x, y, t):
-            return field.value((x, y, t))
-
         if sc.solution_path == "exact":
 
             def sampler(x, y, t):
                 a, b = field.duals(y, 0)
                 return exact_uh(a, b, sc.branch, (x, y, t))
 
+            def phi_value(x, y, t):  # the unit kernel's 1 + exp(theta)
+                a, b = field.duals(y, 0)
+                return one_plus_exp(a.value * x - sign * a.value**2 * t + b.value)
+
         else:
 
             def sampler(x, y, t):
                 return transform_point(field, (x, y, t))
+
+            def phi_value(x, y, t):
+                return field.partials((x, y, t))[0]
 
     if sc.perturb_h:
         inner = sampler

@@ -295,7 +295,11 @@ def _eval(expr: CoeffExpr, y: float) -> tuple[float, float]:
         n = expr.exponent
         if n == 0:
             return 1.0, 0.0
-        return a**n, n * a ** (n - 1) * da
+        value = a**n
+        try:
+            return value, n * a ** (n - 1) * da
+        except OverflowError:  # a^(n-1) passes the float range where a^n does not
+            return value, n * value * (da / a)
     if isinstance(expr, Call):
         v, d = _eval(expr.arg, y)
         if expr.func == "exp":

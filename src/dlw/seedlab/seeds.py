@@ -34,12 +34,6 @@ class CoefficientError(EvaluationError):
     `kernels[0]`) and the y value."""
 
 
-def _kernel_overflow(pos: int, y: float, theta: float) -> CoefficientError:
-    return CoefficientError(
-        f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
-    )
-
-
 def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
     """The x- and t-free constants of one kernel at one y, in the order
     `partials` unpacks them, then the kernel's duals (a, b)."""
@@ -94,9 +88,9 @@ class SeedField:
     error surfaces where it would without the table; an EvaluationError
     leaves the slot empty and is raised again on the next request. A
     coefficient's error is a CoefficientError naming its member and y.
-    Three readers share the table: `partials`, `value` and `duals`. The
-    table is its only state, filled idempotently: a field shared across
-    threads may evaluate a slot twice, never differently.
+    Two readers share the table: `partials` and `duals`. The table is its
+    only state, filled idempotently: a field shared across threads may
+    evaluate a slot twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -161,11 +155,11 @@ class SeedField:
 
     def partials(self, point: Point) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
-        row: the constant, the kernels in spec order, then the poly. Raises
-        a CoefficientError naming the member and y (a coefficient that fails,
-        `kernels[<pos>].a at y = <y>: a^2 overflows`, `kernels[<pos>] at
-        y = <y>: kernel overflow at exponent ...`), or `non-finite seed
-        value` when a partial sums to inf or nan."""
+        row: the constant, the kernels in spec order, then the poly. The sums
+        are returned as summed, inf or nan included. Raises a CoefficientError
+        naming the member and y: a coefficient that fails, `kernels[<pos>].a
+        at y = <y>: a^2 overflows`, or `kernels[<pos>] at y = <y>: kernel
+        overflow at exponent ...`."""
         x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
@@ -183,7 +177,9 @@ class SeedField:
             try:
                 scale = amplitude * math.exp(theta)
             except OverflowError:
-                raise _kernel_overflow(pos, y, theta) from None
+                raise CoefficientError(
+                    f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
+                ) from None
             phi += scale
             phi_x += a * scale
             phi_y += theta_y * scale
@@ -196,33 +192,4 @@ class SeedField:
             phi_x += 2.0 * c2.value * x + c1.value
             phi_y += c2.deriv * quadratic + c1.deriv * x + c0.deriv
             phi_xy += 2.0 * c2.deriv * x + c1.deriv
-
-        isfinite = math.isfinite
-        if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
-            raise EvaluationError("non-finite seed value")
         return phi, phi_x, phi_y, phi_xy
-
-    def value(self, point: Point) -> float:
-        """phi alone at a point: the terms and errors of `partials`' phi,
-        except that only phi itself must be finite."""
-        x, y, t = point
-        phi = self._phi_start
-        row = self._row(y)
-        for pos in self._kernel_slots:
-            amplitude, a, _, b, _, sign_a2, _, _ = (
-                row[pos] or self._resolve(row, pos, y)
-            )
-            theta = a * x - sign_a2 * t + b
-            try:
-                phi += amplitude * math.exp(theta)
-            except OverflowError:
-                raise _kernel_overflow(pos, y, theta) from None
-
-        if self.spec.poly is not None:
-            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
-            quadratic = x * x - self.branch.sign * 2.0 * t
-            phi += c2.value * quadratic + c1.value * x + c0.value
-
-        if not math.isfinite(phi):
-            raise EvaluationError("non-finite seed value")
-        return phi

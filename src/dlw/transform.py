@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .jetcalc import Branch
-from .seedlab.exprlang import Dual, sech
+from .seedlab.exprlang import Dual, EvaluationError, sech
 from .seedlab.seeds import SeedField
 
 __all__ = [
@@ -37,8 +37,13 @@ class PoleError(ArithmeticError):
 
 
 def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
-    """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1."""
+    """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1.
+    Raises `non-finite seed value` where a partial is inf or nan, then
+    PoleError at a pole."""
     phi, phi_x, phi_y, phi_xy = field.partials(point)
+    isfinite = math.isfinite
+    if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
+        raise EvaluationError("non-finite seed value")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi

@@ -586,10 +586,13 @@ def test_every_transform_sample_reads_its_seed_through_partials(
         "transform_point",
         counted("transform_point", dlw.scenario.transform_point),
     )
-    assert main(["run", write_config(tmp_path, base_config())]) == 0
+    config = base_config()
+    assert main(["run", write_config(tmp_path, config)]) == 0
     capsys.readouterr()
+    points = math.prod(axis[2] for axis in config["grid"].values())
     assert calls["transform_point"] > 0
-    assert calls["partials"] == calls["transform_point"]
+    # and the phi column reads partials once per grid point
+    assert calls["partials"] == calls["transform_point"] + points
 
 
 # -- alternate solution paths ---------------------------------------------------------
@@ -599,6 +602,31 @@ def test_exact_path_runs(tmp_path, capsys):
     config = base_config(solution_path="exact")
     assert main(["run", write_config(tmp_path, config)]) == 0
     capsys.readouterr()
+
+
+def test_exact_path_far_field_writes_inf_phi_and_fails_its_control(tmp_path, capsys):
+    # theta reaches 858 at x = 715, y = 1: 1 + exp(theta) passes the float
+    # range while u and h, formed through tanh and sech, stay finite
+    csv_path = tmp_path / "far.csv"
+    config = base_config(
+        solution_path="exact",
+        grid={"x": [-5, 715, 145], "y": [-1, 1, 3], "t": [0, 1, 2]},
+        outputs=[{"format": "csv", "path": str(csv_path)}],
+    )
+    config["seed"]["kernels"][0].update(a="1 + 0.2*tanh(y)", b="0.3*y")
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    out = capsys.readouterr().out
+    assert "max residual: r1 = 1.698028e-06, r2 = 7.853483e-07 " in out
+    assert "verdict: PASS" in out
+    _, rows = read_csv(csv_path)
+    assert len(rows) == 870
+    assert sum(row[3] == "inf" for row in rows) == 43
+    assert all(math.isfinite(float(value)) for row in rows for value in row[4:])
+    config["outputs"] = []
+    config["debug"] = {"perturb_h": 1e-3}
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    out = capsys.readouterr().out
+    assert "r2 = 3.295632e+00 " in out and "verdict: FAIL" in out
 
 
 def test_exact_path_requires_unit_kernel(tmp_path, capsys):

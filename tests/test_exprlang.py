@@ -250,6 +250,18 @@ def test_quotient_whose_divisor_squares_to_zero_is_finite():
     assert eval_dual(parse_coeff_expr("y/(2*y)"), 3.0) == Dual(0.5, 0.0)
 
 
+def test_power_whose_lower_power_overflows_is_finite():
+    # (5e-201)^-2 passes the float range; the value 2e200 and the derivative
+    # -1 * 2e200 * (1e-200 / 5e-201) = -4e200 do not
+    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 0.5) == Dual(2e200, -4e200)
+    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 1.0) == Dual(1e200, -1e200)
+    # the general rule wherever a^(n-1) is in range, and an error where the
+    # derivative itself passes the range
+    assert eval_dual(parse_coeff_expr("(2*y)^-3"), 0.5) == Dual(1.0, -6.0)
+    with pytest.raises(EvaluationError, match="^non-finite result$"):
+        eval_dual(parse_coeff_expr("y^-1"), 1e-300)
+
+
 def test_eval_overflow_reported():
     with pytest.raises(EvaluationError):
         eval_dual(parse_coeff_expr("exp(y)"), 1000.0)

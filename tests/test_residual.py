@@ -278,7 +278,7 @@ def test_threads_sharing_one_field_fill_its_table_consistently():
 
     def evaluate(field, point):
         residual = fd_residual_dlw(transform_sampler(field), point, CFG)
-        return residual, field.partials(point), field.value(point)
+        return residual, field.partials(point), field.duals(point[1], 0)
 
     serial_field = kernel_field()
     serial = [evaluate(serial_field, point) for point in points]
