@@ -2,12 +2,13 @@
 single scalar field phi(x, y, t).
 
 A monomial multiplies an exact rational coefficient, an integer power of phi,
-a multiset of proper-derivative factors (phi_x, phi_xy, ...), and a multiset
-of formal symbols f^(n), g^(n) standing for derivatives of two undetermined
-functions of phi.  Polynomials are kept in a canonical normal form, and every
-operation is exact: no floating point enters this module.  A coefficient is
-held as an int while it is integral and as a Fraction once a Fraction enters;
-Monomial.coeff is always a Fraction.
+a multiset of proper-derivative factors (phi_x, phi_xy, ...), each a tuple
+(i, j, k) of its orders in x, y and t, and a multiset of formal symbols f^(n),
+g^(n), each a pair ("F", n) or ("G", n), standing for derivatives of two
+undetermined functions of phi.  Polynomials are kept in a canonical normal
+form, and every operation is exact: no floating point enters this module.  A
+coefficient is held as an int while it is integral and as a Fraction once a
+Fraction enters; Monomial.coeff is always a Fraction.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "MAX_ORDER",
     "Branch",
-    "JetIndex",
-    "CoeffSymbol",
     "Monomial",
     "JetPoly",
     "OrderLimitError",
@@ -72,47 +71,22 @@ class Branch(Enum):
             ) from None
 
 
-class JetIndex(NamedTuple):
-    """Derivative orders (i, j, k) in x, y and t; (0, 0, 0) is phi itself."""
-
-    i: int
-    j: int
-    k: int
-
-    @property
-    def order(self) -> int:
-        return self.i + self.j + self.k
-
-    def bumped(self, direction: str) -> "JetIndex":
-        i, j, k = self
-        if direction == "x":
-            return JetIndex(i + 1, j, k)
-        if direction == "y":
-            return JetIndex(i, j + 1, k)
-        if direction == "t":
-            return JetIndex(i, j, k + 1)
-        raise ValueError(f"unknown direction {direction!r}")
-
-    def render(self) -> str:
-        if self.order == 0:
-            return "phi"
-        return "phi_" + "x" * self.i + "y" * self.j + "t" * self.k
+_Jet = tuple[int, int, int]
+_Symbol = tuple[str, int]
+_UNITS = {"x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1)}
 
 
-class CoeffSymbol(NamedTuple):
-    """Formal n-th derivative of one of the two ansatz functions.
+def _render_jet(jet: _Jet) -> str:
+    i, j, k = jet
+    return "phi_" + "x" * i + "y" * j + "t" * k
 
-    Family "F" collects derivatives of f, family "G" derivatives of g.
-    """
 
-    family: str
-    order: int
-
-    def render(self) -> str:
-        base = "f" if self.family == "F" else "g"
-        if 1 <= self.order <= 3:
-            return base + "'" * self.order
-        return f"{base}^({self.order})"
+def _render_symbol(sym: _Symbol) -> str:
+    family, order = sym
+    base = "f" if family == "F" else "g"
+    if 1 <= order <= 3:
+        return base + "'" * order
+    return f"{base}^({order})"
 
 
 @dataclass(frozen=True)
@@ -121,15 +95,15 @@ class Monomial:
 
     coeff: Fraction
     phi_power: int
-    jets: tuple[JetIndex, ...]
-    syms: tuple[CoeffSymbol, ...]
+    jets: tuple[_Jet, ...]
+    syms: tuple[_Symbol, ...]
 
     def render(self) -> str:
         factors = []
         if self.phi_power:
             factors.append("phi" if self.phi_power == 1 else f"phi^{self.phi_power}")
-        factors.extend(idx.render() for idx in self.jets)
-        factors.extend(sym.render() for sym in self.syms)
+        factors.extend(map(_render_jet, self.jets))
+        factors.extend(map(_render_symbol, self.syms))
         if not factors:
             return str(self.coeff)
         body = "*".join(factors)
@@ -140,7 +114,7 @@ class Monomial:
         return f"{self.coeff}*{body}"
 
 
-_Key = tuple[int, tuple[JetIndex, ...], tuple[CoeffSymbol, ...]]
+_Key = tuple[int, tuple[_Jet, ...], tuple[_Symbol, ...]]
 _Coeff = int | Fraction
 
 # conventional factor order: phi_x, phi_xx, phi_y, phi_xy, ..., phi_t, ...
@@ -148,28 +122,31 @@ _jet_key = itemgetter(2, 1, 0)
 
 
 def _canonical_key(phi_power, jets, syms) -> _Key:
-    # a factor that is already a JetIndex or CoeffSymbol is kept, not rebuilt
-    jets = tuple(
-        sorted(
-            (idx if type(idx) is JetIndex else JetIndex(*idx) for idx in jets),
-            key=_jet_key,
-        )
-    )
-    syms = tuple(
-        sorted(sym if type(sym) is CoeffSymbol else CoeffSymbol(*sym) for sym in syms)
-    )
-    for idx in jets:
-        order = idx.i + idx.j + idx.k
-        if min(idx) < 0 or order == 0:
-            raise ValueError(f"invalid jet factor {idx}")
-        if order > MAX_ORDER:
-            raise OrderLimitError(f"{idx.render()} exceeds order cap {MAX_ORDER}")
+    """Checks every part of a raw key and sorts its factors; a factor given
+    as a list becomes a tuple, and a tuple is kept as it is."""
+    if type(phi_power) is not int:
+        raise ValueError(f"invalid phi power {phi_power!r}")
+    jets = tuple(map(tuple, jets))
+    for jet in jets:
+        if len(jet) != 3:  # checked before the factor is unpacked or sorted
+            raise ValueError(f"invalid jet factor {jet}")
+        i, j, k = jet
+        if not (type(i) is type(j) is type(k) is int and min(jet) >= 0 and i + j + k):
+            raise ValueError(f"invalid jet factor {jet}")
+        if i + j + k > MAX_ORDER:
+            raise OrderLimitError(f"{_render_jet(jet)} exceeds order cap {MAX_ORDER}")
+    syms = tuple(map(tuple, syms))
     for sym in syms:
-        if sym.family not in ("F", "G") or sym.order < 0:
+        if len(sym) != 2:
             raise ValueError(f"invalid symbol {sym}")
-        if sym.order > MAX_ORDER:
-            raise OrderLimitError(f"{sym.render()} exceeds order cap {MAX_ORDER}")
-    return (int(phi_power), jets, syms)
+        family, order = sym
+        if family not in ("F", "G") or type(order) is not int or order < 0:
+            raise ValueError(f"invalid symbol {sym}")
+        if order > MAX_ORDER:
+            raise OrderLimitError(
+                f"{_render_symbol(sym)} exceeds order cap {MAX_ORDER}"
+            )
+    return (phi_power, tuple(sorted(jets, key=_jet_key)), tuple(sorted(syms)))
 
 
 def _term_order(key: _Key):
@@ -244,11 +221,11 @@ class JetPoly:
     def jet(cls, i: int, j: int, k: int) -> "JetPoly":
         if i == j == k == 0:
             return cls.phi_power(1)
-        return cls({(0, (JetIndex(i, j, k),), ()): 1})
+        return cls({(0, ((i, j, k),), ()): 1})
 
     @classmethod
     def symbol(cls, family: str, order: int) -> "JetPoly":
-        return cls({(0, (), (CoeffSymbol(family, order),)): 1})
+        return cls({(0, (), ((family, order),)): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -357,26 +334,20 @@ def total_derivative(p: JetPoly, direction: str) -> JetPoly:
     factor phi^e contributes e*phi^(e-1)*phi_d, a jet factor gets its order
     bumped, and a symbol C_n contributes C_(n+1)*phi_d by the chain rule.
     """
-    unit = JetIndex(0, 0, 0).bumped(direction)  # ValueError on an unknown direction
+    if direction not in _UNITS:
+        raise ValueError(f"unknown direction {direction!r}")
+    di, dj, dk = unit = _UNITS[direction]
     out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
         if phi_power:
             out.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
-        for idx in set(jets):
-            out.append(
-                (
-                    (phi_power, _with_replaced(jets, idx, idx.bumped(direction)), syms),
-                    coeff * jets.count(idx),
-                )
-            )
+        for jet in set(jets):
+            i, j, k = jet
+            bumped = _with_replaced(jets, jet, (i + di, j + dj, k + dk))
+            out.append(((phi_power, bumped, syms), coeff * jets.count(jet)))
         for sym in set(syms):
-            raised = CoeffSymbol(sym.family, sym.order + 1)
-            out.append(
-                (
-                    (phi_power, (*jets, unit), _with_replaced(syms, sym, raised)),
-                    coeff * syms.count(sym),
-                )
-            )
+            raised = _with_replaced(syms, sym, (sym[0], sym[1] + 1))
+            out.append(((phi_power, (*jets, unit), raised), coeff * syms.count(sym)))
     return JetPoly(out)
 
 
@@ -420,12 +391,13 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
     for (phi_power, jets, _), coeff in p._terms.items():
         factor = 1
         new_jets = []
-        for idx in jets:
-            if idx.k:
-                factor *= (-branch.sign) ** idx.k
-                new_jets.append(JetIndex(idx.i + 2 * idx.k, idx.j, 0))
+        for jet in jets:
+            i, j, k = jet
+            if k:
+                factor *= (-branch.sign) ** k
+                new_jets.append((i + 2 * k, j, 0))
             else:
-                new_jets.append(idx)
+                new_jets.append(jet)
         out.append(((phi_power, new_jets, ()), coeff * factor))
     return JetPoly(out)
 

@@ -68,6 +68,9 @@ class GridSpec:
                 raise ValueError(f"{axis} count must be >= 1")
             if hi < lo:
                 raise ValueError(f"{axis} range must be ordered")
+        for axis, coords in zip("xyt", self._axes()):
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"{axis} range gives a non-finite coordinate")
 
     def _axes(self) -> tuple[list[float], list[float], list[float]]:
         """The coordinates the grid takes on x, y and t."""

@@ -432,7 +432,10 @@ def export_csv(records: list[PointRecord], path: str | Path) -> None:
 
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
     """Machine-readable run report: the report's fields plus the run's grid
-    and step."""
+    and step. JSON has no NaN or inf, so a non-finite residual is null."""
+    fields = asdict(report)
+    for key in ("max_abs", "mean_abs"):
+        fields[key] = [r if math.isfinite(r) else None for r in fields[key]]
     payload = {
         "scenario": {
             "branch": sc.branch.name.lower(),
@@ -441,7 +444,7 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
             "step": sc.stencil.step,
         },
         "report": {
-            **asdict(report),
+            **fields,
             "grid": asdict(sc.grid),
             "stencil": asdict(sc.stencil),
         },

@@ -202,6 +202,8 @@ def test_run_rejects_missing_sections(tmp_path, capsys):
     [
         ("y", [1.0, -1.0, 3], "y range must be ordered"),
         ("t", [0.0, 0.5, 0], "t count must be >= 1"),
+        # the span passes the float range: the coordinates would be nan, inf, inf
+        ("x", [-1e308, 1e308, 3], "x range gives a non-finite coordinate"),
     ],
 )
 def test_run_grid_errors_name_the_axis(tmp_path, capsys, axis, span, message):
@@ -296,6 +298,49 @@ def test_csv_roundtrip_matches_report(tmp_path, capsys):
     assert abs(max1 - payload["report"]["max_abs"][0]) <= 1e-12
     assert abs(max2 - payload["report"]["max_abs"][1]) <= 1e-12
     assert payload["report"]["skipped"] == 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "seed, grid, evaluated",
+    [
+        # a saturated kernel: every residual is NaN
+        (
+            {
+                "kind": "kernels",
+                "constant": 1.0,
+                "kernels": [{"a": "1", "b": "360 + 1*y"}],
+            },
+            {"x": [-1.0, 1.0, 5], "y": [-1.0, 1.0, 5], "t": [0.0, 1.0, 2]},
+            50,
+        ),
+        # phi = x^2 - 2t + x*y is zero at the origin: the one point is pole-skipped
+        (
+            {"kind": "poly", "poly": {"c2": "1", "c1": "y", "c0": "0"}},
+            {"x": [0.0, 0.0, 1], "y": [0.0, 0.0, 1], "t": [0.0, 0.0, 1]},
+            0,
+        ),
+    ],
+)
+def test_report_json_writes_a_non_finite_residual_as_null(
+    tmp_path, capsys, seed, grid, evaluated
+):
+    report_path = tmp_path / "report.json"
+    config = base_config(
+        seed=seed, grid=grid, outputs=[{"format": "report", "path": str(report_path)}]
+    )
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    out = capsys.readouterr().out
+    assert "max residual: r1 = nan, r2 = nan" in out  # the summary keeps nan
+    assert "mean residual: r1 = nan, r2 = nan" in out
+    payload = json.loads(report_path.read_text(), parse_constant=_refuse_constant)
+    inner = payload["report"]
+    assert inner["max_abs"] == inner["mean_abs"] == [None, None]
+    assert inner["evaluated"] == evaluated
+    assert payload["verified"] is False
 
 
 def test_report_json_is_the_report_fields_plus_grid_and_step(tmp_path, capsys):
@@ -769,6 +814,7 @@ REDUCE_GRID_FLAGS = {
 def reduce_equivalent(argv):
     """The exact-const document and `run` flags equivalent to `reduce *argv`."""
     a, d, *flags = argv
+    flags = [part for flag in flags for part in flag.split("=", 1)]  # --z0=-1e308
     grid = {"x": [-5.0, 5.0, 41], "y": [0.0, 0.0, 1], "t": [0.0, 1.0, 5]}
     run_flags = []
     for flag, value in zip(flags[::2], flags[1::2]):
@@ -809,6 +855,11 @@ NOT_FINITE = "expected a finite number, got"
             ["1", "0", "--t0", "1", "--t1", "0"],
             "grid: t range must be ordered",
             id="t-reversed",
+        ),
+        pytest.param(
+            ["1", "0", "--z0=-1e308", "--z1=1e308"],
+            "grid: x range gives a non-finite coordinate",
+            id="z-past-the-float-range",
         ),
         pytest.param(["nan", "0"], f"params.a: {NOT_FINITE} nan", id="a-nan"),
         pytest.param(["1", "inf"], f"params.d: {NOT_FINITE} inf", id="d-inf"),
