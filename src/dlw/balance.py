@@ -53,7 +53,8 @@ G_RESOLVED = "g = 2*ln(phi)"
 
 class DerivationError(Exception):
     """The derivation cannot be set up: the balance system has no unique
-    solution, or a residual's top-degree part has an unexpected jet."""
+    solution, or a residual has no terms or a top-degree part with an
+    unexpected jet."""
 
 
 class BalanceExponents(NamedTuple):
@@ -149,18 +150,23 @@ def build_residuals(
     return system_residuals(u, h)
 
 
-def _leading_coefficient(e: JetPoly) -> JetPoly:
-    """Symbol-only coefficient of the top-degree part (phi_x^3 * phi_y)."""
+def _leading_coefficient(e: JetPoly, name: str) -> JetPoly:
+    """Symbol-only coefficient of the top-degree part (phi_x^3 * phi_y) of
+    the residual called name."""
     parts = degree_decompose(e)
+    if not parts:
+        raise DerivationError(f"residual {name} has no terms")
     top = parts[max(parts)]
-    stripped = []
-    for mono in top.monomials():
-        if mono.jets != _TOP_JETS:
-            raise DerivationError(
-                f"unexpected top-degree jet structure in {mono.render()}"
-            )
-        stripped.append(((mono.phi_power, (), mono.syms), mono.coeff))
-    return JetPoly(stripped)
+    if any(jets != _TOP_JETS for _, jets, _ in top._terms):
+        first = next(m for m in top.monomials() if m.jets != _TOP_JETS)
+        raise DerivationError(
+            f"unexpected top-degree jet structure in {first.render()}"
+        )
+    # dropping the one shared jet part leaves the keys canonical and distinct
+    return JetPoly._canonical(
+        ((phi_power, (), syms), coeff)
+        for (phi_power, _, syms), coeff in top._terms.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,8 @@ def check_ode_system(branch: Branch) -> DerivationCheck:
     return DerivationCheck(
         branch,
         {
-            "ode[0]": specialize_log(_leading_coefficient(e1), branch),
-            "ode[1]": specialize_log(_leading_coefficient(e2), branch),
+            "ode[0]": specialize_log(_leading_coefficient(e1, "e1"), branch),
+            "ode[1]": specialize_log(_leading_coefficient(e2, "e2"), branch),
             "identity[0]": specialize_log(
                 sym("G", 1) * sym("G", 2) + sym("G", 3), branch
             ),

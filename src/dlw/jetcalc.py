@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable
 
 __all__ = [
@@ -39,8 +39,9 @@ MAX_ORDER = 8
 
 
 class OrderLimitError(ValueError):
-    """A jet factor or symbol order above MAX_ORDER; raised by _canonical_key
-    alone, so every operation that builds keys through it is capped."""
+    """A jet factor or symbol order above MAX_ORDER; raised by _check_cap
+    alone, which _canonical_key runs on every factor of a raw key and
+    total_derivative and reduce_heat on each factor whose order they raise."""
 
 
 class SpecializationError(Exception):
@@ -121,6 +122,16 @@ _Coeff = int | Fraction
 _jet_key = itemgetter(2, 1, 0)
 
 
+def _sorted_jets(jets) -> tuple[_Jet, ...]:
+    return tuple(sorted(jets, key=_jet_key))
+
+
+def _check_cap(order: int, factor, render) -> None:
+    """The one home of the order cap and its message."""
+    if order > MAX_ORDER:
+        raise OrderLimitError(f"{render(factor)} exceeds order cap {MAX_ORDER}")
+
+
 def _canonical_key(phi_power, jets, syms) -> _Key:
     """Checks every part of a raw key and sorts its factors; a factor given
     as a list becomes a tuple, and a tuple is kept as it is."""
@@ -133,8 +144,7 @@ def _canonical_key(phi_power, jets, syms) -> _Key:
         i, j, k = jet
         if not (type(i) is type(j) is type(k) is int and min(jet) >= 0 and i + j + k):
             raise ValueError(f"invalid jet factor {jet}")
-        if i + j + k > MAX_ORDER:
-            raise OrderLimitError(f"{_render_jet(jet)} exceeds order cap {MAX_ORDER}")
+        _check_cap(i + j + k, jet, _render_jet)
     syms = tuple(map(tuple, syms))
     for sym in syms:
         if len(sym) != 2:
@@ -142,11 +152,8 @@ def _canonical_key(phi_power, jets, syms) -> _Key:
         family, order = sym
         if family not in ("F", "G") or type(order) is not int or order < 0:
             raise ValueError(f"invalid symbol {sym}")
-        if order > MAX_ORDER:
-            raise OrderLimitError(
-                f"{_render_symbol(sym)} exceeds order cap {MAX_ORDER}"
-            )
-    return (phi_power, tuple(sorted(jets, key=_jet_key)), tuple(sorted(syms)))
+        _check_cap(order, sym, _render_symbol)
+    return (phi_power, _sorted_jets(jets), tuple(sorted(syms)))
 
 
 def _term_order(key: _Key):
@@ -173,11 +180,17 @@ class JetPoly:
     _term_order.  The constructor takes raw (key, coeff) pairs, in which a
     key may repeat and factors may come in any order: it validates and sorts
     each key (_canonical_key), then hands the pairs to the one normaliser
-    (_normalised), which merges and drops zeros.  Sums, negation, scalar
-    products, log specialization and degree decomposition, whose keys are
-    canonical already, call the normaliser alone, as do products, which
-    re-sort the factors of two canonical keys but need not re-validate
-    them: a product raises no factor's order.  Arithmetic
+    (_normalised), which merges and drops zeros.  No arithmetic or calculus
+    operation goes through the constructor: each builds keys that are
+    canonical already and skips full validation.  Negation, scalar
+    products, log specialization and degree decomposition call the
+    normaliser alone; sums and differences merge the other operand into a
+    copy of the terms, dropping only keys that cancel; products re-sort the
+    factors of two canonical keys, and total_derivative and reduce_heat the
+    factors of each key they change.  The order cap is enforced where an
+    order can rise: the constructor checks every factor, and
+    total_derivative and reduce_heat each factor they raise (a product
+    raises none).  Arithmetic
     accepts ints and Fractions as scalars.  A stored coefficient is an int
     or a Fraction, never a float: the constructor converts anything else
     with Fraction().
@@ -273,10 +286,25 @@ class JetPoly:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _merged(self, other: "JetPoly", op) -> "JetPoly":
+        """self op other, merged into a copy of self's terms: other's keys
+        are canonical and its coefficients nonzero, so a key drops only
+        where it cancels."""
+        terms = self._terms.copy()
+        for key, coeff in other._terms.items():
+            value = op(terms.get(key, 0), coeff)
+            if value:
+                terms[key] = value
+            else:
+                del terms[key]
+        poly = JetPoly.__new__(JetPoly)
+        poly._terms = terms
+        return poly
+
     def __add__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return JetPoly._canonical([*self._terms.items(), *other._terms.items()])
+        return self._merged(other, add)
 
     def __neg__(self) -> "JetPoly":
         return JetPoly._canonical((key, -coeff) for key, coeff in self._terms.items())
@@ -284,7 +312,7 @@ class JetPoly:
     def __sub__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return self + (-other)
+        return self._merged(other, sub)
 
     def __mul__(self, other) -> "JetPoly":
         if isinstance(other, (int, Fraction)):
@@ -299,7 +327,7 @@ class JetPoly:
             (
                 (
                     p1 + p2,
-                    tuple(sorted(jets1 + jets2, key=_jet_key)),
+                    _sorted_jets(jets1 + jets2),
                     tuple(sorted(syms1 + syms2)),
                 ),
                 c1 * c2,
@@ -320,35 +348,43 @@ class JetPoly:
         return result
 
 
-def _with_replaced(factors: tuple, old, new) -> list:
-    items = list(factors)
-    items.remove(old)
-    items.append(new)
-    return items
-
-
 def total_derivative(p: JetPoly, direction: str) -> JetPoly:
     """Total derivative along x, y or t.
 
     phi and every jet variable are treated as functions of (x, y, t), so a
     factor phi^e contributes e*phi^(e-1)*phi_d, a jet factor gets its order
     bumped, and a symbol C_n contributes C_(n+1)*phi_d by the chain rule.
+    Each output key is a canonical key of p with one factor raised or one
+    unit jet added, so only the raised factor is checked against the cap
+    and only that key's factors are re-sorted: the result skips
+    _canonical_key.
     """
     if direction not in _UNITS:
         raise ValueError(f"unknown direction {direction!r}")
     di, dj, dk = unit = _UNITS[direction]
     out: list[tuple[_Key, _Coeff]] = []
     for (phi_power, jets, syms), coeff in p._terms.items():
+        if phi_power or syms:
+            with_unit = _sorted_jets((*jets, unit))
         if phi_power:
-            out.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
-        for jet in set(jets):
+            out.append(((phi_power - 1, with_unit, syms), coeff * phi_power))
+        for n, jet in enumerate(jets):
+            if n and jet == jets[n - 1]:
+                continue  # a repeated factor, counted at its first place
             i, j, k = jet
-            bumped = _with_replaced(jets, jet, (i + di, j + dj, k + dk))
-            out.append(((phi_power, bumped, syms), coeff * jets.count(jet)))
-        for sym in set(syms):
-            raised = _with_replaced(syms, sym, (sym[0], sym[1] + 1))
-            out.append(((phi_power, (*jets, unit), raised), coeff * syms.count(sym)))
-    return JetPoly(out)
+            bumped = (i + di, j + dj, k + dk)
+            _check_cap(i + j + k + 1, bumped, _render_jet)
+            key = (phi_power, _sorted_jets((*jets[:n], bumped, *jets[n + 1 :])), syms)
+            out.append((key, coeff * jets.count(jet)))
+        for n, sym in enumerate(syms):
+            if n and sym == syms[n - 1]:
+                continue
+            family, order = sym
+            raised = (family, order + 1)
+            _check_cap(order + 1, raised, _render_symbol)
+            raised_syms = tuple(sorted((*syms[:n], raised, *syms[n + 1 :])))
+            out.append(((phi_power, with_unit, raised_syms), coeff * syms.count(sym)))
+    return JetPoly._canonical(out)
 
 
 def specialize_log(p: JetPoly, branch: Branch) -> JetPoly:
@@ -383,23 +419,29 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
     Each jet factor (i, j, k) with k >= 1 becomes (-sign)^k * (i+2k, j, 0);
     the rewrite is a substitution on independent generators, so it is
     confluent and idempotent.  Requires a symbol-free (already specialized)
-    polynomial.
+    polynomial.  A key without t-derivatives is kept as it is; in any other
+    only the rewritten factors are checked against the cap before the key's
+    factors are re-sorted: the result skips _canonical_key.
     """
     if p.has_symbols():
         raise SpecializationError("reduce_heat requires a symbol-free polynomial")
     out: list[tuple[_Key, _Coeff]] = []
-    for (phi_power, jets, _), coeff in p._terms.items():
+    for key, coeff in p._terms.items():
+        phi_power, jets, _ = key
+        if not (jets and jets[-1][2]):  # t-orders sort last: this key has none
+            out.append((key, coeff))
+            continue
         factor = 1
         new_jets = []
         for jet in jets:
             i, j, k = jet
             if k:
                 factor *= (-branch.sign) ** k
-                new_jets.append((i + 2 * k, j, 0))
-            else:
-                new_jets.append(jet)
-        out.append(((phi_power, new_jets, ()), coeff * factor))
-    return JetPoly(out)
+                jet = (i + 2 * k, j, 0)
+                _check_cap(i + j + 2 * k, jet, _render_jet)
+            new_jets.append(jet)
+        out.append(((phi_power, _sorted_jets(new_jets), ()), coeff * factor))
+    return JetPoly._canonical(out)
 
 
 def degree_decompose(p: JetPoly) -> dict[int, JetPoly]:

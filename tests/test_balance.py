@@ -135,12 +135,12 @@ def test_vacuum_annihilates_residuals():
 
 def test_leading_coefficients_match_ode_system():
     e1, e2 = build_residuals()
-    assert _leading_coefficient(e1) == sym("G", 4) + sym("F", 2) ** 2 + sym(
-        "F", 1
-    ) * sym("F", 3)
-    assert _leading_coefficient(e2) == sym("F", 4) + sym("F", 2) * sym("G", 2) + sym(
-        "F", 1
-    ) * sym("G", 3)
+    assert _leading_coefficient(e1, "e1") == (
+        sym("G", 4) + sym("F", 2) ** 2 + sym("F", 1) * sym("F", 3)
+    )
+    assert _leading_coefficient(e2, "e2") == (
+        sym("F", 4) + sym("F", 2) * sym("G", 2) + sym("F", 1) * sym("G", 3)
+    )
 
 
 def test_residual_degrees():

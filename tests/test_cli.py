@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import dlw.balance
 import dlw.scenario
 from dlw.cli import main
-from dlw.jetcalc import Branch
+from dlw.jetcalc import Branch, JetPoly
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField
@@ -128,6 +129,15 @@ def test_derive_stdout_and_json_are_pinned(tmp_path, capsys):
     assert main(["derive", "--output", str(target)]) == 0
     assert capsys.readouterr().out == DERIVE_STDOUT
     assert target.read_bytes() == DERIVE_JSON.encode()
+
+
+def test_derive_with_no_residual_terms_fails_without_a_traceback(capsys, monkeypatch):
+    # a total derivative that loses every term leaves both residuals empty
+    monkeypatch.setattr(dlw.balance, "total_derivative", lambda p, direction: JetPoly())
+    assert main(["derive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "derivation FAILED:\nresidual e1 has no terms\n"
+    assert captured.err == ""
 
 
 # -- run ---------------------------------------------------------------------------
@@ -753,6 +763,18 @@ def test_reduce_minus_branch(capsys):
 def test_reduce_tight_threshold_fails(capsys):
     assert main(["reduce", "1.0", "0.0", "--threshold", "1e-12"]) == 1
     capsys.readouterr()
+
+
+def test_reduce_reads_negative_numbers_written_with_an_exponent(tmp_path, capsys):
+    # argparse takes a separate "-1e1" for a flag: a bound is joined to its
+    # flag by "=", and a wave parameter follows "--"
+    target = tmp_path / "reduce.csv"
+    assert main(["reduce", "1", "0", "--z0=-1e1", "--output", str(target)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(target)
+    assert float(rows[0][0]) == -10.0
+    assert main(["reduce", "--nz", "5", "--", "-1e-1", "0"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_reduce_csv_export(tmp_path, capsys):

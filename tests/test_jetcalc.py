@@ -75,16 +75,26 @@ def test_derivative_rejects_unknown_direction():
         total_derivative(jet(1, 0, 0), "z")
 
 
+def _cap_message(raw_key) -> str:
+    """The validating constructor's OrderLimitError text for raw_key: an
+    operation that checks the orders it raises must read the same."""
+    with pytest.raises(OrderLimitError) as raised:
+        JetPoly({raw_key: 1})
+    return str(raised.value)
+
+
 def test_derivative_order_cap_is_detected():
     p = jet(8, 0, 0)
-    with pytest.raises(OrderLimitError):
+    with pytest.raises(OrderLimitError) as raised:
         total_derivative(p, "x")
+    assert str(raised.value) == _cap_message((0, ((9, 0, 0),), ()))
 
 
 def test_symbol_order_cap_is_detected():
     p = sym("F", 8)
-    with pytest.raises(OrderLimitError):
+    with pytest.raises(OrderLimitError) as raised:
         total_derivative(p, "x")
+    assert str(raised.value) == _cap_message((0, ((1, 0, 0),), (("F", 9),)))
 
 
 # -- logarithmic specialization ----------------------------------------------
@@ -165,8 +175,9 @@ def test_reduce_heat_requires_symbol_free_input():
 
 
 def test_reduce_heat_order_cap():
-    with pytest.raises(OrderLimitError):
+    with pytest.raises(OrderLimitError) as raised:
         reduce_heat(jet(7, 0, 1), Branch.PLUS)
+    assert str(raised.value) == _cap_message((0, ((9, 0, 0),), ()))
 
 
 # -- degree decomposition ------------------------------------------------------
@@ -286,12 +297,42 @@ def _product_pairs(p: JetPoly, q: JetPoly) -> list:
     ]
 
 
+def _derivative_pairs(p: JetPoly, direction: str) -> list:
+    """Raw pairs of the total derivative of p, one per factor it acts on
+    (Leibniz's rule term by term), each changed factor appended after the
+    others, left for the validating constructor to merge and sort."""
+    unit = {"x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1)}[direction]
+    pairs = []
+    for (phi_power, jets, syms), coeff in _raw_pairs(p):
+        if phi_power:
+            pairs.append(((phi_power - 1, (*jets, unit), syms), coeff * phi_power))
+        for n, jet in enumerate(jets):
+            bumped = tuple(order + step for order, step in zip(jet, unit))
+            pairs.append(((phi_power, (*jets[:n], *jets[n + 1 :], bumped), syms), coeff))
+        for n, (family, order) in enumerate(syms):
+            raised = (*syms[:n], *syms[n + 1 :], (family, order + 1))
+            pairs.append(((phi_power, (*jets, unit), raised), coeff))
+    return pairs
+
+
+def _heat_pairs(p: JetPoly, branch: Branch) -> list:
+    """Raw pairs of reduce_heat(p): every factor rewritten in place, so a
+    rewritten factor may now sort before the ones it follows."""
+    pairs = []
+    for (phi_power, jets, syms), coeff in _raw_pairs(p):
+        for _, _, k in jets:
+            coeff *= (-branch.sign) ** k
+        pairs.append(((phi_power, [(i + 2 * k, j, 0) for i, j, k in jets], syms), coeff))
+    return pairs
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys, _polys, _coeffs, st.sampled_from(BRANCHES))
 def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
-    # sums, negation, scalar products, products, log specialization and
-    # degree decomposition skip key validation; each must still give the
-    # polynomial, and the term order, of the full constructor
+    # sums, negation, scalar products, products, total derivatives, log
+    # specialization, heat reduction and degree decomposition skip key
+    # validation; each must still give the polynomial, and the term order,
+    # of the full constructor
     special = specialize_log(a, branch)
     cases = [
         (a + b, _raw_pairs(a) + _raw_pairs(b)),
@@ -303,6 +344,8 @@ def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
         (b * a, _product_pairs(b, a)),
         (b**2, _product_pairs(b, b)),
         (special, _raw_pairs(special)),
+        (reduce_heat(special, branch), _heat_pairs(special, branch)),
+        *((total_derivative(a, d), _derivative_pairs(a, d)) for d in "xyt"),
         *((part, _raw_pairs(part)) for part in degree_decompose(a).values()),
     ]
     for got, pairs in cases:
