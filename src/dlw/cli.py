@@ -91,6 +91,8 @@ def _verify(runs, residual) -> bool:
             report, records = evaluate_scenario(sc, residual)
         except CoefficientError as exc:  # name the expression by its document key
             raise EvaluationError(f"{where}.seed.{exc}") from None
+        except EvaluationError as exc:  # the summed seed, named by its point
+            raise EvaluationError(f"{where}.seed: {exc}") from None
         if not any(spec.format == "csv" for spec in sc.outputs):
             records = []
         results.append((sc, report, records))

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .jetcalc import Branch
 from .residual import (
@@ -40,7 +40,6 @@ __all__ = [
     "ConfigError",
     "ConstParams",
     "ExportSpec",
-    "PointRecord",
     "Scenario",
     "CSV_HEADER",
     "load_config",
@@ -96,23 +95,10 @@ class Scenario:
     perturb_h: float = 0.0
 
 
-class PointRecord(NamedTuple):
-    """One exported grid row, fields in CSV column order; nan marks
-    pole-skipped values."""
-
-    x: float
-    y: float
-    t: float
-    phi: float
-    u: float
-    h: float
-    res1: float
-    res2: float
-
-
-CSV_HEADER = ",".join(PointRecord._fields)
+# the columns of an `evaluate_grid` row, in order
+CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
 # one row, 17 significant digits a value: "%.17g" renders as format(v, ".17g")
-_CSV_ROW = ",".join("%.17g" for _ in PointRecord._fields)
+_CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(","))
 
 
 def load_config(path: str | Path) -> dict:
@@ -358,12 +344,12 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
         if sc.solution_path == "exact":
 
             def sampler(x, y, t):
-                a, b = field.duals(y, 0)
+                a, b = field.duals(y)
                 return exact_uh(a, b, sc.branch, (x, y, t))
 
             def phi_value(x, y, t):  # the unit kernel's 1 + exp(theta)
-                a, b = field.duals(y, 0)
-                return one_plus_exp(a.value * x - sign * a.value**2 * t + b.value)
+                (a, _), (b, _) = field.duals(y)
+                return one_plus_exp(a * x - sign * a**2 * t + b)
 
         else:
 
@@ -390,12 +376,13 @@ def evaluate_grid(
     residual: Residual,
     sampler: FieldSampler,
     phi_value: Callable[..., float],
-) -> tuple[ResidualReport, list[PointRecord]]:
+) -> tuple[ResidualReport, list[tuple]]:
     """Residuals, fields and seed values at every grid point, x fastest.
 
     Each point evaluates phi, then the stencil residual, then (u, h) at the
-    centre. A point whose stencil meets a pole is skipped, not failed: its
-    record keeps phi and carries nan in the other columns.
+    centre. Each row is a plain tuple (x, y, t, phi, u, h, res1, res2), in
+    CSV_HEADER's column order. A point whose stencil meets a pole is skipped,
+    not failed: its row keeps phi and carries nan in the other columns.
     """
     points = grid.points()
     results = []
@@ -409,21 +396,21 @@ def evaluate_grid(
             r2 = a2 + b2 + c2
             u, h = sampler(x, y, t)
             results.append((r1, r2))
-            records.append(PointRecord(x, y, t, phi, u, h, r1, r2))
+            records.append((x, y, t, phi, u, h, r1, r2))
         except PoleError:
             results.append(None)
-            records.append(PointRecord(x, y, t, phi, nan, nan, nan, nan))
+            records.append((x, y, t, phi, nan, nan, nan, nan))
     return aggregate_residuals(points, results), records
 
 
 def evaluate_scenario(
     sc: Scenario, residual: Residual
-) -> tuple[ResidualReport, list[PointRecord]]:
+) -> tuple[ResidualReport, list[tuple]]:
     """Evaluate fields and `residual` on the scenario's grid."""
     return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc))
 
 
-def export_csv(records: list[PointRecord], path: str | Path) -> None:
+def export_csv(records: list[tuple], path: str | Path) -> None:
     """Fixed-header CSV, one row per grid point, 17 significant digits."""
     lines = [CSV_HEADER]
     lines.extend(_CSV_ROW % record for record in records)

@@ -20,7 +20,6 @@ __all__ = [
     "BinOp",
     "Pow",
     "Call",
-    "Dual",
     "ExprSyntaxError",
     "EvaluationError",
     "FUNCTIONS",
@@ -258,14 +257,6 @@ def sech(x: float) -> float:
     return 2.0 * a / (1.0 + a * a)
 
 
-@dataclass(frozen=True)
-class Dual:
-    """Value and first derivative in y, as `eval_dual` returns them."""
-
-    value: float
-    deriv: float
-
-
 def _eval(expr: CoeffExpr, y: float) -> tuple[float, float]:
     """(value, y-derivative) of `expr` at y, propagated forward. Float
     failures surface as Python's own exceptions, for `eval_dual` to name."""
@@ -319,8 +310,8 @@ def _eval(expr: CoeffExpr, y: float) -> tuple[float, float]:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def eval_dual(expr: CoeffExpr, y: float) -> Dual:
-    """Evaluate (f(y), f'(y)) by forward-mode propagation. Every float
+def eval_dual(expr: CoeffExpr, y: float) -> tuple[float, float]:
+    """The float pair (f(y), f'(y)), by forward-mode propagation. Every float
     failure leaves as an EvaluationError: a zero divisor, an overflow, or a
     result that is not finite (sin and cos of an infinite argument among
     them)."""
@@ -334,4 +325,4 @@ def eval_dual(expr: CoeffExpr, y: float) -> Dual:
         raise EvaluationError("non-finite result") from None
     if not (math.isfinite(value) and math.isfinite(deriv)):
         raise EvaluationError("non-finite result")
-    return Dual(value, deriv)
+    return value, deriv

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..jetcalc import Branch
-from .exprlang import CoeffExpr, Dual, EvaluationError, eval_dual
+from .exprlang import CoeffExpr, EvaluationError, eval_dual
 
 __all__ = [
     "Kernel",
@@ -34,16 +34,18 @@ class CoefficientError(EvaluationError):
     `kernels[0]`) and the y value."""
 
 
-def _kernel_constants(amplitude: float, a: Dual, b: Dual, sign: int) -> tuple:
+def _kernel_constants(amplitude: float, a: tuple, b: tuple, sign: int) -> tuple:
     """The x- and t-free constants of one kernel at one y, in the order
-    `partials` unpacks them, then the kernel's duals (a, b)."""
-    a_value, a_prime = a.value, a.deriv
+    `partials` unpacks them, then the kernel's pairs (a, b) as `duals`
+    returns them. a and b are (value, y-derivative) pairs."""
+    a_value, a_prime = a
+    b_value, b_prime = b
     return (
         amplitude,
         a_value,
         a_prime,
-        b.value,
-        b.deriv,
+        b_value,
+        b_prime,
         sign * a_value**2,  # OverflowError past the float range
         sign * 2.0 * a_value * a_prime,
         (a, b),
@@ -81,16 +83,17 @@ class SeedField:
 
     The coefficients depend on y alone, so the field keeps a table with one
     row per distinct y and one slot per coefficient group: each kernel, then
-    the poly. A kernel's slot holds its x- and t-free constants (amplitude,
-    a, a', b, b', sign*a^2 and sign*2aa' of its exponent) and its duals
-    (a, b); the poly's holds the duals (c2, c1, c0). A slot is filled when a
-    point first needs it, in the order the seed's terms are summed, so an
-    error surfaces where it would without the table; an EvaluationError
-    leaves the slot empty and is raised again on the next request. A
-    coefficient's error is a CoefficientError naming its member and y.
-    Two readers share the table: `partials` and `duals`. The table is its
-    only state, filled idempotently: a field shared across threads may
-    evaluate a slot twice, never differently.
+    the poly. A coefficient is held as its (value, y-derivative) float pair.
+    A kernel's slot holds its x- and t-free constants (amplitude, a, a', b,
+    b', sign*a^2 and sign*2aa' of its exponent) and its pairs (a, b); the
+    poly's holds the pairs (c2, c1, c0). A slot is filled when a point first
+    needs it, in the order the seed's terms are summed, so an error surfaces
+    where it would without the table; an EvaluationError leaves the slot
+    empty and is raised again on the next request. A coefficient's error is
+    a CoefficientError naming its member and y. Two readers share the table:
+    `partials`, and `duals`, which reads kernel 0 for the exact path. The
+    table is its only state, filled idempotently: a field shared across
+    threads may evaluate a slot twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -110,27 +113,17 @@ class SeedField:
         self._phi_start = 0.0 + constant if constant else 0.0  # never -0.0
         self._rows: dict[object, list[tuple | None]] = {}
 
-    def _row(self, y: float) -> list[tuple | None]:
-        # Keyed on the exact float. Equal floats share a row except the
-        # signed zeros, which eval_dual can tell apart; NaNs, equal to
-        # nothing, share one key.
-        key = y if y and y == y else repr(y)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [None] * len(self._groups)
-        return row
-
     def _resolve(self, row: list, slot: int, y: float) -> tuple:
-        duals = []
+        pairs = []
         for member, expr in self._groups[slot]:
             try:
-                duals.append(eval_dual(expr, y))
+                pairs.append(eval_dual(expr, y))
             except EvaluationError as exc:
                 raise CoefficientError(f"{member} at y = {y!r}: {exc}") from None
         if slot in self._kernel_slots:
             try:
                 entry = _kernel_constants(
-                    self.spec.kernels[slot].amplitude, *duals, self.branch.sign
+                    self.spec.kernels[slot].amplitude, *pairs, self.branch.sign
                 )
             except OverflowError:
                 # float ** raises where * rounds to inf; every sample needs a**2
@@ -138,20 +131,19 @@ class SeedField:
                     f"kernels[{slot}].a at y = {y!r}: a^2 overflows"
                 ) from None
         else:
-            entry = tuple(duals)
+            entry = tuple(pairs)
         row[slot] = entry
         return entry
 
-    def duals(self, y: float, slot: int) -> tuple[Dual, ...]:
-        """Duals of one coefficient group at y: kernel `slot`'s (a, b), or
-        the poly's (c2, c1, c0) at slot -1. A kernel whose a^2 passes the
-        float range raises `kernels[<pos>].a at y = <y>: a^2 overflows` (a
-        CoefficientError), as `partials` does."""
-        if slot < 0:
-            slot += len(self._groups)
-        row = self._row(y)
-        entry = row[slot] or self._resolve(row, slot, y)
-        return entry[-1] if slot in self._kernel_slots else entry
+    def duals(self, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Kernel 0's pairs ((a, a'), (b, b')) at y, which the exact path
+        reads. A kernel whose a^2 passes the float range raises `kernels[0].a
+        at y = <y>: a^2 overflows` (a CoefficientError), as `partials` does."""
+        key = y if y and y == y else repr(y)  # as in partials
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self._groups)
+        return (row[0] or self._resolve(row, 0, y))[-1]
 
     def partials(self, point: Point) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
@@ -164,7 +156,10 @@ class SeedField:
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
 
-        key = y if y and y == y else repr(y)  # as in _row
+        # Keyed on the exact float. Equal floats share a row except the
+        # signed zeros, which eval_dual can tell apart; NaNs, equal to
+        # nothing, share one key.
+        key = y if y and y == y else repr(y)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
@@ -186,10 +181,12 @@ class SeedField:
             phi_xy += (a_prime + a * theta_y) * scale
 
         if self.spec.poly is not None:
-            c2, c1, c0 = row[-1] or self._resolve(row, -1, y)
+            (c2, c2_prime), (c1, c1_prime), (c0, c0_prime) = (
+                row[-1] or self._resolve(row, -1, y)
+            )
             quadratic = x * x - self.branch.sign * 2.0 * t
-            phi += c2.value * quadratic + c1.value * x + c0.value
-            phi_x += 2.0 * c2.value * x + c1.value
-            phi_y += c2.deriv * quadratic + c1.deriv * x + c0.deriv
-            phi_xy += 2.0 * c2.deriv * x + c1.deriv
+            phi += c2 * quadratic + c1 * x + c0
+            phi_x += 2.0 * c2 * x + c1
+            phi_y += c2_prime * quadratic + c1_prime * x + c0_prime
+            phi_xy += 2.0 * c2_prime * x + c1_prime
         return phi, phi_x, phi_y, phi_xy

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .jetcalc import Branch
-from .seedlab.exprlang import Dual, EvaluationError, sech
+from .seedlab.exprlang import EvaluationError, sech
 from .seedlab.seeds import SeedField
 
 __all__ = [
@@ -38,12 +38,12 @@ class PoleError(ArithmeticError):
 
 def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1.
-    Raises `non-finite seed value` where a partial is inf or nan, then
-    PoleError at a pole."""
+    Raises `non-finite seed value at point <point>` (an EvaluationError)
+    where a partial is inf or nan, then PoleError at a pole."""
     phi, phi_x, phi_y, phi_xy = field.partials(point)
     isfinite = math.isfinite
     if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
-        raise EvaluationError("non-finite seed value")
+        raise EvaluationError(f"non-finite seed value at point {point}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi
@@ -51,22 +51,27 @@ def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
     return u, h
 
 
-def exact_uh(a: Dual, b: Dual, branch: Branch, point: Point) -> tuple[float, float]:
+def exact_uh(
+    a: tuple[float, float], b: tuple[float, float], branch: Branch, point: Point
+) -> tuple[float, float]:
     """Closed-form solution generated by the unit single-kernel seed.
 
-    a and b are the duals (value, y-derivative) of the kernel coefficients at
-    the point's y. With theta = a(y)*x - sign*a(y)^2*t + b(y):
+    a and b are the (value, y-derivative) float pairs of the kernel
+    coefficients at the point's y, as `SeedField.duals` returns them. With
+    theta = a(y)*x - sign*a(y)^2*t + b(y):
       u = sign*a*(1 + tanh(theta/2))
       h = (a/2)*(a'x - sign*2aa't + b')*sech(theta/2)^2 + a'*tanh(theta/2) + a' - 1
     """
     x, _, t = point
+    a, a_prime = a
+    b, b_prime = b
     sign = branch.sign
-    theta = a.value * x - sign * a.value**2 * t + b.value
-    theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
+    theta = a * x - sign * a**2 * t + b
+    theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
     th = math.tanh(0.5 * theta)
     sh2 = sech(0.5 * theta) ** 2
-    u = sign * a.value * (1.0 + th)
-    h = 0.5 * a.value * theta_y * sh2 + a.deriv * th + a.deriv - 1.0
+    u = sign * a * (1.0 + th)
+    h = 0.5 * a * theta_y * sh2 + a_prime * th + a_prime - 1.0
     return u, h
 
 

@@ -494,6 +494,37 @@ def test_kernel_overflow_names_its_kernel(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_non_finite_seed_sum_names_the_seed_and_the_point(tmp_path, capsys, command):
+    # exp(709.5) is finite and twice it is not: every member evaluates, the
+    # summed phi does not
+    bad = {"constant": 0.0, "kernels": [{"amplitude": 2.0, "a": "1", "b": "709"}]}
+    document = {
+        "branch": "plus",
+        "seed": {"kind": "kernels", **bad},
+        "grid": {"x": [0.5, 0.5, 1], "y": [0, 0, 1], "t": [0, 0, 1]},
+    }
+    first_csv = tmp_path / "first.csv"
+    if command == "sweep":
+        # the first entry evaluates cleanly, yet prints and writes nothing
+        document["seed"] = {"kind": "kernels", "constant": 1.0, "kernels": [{"a": "1", "b": "y"}]}
+        document["sweep"] = [
+            {"outputs": [{"format": "csv", "path": str(first_csv)}]},
+            {"seed": bad},
+        ]
+        where = "sweep[1]"
+    else:
+        where = "config"
+    assert main([command, write_config(tmp_path, document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: field evaluation failed: {where}.seed: "
+        "non-finite seed value at point (0.5, 0.0, 0.0)\n"
+    )
+    assert not first_csv.exists()
+
+
 def test_number_past_the_float_range_exits_2_naming_its_key(tmp_path, capsys):
     config = base_config()
     config["seed"]["kernels"][0]["a"] = "2*1e999"

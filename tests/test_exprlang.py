@@ -11,7 +11,6 @@ from dlw.seedlab.exprlang import (
     BinOp,
     Call,
     CoeffExpr,
-    Dual,
     EvaluationError,
     ExprSyntaxError,
     FUNCTIONS,
@@ -143,7 +142,7 @@ _NESTING_FORMS = ("parens", "minus", "calls", "sum", "product")
 @pytest.mark.parametrize("form", _NESTING_FORMS)
 def test_expressions_at_the_nesting_cap_parse_evaluate_and_round_trip(form):
     expr = parse_coeff_expr(_nested(form, MAX_DEPTH))
-    assert math.isfinite(eval_dual(expr, 0.5).value)
+    assert math.isfinite(eval_dual(expr, 0.5)[0])
     assert parse_coeff_expr(render(expr)) == expr
 
 
@@ -186,9 +185,9 @@ def test_non_integer_exponent_rejected():
 def test_negative_integer_exponent_allowed():
     expr = parse_coeff_expr("y^-2")
     assert expr == Pow(Var(), -2)
-    result = eval_dual(expr, 2.0)
-    assert result.value == pytest.approx(0.25)
-    assert result.deriv == pytest.approx(-2 * 2.0**-3)
+    value, deriv = eval_dual(expr, 2.0)
+    assert value == pytest.approx(0.25)
+    assert deriv == pytest.approx(-2 * 2.0**-3)
 
 
 def test_scientific_notation_literals():
@@ -199,25 +198,19 @@ def test_scientific_notation_literals():
 # -- evaluation -----------------------------------------------------------------
 
 
-def _pair(dual):
-    return (dual.value, dual.deriv)
-
-
 def test_eval_examples():
-    assert _pair(eval_dual(parse_coeff_expr("tanh(y)"), 0.0)) == pytest.approx(
-        (0.0, 1.0)
+    assert eval_dual(parse_coeff_expr("tanh(y)"), 0.0) == pytest.approx((0.0, 1.0))
+    assert eval_dual(parse_coeff_expr("exp(2*y)"), 0.0) == pytest.approx((1.0, 2.0))
+    assert eval_dual(parse_coeff_expr("1 + 0.5*tanh(y)"), 0.0) == pytest.approx(
+        (1.0, 0.5)
     )
-    assert _pair(eval_dual(parse_coeff_expr("exp(2*y)"), 0.0)) == pytest.approx(
-        (1.0, 2.0)
-    )
-    assert _pair(
-        eval_dual(parse_coeff_expr("1 + 0.5*tanh(y)"), 0.0)
-    ) == pytest.approx((1.0, 0.5))
 
 
 def test_eval_variable_is_seeded_with_unit_derivative():
     result = eval_dual(parse_coeff_expr("y"), 3.5)
-    assert (result.value, result.deriv) == (3.5, 1.0)
+    assert result == (3.5, 1.0)
+    # a plain pair of floats, not a record type
+    assert type(result) is tuple and [type(v) for v in result] == [float, float]
 
 
 def test_eval_division_by_zero():
@@ -245,19 +238,19 @@ def test_eval_float_failures_are_named_evaluation_errors(text, y, message):
 
 def test_quotient_whose_divisor_squares_to_zero_is_finite():
     # 1e-200 squared underflows to 0.0; the quotient rule divides by it twice
-    assert eval_dual(parse_coeff_expr("y/1e-200"), 0.0) == Dual(0.0, 1e200)
-    assert eval_dual(parse_coeff_expr("y/(1e-200*y)"), 1.0) == Dual(1e200, 0.0)
-    assert eval_dual(parse_coeff_expr("y/(2*y)"), 3.0) == Dual(0.5, 0.0)
+    assert eval_dual(parse_coeff_expr("y/1e-200"), 0.0) == (0.0, 1e200)
+    assert eval_dual(parse_coeff_expr("y/(1e-200*y)"), 1.0) == (1e200, 0.0)
+    assert eval_dual(parse_coeff_expr("y/(2*y)"), 3.0) == (0.5, 0.0)
 
 
 def test_power_whose_lower_power_overflows_is_finite():
     # (5e-201)^-2 passes the float range; the value 2e200 and the derivative
     # -1 * 2e200 * (1e-200 / 5e-201) = -4e200 do not
-    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 0.5) == Dual(2e200, -4e200)
-    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 1.0) == Dual(1e200, -1e200)
+    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 0.5) == (2e200, -4e200)
+    assert eval_dual(parse_coeff_expr("(1e-200*y)^-1"), 1.0) == (1e200, -1e200)
     # the general rule wherever a^(n-1) is in range, and an error where the
     # derivative itself passes the range
-    assert eval_dual(parse_coeff_expr("(2*y)^-3"), 0.5) == Dual(1.0, -6.0)
+    assert eval_dual(parse_coeff_expr("(2*y)^-3"), 0.5) == (1.0, -6.0)
     with pytest.raises(EvaluationError, match="^non-finite result$"):
         eval_dual(parse_coeff_expr("y^-1"), 1e-300)
 
@@ -270,14 +263,14 @@ def test_eval_overflow_reported():
 def test_sech_is_overflow_safe():
     assert sech(800.0) == pytest.approx(0.0, abs=1e-300)
     assert sech(0.0) == 1.0
-    result = eval_dual(parse_coeff_expr("sech(y)"), 800.0)
-    assert math.isfinite(result.value) and math.isfinite(result.deriv)
+    value, deriv = eval_dual(parse_coeff_expr("sech(y)"), 800.0)
+    assert math.isfinite(value) and math.isfinite(deriv)
 
 
 def test_sech_value_and_derivative():
-    result = eval_dual(parse_coeff_expr("sech(y)"), 0.7)
-    assert result.value == pytest.approx(1.0 / math.cosh(0.7), rel=1e-15)
-    assert result.deriv == pytest.approx(
+    value, deriv = eval_dual(parse_coeff_expr("sech(y)"), 0.7)
+    assert value == pytest.approx(1.0 / math.cosh(0.7), rel=1e-15)
+    assert deriv == pytest.approx(
         -math.tanh(0.7) / math.cosh(0.7), rel=1e-14
     )
 
@@ -300,11 +293,11 @@ def test_dual_derivative_matches_central_differences():
         expr = parse_coeff_expr(text)
         for _ in range(20):
             y = rng.uniform(-2.0, 2.0)
-            forward = eval_dual(expr, y)
+            _, forward = eval_dual(expr, y)
             numeric = (
-                eval_dual(expr, y + step).value - eval_dual(expr, y - step).value
+                eval_dual(expr, y + step)[0] - eval_dual(expr, y - step)[0]
             ) / (2 * step)
-            assert forward.deriv == pytest.approx(
+            assert forward == pytest.approx(
                 numeric, rel=1e-6, abs=1e-6
             ), f"{text} at y={y}"
 
@@ -350,7 +343,7 @@ def test_render_parse_roundtrip_randomized(expr):
 @given(_extreme_exprs, st.floats(-2.0, 2.0))
 def test_eval_dual_returns_finite_pairs_or_raises_evaluation_error(expr, y):
     try:
-        result = eval_dual(expr, y)
+        value, deriv = eval_dual(expr, y)
     except EvaluationError:
         return
-    assert math.isfinite(result.value) and math.isfinite(result.deriv)
+    assert math.isfinite(value) and math.isfinite(deriv)

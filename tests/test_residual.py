@@ -278,7 +278,7 @@ def test_threads_sharing_one_field_fill_its_table_consistently():
 
     def evaluate(field, point):
         residual = fd_residual_dlw(transform_sampler(field), point, CFG)
-        return residual, field.partials(point), field.duals(point[1], 0)
+        return residual, field.partials(point), field.duals(point[1])
 
     serial_field = kernel_field()
     serial = [evaluate(serial_field, point) for point in points]
@@ -390,11 +390,14 @@ def test_grid_accepts_a_step_that_moves_every_coordinate(grid, step):
 
 
 def test_report_passes_only_with_evaluated_points_within_threshold():
-    def report(max_abs, evaluated=1):
-        return ResidualReport(max_abs, max_abs, None, 0, evaluated)
+    def report(max_abs, evaluated=1, mean_abs=None):
+        return ResidualReport(max_abs, mean_abs or max_abs, None, 0, evaluated)
 
     assert report((1e-5, 1e-5)).passes(1e-5)  # the threshold itself passes
     assert not report((1e-5, 2e-5)).passes(1e-5)
     assert not report((2e-5, 0.0)).passes(1e-5)
     assert not report((math.nan, 0.0)).passes(1.0)
     assert not report((0.0, 0.0), evaluated=0).passes(1.0)
+    # a NaN mean fails even where the maxima lost their NaN
+    assert not report((0.0, 0.0), mean_abs=(math.nan, 0.0)).passes(1.0)
+    assert not report((0.0, 0.0), mean_abs=(0.0, math.nan)).passes(1.0)

@@ -1,6 +1,6 @@
 """Scenario evaluation against per-sample coefficient evaluation.
 
-A seed field keeps its coefficient duals in a table filled once per distinct
+A seed field keeps its coefficient (value, deriv) pairs in a table filled once per distinct
 y. The reference here empties that table before every sample, so each sample
 calls eval_dual directly, as a field without the table would.
 """
@@ -16,7 +16,6 @@ from dlw.jetcalc import Branch
 from dlw.residual import GridSpec, StencilConfig, fd_residual_dlw
 from dlw.scenario import (
     CSV_HEADER,
-    PointRecord,
     evaluate_grid,
     evaluate_scenario,
     export_csv,
@@ -153,18 +152,20 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
         ("phi", 1.0), ("residual", 1.0),
         ("phi", 2.0), ("residual", 2.0), ("centre", 2.0),
     ]
-    assert [record.phi for record in records] == [10.0, 11.0, 12.0]
-    assert repr(records[1].u) == "nan" and repr(records[1].res2) == "nan"
+    # rows are plain tuples in CSV column order: x, y, t, phi, u, h, res1, res2
+    assert all(type(record) is tuple and len(record) == 8 for record in records)
+    assert [record[3] for record in records] == [10.0, 11.0, 12.0]
+    assert repr(records[1][4]) == "nan" and repr(records[1][7]) == "nan"
     assert (report.evaluated, report.skipped) == (2, 1)
     # each equation is the sum of its three terms
-    assert (records[2].res1, records[2].res2) == (14 * 2.0**-30, -14.0)
+    assert records[2][6:] == (14 * 2.0**-30, -14.0)
     assert report.max_abs == (14 * 2.0**-30, 14.0) and report.worst_point == (2.0, 0.0, 0.0)
 
 
 def test_csv_header_is_the_point_record_fields(tmp_path):
     assert CSV_HEADER == "x,y,t,phi,u,h,res1,res2"
     path = tmp_path / "grid.csv"
-    export_csv([PointRecord(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
+    export_csv([(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
     row = "0.5,0,-0,2,nan,inf,1e-300,0.10000000000000001"
     assert path.read_text() == f"{CSV_HEADER}\n{row}\n"
 
@@ -173,8 +174,8 @@ def test_csv_rows_read_as_format_17g_of_every_value(tmp_path):
     values = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
               0.1, 1 / 3, -math.nan, 2.5, -1e-310, 123456789.0)
     rng = random.Random(17)
-    records = [PointRecord(*values[:8]), PointRecord(*values[4:])]
-    records += [PointRecord(*rng.choices(values, k=8)) for _ in range(20)]
+    records = [values[:8], values[4:]]
+    records += [tuple(rng.choices(values, k=8)) for _ in range(20)]
     path = tmp_path / "grid.csv"
     export_csv(records, path)
     reference = [CSV_HEADER]
@@ -185,7 +186,7 @@ def test_csv_rows_read_as_format_17g_of_every_value(tmp_path):
 def test_samplers_return_a_plain_pair_of_floats():
     kernel = Kernel(1.0, parse_coeff_expr("1"), parse_coeff_expr("0.5*y"))
     field = SeedField(SeedSpec(Branch.PLUS, 1.0, (kernel,)))
-    a, b = field.duals(0.3, 0)
+    a, b = field.duals(0.3)
     for pair in (
         transform_point(field, (0.2, 0.3, 0.1)),
         exact_uh(a, b, Branch.PLUS, (0.2, 0.3, 0.1)),

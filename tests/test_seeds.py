@@ -1,5 +1,6 @@
 """Seed construction and analytic-partial tests."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlw.jetcalc import Branch
+from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import EvaluationError, eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import CoefficientError, HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import POLE_TOLERANCE, PoleError, transform_point
@@ -175,7 +177,9 @@ def test_kernel_overflow_surfaces_as_evaluation_error():
     # summed, and transform_point, which divides by them, refuses them
     doubled = SeedField(SeedSpec(Branch.PLUS, 0.0, (Kernel(2.0, P("1"), P("709")),)))
     assert repr(doubled.partials((0.5, 0.0, 0.0))) == "(inf, inf, nan, nan)"
-    with pytest.raises(EvaluationError, match="^non-finite seed value$"):
+    with pytest.raises(
+        EvaluationError, match=r"^non-finite seed value at point \(0\.5, 0\.0, 0\.0\)$"
+    ):
         transform_point(doubled, (0.5, 0.0, 0.0))
 
 
@@ -196,7 +200,7 @@ def test_coefficient_evaluation_errors_propagate():
         with pytest.raises(CoefficientError, match=f"^{message}$"):
             field.partials((0.0, 0.0, 0.0))
         with pytest.raises(CoefficientError, match=f"^{message}$"):
-            field.duals(0.0, 0)
+            field.duals(0.0)
     assert field.partials((1.0, 0.5, 0.0))[0] == pytest.approx(1.0 + math.e**2)
 
 
@@ -212,8 +216,10 @@ def test_coefficient_error_names_its_member_and_y():
         CoefficientError, match=r"^kernels\[1\]\.a at y = -0\.5: non-finite result$"
     ):
         field.partials((0.0, -0.5, 0.0))
+    # the poly is read after the kernels: drop the one that fails at every y
+    field = SeedField(dataclasses.replace(spec, kernels=spec.kernels[:1]))
     with pytest.raises(CoefficientError, match=r"^poly\.c1 at y = 0\.25: division by zero$"):
-        field.duals(0.25, -1)
+        field.partials((0.0, 0.25, 0.0))
 
 
 def test_first_failing_term_names_the_error():
@@ -242,13 +248,13 @@ def test_first_failing_term_names_the_error():
 def test_duals_of_a_kernel_whose_square_overflows_name_the_kernel():
     # the exact path reads the duals; its exponent needs a**2 like `partials`
     field = unit_kernel_seed(Branch.PLUS, "y^400", "0")
-    a, b = field.duals(2.428, 0)  # a**2 = 1.6e308
-    assert (a.value, b.value) == (eval_dual(P("y^400"), 2.428).value, 0.0)
+    (a, _), (b, _) = field.duals(2.428)  # a**2 = 1.6e308
+    assert (a, b) == (eval_dual(P("y^400"), 2.428)[0], 0.0)
     for _ in range(2):
         with pytest.raises(
             CoefficientError, match=r"^kernels\[0\]\.a at y = 2\.43: a\^2 overflows$"
         ):
-            field.duals(2.43, 0)
+            field.duals(2.43)
 
 
 # -- the coefficient table ------------------------------------------------------------
@@ -261,22 +267,33 @@ def test_fields_with_different_specs_keep_separate_tables():
     for first, second in ((one, two), (two, one)):
         first.partials(point)
         second.partials(point)
-    a_one, _ = one.duals(0.7, 0)
-    a_two, _ = two.duals(0.7, 0)
-    assert (a_one.value, a_two.value) == (1.0, 2.0)
+    (a_one, _), _ = one.duals(0.7)
+    (a_two, _), _ = two.duals(0.7)
+    assert (a_one, a_two) == (1.0, 2.0)
     assert one.partials(point)[0] == 1.0 + math.exp(0.3 - 0.2 + 0.35)
     assert two.partials(point)[0] == 1.0 + math.exp(0.6 - 0.8 + 0.35)
 
 
-def test_table_keys_the_exact_float():
+def test_table_keys_the_exact_float(monkeypatch):
     field = SeedField(
         SeedSpec(Branch.PLUS, 0.0, (), HeatPolynomial(P("2*y"), P("y"), P("y^3")))
     )
+    pairs = []  # what the table stores, in evaluation order
+
+    def recorded(expr, y):
+        pairs.append(eval_dual(expr, y))
+        return pairs[-1]
+
+    monkeypatch.setattr(seeds, "eval_dual", recorded)
     y = 0.1 + 0.2  # 0.30000000000000004, a row apart from 0.3
     for probe in (0.3, y, 0.0, -0.0):
-        c2, c1, c0 = field.duals(probe, -1)
-        assert (c2.value, c1.value, c0.value) == (2 * probe, probe, probe**3)
-        assert math.copysign(1.0, c1.value) == math.copysign(1.0, probe)
+        pairs.clear()
+        phi = field.partials((1.0, probe, 0.0))[0]
+        field.partials((2.0, probe, 0.0))  # the row is filled: no evaluation
+        (c2, _), (c1, _), (c0, _) = pairs  # one new row for this probe
+        assert (c2, c1, c0) == (2 * probe, probe, probe**3)
+        assert math.copysign(1.0, c1) == math.copysign(1.0, probe)
+        assert phi == 0.0 + (c2 * 1.0 + c1 * 1.0 + c0)
 
 
 # -- the field against a table-free reference -------------------------------------------
@@ -294,17 +311,19 @@ REFERENCE_KERNEL_FACTORS = {
 
 
 def reference_poly_partial(index, c2, c1, c0, x, t, sign):
+    """One partial of the poly part; c2, c1, c0 are (value, deriv) pairs."""
+    (c2, c2_prime), (c1, c1_prime), (c0, c0_prime) = c2, c1, c0
     if index == (0, 0, 0):
-        return c2.value * (x * x - sign * 2.0 * t) + c1.value * x + c0.value
+        return c2 * (x * x - sign * 2.0 * t) + c1 * x + c0
     if index == (1, 0, 0):
-        return 2.0 * c2.value * x + c1.value
+        return 2.0 * c2 * x + c1
     if index == (2, 0, 0):
-        return 2.0 * c2.value
+        return 2.0 * c2
     if index == (0, 1, 0):
-        return c2.deriv * (x * x - sign * 2.0 * t) + c1.deriv * x + c0.deriv
+        return c2_prime * (x * x - sign * 2.0 * t) + c1_prime * x + c0_prime
     if index == (0, 0, 1):
-        return -sign * 2.0 * c2.value
-    return 2.0 * c2.deriv * x + c1.deriv  # (1, 1, 0)
+        return -sign * 2.0 * c2
+    return 2.0 * c2_prime * x + c1_prime  # (1, 1, 0)
 
 
 def reference_partials(spec, point, indices):
@@ -319,10 +338,10 @@ def reference_partials(spec, point, indices):
             if index == (0, 0, 0):
                 totals[slot] += spec.constant_term
     for pos, kernel in enumerate(spec.kernels):
-        a, b = eval_dual(kernel.a, y), eval_dual(kernel.b, y)
+        (a, a_prime), (b, b_prime) = eval_dual(kernel.a, y), eval_dual(kernel.b, y)
         try:
-            theta = a.value * x - sign * a.value**2 * t + b.value
-            theta_y = a.deriv * x - sign * 2.0 * a.value * a.deriv * t + b.deriv
+            theta = a * x - sign * a**2 * t + b
+            theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
             try:
                 scale = kernel.amplitude * math.exp(theta)
             except OverflowError:
@@ -331,7 +350,7 @@ def reference_partials(spec, point, indices):
                 ) from None
             for slot, index in enumerate(indices):
                 factor = REFERENCE_KERNEL_FACTORS[index]
-                totals[slot] += factor(a.value, a.deriv, theta_y, sign) * scale
+                totals[slot] += factor(a, a_prime, theta_y, sign) * scale
         except OverflowError:  # a**2 past the float range
             raise CoefficientError(f"kernels[{pos}].a at y = {y!r}: a^2 overflows") from None
     if spec.poly is not None:
@@ -345,7 +364,7 @@ def reference_partials(spec, point, indices):
 def reference_transform(spec, point):
     phi, phi_x, phi_y, phi_xy = reference_partials(spec, point, TRANSFORM_INDICES)
     if not all(map(math.isfinite, (phi, phi_x, phi_y, phi_xy))):
-        raise EvaluationError("non-finite seed value")
+        raise EvaluationError(f"non-finite seed value at point {point}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = spec.branch.sign * 2.0 * phi_x / phi
