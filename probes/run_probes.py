@@ -1,0 +1,117 @@
+"""Run the CLI probe corpus: every *.json file beside this script.
+
+Usage: python probes/run_probes.py COMMAND...
+e.g.   python probes/run_probes.py dlw
+       PYTHONPATH=$PWD/src python probes/run_probes.py python -m dlw.cli
+
+Each probe runs COMMAND with its argv in a new empty directory, and the
+script exits 1 if any probe fails. A probe is one JSON object:
+  why          a note for the reader, where the expectation needs one
+  argv         the arguments after the command
+  files        {name: document} written into the directory first; an
+               object is written as JSON, a string as it stands
+  exit         the expected exit code
+  stderr       the exact lines of standard error
+  stdout       lines standard output must hold (exit 0 and 1 only)
+  inf_phi_csv  a CSV file that must hold a row whose phi is inf
+  strict_json  a file that a JSON parser refusing NaN and Infinity reads
+An exit-2 probe expects one `error:` line, no standard output and no file
+written. This module needs only the standard library. The tier-1 suite runs
+each probe through `dlw.cli.main` as the test named after its file.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent
+
+
+def load(name):
+    """The probe in CORPUS/<name>.json."""
+    return json.loads((CORPUS / f"{name}.json").read_text())
+
+
+def command_invoker(command):
+    """invoke(argv, workdir) -> (exit code, stdout, stderr) of a subprocess."""
+
+    def invoke(argv, workdir):
+        done = subprocess.run(
+            [*command, *argv], cwd=workdir, capture_output=True, text=True
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    return invoke
+
+
+def _refuse(name):
+    raise ValueError(f"holds {name}")
+
+
+def _inf_phi(text):
+    if not any(row.split(",")[3] == "inf" for row in text.splitlines()[1:]):
+        raise ValueError("has no row whose phi is inf")
+
+
+def _strict_json(text):
+    json.loads(text, parse_constant=_refuse)
+
+
+FILE_CHECKS = {"inf_phi_csv": _inf_phi, "strict_json": _strict_json}
+
+
+def check(probe, invoke, workdir):
+    """The problems found running `probe` through `invoke` in the empty
+    directory `workdir`; an empty list is a pass."""
+    workdir = Path(workdir)
+    for name, document in probe.get("files", {}).items():
+        text = document if isinstance(document, str) else json.dumps(document)
+        (workdir / name).write_text(text)
+    before = set(workdir.rglob("*"))
+    code, out, err = invoke(probe["argv"], workdir)
+    problems = []
+    if code != probe["exit"]:
+        problems.append(f"exit {code}, expected {probe['exit']}")
+    if err.splitlines() != probe["stderr"]:
+        problems.append(f"stderr {err!r}, expected {probe['stderr']}")
+    if probe["exit"] == 2:
+        if len(probe["stderr"]) != 1 or not probe["stderr"][0].startswith("error: "):
+            problems.append("an exit-2 probe expects one `error:` line")
+        if out:
+            problems.append(f"stdout {out!r}, expected none")
+        after = set(workdir.rglob("*"))
+        written = sorted(str(path.relative_to(workdir)) for path in after - before)
+        if written:
+            problems.append(f"wrote {written}")
+    missing = [line for line in probe.get("stdout", []) if line not in out.splitlines()]
+    if missing:
+        problems.append(f"stdout {out!r} lacks {missing}")
+    for key, read in FILE_CHECKS.items():
+        if key in probe:
+            try:
+                read((workdir / probe[key]).read_text())
+            except (OSError, ValueError) as exc:
+                problems.append(f"{probe[key]}: {exc}")
+    return problems
+
+
+def main(command):
+    paths = sorted(CORPUS.glob("*.json"))
+    failed = 0
+    for path in paths:
+        with tempfile.TemporaryDirectory() as workdir:
+            problems = check(load(path.stem), command_invoker(command), workdir)
+        print("FAIL" if problems else "ok", path.name)
+        for problem in problems:
+            print("  " + problem)
+        failed += bool(problems)
+    print(f"{failed} of {len(paths)} probes failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1:]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,8 +84,16 @@ def _print_summary(label: str, sc, report) -> bool:
 def _verify(runs, residual) -> bool:
     """Evaluate every (label, document key, scenario), then write every
     output, then print every summary: neither an evaluation error nor an
-    unwritable output prints or writes anything. Only a scenario with a csv
+    unwritable output prints or writes anything, and two outputs that name
+    one file stop the command before either. Only a scenario with a csv
     output keeps its point records until its outputs are written."""
+    named = {}  # absolute output path -> the key that names it first
+    for _, where, sc in runs:
+        for pos, spec in enumerate(sc.outputs):
+            key = f"{where}.outputs[{pos}].path"
+            first = named.setdefault(os.path.abspath(spec.path), key)
+            if first != key:
+                raise ConfigError(f"{key}: same file as {first}")
     results = []
     for _, where, sc in runs:
         try:
