@@ -44,6 +44,19 @@ _SEARCH_BOX = 4  # exponents are searched over [0, 4]^6
 # phi_x^3 * phi_y with its factors in JetPoly's canonical order
 _TOP_JETS = ((1, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0))
 
+# The leaves every polynomial below is built from, made once at import:
+# JetPoly is immutable, so each is a literal, not a cache.
+_PHI_X = JetPoly.jet(1, 0, 0)
+_PHI_Y = JetPoly.jet(0, 1, 0)
+_PHI_XY = JetPoly.jet(1, 1, 0)
+_PHI_XX = JetPoly.jet(2, 0, 0)
+_PHI_T = JetPoly.jet(0, 0, 1)
+_SYMBOLS = {
+    (family, order): JetPoly.symbol(family, order)
+    for family in ("F", "G")
+    for order in (1, 2, 3)
+}
+
 # The additive constant of h that the factorization pins, and the resolved
 # ansatz functions; every derivation reports these.
 A_CONSTANT = Fraction(-1)
@@ -112,10 +125,10 @@ def build_ansatz(
     """
     if tuple(exponents) != (1, 0, 0, 1, 1, 0):
         raise ValueError(f"unsupported exponent tuple {tuple(exponents)}")
-    u = JetPoly.symbol("F", 1) * JetPoly.jet(1, 0, 0)
+    u = _SYMBOLS["F", 1] * _PHI_X
     h = (
-        JetPoly.symbol("G", 2) * JetPoly.jet(1, 0, 0) * JetPoly.jet(0, 1, 0)
-        + JetPoly.symbol("G", 1) * JetPoly.jet(1, 1, 0)
+        _SYMBOLS["G", 2] * _PHI_X * _PHI_Y
+        + _SYMBOLS["G", 1] * _PHI_XY
         + JetPoly.constant(a_const)
     )
     return u, h
@@ -200,44 +213,36 @@ def check_ode_system(branch: Branch) -> DerivationCheck:
     the two first-integral identities g'g'' + g''' = 0 and g'^2 + 2g'' = 0.
     """
     e1, e2 = build_residuals()
-    sym = JetPoly.symbol
+    g1, g2, g3 = (_SYMBOLS["G", order] for order in (1, 2, 3))
     return DerivationCheck(
         branch,
         {
             "ode[0]": specialize_log(_leading_coefficient(e1, "e1"), branch),
             "ode[1]": specialize_log(_leading_coefficient(e2, "e2"), branch),
-            "identity[0]": specialize_log(
-                sym("G", 1) * sym("G", 2) + sym("G", 3), branch
-            ),
-            "identity[1]": specialize_log(
-                sym("G", 1) * sym("G", 1) + 2 * sym("G", 2), branch
-            ),
+            "identity[0]": specialize_log(g1 * g2 + g3, branch),
+            "identity[1]": specialize_log(g1 * g1 + 2 * g2, branch),
         },
     )
 
 
-def _heat_constraint(branch: Branch) -> JetPoly:
-    return JetPoly.jet(0, 0, 1) + branch.sign * JetPoly.jet(2, 0, 0)
-
-
-def _factored_form(family: str, branch: Branch) -> JetPoly:
+def _factored_forms(branch: Branch) -> dict[str, JetPoly]:
     """Apply [phi_x*phi_y*C''' + C''*(phi_x*D_y + phi_y*D_x + phi_xy) + C'*D_x*D_y]
-    to the heat constraint, with specialized coefficients of one family."""
-    w = _heat_constraint(branch)
-    c1, c2, c3 = (
-        specialize_log(JetPoly.symbol(family, order), branch) for order in (1, 2, 3)
-    )
+    to the heat constraint w = phi_t + sign*phi_xx, with the specialized
+    coefficients of each family ("F" and "G"); what each coefficient
+    multiplies is formed once, for both families."""
     d = total_derivative
-    return (
-        JetPoly.jet(1, 0, 0) * JetPoly.jet(0, 1, 0) * c3 * w
-        + c2
-        * (
-            JetPoly.jet(1, 0, 0) * d(w, "y")
-            + JetPoly.jet(0, 1, 0) * d(w, "x")
-            + JetPoly.jet(1, 1, 0) * w
+    w = _PHI_T + branch.sign * _PHI_XX
+    w_x = d(w, "x")
+    by_c3 = _PHI_X * _PHI_Y * w
+    by_c2 = _PHI_X * d(w, "y") + _PHI_Y * w_x + _PHI_XY * w
+    by_c1 = d(w_x, "y")
+    forms = {}
+    for family in ("F", "G"):
+        c1, c2, c3 = (
+            specialize_log(_SYMBOLS[family, order], branch) for order in (1, 2, 3)
         )
-        + c1 * d(d(w, "x"), "y")
-    )
+        forms[family] = c3 * by_c3 + c2 * by_c2 + c1 * by_c1
+    return forms
 
 
 def verify_factorization(
@@ -254,13 +259,14 @@ def verify_factorization(
     e1, e2 = build_residuals(a_const)
     s1 = specialize_log(e1, branch)
     s2 = specialize_log(e2, branch)
+    forms = _factored_forms(branch)
     return DerivationCheck(
         branch,
         {
             "e1": reduce_heat(s1, branch),
             "e2": reduce_heat(s2, branch),
-            "delta1": s1 - _factored_form("F", branch),
-            "delta2": s2 - _factored_form("G", branch),
+            "delta1": s1 - forms["F"],
+            "delta2": s2 - forms["G"],
         },
     )
 

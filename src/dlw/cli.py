@@ -56,7 +56,7 @@ def _apply_overrides(raw: dict, args) -> dict:
         override["branch"] = args.branch
     merged = merge_config(raw, override)
     outputs = merged.get("outputs", [])
-    if args.output and isinstance(outputs, list):
+    if args.output is not None and isinstance(outputs, list):
         merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
     return merged
 

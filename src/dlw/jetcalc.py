@@ -180,20 +180,21 @@ class JetPoly:
     _term_order.  The constructor takes raw (key, coeff) pairs, in which a
     key may repeat and factors may come in any order: it validates and sorts
     each key (_canonical_key), then hands the pairs to the one normaliser
-    (_normalised), which merges and drops zeros.  No arithmetic or calculus
+    (_normalised), which merges and drops zeros; balance builds its jet and
+    symbol leaves through it once, at import.  No arithmetic or calculus
     operation goes through the constructor: each builds keys that are
-    canonical already and skips full validation.  Negation, scalar
-    products, log specialization and degree decomposition call the
-    normaliser alone; sums and differences merge the other operand into a
-    copy of the terms, dropping only keys that cancel; products re-sort the
-    factors of two canonical keys, and total_derivative and reduce_heat the
-    factors of each key they change.  The order cap is enforced where an
-    order can rise: the constructor checks every factor, and
-    total_derivative and reduce_heat each factor they raise (a product
-    raises none).  Arithmetic
-    accepts ints and Fractions as scalars.  A stored coefficient is an int
-    or a Fraction, never a float: the constructor converts anything else
-    with Fraction().
+    canonical already and skips full validation.  Scalar products, log
+    specialization and degree decomposition call the normaliser alone;
+    sums and differences merge the other operand into a copy of the terms,
+    dropping only keys that cancel; products re-sort the factors of two
+    canonical keys, and total_derivative and reduce_heat the factors of
+    each key they change.  No operation writes into an operand's terms.
+    The order cap is enforced where an order can rise: the constructor
+    checks every factor, and total_derivative and reduce_heat each factor
+    they raise (a product raises none).  Arithmetic accepts ints and
+    Fractions as scalars; there is no negation, so -p is written -1 * p.
+    A stored coefficient is an int or a Fraction, never a float: the
+    constructor converts anything else with Fraction().
     """
 
     __slots__ = ("_terms",)
@@ -227,13 +228,7 @@ class JetPoly:
         return cls({(0, (), ()): value})
 
     @classmethod
-    def phi_power(cls, power: int) -> "JetPoly":
-        return cls({(power, (), ()): 1})
-
-    @classmethod
     def jet(cls, i: int, j: int, k: int) -> "JetPoly":
-        if i == j == k == 0:
-            return cls.phi_power(1)
         return cls({(0, ((i, j, k),), ()): 1})
 
     @classmethod
@@ -306,9 +301,6 @@ class JetPoly:
             return NotImplemented
         return self._merged(other, add)
 
-    def __neg__(self) -> "JetPoly":
-        return JetPoly._canonical((key, -coeff) for key, coeff in self._terms.items())
-
     def __sub__(self, other: "JetPoly") -> "JetPoly":
         if not isinstance(other, JetPoly):
             return NotImplemented
@@ -338,14 +330,6 @@ class JetPoly:
 
     def __rmul__(self, other) -> "JetPoly":
         return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "JetPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("JetPoly powers must be nonnegative integers")
-        result = JetPoly.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
 
 
 def total_derivative(p: JetPoly, direction: str) -> JetPoly:

@@ -106,7 +106,7 @@ def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
@@ -300,6 +300,8 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
         target = _require(entry, "path", label)
         if not isinstance(target, str):
             raise ConfigError(f"{label}.path: expected a string")
+        if not target:
+            raise ConfigError(f"{label}.path: expected a file path")
         outputs.append(ExportSpec(format=fmt, path=target))
 
     debug = _object(raw.get("debug", {}), f"{where}.debug", ("perturb_h",))

@@ -116,7 +116,7 @@ def test_ansatz_shapes():
 
 def test_ansatz_x_derivative_structure():
     u, _ = build_ansatz(solve_balance_exponents())
-    expected = sym("F", 2) * jet(1, 0, 0) ** 2 + sym("F", 1) * jet(2, 0, 0)
+    expected = sym("F", 2) * jet(1, 0, 0) * jet(1, 0, 0) + sym("F", 1) * jet(2, 0, 0)
     assert total_derivative(u, "x") == expected
 
 
@@ -136,7 +136,7 @@ def test_vacuum_annihilates_residuals():
 def test_leading_coefficients_match_ode_system():
     e1, e2 = build_residuals()
     assert _leading_coefficient(e1, "e1") == (
-        sym("G", 4) + sym("F", 2) ** 2 + sym("F", 1) * sym("F", 3)
+        sym("G", 4) + sym("F", 2) * sym("F", 2) + sym("F", 1) * sym("F", 3)
     )
     assert _leading_coefficient(e2, "e2") == (
         sym("F", 4) + sym("F", 2) * sym("G", 2) + sym("F", 1) * sym("G", 3)
@@ -166,7 +166,7 @@ def test_log_identities_by_direct_construction():
     # g'g'' + g''' and g'^2 + 2g'' both vanish under the log resolution
     for branch in BRANCHES:
         first = specialize_log(sym("G", 1) * sym("G", 2) + sym("G", 3), branch)
-        second = specialize_log(sym("G", 1) ** 2 + 2 * sym("G", 2), branch)
+        second = specialize_log(sym("G", 1) * sym("G", 1) + 2 * sym("G", 2), branch)
         assert first.is_zero and second.is_zero
 
 
@@ -191,7 +191,9 @@ def test_wrong_constant_leaves_forced_remainder(branch):
     # remainder is (A+1)*(f''*phi_x^2 + f'*phi_xx), specialized, with A = 0
     expected = reduce_heat(
         specialize_log(
-            sym("F", 2) * jet(1, 0, 0) ** 2 + sym("F", 1) * jet(2, 0, 0), branch
+            sym("F", 2) * jet(1, 0, 0) * jet(1, 0, 0)
+            + sym("F", 1) * jet(2, 0, 0),
+            branch,
         ),
         branch,
     )
@@ -247,7 +249,9 @@ def test_derive_with_a_wrong_constant_reports_fail_and_still_writes_output(
 @pytest.mark.parametrize("a_const", [Fraction(1), Fraction(3, 7), Fraction(-2)])
 def test_any_constant_other_than_minus_one_fails(a_const):
     base = specialize_log(
-        sym("F", 2) * jet(1, 0, 0) ** 2 + sym("F", 1) * jet(2, 0, 0), Branch.PLUS
+        sym("F", 2) * jet(1, 0, 0) * jet(1, 0, 0)
+        + sym("F", 1) * jet(2, 0, 0),
+        Branch.PLUS,
     )
     check = verify_factorization(Branch.PLUS, a_const)
     assert check.residuals["e2"] == (a_const + 1) * base
@@ -272,6 +276,39 @@ def test_derive_is_deterministic():
     assert "(l,m,n,p,q,r) = (1,0,0,1,1,0)" in first
     assert "A = -1" in first
     assert "u = +/-2*phi_x/phi" in first
+
+
+_JET_LEAVES = {
+    "_PHI_X": (1, 0, 0),
+    "_PHI_Y": (0, 1, 0),
+    "_PHI_XY": (1, 1, 0),
+    "_PHI_XX": (2, 0, 0),
+    "_PHI_T": (0, 0, 1),
+}
+
+
+def _assert_leaves_unchanged():
+    for name, orders in _JET_LEAVES.items():
+        assert getattr(balance, name) == jet(*orders), name
+    assert sorted(balance._SYMBOLS) == [(f, n) for f in "FG" for n in (1, 2, 3)]
+    for (family, order), leaf in balance._SYMBOLS.items():
+        assert leaf == sym(family, order)
+
+
+def test_derive_leaves_the_shared_leaves_unchanged():
+    # every derive() builds from the same module-level leaves, so an
+    # operation that wrote into an operand's terms would show here; each
+    # branch is checked alone too, as the minus branch's constraint would
+    # cancel the term that such a write by the plus branch adds to phi_t
+    for branch in BRANCHES:
+        check_ode_system(branch)
+        verify_factorization(branch)
+        _assert_leaves_unchanged()
+    first, second = derive(), derive()
+    assert first.passed
+    assert render_report(first) == render_report(second)
+    assert report_to_dict(first) == report_to_dict(second)
+    _assert_leaves_unchanged()
 
 
 def test_report_dict_roundtrips_key_facts():
