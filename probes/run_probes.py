@@ -9,24 +9,30 @@ script exits 1 if any probe fails. A probe is one JSON object:
   why          a note for the reader, where the expectation needs one
   argv         the arguments after the command
   files        {name: document} written into the directory first; an
-               object is written as JSON, a string as it stands
+               object is written as JSON, a string as it stands, and a
+               name such as "d/kept.txt" makes its directory too
   exit         the expected exit code
   stderr       the exact lines of standard error
   stdout       lines standard output must hold (exit 0 and 1 only)
   inf_phi_csv  a CSV file that must hold a row whose phi is inf
   strict_json  a file that a JSON parser refusing NaN and Infinity reads
-An exit-2 probe expects one `error:` line, no standard output and no file
-written. This module needs only the standard library. The tier-1 suite runs
-each probe through `dlw.cli.main` as the test named after its file.
+An exit-2 probe expects one `error:` line, no standard output, and no file
+written or changed. No probe, whatever its exit code, may leave a file named
+like the writer's temporary sibling of an output, `.<name>.<pid>.<n>.tmp`.
+This module needs only the standard library. The tier-1 suite runs each
+probe through `dlw.cli.main` as the test named after its file.
 """
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent
+# the name write_outputs gives the temporary sibling of an output path
+TEMPORARY = re.compile(r"\..+\.\d+\.\d+\.tmp")
 
 
 def load(name):
@@ -62,15 +68,23 @@ def _strict_json(text):
 FILE_CHECKS = {"inf_phi_csv": _inf_phi, "strict_json": _strict_json}
 
 
+def _snapshot(workdir):
+    """{path: its bytes, or False for a directory} of everything in workdir."""
+    return {path: path.is_file() and path.read_bytes() for path in workdir.rglob("*")}
+
+
 def check(probe, invoke, workdir):
     """The problems found running `probe` through `invoke` in the empty
     directory `workdir`; an empty list is a pass."""
     workdir = Path(workdir)
     for name, document in probe.get("files", {}).items():
         text = document if isinstance(document, str) else json.dumps(document)
-        (workdir / name).write_text(text)
-    before = set(workdir.rglob("*"))
+        path = workdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    before = _snapshot(workdir)
     code, out, err = invoke(probe["argv"], workdir)
+    after = _snapshot(workdir)
     problems = []
     if code != probe["exit"]:
         problems.append(f"exit {code}, expected {probe['exit']}")
@@ -81,10 +95,20 @@ def check(probe, invoke, workdir):
             problems.append("an exit-2 probe expects one `error:` line")
         if out:
             problems.append(f"stdout {out!r}, expected none")
-        after = set(workdir.rglob("*"))
-        written = sorted(str(path.relative_to(workdir)) for path in after - before)
+        written = sorted(
+            str(path.relative_to(workdir))
+            for path, data in after.items()
+            if before.get(path) != data
+        )
         if written:
             problems.append(f"wrote {written}")
+    temporaries = sorted(
+        str(path.relative_to(workdir))
+        for path in after
+        if TEMPORARY.fullmatch(path.name)
+    )
+    if temporaries:
+        problems.append(f"left temporary files {temporaries}")
     missing = [line for line in probe.get("stdout", []) if line not in out.splitlines()]
     if missing:
         problems.append(f"stdout {out!r} lacks {missing}")

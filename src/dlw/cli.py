@@ -15,13 +15,14 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import balance
 from .residual import fd_residual_1d, fd_residual_dlw
 from .scenario import (
     ConfigError,
     evaluate_scenario,
+    export_csv,
+    export_report,
     load_config,
     merge_config,
     scenario_from_dict,
@@ -34,14 +35,20 @@ __all__ = ["main"]
 
 
 def cmd_derive(args) -> int:
+    """Derive and check both branches, write `--output` as JSON through
+    write_outputs, then print the report. An empty `--output` path is an
+    input error, raised before the derivation runs, in the words that
+    `run` and `reduce` use for theirs."""
+    if args.output == "":
+        raise ConfigError("derive.outputs[0].path: expected a file path")
     try:
         report = balance.derive()
     except balance.DerivationError as exc:
         print(f"derivation FAILED:\n{exc}")
         return 1
-    if args.output:
+    if args.output is not None:
         payload = json.dumps(balance.report_to_dict(report), indent=2, sort_keys=True)
-        Path(args.output).write_text(payload + "\n")
+        write_outputs([(args.output, lambda temp: temp.write_text(payload + "\n"))])
     print(balance.render_report(report))
     return 0 if report.passed else 1
 
@@ -81,40 +88,47 @@ def _print_summary(label: str, sc, report) -> bool:
     return ok
 
 
-def _verify(runs, residual) -> bool:
+def _verify(runs, residual, document=None) -> bool:
     """Evaluate every (label, document key, scenario), then write every
-    output, then print every summary: neither an evaluation error nor an
-    unwritable output prints or writes anything, and two outputs that name
-    one file stop the command before either. Only a scenario with a csv
-    output keeps its point records until its outputs are written."""
-    named = {}  # absolute output path -> the key that names it first
+    output through write_outputs, then print every summary: neither an
+    evaluation error nor an unwritable output prints or writes anything.
+    Two outputs that name one file, or an output that names the `document`
+    path, stop the command before either. Each output's writer is built
+    right after its run's evaluation; only a csv writer holds the records."""
+    # absolute path -> the key that names it first
+    named = {} if document is None else {os.path.abspath(document): "the document"}
     for _, where, sc in runs:
         for pos, spec in enumerate(sc.outputs):
             key = f"{where}.outputs[{pos}].path"
             first = named.setdefault(os.path.abspath(spec.path), key)
             if first != key:
                 raise ConfigError(f"{key}: same file as {first}")
-    results = []
-    for _, where, sc in runs:
+    outputs = []  # (path, write) pairs
+    summaries = []
+    for label, where, sc in runs:
         try:
             report, records = evaluate_scenario(sc, residual)
         except CoefficientError as exc:  # name the expression by its document key
             raise EvaluationError(f"{where}.seed.{exc}") from None
         except EvaluationError as exc:  # the summed seed, named by its point
             raise EvaluationError(f"{where}.seed: {exc}") from None
-        if not any(spec.format == "csv" for spec in sc.outputs):
-            records = []
-        results.append((sc, report, records))
-    write_outputs(results)
+        for spec in sc.outputs:
+            if spec.format == "csv":
+                write = functools.partial(export_csv, records)
+            else:
+                write = functools.partial(export_report, sc, report)
+            outputs.append((spec.path, write))
+        summaries.append((label, sc, report))
+    write_outputs(outputs)
     all_ok = True
-    for (label, _, _), (sc, report, _) in zip(runs, results):
+    for label, sc, report in summaries:
         all_ok = _print_summary(label, sc, report) and all_ok
     return all_ok
 
 
 def cmd_run(args) -> int:
     sc = scenario_from_dict(_apply_overrides(load_config(args.config), args))
-    return 0 if _verify([("run", "config", sc)], fd_residual_dlw) else 1
+    return 0 if _verify([("run", "config", sc)], fd_residual_dlw, args.config) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -135,7 +149,7 @@ def cmd_sweep(args) -> int:
             merged["outputs"] = []  # avoid runs overwriting a shared path
         sc = scenario_from_dict(_apply_overrides(merged, args), where=label)
         runs.append((label, label, sc))
-    return 0 if _verify(runs, fd_residual_dlw) else 1
+    return 0 if _verify(runs, fd_residual_dlw, args.config) else 1
 
 
 def cmd_reduce(args) -> int:

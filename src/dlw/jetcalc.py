@@ -308,8 +308,6 @@ class JetPoly:
 
     def __mul__(self, other) -> "JetPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return JetPoly()
             return JetPoly._canonical(
                 (key, coeff * other) for key, coeff in self._terms.items()
             )

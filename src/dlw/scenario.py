@@ -442,23 +442,19 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_outputs(results: list[tuple[Scenario, ResidualReport, list]]) -> None:
-    """Write every output of every (scenario, report, records), or none: each
-    file goes to a temporary sibling, and the siblings replace their paths
-    once all are written. An OSError removes them and names the output."""
+def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
+    """Write every (path, write) pair, or none: `write` writes the file to a
+    temporary sibling of its path, and the siblings replace their paths once
+    all are written. An OSError removes the siblings and names the path."""
     pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
     try:
-        for sc, report, records in results:
-            for spec in sc.outputs:
-                path = Path(spec.path)
-                if path.is_dir():  # fail before any sibling replaces its path
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
-                pending.append((temp, path))
-                if spec.format == "csv":
-                    export_csv(records, temp)
-                else:
-                    export_report(sc, report, temp)
+        for target, write in outputs:
+            path = Path(target)
+            if path.is_dir():  # fail before any sibling replaces its path
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
+            pending.append((temp, path))
+            write(temp)
         for temp, path in pending:
             os.replace(temp, path)
     except OSError as exc:

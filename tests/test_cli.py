@@ -1026,6 +1026,34 @@ def test_unwritable_output_leaves_every_file_as_it_was(
     assert Path("kept.json").read_text() == "old\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["derive", "--output", "out"],
+        ["run", "scenario.json", "--output", "out"],
+        ["reduce", "1", "0", "--nz", "3", "--output", "out"],
+    ),
+    ids=("derive", "run", "reduce"),
+)
+def test_a_write_that_fails_part_way_leaves_nothing(tmp_path, capsys, monkeypatch, argv):
+    # every command writes through the one all-or-none writer: a disk that
+    # fills mid-file leaves neither the output nor its temporary sibling
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config())
+
+    def write_text(path, data, *args, **kwargs):
+        with open(path, "w") as handle:
+            handle.write(data[:40])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write out: {os.strerror(errno.ENOSPC)}\n"
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
 class ClosedPipe:
     """A standard output whose reader has gone, as in `dlw derive | head -0`."""
 

@@ -343,6 +343,8 @@ def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
         (-1 * a, _raw_pairs(a, -1)),
         (k * a, _raw_pairs(a, k)),
         (a * k, _raw_pairs(a, k)),
+        (0 * a, _raw_pairs(a, 0)),
+        (a * Fraction(0), _raw_pairs(a, 0)),
         (a * b, _product_pairs(a, b)),
         (b * a, _product_pairs(b, a)),
         (b * b, _product_pairs(b, b)),
