@@ -10,7 +10,6 @@ zero polynomial, or the report names the nonzero residuals and reads FAIL.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -182,8 +181,7 @@ def _leading_coefficient(e: JetPoly, name: str) -> JetPoly:
     )
 
 
-@dataclass(frozen=True)
-class DerivationCheck:
+class DerivationCheck(NamedTuple):
     """Residual polynomials of one branch's symbolic checks, by label in
     report order (ode[i], identity[i], e1, e2, delta1, delta2).
 
@@ -271,8 +269,7 @@ def verify_factorization(
     )
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Outcome of the full derivation: exponents and per-branch checks."""
 
     exponents: BalanceExponents

@@ -13,12 +13,11 @@ Fraction enters; Monomial.coeff is always a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
 from operator import add, itemgetter, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "MAX_ORDER",
@@ -90,8 +89,7 @@ def _render_symbol(sym: _Symbol) -> str:
     return f"{base}^({order})"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """One normalized term of a JetPoly."""
 
     coeff: Fraction

@@ -10,8 +10,7 @@ product rule is exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "FieldSampler",
@@ -31,13 +30,33 @@ FieldSampler = Callable[[float, float, float], tuple[float, float]]
 Terms = tuple[float, float, float, float, float, float]
 
 
-@dataclass(frozen=True)
-class StencilConfig:
-    """Second-order central differencing with a fixed step."""
+class _Checked:
+    """Mixin for a record whose constructor checks its fields: `_replace`
+    and `_make` build through the constructor too, so no record escapes
+    `_check`."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _StencilFields(NamedTuple):
     step: float = 5e-3
 
-    def __post_init__(self):
+
+class StencilConfig(_Checked, _StencilFields):
+    """Second-order central differencing with a fixed step."""
+
+    __slots__ = ()
+
+    def _check(self):
         s = self.step
         if not s > 0:
             raise ValueError("step must be positive")
@@ -53,16 +72,19 @@ class StencilConfig:
             )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive-endpoint evaluation grid, one (lo, hi, count) per axis as a
-    scenario document gives it; any count may be 1."""
-
+class _GridFields(NamedTuple):
     x: tuple[float, float, int]
     y: tuple[float, float, int]
     t: tuple[float, float, int]
 
-    def __post_init__(self):
+
+class GridSpec(_Checked, _GridFields):
+    """Inclusive-endpoint evaluation grid, one (lo, hi, count) per axis as a
+    scenario document gives it; any count may be 1."""
+
+    __slots__ = ()
+
+    def _check(self):
         for axis, (lo, hi, count) in zip("xyt", (self.x, self.y, self.t)):
             if count < 1:
                 raise ValueError(f"{axis} count must be >= 1")
@@ -173,8 +195,7 @@ def fd_residual_1d(
     return u_t, h_z, 0.5 * usq_z, h_t, flux_z, u_zzz
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Aggregated grid residuals: max/mean per equation, worst point, skips."""
 
     max_abs: tuple[float, float]

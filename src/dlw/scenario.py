@@ -2,7 +2,7 @@
 
 A scenario is one JSON document selecting a branch, a seed, a solution path,
 an evaluation grid, stencil and threshold settings, and export targets.  The
-schema mirrors the dataclasses below; expressions are strings in the
+schema mirrors the records below; expressions are strings in the
 coefficient-expression grammar.
 """
 
@@ -13,9 +13,8 @@ import errno
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .jetcalc import Branch
 from .residual import (
@@ -67,14 +66,12 @@ class ConfigError(ValueError):
     """Invalid scenario document or flag; the message names where it is."""
 
 
-@dataclass(frozen=True)
-class ExportSpec:
+class ExportSpec(NamedTuple):
     format: str  # "csv" | "report"
     path: str
 
 
-@dataclass(frozen=True)
-class ConstParams:
+class ConstParams(NamedTuple):
     """Constants of the exact-const solution path."""
 
     a: float
@@ -82,8 +79,7 @@ class ConstParams:
     d: float
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     branch: Branch
     solution_path: str
     seed: SeedSpec | None
@@ -275,7 +271,8 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
                 )
 
     stencil_raw = _object(raw.get("stencil", {}), f"{where}.stencil", ("step",))
-    step = _number(stencil_raw.get("step", StencilConfig.step), f"{where}.stencil.step")
+    default_step = StencilConfig._field_defaults["step"]
+    step = _number(stencil_raw.get("step", default_step), f"{where}.stencil.step")
     try:
         stencil = StencilConfig(step=step)
     except ValueError as exc:
@@ -328,15 +325,17 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
 
 def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
     """Sampler (u, h) plus the underlying seed value for the phi column."""
-    sign = sc.branch.sign
+    # record fields are read here once, not on every sample
+    branch = sc.branch
+    sign = branch.sign
     if sc.solution_path == "exact-const":
-        p = sc.params
+        a, c, d = sc.params
 
         def sampler(x, y, t):
-            return exact_uh_const(p.a, p.c, p.d, sc.branch, (x, y, t))
+            return exact_uh_const(a, c, d, branch, (x, y, t))
 
         def phi_value(x, y, t):
-            return one_plus_exp(p.a * x - sign * p.a * p.a * t + p.c * y + p.d)
+            return one_plus_exp(a * x - sign * a * a * t + c * y + d)
 
     else:
         # One field per scenario: its coefficient table serves the phi column
@@ -347,7 +346,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
 
             def sampler(x, y, t):
                 a, b = field.duals(y)
-                return exact_uh(a, b, sc.branch, (x, y, t))
+                return exact_uh(a, b, branch, (x, y, t))
 
             def phi_value(x, y, t):  # the unit kernel's 1 + exp(theta)
                 (a, _), (b, _) = field.duals(y)
@@ -422,7 +421,7 @@ def export_csv(records: list[tuple], path: str | Path) -> None:
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
     """Machine-readable run report: the report's fields plus the run's grid
     and step. JSON has no NaN or inf, so a non-finite residual is null."""
-    fields = asdict(report)
+    fields = report._asdict()
     for key in ("max_abs", "mean_abs"):
         fields[key] = [r if math.isfinite(r) else None for r in fields[key]]
     payload = {
@@ -434,8 +433,8 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
         },
         "report": {
             **fields,
-            "grid": asdict(sc.grid),
-            "stencil": asdict(sc.stencil),
+            "grid": sc.grid._asdict(),
+            "stencil": sc.stencil._asdict(),
         },
         "verified": report.passes(sc.max_residual),
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CoeffExpr",
@@ -46,43 +46,70 @@ class EvaluationError(ArithmeticError):
 
 
 class CoeffExpr:
-    """Base class for parsed expression nodes."""
+    """Base class for parsed expression nodes. Each node type names its
+    fields in `__slots__`; a node is immutable, and it equals a node of its
+    own type, never of another, whose fields are equal."""
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
 class Num(CoeffExpr):
-    value: float
+    __slots__ = ("value",)  # a float
 
 
-@dataclass(frozen=True)
 class Var(CoeffExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Neg(CoeffExpr):
-    arg: CoeffExpr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class BinOp(CoeffExpr):
-    op: str  # one of + - * /
-    left: CoeffExpr
-    right: CoeffExpr
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
 
 
-@dataclass(frozen=True)
 class Pow(CoeffExpr):
-    base: CoeffExpr
-    exponent: int
+    __slots__ = ("base", "exponent")  # an int exponent
 
 
-@dataclass(frozen=True)
 class Call(CoeffExpr):
-    func: str
-    arg: CoeffExpr
+    __slots__ = ("func", "arg")  # func is one of FUNCTIONS
 
 
 _TOKEN = re.compile(
@@ -92,8 +119,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | ident | op | end
     text: str
     pos: int

@@ -11,7 +11,7 @@ derivatives are analytic, never numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..jetcalc import Branch
 from .exprlang import CoeffExpr, EvaluationError, eval_dual
@@ -52,8 +52,7 @@ def _kernel_constants(amplitude: float, a: tuple, b: tuple, sign: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """One exponential component amp * exp(a(y)*x - sign*a(y)^2*t + b(y))."""
 
     amplitude: float
@@ -61,8 +60,7 @@ class Kernel:
     b: CoeffExpr
 
 
-@dataclass(frozen=True)
-class HeatPolynomial:
+class HeatPolynomial(NamedTuple):
     """Quadratic component c2(y)*(x^2 - sign*2t) + c1(y)*x + c0(y)."""
 
     c2: CoeffExpr
@@ -70,8 +68,7 @@ class HeatPolynomial:
     c0: CoeffExpr
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(NamedTuple):
     branch: Branch
     constant_term: float = 0.0
     kernels: tuple[Kernel, ...] = ()

@@ -6,7 +6,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -339,10 +338,19 @@ def test_report_json_is_the_report_fields_plus_grid_and_step(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, config), "--step", "0.004"]) == 0
     capsys.readouterr()
     inner = json.loads(report_path.read_text())["report"]
-    names = {field.name for field in fields(ResidualReport)}
+    names = set(ResidualReport._fields)
     assert set(inner) == names | {"grid", "stencil"}
     assert inner["grid"] == {"x": [-1.0, 1.0, 4], "y": [-1.0, 1.0, 3], "t": [0.0, 0.5, 2]}
     assert inner["stencil"] == {"step": 0.004}
+
+
+def test_document_without_a_stencil_runs_at_the_default_step(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    config = base_config(outputs=[{"format": "report", "path": str(report_path)}])
+    del config["stencil"]
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert ", step 0.005\n" in capsys.readouterr().out
+    assert json.loads(report_path.read_text())["report"]["stencil"] == {"step": 5e-3}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Seed construction and analytic-partial tests."""
 
-import dataclasses
 import functools
 import math
 import random
@@ -217,7 +216,7 @@ def test_coefficient_error_names_its_member_and_y():
     ):
         field.partials((0.0, -0.5, 0.0))
     # the poly is read after the kernels: drop the one that fails at every y
-    field = SeedField(dataclasses.replace(spec, kernels=spec.kernels[:1]))
+    field = SeedField(spec._replace(kernels=spec.kernels[:1]))
     with pytest.raises(CoefficientError, match=r"^poly\.c1 at y = 0\.25: division by zero$"):
         field.partials((0.0, 0.25, 0.0))
 
