@@ -8,13 +8,7 @@ and certifies every produced solution with an independent finite-difference
 residual oracle.
 """
 
-from .balance import derive
-from .jetcalc import Branch
-from .residual import GridSpec, StencilConfig, fd_residual_dlw
-from .scenario import evaluate_grid
-from .seedlab.exprlang import parse_coeff_expr
-from .seedlab.seeds import Kernel, SeedField, SeedSpec
-from .transform import transform_point
+import importlib
 
 __version__ = "0.1.0"
 
@@ -34,3 +28,30 @@ __all__ = [
     "transform_point",
     "__version__",
 ]
+
+# name -> the module that defines it. Each name is imported from its module
+# when first read, so `import dlw.cli` loads no layer that its command does
+# not run. Nothing is cached here: every read returns the defining module's
+# current binding, so a function patched there and later restored is never
+# kept in this module.
+_SOURCES = {
+    "Branch": "jetcalc",
+    "GridSpec": "residual",
+    "Kernel": "seedlab.seeds",
+    "SeedField": "seedlab.seeds",
+    "SeedSpec": "seedlab.seeds",
+    "StencilConfig": "residual",
+    "derive": "balance",
+    "evaluate_grid": "scenario",
+    "fd_residual_dlw": "residual",
+    "parse_coeff_expr": "seedlab.exprlang",
+    "transform_point": "transform",
+}
+
+
+def __getattr__(name: str):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{source}", __name__), name)

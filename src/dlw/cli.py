@@ -6,32 +6,53 @@ c = a on the line y = 0, checked by the (1+1)-dimensional stencil), and `sweep`
 (repeat `run` over a parameter list).
 Exit codes: 0 verified, 1 verification failure, 2 input error or an output
 that cannot be written.
+
+Each command imports only the layers it runs. `derive` needs the exact
+symbolic layers (`balance`, `jetcalc`), loaded with this module, and
+`write_outputs`, the one writer of every command's files, which lives here.
+`run`, `sweep` and `reduce` import the numeric layers (scenario, seeds,
+transform, residual oracle) when they start.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
 import os
 import sys
+from pathlib import Path
+from typing import Callable
 
 from . import balance
-from .residual import fd_residual_1d, fd_residual_dlw
-from .scenario import (
-    ConfigError,
-    evaluate_scenario,
-    export_csv,
-    export_report,
-    load_config,
-    merge_config,
-    scenario_from_dict,
-    write_outputs,
-)
-from .seedlab.exprlang import EvaluationError
-from .seedlab.seeds import CoefficientError
+from .errors import ConfigError, EvaluationError
 
 __all__ = ["main"]
+
+
+def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
+    """Write every (path, write) pair, or none: `write` writes the file to a
+    temporary sibling of its path, and the siblings replace their paths once
+    all are written. An OSError removes the siblings and names the path."""
+    pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
+    try:
+        for target, write in outputs:
+            path = Path(target)
+            if path.is_dir():  # fail before any sibling replaces its path
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
+            pending.append((temp, path))
+            write(temp)
+        for temp, path in pending:
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp, _ in pending:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+        exc.filename = str(path)
+        raise
 
 
 def cmd_derive(args) -> int:
@@ -54,6 +75,8 @@ def cmd_derive(args) -> int:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
+    from .scenario import merge_config
+
     override: dict = {}
     if args.step is not None:
         override["stencil"] = {"step": args.step}
@@ -95,6 +118,9 @@ def _verify(runs, residual, document=None) -> bool:
     Two outputs that name one file, or an output that names the `document`
     path, stop the command before either. Each output's writer is built
     right after its run's evaluation; only a csv writer holds the records."""
+    from .scenario import evaluate_scenario, export_csv, export_report
+    from .seedlab.seeds import CoefficientError
+
     # absolute path -> the key that names it first
     named = {} if document is None else {os.path.abspath(document): "the document"}
     for _, where, sc in runs:
@@ -127,11 +153,17 @@ def _verify(runs, residual, document=None) -> bool:
 
 
 def cmd_run(args) -> int:
+    from .residual import fd_residual_dlw
+    from .scenario import load_config, scenario_from_dict
+
     sc = scenario_from_dict(_apply_overrides(load_config(args.config), args))
     return 0 if _verify([("run", "config", sc)], fd_residual_dlw, args.config) else 1
 
 
 def cmd_sweep(args) -> int:
+    from .residual import fd_residual_dlw
+    from .scenario import load_config, merge_config, scenario_from_dict
+
     raw = load_config(args.config)
     entries = raw.get("sweep")
     if not isinstance(entries, list) or not entries:
@@ -153,6 +185,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .residual import fd_residual_1d
+    from .scenario import scenario_from_dict
+
     # step and threshold take the document defaults; flags arrive through
     # _apply_overrides, and scenario_from_dict checks every value
     raw = {

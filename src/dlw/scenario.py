@@ -8,14 +8,12 @@ coefficient-expression grammar.
 
 from __future__ import annotations
 
-import contextlib
-import errno
 import json
 import math
-import os
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .errors import ConfigError
 from .jetcalc import Branch
 from .residual import (
     FieldSampler,
@@ -47,7 +45,6 @@ __all__ = [
     "build_sampler",
     "evaluate_grid",
     "evaluate_scenario",
-    "write_outputs",
     "export_csv",
     "export_report",
 ]
@@ -60,10 +57,6 @@ _DOCUMENT_KEYS = ("branch", "solution_path", "seed", "params", "grid", "stencil"
 
 # fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> six terms
 Residual = Callable[[FieldSampler, tuple, StencilConfig], Terms]
-
-
-class ConfigError(ValueError):
-    """Invalid scenario document or flag; the message names where it is."""
 
 
 class ExportSpec(NamedTuple):
@@ -439,26 +432,3 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
         "verified": report.passes(sc.max_residual),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
-    """Write every (path, write) pair, or none: `write` writes the file to a
-    temporary sibling of its path, and the siblings replace their paths once
-    all are written. An OSError removes the siblings and names the path."""
-    pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
-    try:
-        for target, write in outputs:
-            path = Path(target)
-            if path.is_dir():  # fail before any sibling replaces its path
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
-            pending.append((temp, path))
-            write(temp)
-        for temp, path in pending:
-            os.replace(temp, path)
-    except OSError as exc:
-        for temp, _ in pending:
-            with contextlib.suppress(OSError):
-                temp.unlink()
-        exc.filename = str(path)
-        raise

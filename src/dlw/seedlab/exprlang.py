@@ -12,6 +12,8 @@ import math
 import re
 from typing import NamedTuple
 
+from ..errors import EvaluationError
+
 __all__ = [
     "CoeffExpr",
     "Num",
@@ -39,10 +41,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class EvaluationError(ArithmeticError):
-    """Evaluation failure: division by zero or a non-finite result."""
 
 
 class CoeffExpr:

@@ -1,12 +1,15 @@
-"""Record types: what they cost at import, and the semantics they keep.
+"""Record types and the import graph: what they cost at import, and the
+semantics they keep.
 
 Parse nodes are slotted subclasses of CoeffExpr; every other record is a
 typing.NamedTuple. Both are immutable, and a node equals only a node of its
-own type.
+own type. `import dlw.cli` loads only the exact symbolic layers that
+`derive` runs; the numeric layers load with the command that runs them.
 """
 
 import ast
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import dlw
 from dlw.balance import derive
 from dlw.jetcalc import JetPoly
 from dlw.residual import GridSpec, StencilConfig, aggregate_residuals
@@ -45,18 +49,95 @@ CONST_DOCUMENT = {
 }
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import dlw.cli; "
-        "print(sorted(sys.modules))"
-    )
+def _isolated(code: str) -> str:
+    """Standard output of `code` in a fresh interpreter that imports dlw
+    from this checkout only."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r})\n" + code
     done = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
-    modules = ast.literal_eval(done.stdout)
+    return done.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    modules = ast.literal_eval(_isolated("import dlw.cli; print(sorted(sys.modules))"))
     assert "dlw.cli" in modules
     assert "dataclasses" not in modules
     assert "inspect" not in modules
+
+
+SYMBOLIC = ["dlw", "dlw.balance", "dlw.cli", "dlw.errors", "dlw.jetcalc"]
+NUMERIC = ["dlw.residual", "dlw.scenario", "dlw.seedlab", "dlw.seedlab.exprlang",
+           "dlw.seedlab.seeds", "dlw.transform"]
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    code = f"""
+import contextlib, io, json
+def loaded():
+    return sorted(key for key in sys.modules if key.split(".")[0] == "dlw")
+import dlw.cli
+stages = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert dlw.cli.main(["derive", "--output", {str(tmp_path / "derive.json")!r}]) == 0
+    stages.append(loaded())
+    assert dlw.cli.main(["reduce", "1", "0"]) == 0
+    stages.append(loaded())
+print(json.dumps(stages))
+"""
+    imported, derived, reduced = json.loads(_isolated(code))
+    assert imported == SYMBOLIC
+    assert derived == SYMBOLIC
+    assert (tmp_path / "derive.json").is_file()
+    assert reduced == sorted(SYMBOLIC + NUMERIC)
+
+
+def _imports(module: str) -> tuple[set[str], set[str]]:
+    """The dlw modules that `module` imports anywhere in its source, and the
+    names it takes from `math` (`*` for the whole module)."""
+    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
+    package = module.rsplit(".", 1)[0]
+    internal, from_math = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dlw":
+                    internal.add(alias.name)
+                if alias.name == "math":
+                    from_math.add("*")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                if node.module:
+                    internal.add(f"{base}.{node.module}")
+                else:  # from . import balance
+                    internal.update(f"{base}.{alias.name}" for alias in node.names)
+            elif node.module.split(".")[0] == "dlw":
+                internal.add(node.module)
+            elif node.module == "math":
+                from_math.update(alias.name for alias in node.names)
+    return internal, from_math
+
+
+def test_the_fd_oracle_imports_no_other_dlw_module():
+    assert _imports("dlw.residual")[0] == set()
+
+
+def test_the_symbolic_layers_import_no_numeric_layer_and_no_float_math():
+    assert _imports("dlw.jetcalc") == (set(), {"factorial"})
+    internal, from_math = _imports("dlw.balance")
+    assert internal == {"dlw.jetcalc"}
+    assert from_math <= {"factorial"}
+
+
+def test_the_package_resolves_its_exports_on_first_access():
+    for name in dlw.__all__:
+        value = getattr(dlw, name)
+        if name != "__version__":
+            assert name not in vars(dlw)  # read through, never cached
+            assert value is getattr(sys.modules[value.__module__], name)
+    with pytest.raises(AttributeError, match="no attribute 'evaluate_scenario'"):
+        dlw.evaluate_scenario
 
 
 NODES = (

@@ -2,10 +2,12 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from dlw.jetcalc import Branch
+from dlw.balance import build_ansatz, solve_balance_exponents
+from dlw.jetcalc import Branch, specialize_log
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import (
@@ -39,6 +41,39 @@ def test_vacuum_from_constant_seed():
     field = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
     pair = transform_point(field, (1.0, -2.0, 3.0))
     assert pair == (0.0, -1.0)
+
+
+def eval_specialized(poly, partials):
+    """A phi-only JetPoly at floats (phi, phi_x, phi_y, phi_xy), summed over
+    `monomials()`, with the sum of the terms' magnitudes."""
+    phi, phi_x, phi_y, phi_xy = partials
+    jets = {(1, 0, 0): phi_x, (0, 1, 0): phi_y, (1, 1, 0): phi_xy}
+    terms = []
+    for mono in poly.monomials():
+        assert mono.syms == ()
+        term = float(mono.coeff) * phi**mono.phi_power
+        for jet in mono.jets:
+            term *= jets[jet]
+        terms.append(term)
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name.lower())
+def test_transform_point_evaluates_the_derived_ansatz(branch):
+    # derive's u and h, with the log resolution substituted, are the
+    # formulas transform_point evaluates
+    u_poly, h_poly = (
+        specialize_log(p, branch) for p in build_ansatz(solve_balance_exponents())
+    )
+    rng = random.Random(31)
+    for _ in range(200):
+        phi = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        partials = (phi, *(rng.uniform(-10.0, 10.0) for _ in range(3)))
+        stub = SimpleNamespace(branch=branch, partials=lambda point: partials)
+        u, h = transform_point(stub, (0.0, 0.0, 0.0))
+        for got, poly in ((u, u_poly), (h, h_poly)):
+            expected, scale = eval_specialized(poly, partials)
+            assert abs(got - expected) <= 1e-12 * scale, (partials, got, expected)
 
 
 def test_hand_evaluated_point():
