@@ -5,7 +5,9 @@ e.g.   python probes/run_probes.py dlw
        PYTHONPATH=$PWD/src python probes/run_probes.py python -m dlw.cli
 
 Each probe runs COMMAND with its argv in a new empty directory, and the
-script exits 1 if any probe fails. A probe is one JSON object:
+script exits 1 if any probe fails. A probe is one JSON object that holds
+only the keys below and names no key twice in any object; a key outside
+the list is a problem, so a misspelt key cannot silently drop its check:
   why          a note for the reader, where the expectation needs one
   argv         the arguments after the command
   files        {name: document} written into the directory first; an
@@ -33,11 +35,27 @@ from pathlib import Path
 CORPUS = Path(__file__).resolve().parent
 # the name write_outputs gives the temporary sibling of an output path
 TEMPORARY = re.compile(r"\..+\.\d+\.\d+\.tmp")
+# every key a probe may hold, as the docstring lists them
+KEYS = {"why", "argv", "files", "exit", "stderr", "stdout", "inf_phi_csv", "strict_json"}
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in obj if keys.count(key) > 1)
+        raise ValueError(f"duplicate key {twice!r}")
+    return obj
 
 
 def load(name):
-    """The probe in CORPUS/<name>.json."""
-    return json.loads((CORPUS / f"{name}.json").read_text())
+    """The probe in CORPUS/<name>.json; a key named twice in one object
+    raises ValueError."""
+    path = CORPUS / f"{name}.json"
+    try:
+        return json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def command_invoker(command):
@@ -85,7 +103,7 @@ def check(probe, invoke, workdir):
     before = _snapshot(workdir)
     code, out, err = invoke(probe["argv"], workdir)
     after = _snapshot(workdir)
-    problems = []
+    problems = [f"unknown key {key!r}" for key in sorted(probe.keys() - KEYS)]
     if code != probe["exit"]:
         problems.append(f"exit {code}, expected {probe['exit']}")
     if err.splitlines() != probe["stderr"]:

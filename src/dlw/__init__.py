@@ -12,28 +12,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-# What the README's library example imports; everything else is reached
-# through its module.
-__all__ = [
-    "Branch",
-    "GridSpec",
-    "Kernel",
-    "SeedField",
-    "SeedSpec",
-    "StencilConfig",
-    "derive",
-    "evaluate_grid",
-    "fd_residual_dlw",
-    "parse_coeff_expr",
-    "transform_point",
-    "__version__",
-]
-
-# name -> the module that defines it. Each name is imported from its module
-# when first read, so `import dlw.cli` loads no layer that its command does
-# not run. Nothing is cached here: every read returns the defining module's
-# current binding, so a function patched there and later restored is never
-# kept in this module.
+# What the README's library example imports, name -> the module that
+# defines it; everything else is reached through its module. Each name is
+# imported from its module when first read, so `import dlw.cli` loads no
+# layer that its command does not run. Nothing is cached here: every read
+# returns the defining module's current binding, so a function patched
+# there and later restored is never kept in this module.
 _SOURCES = {
     "Branch": "jetcalc",
     "GridSpec": "residual",
@@ -47,6 +31,7 @@ _SOURCES = {
     "parse_coeff_expr": "seedlab.exprlang",
     "transform_point": "transform",
 }
+__all__ = [*_SOURCES, "__version__"]
 
 
 def __getattr__(name: str):

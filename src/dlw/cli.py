@@ -176,6 +176,8 @@ def cmd_sweep(args) -> int:
         label = f"sweep[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{label}: expected an object")
+        if "sweep" in entry:  # a nested list would pass the merged check and never run
+            raise ConfigError(f"{label}: unknown key 'sweep'")
         merged = merge_config(base, entry)
         if "outputs" not in entry:
             merged["outputs"] = []  # avoid runs overwriting a shared path

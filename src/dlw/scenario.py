@@ -34,7 +34,6 @@ from .transform import (
 )
 
 __all__ = [
-    "ConfigError",
     "ConstParams",
     "ExportSpec",
     "Scenario",
@@ -100,8 +99,18 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(
             f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
+
+    def unique_keys(pairs: list) -> dict:
+        # json.loads keeps a repeated key's last value: a setting dropped silently
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for key in obj if keys.count(key) > 1)
+            raise ConfigError(f"config {path}: duplicate key {twice!r}")
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"

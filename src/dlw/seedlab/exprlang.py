@@ -23,7 +23,6 @@ __all__ = [
     "Pow",
     "Call",
     "ExprSyntaxError",
-    "EvaluationError",
     "FUNCTIONS",
     "parse_coeff_expr",
     "eval_dual",

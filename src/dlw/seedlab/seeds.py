@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ..errors import EvaluationError
 from ..jetcalc import Branch
-from .exprlang import CoeffExpr, EvaluationError, eval_dual
+from .exprlang import CoeffExpr, eval_dual
 
 __all__ = [
     "Kernel",

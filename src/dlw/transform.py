@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 
+from .errors import EvaluationError
 from .jetcalc import Branch
-from .seedlab.exprlang import EvaluationError, sech
-from .seedlab.seeds import SeedField
+from .seedlab.exprlang import sech
+from .seedlab.seeds import Point, SeedField
 
 __all__ = [
     "POLE_TOLERANCE",
@@ -20,8 +21,6 @@ __all__ = [
     "exact_uh_const",
     "one_plus_exp",
 ]
-
-Point = tuple[float, float, float]
 
 # |phi| below this fraction of 1 + |phi_x| + |phi_y| is a pole.
 POLE_TOLERANCE = 1e-12

@@ -24,25 +24,16 @@ from dlw.residual import (
     fd_residual_dlw,
 )
 from dlw.scenario import CSV_HEADER, evaluate_grid
-from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
+from dlw.seedlab.exprlang import parse_coeff_expr
 from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
-from dlw.transform import (
-    exact_uh,
-    exact_uh_const,
-    transform_point,
-)
+from dlw.transform import exact_uh_const, transform_point
 from test_residual import residuals
+from test_transform import exact_at
 
 P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
 GRID = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
 CFG = StencilConfig(5e-3)
-
-
-def exact_at(a_expr, b_expr, branch, point):
-    """exact_uh with its coefficient duals evaluated at the point's y."""
-    y = point[1]
-    return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, point)
 
 
 def no_phi(x, y, t):

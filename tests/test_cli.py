@@ -1139,6 +1139,16 @@ for _name, _paths in _TESTS.items():
     globals()[_name] = _probe_test(_paths)
 
 
+def test_a_probe_names_only_keys_it_checks_and_each_once(tmp_path, in_process, monkeypatch):
+    # a misspelt key would otherwise check nothing
+    probe = {**run_probes.load("derive_writes_a_strict_report"), "stdot": []}
+    assert run_probes.check(probe, in_process, tmp_path) == ["unknown key 'stdot'"]
+    monkeypatch.setattr(run_probes, "CORPUS", tmp_path)
+    (tmp_path / "twice.json").write_text('{"argv": [], "files": {"a": "1", "a": "2"}}')
+    with pytest.raises(ValueError, match=r"^twice\.json: duplicate key 'a'$"):
+        run_probes.load("twice")
+
+
 def test_the_corpus_runs_through_a_command(tmp_path, monkeypatch):
     # the mode that checks the installed script: exit 0 with a CSV check,
     # exit 1 with a report check, and exit 2

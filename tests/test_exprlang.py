@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlw.errors import EvaluationError
 from dlw.seedlab.exprlang import (
     BinOp,
     Call,
     CoeffExpr,
-    EvaluationError,
     ExprSyntaxError,
     FUNCTIONS,
     MAX_DEPTH,

@@ -5,15 +5,21 @@ Parse nodes are slotted subclasses of CoeffExpr; every other record is a
 typing.NamedTuple. Both are immutable, and a node equals only a node of its
 own type. `import dlw.cli` loads only the exact symbolic layers that
 `derive` runs; the numeric layers load with the command that runs them.
+Every name has one home: it is imported from, and exported by, only the
+module that defines it.
 """
 
 import ast
 import copy
+import functools
+import importlib
 import json
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -92,42 +98,107 @@ print(json.dumps(stages))
     assert reduced == sorted(SYMBOLIC + NUMERIC)
 
 
-def _imports(module: str) -> tuple[set[str], set[str]]:
-    """The dlw modules that `module` imports anywhere in its source, and the
-    names it takes from `math` (`*` for the whole module)."""
-    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
-    package = module.rsplit(".", 1)[0]
-    internal, from_math = set(), set()
-    for node in ast.walk(ast.parse(path.read_text())):
+# every module of the package, by dotted name -> its file
+MODULES = {
+    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
+    for path in SRC.joinpath("dlw").rglob("*.py")
+}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+README = SRC.parent / "README.md"
+
+
+class Imports(NamedTuple):
+    internal: set[str]  # the dlw modules imported anywhere in the source
+    from_math: set[str]  # the names taken from `math`, `*` for the whole module
+    taken: list[tuple[int, str, str]]  # (line, dlw module, name) of each from-import
+    defined: set[str]  # the names bound at top level by def, class or assignment
+
+
+@functools.cache
+def _imports(path: Path, text: str | None = None) -> Imports:
+    """What the Python file at `path` imports and defines; `text`, when
+    given, is read as that file's source."""
+    tree = ast.parse(path.read_text() if text is None else text)
+    # relative imports start from the package that holds the file
+    package = ".".join(path.relative_to(SRC).parent.parts) if SRC in path.parents else ""
+    found = Imports(set(), set(), [], set())
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "dlw":
-                    internal.add(alias.name)
+                    found.internal.add(alias.name)
                 if alias.name == "math":
-                    from_math.add("*")
+                    found.from_math.add("*")
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{node.module}" if node.module else base
+            else:
+                module = node.module
+            if module.split(".")[0] == "dlw":
+                found.taken.extend((node.lineno, module, alias.name) for alias in node.names)
                 if node.module:
-                    internal.add(f"{base}.{node.module}")
+                    found.internal.add(module)
                 else:  # from . import balance
-                    internal.update(f"{base}.{alias.name}" for alias in node.names)
-            elif node.module.split(".")[0] == "dlw":
-                internal.add(node.module)
-            elif node.module == "math":
-                from_math.update(alias.name for alias in node.names)
-    return internal, from_math
+                    found.internal.update(f"{base}.{alias.name}" for alias in node.names)
+            elif module == "math":
+                found.from_math.update(alias.name for alias in node.names)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found.defined.update(
+                name.id for name in ast.walk(node)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            )
+    return found
 
 
 def test_the_fd_oracle_imports_no_other_dlw_module():
-    assert _imports("dlw.residual")[0] == set()
+    assert _imports(MODULES["dlw.residual"]).internal == set()
 
 
 def test_the_symbolic_layers_import_no_numeric_layer_and_no_float_math():
-    assert _imports("dlw.jetcalc") == (set(), {"factorial"})
-    internal, from_math = _imports("dlw.balance")
+    assert _imports(MODULES["dlw.jetcalc"])[:2] == (set(), {"factorial"})
+    internal, from_math = _imports(MODULES["dlw.balance"])[:2]
     assert internal == {"dlw.jetcalc"}
     assert from_math <= {"factorial"}
+
+
+def test_every_import_names_the_module_that_defines_the_name():
+    # a name a module only imports is not its to give: take it from its home
+    strays = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name} from {module}"
+        for path in [*MODULES.values(), *TESTS]
+        for line, module, name in _imports(path).taken
+        if f"{module}.{name}" not in MODULES  # a submodule: from . import balance
+        and name not in _imports(MODULES[module]).defined
+    ]
+    assert not strays, "\n".join(strays)
+
+
+def test_every_export_list_names_only_what_its_module_defines():
+    strays = [
+        f"{module}.__all__: {name}"
+        for module, path in MODULES.items()
+        if module != "dlw"
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if name not in _imports(path).defined
+    ]
+    assert not strays, "\n".join(strays)
+    # the package exports each name from the module that defines it
+    assert dlw.__all__ == [*dlw._SOURCES, "__version__"]
+    assert [
+        name for name, source in dlw._SOURCES.items()
+        if name not in _imports(MODULES[f"dlw.{source}"]).defined
+    ] == []
+
+
+def test_the_readme_example_imports_exactly_the_package_exports():
+    example = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)[0]
+    taken = _imports(README, example).taken
+    imported = [name for _, module, name in taken if module == "dlw"]
+    assert sorted(imported) == sorted(set(dlw.__all__) - {"__version__"})
 
 
 def test_the_package_resolves_its_exports_on_first_access():

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dlw.errors import EvaluationError
 from dlw.jetcalc import Branch
 from dlw.seedlab import seeds
-from dlw.seedlab.exprlang import EvaluationError, eval_dual, parse_coeff_expr
+from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import CoefficientError, HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import POLE_TOLERANCE, PoleError, transform_point
 
@@ -21,9 +22,13 @@ BRANCHES = (Branch.PLUS, Branch.MINUS)
 TRANSFORM_INDICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
-def unit_kernel_seed(branch, a_text, b_text):
+def unit_kernel_seed(branch, a_text, b_text, constant=1.0, amplitude=1.0):
     return SeedField(
-        SeedSpec(branch=branch, constant_term=1.0, kernels=(Kernel(1.0, P(a_text), P(b_text)),))
+        SeedSpec(
+            branch=branch,
+            constant_term=constant,
+            kernels=(Kernel(amplitude, P(a_text), P(b_text)),),
+        )
     )
 
 

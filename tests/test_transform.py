@@ -9,13 +9,14 @@ import pytest
 from dlw.balance import build_ansatz, solve_balance_exponents
 from dlw.jetcalc import Branch, specialize_log
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
-from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
+from dlw.seedlab.seeds import HeatPolynomial, SeedField, SeedSpec
 from dlw.transform import (
     PoleError,
     exact_uh,
     exact_uh_const,
     transform_point,
 )
+from test_seeds import unit_kernel_seed
 
 P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
@@ -25,16 +26,6 @@ def exact_at(a_expr, b_expr, branch, point):
     """exact_uh with its coefficient duals evaluated at the point's y."""
     y = point[1]
     return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, point)
-
-
-def unit_kernel_seed(branch, a_text, b_text, constant=1.0, amplitude=1.0):
-    return SeedField(
-        SeedSpec(
-            branch=branch,
-            constant_term=constant,
-            kernels=(Kernel(amplitude, P(a_text), P(b_text)),),
-        )
-    )
 
 
 def test_vacuum_from_constant_seed():
