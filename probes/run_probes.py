@@ -21,6 +21,9 @@ the list is a problem, so a misspelt key cannot silently drop its check:
 An exit-2 probe expects one `error:` line, no standard output, and no file
 written or changed. No probe, whatever its exit code, may leave a file named
 like the writer's temporary sibling of an output, `.<name>.<pid>.<n>.tmp`.
+A probe without argv, exit or stderr fails without running, and a file
+that cannot be loaded (malformed JSON, a key named twice, not an object)
+fails with the reason; either way the run goes on to the next probe.
 This module needs only the standard library. The tier-1 suite runs each
 probe through `dlw.cli.main` as the test named after its file.
 """
@@ -37,6 +40,8 @@ CORPUS = Path(__file__).resolve().parent
 TEMPORARY = re.compile(r"\..+\.\d+\.\d+\.tmp")
 # every key a probe may hold, as the docstring lists them
 KEYS = {"why", "argv", "files", "exit", "stderr", "stdout", "inf_phi_csv", "strict_json"}
+# the keys every probe holds
+REQUIRED = ("argv", "exit", "stderr")
 
 
 def _unique_keys(pairs):
@@ -49,13 +54,16 @@ def _unique_keys(pairs):
 
 
 def load(name):
-    """The probe in CORPUS/<name>.json; a key named twice in one object
-    raises ValueError."""
+    """The probe in CORPUS/<name>.json; a file that is not one JSON object,
+    or names a key twice in one object, raises ValueError."""
     path = CORPUS / f"{name}.json"
     try:
-        return json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        probe = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
+    if not isinstance(probe, dict):
+        raise ValueError(f"{path.name}: expected an object")
+    return probe
 
 
 def command_invoker(command):
@@ -94,6 +102,10 @@ def _snapshot(workdir):
 def check(probe, invoke, workdir):
     """The problems found running `probe` through `invoke` in the empty
     directory `workdir`; an empty list is a pass."""
+    problems = [f"unknown key {key!r}" for key in sorted(probe.keys() - KEYS)]
+    missing = [f"missing key {key!r}" for key in REQUIRED if key not in probe]
+    if missing:
+        return problems + missing
     workdir = Path(workdir)
     for name, document in probe.get("files", {}).items():
         text = document if isinstance(document, str) else json.dumps(document)
@@ -103,7 +115,6 @@ def check(probe, invoke, workdir):
     before = _snapshot(workdir)
     code, out, err = invoke(probe["argv"], workdir)
     after = _snapshot(workdir)
-    problems = [f"unknown key {key!r}" for key in sorted(probe.keys() - KEYS)]
     if code != probe["exit"]:
         problems.append(f"exit {code}, expected {probe['exit']}")
     if err.splitlines() != probe["stderr"]:
@@ -143,8 +154,13 @@ def main(command):
     paths = sorted(CORPUS.glob("*.json"))
     failed = 0
     for path in paths:
-        with tempfile.TemporaryDirectory() as workdir:
-            problems = check(load(path.stem), command_invoker(command), workdir)
+        try:
+            probe = load(path.stem)
+        except ValueError as exc:
+            problems = [str(exc)]
+        else:
+            with tempfile.TemporaryDirectory() as workdir:
+                problems = check(probe, command_invoker(command), workdir)
         print("FAIL" if problems else "ok", path.name)
         for problem in problems:
             print("  " + problem)

@@ -130,27 +130,25 @@ def _check_cap(order: int, factor, render) -> None:
         raise OrderLimitError(f"{render(factor)} exceeds order cap {MAX_ORDER}")
 
 
+def _is_order(n) -> bool:
+    return type(n) is int and n >= 0
+
+
 def _canonical_key(phi_power, jets, syms) -> _Key:
     """Checks every part of a raw key and sorts its factors; a factor given
     as a list becomes a tuple, and a tuple is kept as it is."""
     if type(phi_power) is not int:
         raise ValueError(f"invalid phi power {phi_power!r}")
     jets = tuple(map(tuple, jets))
-    for jet in jets:
-        if len(jet) != 3:  # checked before the factor is unpacked or sorted
+    for jet in jets:  # each length is checked before the factor is read or sorted
+        if not (len(jet) == 3 and all(map(_is_order, jet)) and any(jet)):
             raise ValueError(f"invalid jet factor {jet}")
-        i, j, k = jet
-        if not (type(i) is type(j) is type(k) is int and min(jet) >= 0 and i + j + k):
-            raise ValueError(f"invalid jet factor {jet}")
-        _check_cap(i + j + k, jet, _render_jet)
+        _check_cap(sum(jet), jet, _render_jet)
     syms = tuple(map(tuple, syms))
     for sym in syms:
-        if len(sym) != 2:
+        if not (len(sym) == 2 and sym[0] in ("F", "G") and _is_order(sym[1])):
             raise ValueError(f"invalid symbol {sym}")
-        family, order = sym
-        if family not in ("F", "G") or type(order) is not int or order < 0:
-            raise ValueError(f"invalid symbol {sym}")
-        _check_cap(order, sym, _render_symbol)
+        _check_cap(sym[1], sym, _render_symbol)
     return (phi_power, _sorted_jets(jets), tuple(sorted(syms)))
 
 
@@ -264,8 +262,7 @@ class JetPoly:
                 parts.append("+ " + text)
         return " ".join(parts)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"JetPoly({self.render()})"
@@ -283,6 +280,8 @@ class JetPoly:
         """self op other, merged into a copy of self's terms: other's keys
         are canonical and its coefficients nonzero, so a key drops only
         where it cancels."""
+        if not isinstance(other, JetPoly):
+            return NotImplemented
         terms = self._terms.copy()
         for key, coeff in other._terms.items():
             value = op(terms.get(key, 0), coeff)
@@ -295,13 +294,9 @@ class JetPoly:
         return poly
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
-        if not isinstance(other, JetPoly):
-            return NotImplemented
         return self._merged(other, add)
 
     def __sub__(self, other: "JetPoly") -> "JetPoly":
-        if not isinstance(other, JetPoly):
-            return NotImplemented
         return self._merged(other, sub)
 
     def __mul__(self, other) -> "JetPoly":
@@ -324,8 +319,7 @@ class JetPoly:
             for (p2, jets2, syms2), c2 in other._terms.items()
         )
 
-    def __rmul__(self, other) -> "JetPoly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
 
 def total_derivative(p: JetPoly, direction: str) -> JetPoly:

@@ -89,6 +89,33 @@ CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
 _CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(","))
 
 
+class _Pairs(list):
+    """One JSON object's (key, value) pairs as json reads them, in order."""
+
+
+def _plain(value, where: str, names: list | None = None):
+    """`value`, named `where` in an error, with each object in it made a dict.
+    A member is named as scenario_from_dict names it (`config.seed`, then
+    `config.seed.kernels[0]`); the members of `value` itself take `names`
+    in order where given. json keeps a repeated key's last value and drops
+    a setting silently, so the first key an object names twice raises
+    ConfigError naming that object. Loops, not comprehensions, keep to one
+    frame a level, as deep as json's own reader goes."""
+    if isinstance(value, _Pairs):
+        obj = {}
+        for pos, (key, item) in enumerate(value):
+            if key in obj:
+                raise ConfigError(f"{where}: duplicate key {key!r}")
+            obj[key] = _plain(item, names[pos] if names else f"{where}.{key}")
+        return obj
+    if isinstance(value, list):
+        items = []
+        for pos, item in enumerate(value):
+            items.append(_plain(item, f"{where}[{pos}]"))
+        return items
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     """Read a scenario document; raises ConfigError with a location."""
     try:
@@ -99,25 +126,19 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(
             f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
-
-    def unique_keys(pairs: list) -> dict:
-        # json.loads keeps a repeated key's last value: a setting dropped silently
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            twice = next(key for key in obj if keys.count(key) > 1)
-            raise ConfigError(f"config {path}: duplicate key {twice!r}")
-        return obj
-
     try:
-        raw = json.loads(text, object_pairs_hook=unique_keys)
+        raw = json.loads(text, object_pairs_hook=_Pairs)
+        if not isinstance(raw, _Pairs):
+            raise ConfigError(f"config {path}: top level must be an object")
+        # a sweep entry is named as `dlw sweep` names it: sweep[0], sweep[1], ...
+        names = ["sweep" if key == "sweep" else f"config.{key}" for key, _ in raw]
+        return _plain(raw, f"config {path}", names)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
-    return raw
+    except RecursionError:  # json's nesting limit, or _plain's
+        raise ConfigError(f"config {path}: nested too deeply") from None
 
 
 def merge_config(base: dict, override: dict) -> dict:

@@ -155,18 +155,19 @@ class _Parser:
         self.index = 0
         self.depth = 0  # open parentheses, calls and unary minus
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
     def advance(self) -> _Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the operator characters `ops`."""
+        token = self.tokens[self.index]
+        return token.kind == "op" and token.text in ops
+
     def expect_op(self, op: str) -> None:
-        token = self.peek()
-        if token.kind != "op" or token.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", token.pos)
+        if not self.at(op):
+            raise ExprSyntaxError(f"expected {op!r}", self.tokens[self.index].pos)
         self.advance()
 
     def nested(self, parse, token: _Token) -> tuple[CoeffExpr, int]:
@@ -186,14 +187,14 @@ class _Parser:
 
     def parse(self) -> CoeffExpr:
         expr, _ = self.parse_sum()
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind != "end":
             raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
         return expr
 
     def parse_sum(self) -> tuple[CoeffExpr, int]:
         node, height = self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at("+-"):
             token = self.advance()
             right, right_height = self.parse_product()
             node, height = self.grow(
@@ -203,7 +204,7 @@ class _Parser:
 
     def parse_product(self) -> tuple[CoeffExpr, int]:
         node, height = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.at("*/"):
             token = self.advance()
             right, right_height = self.parse_unary()
             node, height = self.grow(
@@ -212,36 +213,33 @@ class _Parser:
         return node, height
 
     def parse_unary(self) -> tuple[CoeffExpr, int]:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
+        if self.at("-"):
+            token = self.advance()
             arg, height = self.nested(self.parse_unary, token)
             return self.grow(Neg(arg), height, token)
         return self.parse_power()
 
     def parse_power(self) -> tuple[CoeffExpr, int]:
         base, height = self.parse_atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
+        if self.at("^"):
+            token = self.advance()
             return self.grow(Pow(base, self.parse_exponent()), height, token)
         return base, height
 
     def parse_exponent(self) -> int:
-        sign = 1
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
+        negative = self.at("-")
+        if negative:
             self.advance()
-            sign = -1
-            token = self.peek()
-        if token.kind != "number":
+        token = self.advance()
+        if token.kind != "number" or not token.text.isdigit():
             raise ExprSyntaxError("non-integer exponent", token.pos)
-        if not token.text.isdigit():
-            raise ExprSyntaxError("non-integer exponent", token.pos)
-        self.advance()
-        return sign * int(token.text)
+        return -int(token.text) if negative else int(token.text)
 
     def parse_atom(self) -> tuple[CoeffExpr, int]:
+        if self.at("("):
+            node = self.nested(self.parse_sum, self.advance())
+            self.expect_op(")")
+            return node
         token = self.advance()
         if token.kind == "number":
             value = float(token.text)
@@ -251,21 +249,14 @@ class _Parser:
         if token.kind == "ident":
             if token.text == "y":
                 return Var(), 0
-            follows_call = (
-                self.peek().kind == "op" and self.peek().text == "("
-            )
-            if not follows_call:
+            if not self.at("("):
                 raise ExprSyntaxError(f"unknown identifier {token.text!r}", token.pos)
             if token.text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {token.text!r}", token.pos)
-            self.expect_op("(")
+            self.advance()
             arg, height = self.nested(self.parse_sum, token)
             self.expect_op(")")
             return self.grow(Call(token.text, arg), height, token)
-        if token.kind == "op" and token.text == "(":
-            node = self.nested(self.parse_sum, token)
-            self.expect_op(")")
-            return node
         raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
 
 

@@ -35,24 +35,6 @@ class CoefficientError(EvaluationError):
     `kernels[0]`) and the y value."""
 
 
-def _kernel_constants(amplitude: float, a: tuple, b: tuple, sign: int) -> tuple:
-    """The x- and t-free constants of one kernel at one y, in the order
-    `partials` unpacks them, then the kernel's pairs (a, b) as `duals`
-    returns them. a and b are (value, y-derivative) pairs."""
-    a_value, a_prime = a
-    b_value, b_prime = b
-    return (
-        amplitude,
-        a_value,
-        a_prime,
-        b_value,
-        b_prime,
-        sign * a_value**2,  # OverflowError past the float range
-        sign * 2.0 * a_value * a_prime,
-        (a, b),
-    )
-
-
 class Kernel(NamedTuple):
     """One exponential component amp * exp(a(y)*x - sign*a(y)^2*t + b(y))."""
 
@@ -118,18 +100,20 @@ class SeedField:
                 pairs.append(eval_dual(expr, y))
             except EvaluationError as exc:
                 raise CoefficientError(f"{member} at y = {y!r}: {exc}") from None
+        entry = tuple(pairs)
         if slot in self._kernel_slots:
+            (a, a_prime), (b, b_prime) = entry
+            sign = self.branch.sign
             try:
-                entry = _kernel_constants(
-                    self.spec.kernels[slot].amplitude, *pairs, self.branch.sign
-                )
+                sign_a2 = sign * a**2
             except OverflowError:
                 # float ** raises where * rounds to inf; every sample needs a**2
                 raise CoefficientError(
                     f"kernels[{slot}].a at y = {y!r}: a^2 overflows"
                 ) from None
-        else:
-            entry = tuple(pairs)
+            amplitude = self.spec.kernels[slot].amplitude
+            sign_2aa_prime = sign * 2.0 * a * a_prime
+            entry = amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime, entry
         row[slot] = entry
         return entry
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import errno
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dlw.balance
+import dlw.cli
 import dlw.scenario
 from dlw.cli import main
 from dlw.jetcalc import Branch, JetPoly
@@ -190,6 +192,16 @@ def test_run_rejects_non_utf8_config(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: config {path}: not UTF-8 text")
+
+
+def test_run_rejects_a_document_nested_too_deeply(tmp_path, capsys):
+    # past the depth json's reader or the key check recurses to: exit 2, no traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"debug": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config {path}: nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -1147,6 +1159,26 @@ def test_a_probe_names_only_keys_it_checks_and_each_once(tmp_path, in_process, m
     (tmp_path / "twice.json").write_text('{"argv": [], "files": {"a": "1", "a": "2"}}')
     with pytest.raises(ValueError, match=r"^twice\.json: duplicate key 'a'$"):
         run_probes.load("twice")
+    (tmp_path / "list.json").write_text("[]")
+    with pytest.raises(ValueError, match=r"^list\.json: expected an object$"):
+        run_probes.load("list")
+
+
+def test_a_bad_probe_fails_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
+    # a probe missing a key, or a file that cannot be loaded, fails alone
+    monkeypatch.setattr(run_probes, "CORPUS", tmp_path)
+    (tmp_path / "good.json").write_text('{"argv": [], "exit": 0, "stderr": []}')
+    (tmp_path / "no_exit.json").write_text('{"argv": [], "stderr": []}')
+    (tmp_path / "twice.json").write_text('{"argv": [], "argv": [], "exit": 0}')
+    assert run_probes.main([sys.executable, "-c", "pass"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok good.json",
+        "FAIL no_exit.json",
+        "  missing key 'exit'",
+        "FAIL twice.json",
+        "  twice.json: duplicate key 'argv'",
+        "2 of 3 probes failed",
+    ]
 
 
 def test_the_corpus_runs_through_a_command(tmp_path, monkeypatch):
@@ -1161,3 +1193,51 @@ def test_the_corpus_runs_through_a_command(tmp_path, monkeypatch):
     ):
         (tmp_path / name).mkdir()
         assert run_probes.check(run_probes.load(name), invoke, tmp_path / name) == []
+
+
+# the `raise ConfigError` sites that no probe reaches, by their longest literal
+UNPROBED_INPUT_ERRORS = {
+    ": not UTF-8 text: ": "a probe writes its documents as text; "
+    "test_run_rejects_non_utf8_config covers it",
+    ": nested too deeply": "a probe would spell out a document a thousand levels "
+    "deep; test_run_rejects_a_document_nested_too_deeply covers it",
+}
+
+
+def _input_error_literals():
+    """(site, longest literal part of its message) of every `raise
+    ConfigError(...)` in the modules that validate documents and flags."""
+    for module in (dlw.scenario, dlw.cli):
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ConfigError"
+            ):
+                continue
+            message = node.exc.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            literals = [part.value for part in parts if isinstance(part, ast.Constant)]
+            yield f"{path.name}:{node.lineno}", max(literals, key=len, default="")
+
+
+def test_every_input_error_is_probed():
+    # a literal under 8 characters, such as the ": " of f"{where}: {exc}",
+    # names no one error
+    stderr = "\n".join(
+        line
+        for path in run_probes.CORPUS.glob("*.json")
+        for line in run_probes.load(path.stem)["stderr"]
+    )
+    sites = list(_input_error_literals())
+    unprobed = [
+        f"{site} {literal!r}"
+        for site, literal in sites
+        if len(literal) >= 8
+        and literal not in UNPROBED_INPUT_ERRORS
+        and literal not in stderr
+    ]
+    assert unprobed == []
+    # and every exemption still names a site
+    assert UNPROBED_INPUT_ERRORS.keys() <= {literal for _, literal in sites}
