@@ -156,7 +156,9 @@ def cmd_run(args) -> int:
     from .residual import fd_residual_dlw
     from .scenario import load_config, scenario_from_dict
 
-    sc = scenario_from_dict(_apply_overrides(load_config(args.config), args))
+    raw = load_config(args.config)
+    raw.pop("sweep", None)  # `run` runs the base only
+    sc = scenario_from_dict(_apply_overrides(raw, args))
     return 0 if _verify([("run", "config", sc)], fd_residual_dlw, args.config) else 1
 
 
@@ -165,10 +167,9 @@ def cmd_sweep(args) -> int:
     from .scenario import load_config, merge_config, scenario_from_dict
 
     raw = load_config(args.config)
-    entries = raw.get("sweep")
+    entries = raw.pop("sweep", None)
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config has no nonempty 'sweep' list")
-    base = {key: value for key, value in raw.items() if key != "sweep"}
     # every entry is validated before any runs, so an input error prints
     # no summary and writes no file
     runs = []
@@ -176,12 +177,8 @@ def cmd_sweep(args) -> int:
         label = f"sweep[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{label}: expected an object")
-        if "sweep" in entry:  # a nested list would pass the merged check and never run
-            raise ConfigError(f"{label}: unknown key 'sweep'")
-        merged = merge_config(base, entry)
-        if "outputs" not in entry:
-            merged["outputs"] = []  # avoid runs overwriting a shared path
-        sc = scenario_from_dict(_apply_overrides(merged, args), where=label)
+        merged = _apply_overrides(merge_config(raw, entry), args)
+        sc = scenario_from_dict(merged, where=label)
         runs.append((label, label, sc))
     return 0 if _verify(runs, fd_residual_dlw, args.config) else 1
 

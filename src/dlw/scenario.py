@@ -50,9 +50,9 @@ __all__ = [
 
 SOLUTION_PATHS = ("transform", "exact", "exact-const")
 SEED_KINDS = ("constant", "kernels", "poly", "mixed")
-# top-level keys; `dlw sweep` checks each `sweep` entry merged onto the rest
+# the keys of one run; `dlw sweep` checks each `sweep` entry merged onto the rest
 _DOCUMENT_KEYS = ("branch", "solution_path", "seed", "params", "grid", "stencil",
-                  "thresholds", "outputs", "debug", "sweep")
+                  "thresholds", "outputs", "debug")
 
 # fd_residual_dlw or fd_residual_1d: (sampler, point, stencil) -> six terms
 Residual = Callable[[FieldSampler, tuple, StencilConfig], Terms]
@@ -256,7 +256,8 @@ def _parse_grid(raw, where: str) -> GridSpec:
 
 
 def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
-    """Validate a loaded document into a Scenario."""
+    """Validate a loaded document into a Scenario. `seed` and `params` are
+    checked wherever they appear; the path says which of the two it needs."""
     _object(raw, where, _DOCUMENT_KEYS)
     branch_name = _require(raw, "branch", where)
     try:
@@ -267,39 +268,34 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     path = raw.get("solution_path", "transform")
     if path not in SOLUTION_PATHS:
         raise ConfigError(f"{where}.solution_path: unknown path {path!r}")
+    _require(raw, "params" if path == "exact-const" else "seed", where)
 
     seed = None
+    if "seed" in raw:
+        seed = _parse_seed(raw["seed"], branch, f"{where}.seed")
     params = None
-    if path == "exact-const":
+    if "params" in raw:
         label = f"{where}.params"
-        entry = _object(_require(raw, "params", where), label, ("a", "c", "d"))
+        entry = _object(raw["params"], label, ("a", "c", "d"))
         params = ConstParams(
             a=_number(_require(entry, "a", label), f"{label}.a"),
             c=_number(_require(entry, "c", label), f"{label}.c"),
             d=_number(_require(entry, "d", label), f"{label}.d"),
         )
-    else:
-        seed = _parse_seed(_require(raw, "seed", where), branch, f"{where}.seed")
-        if path == "exact":
-            unit_kernel = (
-                seed.constant_term == 1.0
-                and len(seed.kernels) == 1
-                and seed.kernels[0].amplitude == 1.0
-                and seed.poly is None
-            )
-            if not unit_kernel:
-                raise ConfigError(
-                    f"{where}: solution_path 'exact' needs constant 1 and exactly "
-                    "one kernel of amplitude 1"
-                )
+    if path == "exact" and not (
+        seed.constant_term == 1.0
+        and len(seed.kernels) == 1
+        and seed.kernels[0].amplitude == 1.0
+        and seed.poly is None
+    ):
+        raise ConfigError(
+            f"{where}: solution_path 'exact' needs constant 1 and exactly "
+            "one kernel of amplitude 1"
+        )
 
     stencil_raw = _object(raw.get("stencil", {}), f"{where}.stencil", ("step",))
     default_step = StencilConfig._field_defaults["step"]
     step = _number(stencil_raw.get("step", default_step), f"{where}.stencil.step")
-    try:
-        stencil = StencilConfig(step=step)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.stencil: {exc}") from None
 
     thresholds = _object(
         raw.get("thresholds", {}), f"{where}.thresholds", ("max_residual",)
@@ -329,7 +325,8 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
 
     grid = _parse_grid(_require(raw, "grid", where), f"{where}.grid")
     try:
-        grid.check_step(stencil.step)
+        stencil = StencilConfig(step=step)
+        grid.check_step(step)
     except ValueError as exc:
         raise ConfigError(f"{where}.stencil: {exc}") from None
 

@@ -12,10 +12,13 @@ import random
 import pytest
 
 from dlw.cli import main
+from dlw.errors import ConfigError
 from dlw.jetcalc import Branch
 from dlw.residual import GridSpec, StencilConfig, fd_residual_dlw
 from dlw.scenario import (
+    _DOCUMENT_KEYS,
     CSV_HEADER,
+    SOLUTION_PATHS,
     evaluate_grid,
     evaluate_scenario,
     export_csv,
@@ -125,6 +128,43 @@ def test_failing_coefficient_through_y_zero_exits_2(path, tmp_path, capsys):
         "error: field evaluation failed: "
         "config.seed.kernels[0].b at y = 0.0: division by zero\n"
     )
+
+
+# one wrong value per document key; a key added later needs one here too
+WRONG_VALUES = {
+    "branch": "sideways",
+    "solution_path": "closed",
+    "seed": {"zzz": 1},
+    "params": {"zzz": 1},
+    "grid": {"zzz": 1},
+    "stencil": {"zzz": 1},
+    "thresholds": {"zzz": 1},
+    "outputs": 5,
+    "debug": {"zzz": 1},
+}
+
+
+def valid_document(path):
+    """A document the path runs: a kernel seed, the unit kernel, or params."""
+    document = {"branch": "plus", "solution_path": path, "grid": GRID}
+    if path == "exact-const":
+        document["params"] = {"a": 1.0, "c": 1.0, "d": 0.0}
+    else:
+        amplitude = 1.0 if path == "exact" else 2.0
+        kernel = {"amplitude": amplitude, "a": "1", "b": "y"}
+        document["seed"] = {"kind": "kernels", "constant": 1.0, "kernels": [kernel]}
+    return document
+
+
+@pytest.mark.parametrize("path", SOLUTION_PATHS)
+@pytest.mark.parametrize("key", _DOCUMENT_KEYS)
+def test_every_document_key_is_checked_on_every_path(key, path):
+    # a block the path does not run from is checked all the same
+    scenario_from_dict(valid_document(path))
+    document = {**valid_document(path), key: WRONG_VALUES[key]}
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(document)
+    assert str(err.value).startswith(f"config.{key}")
 
 
 def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
