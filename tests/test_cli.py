@@ -70,6 +70,33 @@ def read_csv(path):
 # -- derive ------------------------------------------------------------------------
 
 
+def test_derive_passes_and_prints_key_facts(capsys):
+    assert main(["derive"]) == 0
+    out = capsys.readouterr().out
+    assert "(l,m,n,p,q,r) = (1,0,0,1,1,0)" in out
+    assert "A = -1" in out
+    assert out.count("PASS") == 2
+    assert "branch plus" in out and "branch minus" in out
+
+
+def test_derive_is_byte_identical_across_runs(capsys):
+    main(["derive"])
+    first = capsys.readouterr().out
+    main(["derive"])
+    second = capsys.readouterr().out
+    assert first == second
+
+
+def test_derive_json_export(tmp_path, capsys):
+    target = tmp_path / "derivation.json"
+    assert main(["derive", "--output", str(target)]) == 0
+    capsys.readouterr()
+    payload = json.loads(target.read_text())
+    assert payload["exponents"] == {"l": 1, "m": 0, "n": 0, "p": 1, "q": 1, "r": 0}
+    assert payload["branches"]["plus"]["passed"] is True
+    assert payload["branches"]["minus"]["passed"] is True
+
+
 DERIVE_STDOUT = """\
 balance exponents: (l,m,n,p,q,r) = (1,0,0,1,1,0)
 ansatz: u = f'*phi_x, h = g''*phi_x*phi_y + g'*phi_xy + A
