@@ -119,7 +119,6 @@ def _verify(runs, residual, document=None) -> bool:
     path, stop the command before either. Each output's writer is built
     right after its run's evaluation; only a csv writer holds the records."""
     from .scenario import evaluate_scenario, export_csv, export_report
-    from .seedlab.seeds import CoefficientError
 
     # absolute path -> the key that names it first
     named = {} if document is None else {os.path.abspath(document): "the document"}
@@ -134,10 +133,8 @@ def _verify(runs, residual, document=None) -> bool:
     for label, where, sc in runs:
         try:
             report, records = evaluate_scenario(sc, residual)
-        except CoefficientError as exc:  # name the expression by its document key
-            raise EvaluationError(f"{where}.seed.{exc}") from None
-        except EvaluationError as exc:  # the summed seed, named by its point
-            raise EvaluationError(f"{where}.seed: {exc}") from None
+        except EvaluationError as exc:  # named from `seed`; prefix the run's key
+            raise EvaluationError(f"{where}.{exc}") from None
         for spec in sc.outputs:
             if spec.format == "csv":
                 write = functools.partial(export_csv, records)

@@ -12,7 +12,8 @@ class ConfigError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """A float evaluation failed. A coefficient expression divided by zero,
-    overflowed or gave a non-finite value; a seed kernel's constants passed
-    the float range (as a `CoefficientError`, which names the seed member);
-    or the summed seed, or one of its partials, was not finite at a point."""
+    """A float evaluation failed: a coefficient expression divided by zero,
+    overflowed or gave a non-finite value; a kernel's a^2 or exponent passed
+    the float range; or the summed seed, or one of its partials, was not
+    finite at a point. Past the expression layer the message is named from
+    `seed` (`seed.kernels[0].a at y = ...`, `seed: ... at point ...`)."""

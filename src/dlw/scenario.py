@@ -1,4 +1,4 @@
-"""Scenario configuration, orchestration, and grid data export.
+"""Scenario configuration, the grid walk, and grid data export.
 
 A scenario is one JSON document selecting a branch, a seed, a solution path,
 an evaluation grid, stencil and threshold settings, and export targets.  The

@@ -22,17 +22,9 @@ __all__ = [
     "HeatPolynomial",
     "SeedSpec",
     "SeedField",
-    "CoefficientError",
 ]
 
 Point = tuple[float, float, float]
-
-
-class CoefficientError(EvaluationError):
-    """A coefficient expression failed to evaluate, a kernel's a^2 passed
-    the float range, or a kernel's exponent passed `exp`'s range; the message
-    starts with its member of the seed (`kernels[0].a`, `poly.c1`,
-    `kernels[0]`) and the y value."""
 
 
 class Kernel(NamedTuple):
@@ -69,8 +61,8 @@ class SeedField:
     poly's holds the pairs (c2, c1, c0). A slot is filled when a point first
     needs it, in the order the seed's terms are summed, so an error surfaces
     where it would without the table; an EvaluationError leaves the slot
-    empty and is raised again on the next request. A coefficient's error is
-    a CoefficientError naming its member and y. Two readers share the table:
+    empty and is raised again on the next request, named from `seed` by its
+    member and y (`seed.kernels[0].a at y = ...`). Two readers share the table:
     `partials`, and `duals`, which reads kernel 0 for the exact path. The
     table is its only state, filled idempotently: a field shared across
     threads may evaluate a slot twice, never differently.
@@ -81,14 +73,12 @@ class SeedField:
         self.branch = spec.branch
         self._kernel_slots = range(len(spec.kernels))
         self._groups = tuple(
-            ((f"kernels[{pos}].a", kernel.a), (f"kernels[{pos}].b", kernel.b))
+            ((f"seed.kernels[{pos}].a", kernel.a), (f"seed.kernels[{pos}].b", kernel.b))
             for pos, kernel in enumerate(spec.kernels)
         )
         if spec.poly is not None:
-            poly = spec.poly
-            self._groups += (
-                (("poly.c2", poly.c2), ("poly.c1", poly.c1), ("poly.c0", poly.c0)),
-            )
+            members = ("seed.poly.c2", "seed.poly.c1", "seed.poly.c0")
+            self._groups += (tuple(zip(members, spec.poly)),)
         constant = spec.constant_term
         self._phi_start = 0.0 + constant if constant else 0.0  # never -0.0
         self._rows: dict[object, list[tuple | None]] = {}
@@ -99,7 +89,7 @@ class SeedField:
             try:
                 pairs.append(eval_dual(expr, y))
             except EvaluationError as exc:
-                raise CoefficientError(f"{member} at y = {y!r}: {exc}") from None
+                raise EvaluationError(f"{member} at y = {y!r}: {exc}") from None
         entry = tuple(pairs)
         if slot in self._kernel_slots:
             (a, a_prime), (b, b_prime) = entry
@@ -108,8 +98,8 @@ class SeedField:
                 sign_a2 = sign * a**2
             except OverflowError:
                 # float ** raises where * rounds to inf; every sample needs a**2
-                raise CoefficientError(
-                    f"kernels[{slot}].a at y = {y!r}: a^2 overflows"
+                raise EvaluationError(
+                    f"seed.kernels[{slot}].a at y = {y!r}: a^2 overflows"
                 ) from None
             amplitude = self.spec.kernels[slot].amplitude
             sign_2aa_prime = sign * 2.0 * a * a_prime
@@ -119,8 +109,9 @@ class SeedField:
 
     def duals(self, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """Kernel 0's pairs ((a, a'), (b, b')) at y, which the exact path
-        reads. A kernel whose a^2 passes the float range raises `kernels[0].a
-        at y = <y>: a^2 overflows` (a CoefficientError), as `partials` does."""
+        reads. A kernel whose a^2 passes the float range raises the
+        EvaluationError `seed.kernels[0].a at y = <y>: a^2 overflows`, as
+        `partials` does."""
         key = y if y and y == y else repr(y)  # as in partials
         row = self._rows.get(key)
         if row is None:
@@ -130,10 +121,10 @@ class SeedField:
     def partials(self, point: Point) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
         row: the constant, the kernels in spec order, then the poly. The sums
-        are returned as summed, inf or nan included. Raises a CoefficientError
-        naming the member and y: a coefficient that fails, `kernels[<pos>].a
-        at y = <y>: a^2 overflows`, or `kernels[<pos>] at y = <y>: kernel
-        overflow at exponent ...`."""
+        are returned as summed, inf or nan included. Raises an EvaluationError
+        naming the member and y: a coefficient that fails (`seed.poly.c1 at
+        y = <y>: ...`), `seed.kernels[<pos>].a at y = <y>: a^2 overflows`, or
+        `seed.kernels[<pos>] at y = <y>: kernel overflow at exponent ...`."""
         x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
@@ -154,8 +145,9 @@ class SeedField:
             try:
                 scale = amplitude * math.exp(theta)
             except OverflowError:
-                raise CoefficientError(
-                    f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
+                raise EvaluationError(
+                    f"seed.kernels[{pos}] at y = {y!r}: "
+                    f"kernel overflow at exponent {theta!r}"
                 ) from None
             phi += scale
             phi_x += a * scale

@@ -37,12 +37,12 @@ class PoleError(ArithmeticError):
 
 def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1.
-    Raises `non-finite seed value at point <point>` (an EvaluationError)
+    Raises the EvaluationError `seed: non-finite seed value at point <point>`
     where a partial is inf or nan, then PoleError at a pole."""
     phi, phi_x, phi_y, phi_xy = field.partials(point)
     isfinite = math.isfinite
     if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
-        raise EvaluationError(f"non-finite seed value at point {point}")
+        raise EvaluationError(f"seed: non-finite seed value at point {point}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = field.branch.sign * 2.0 * phi_x / phi

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import ast
 import errno
+import itertools
 import json
 import math
 import os
@@ -1243,3 +1245,27 @@ def test_every_input_error_is_probed():
     assert unprobed == []
     # and every exemption still names a site
     assert UNPROBED_INPUT_ERRORS.keys() <= {literal for _, literal in sites}
+
+
+def test_every_flag_is_probed():
+    # the corpus also runs against the installed script, so a flag no probe
+    # passes would reach no check there; `--` ends the options
+    subparsers = next(
+        action
+        for action in dlw.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        (command, option)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    probed = set()
+    for path in run_probes.CORPUS.glob("*.json"):
+        command, *rest = run_probes.load(path.stem)["argv"]
+        for arg in itertools.takewhile(lambda arg: arg != "--", rest):
+            probed.add((command, arg.partition("=")[0]))
+    unprobed = sorted(f"{command} {option}" for command, option in flags - probed)
+    assert not unprobed, f"no probe passes {', '.join(unprobed)}"

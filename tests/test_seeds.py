@@ -13,7 +13,7 @@ from dlw.errors import EvaluationError
 from dlw.jetcalc import Branch
 from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
-from dlw.seedlab.seeds import CoefficientError, HeatPolynomial, Kernel, SeedField, SeedSpec
+from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import POLE_TOLERANCE, PoleError, transform_point
 
 P = parse_coeff_expr
@@ -182,7 +182,7 @@ def test_kernel_overflow_surfaces_as_evaluation_error():
     doubled = SeedField(SeedSpec(Branch.PLUS, 0.0, (Kernel(2.0, P("1"), P("709")),)))
     assert repr(doubled.partials((0.5, 0.0, 0.0))) == "(inf, inf, nan, nan)"
     with pytest.raises(
-        EvaluationError, match=r"^non-finite seed value at point \(0\.5, 0\.0, 0\.0\)$"
+        EvaluationError, match=r"^seed: non-finite seed value at point \(0\.5, 0\.0, 0\.0\)$"
     ):
         transform_point(doubled, (0.5, 0.0, 0.0))
 
@@ -192,18 +192,18 @@ def test_power_overflow_surfaces_as_evaluation_error():
     field = unit_kernel_seed(Branch.PLUS, "1e160", "0")
     for read in (field.partials, functools.partial(transform_point, field)):
         with pytest.raises(
-            CoefficientError, match=r"^kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
+            EvaluationError, match=r"^seed\.kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
         ):
             read((0.5, 0.0, 0.5))
 
 
 def test_coefficient_evaluation_errors_propagate():
     field = unit_kernel_seed(Branch.PLUS, "1/y", "0")
-    message = re.escape("kernels[0].a at y = 0.0: division by zero")
+    message = re.escape("seed.kernels[0].a at y = 0.0: division by zero")
     for _ in range(2):  # the failure is raised again, never stored
-        with pytest.raises(CoefficientError, match=f"^{message}$"):
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
             field.partials((0.0, 0.0, 0.0))
-        with pytest.raises(CoefficientError, match=f"^{message}$"):
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
             field.duals(0.0)
     assert field.partials((1.0, 0.5, 0.0))[0] == pytest.approx(1.0 + math.e**2)
 
@@ -217,12 +217,14 @@ def test_coefficient_error_names_its_member_and_y():
     )
     field = SeedField(spec)
     with pytest.raises(
-        CoefficientError, match=r"^kernels\[1\]\.a at y = -0\.5: non-finite result$"
+        EvaluationError, match=r"^seed\.kernels\[1\]\.a at y = -0\.5: non-finite result$"
     ):
         field.partials((0.0, -0.5, 0.0))
     # the poly is read after the kernels: drop the one that fails at every y
     field = SeedField(spec._replace(kernels=spec.kernels[:1]))
-    with pytest.raises(CoefficientError, match=r"^poly\.c1 at y = 0\.25: division by zero$"):
+    with pytest.raises(
+        EvaluationError, match=r"^seed\.poly\.c1 at y = 0\.25: division by zero$"
+    ):
         field.partials((0.0, 0.25, 0.0))
 
 
@@ -231,21 +233,21 @@ def test_first_failing_term_names_the_error():
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
-    message = r"^kernels\[0\] at y = 0\.0: kernel overflow at exponent 10000\.0$"
+    message = r"^seed\.kernels\[0\] at y = 0\.0: kernel overflow at exponent 10000\.0$"
     for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
-        with pytest.raises(CoefficientError, match=message):
+        with pytest.raises(EvaluationError, match=message):
             read((1e4, 0.0, 0.0))
     with pytest.raises(
-        CoefficientError, match=re.escape("kernels[1].b at y = 0.0: division by zero")
+        EvaluationError, match=re.escape("seed.kernels[1].b at y = 0.0: division by zero")
     ):
         SeedField(spec).partials((1.0, 0.0, 0.0))
     # kernel 0's a**2 past the float range, before kernel 1's coefficient
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1e160"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
-    message = r"^kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
+    message = r"^seed\.kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
     for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
-        with pytest.raises(CoefficientError, match=message):
+        with pytest.raises(EvaluationError, match=message):
             read((1.0, 0.0, 0.0))
 
 
@@ -256,7 +258,7 @@ def test_duals_of_a_kernel_whose_square_overflows_name_the_kernel():
     assert (a, b) == (eval_dual(P("y^400"), 2.428)[0], 0.0)
     for _ in range(2):
         with pytest.raises(
-            CoefficientError, match=r"^kernels\[0\]\.a at y = 2\.43: a\^2 overflows$"
+            EvaluationError, match=r"^seed\.kernels\[0\]\.a at y = 2\.43: a\^2 overflows$"
         ):
             field.duals(2.43)
 
@@ -349,14 +351,17 @@ def reference_partials(spec, point, indices):
             try:
                 scale = kernel.amplitude * math.exp(theta)
             except OverflowError:
-                raise CoefficientError(
-                    f"kernels[{pos}] at y = {y!r}: kernel overflow at exponent {theta!r}"
+                raise EvaluationError(
+                    f"seed.kernels[{pos}] at y = {y!r}: "
+                    f"kernel overflow at exponent {theta!r}"
                 ) from None
             for slot, index in enumerate(indices):
                 factor = REFERENCE_KERNEL_FACTORS[index]
                 totals[slot] += factor(a, a_prime, theta_y, sign) * scale
         except OverflowError:  # a**2 past the float range
-            raise CoefficientError(f"kernels[{pos}].a at y = {y!r}: a^2 overflows") from None
+            raise EvaluationError(
+                f"seed.kernels[{pos}].a at y = {y!r}: a^2 overflows"
+            ) from None
     if spec.poly is not None:
         poly = spec.poly
         c2, c1, c0 = (eval_dual(expr, y) for expr in (poly.c2, poly.c1, poly.c0))
@@ -368,7 +373,7 @@ def reference_partials(spec, point, indices):
 def reference_transform(spec, point):
     phi, phi_x, phi_y, phi_xy = reference_partials(spec, point, TRANSFORM_INDICES)
     if not all(map(math.isfinite, (phi, phi_x, phi_y, phi_xy))):
-        raise EvaluationError(f"non-finite seed value at point {point}")
+        raise EvaluationError(f"seed: non-finite seed value at point {point}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError(point, phi)
     u = spec.branch.sign * 2.0 * phi_x / phi
