@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .jetcalc import (
     Branch,
     JetPoly,
-    degree_decompose,
     reduce_heat,
     specialize_log,
     total_derivative,
@@ -92,19 +91,22 @@ def _satisfies_balance(l: int, m: int, n: int, p: int, q: int, r: int) -> bool:
 
 
 def solve_balance_exponents() -> BalanceExponents:
-    """Solve the six balance equations by a scan of 125 candidates.
+    """Solve the six balance equations by a scan of 12 candidates.
 
     The first three equations fix (p, q, r) = (2l - 1, 2m + 1, 2n), so the
-    scan runs over (l, m, n) in [0, 4]^3 and drops a candidate whose p, q or
-    r leaves [0, 4].  The candidates it keeps are exactly the tuples of the
-    box [0, 4]^6 that can pass, and each must satisfy all six equations, so
-    the uniqueness assertion still covers the whole box.
+    scan draws l, m and n from the ranges that keep p, q and r in [0, 4]:
+    l in [1, 2], m in [0, 1] and n in [0, 2].  Those candidates are exactly
+    the tuples of the box [0, 4]^6 that can pass, and each must satisfy all
+    six equations, so the uniqueness assertion still covers the whole box.
     """
     solutions = []
-    for l, m, n in itertools.product(range(_SEARCH_BOX + 1), repeat=3):
-        p, q, r = 2 * l - 1, 2 * m + 1, 2 * n  # q and r are never negative
-        in_box = 0 <= p <= _SEARCH_BOX and max(q, r) <= _SEARCH_BOX
-        if in_box and _satisfies_balance(l, m, n, p, q, r):
+    for l, m, n in itertools.product(
+        range(1, (_SEARCH_BOX + 1) // 2 + 1),  # 0 <= 2l - 1 <= _SEARCH_BOX
+        range((_SEARCH_BOX - 1) // 2 + 1),  # 2m + 1 <= _SEARCH_BOX
+        range(_SEARCH_BOX // 2 + 1),  # 2n <= _SEARCH_BOX
+    ):
+        p, q, r = 2 * l - 1, 2 * m + 1, 2 * n
+        if _satisfies_balance(l, m, n, p, q, r):
             solutions.append(BalanceExponents(l, m, n, p, q, r))
     if not solutions:
         raise DerivationError("balance system has no solution in the search box")
@@ -164,20 +166,21 @@ def build_residuals(
 
 def _leading_coefficient(e: JetPoly, name: str) -> JetPoly:
     """Symbol-only coefficient of the top-degree part (phi_x^3 * phi_y) of
-    the residual called name."""
-    parts = degree_decompose(e)
-    if not parts:
+    the residual called name; only the top degree's terms are read."""
+    if e.is_zero:
         raise DerivationError(f"residual {name} has no terms")
-    top = parts[max(parts)]
-    if any(jets != _TOP_JETS for _, jets, _ in top._terms):
-        first = next(m for m in top.monomials() if m.jets != _TOP_JETS)
+    degree = max(len(jets) for _, jets, _ in e._terms)
+    top = [(key, coeff) for key, coeff in e._terms.items() if len(key[1]) == degree]
+    if any(jets != _TOP_JETS for (_, jets, _), _ in top):
+        first = next(
+            m for m in JetPoly._canonical(top).monomials() if m.jets != _TOP_JETS
+        )
         raise DerivationError(
             f"unexpected top-degree jet structure in {first.render()}"
         )
     # dropping the one shared jet part leaves the keys canonical and distinct
     return JetPoly._canonical(
-        ((phi_power, (), syms), coeff)
-        for (phi_power, _, syms), coeff in top._terms.items()
+        ((phi_power, (), syms), coeff) for (phi_power, _, syms), coeff in top
     )
 
 

@@ -7,8 +7,10 @@ a multiset of proper-derivative factors (phi_x, phi_xy, ...), each a tuple
 g^(n), each a pair ("F", n) or ("G", n), standing for derivatives of two
 undetermined functions of phi.  Polynomials are kept in a canonical normal
 form, and every operation is exact: no floating point enters this module.  A
-coefficient is held as an int while it is integral and as a Fraction once a
-Fraction enters; Monomial.coeff is always a Fraction.
+coefficient the normaliser stores is an int when it is integral and a
+Fraction otherwise; a sum or difference, which merges without the
+normaliser, may keep an integral Fraction.  Monomial.coeff is always a
+Fraction.
 """
 
 from __future__ import annotations
@@ -159,12 +161,30 @@ def _term_order(key: _Key):
 
 def _normalised(pairs: Iterable[tuple[_Key, _Coeff]]) -> dict[_Key, _Coeff]:
     """Terms of (canonical key, int or Fraction) pairs: like terms merged,
-    zeros dropped.  The terms are in no particular order; monomials() sorts
-    them by _term_order when they are read."""
+    zeros dropped, and an integral coefficient stored as an int, the one
+    home of that rule.  The terms are in no particular order; monomials()
+    sorts them by _term_order when they are read."""
     merged: dict[_Key, _Coeff] = {}
     for key, coeff in pairs:
         merged[key] = merged.get(key, 0) + coeff
-    return {key: value for key, value in merged.items() if value}
+    return {
+        key: value.numerator
+        if type(value) is Fraction and value.denominator == 1
+        else value
+        for key, value in merged.items()
+        if value
+    }
+
+
+def _times(coeff: _Coeff, scalar: _Coeff) -> _Coeff:
+    """coeff * scalar.  An int coeff times a Fraction scalar builds no
+    Fraction where the product is integral (the 1/2 of balance's e1); the
+    normaliser stores the result by its rule either way."""
+    if type(coeff) is int and type(scalar) is Fraction:
+        quotient, remainder = divmod(coeff * scalar.numerator, scalar.denominator)
+        if not remainder:
+            return quotient
+    return coeff * scalar
 
 
 class JetPoly:
@@ -190,7 +210,10 @@ class JetPoly:
     they raise (a product raises none).  Arithmetic accepts ints and
     Fractions as scalars; there is no negation, so -p is written -1 * p.
     A stored coefficient is an int or a Fraction, never a float: the
-    constructor converts anything else with Fraction().
+    constructor converts anything else with Fraction().  Every result built
+    through the normaliser stores an integral coefficient as an int; a sum
+    or difference of two Fractions that comes out integral may stay a
+    Fraction, which no equality or rendered byte can tell apart.
     """
 
     __slots__ = ("_terms",)
@@ -279,7 +302,9 @@ class JetPoly:
     def _merged(self, other: "JetPoly", op) -> "JetPoly":
         """self op other, merged into a copy of self's terms: other's keys
         are canonical and its coefficients nonzero, so a key drops only
-        where it cancels."""
+        where it cancels.  The normaliser is skipped, so two Fractions whose
+        sum is integral may leave a Fraction; equality and rendering read
+        values, not types."""
         if not isinstance(other, JetPoly):
             return NotImplemented
         terms = self._terms.copy()
@@ -302,7 +327,7 @@ class JetPoly:
     def __mul__(self, other) -> "JetPoly":
         if isinstance(other, (int, Fraction)):
             return JetPoly._canonical(
-                (key, coeff * other) for key, coeff in self._terms.items()
+                (key, _times(coeff, other)) for key, coeff in self._terms.items()
             )
         if not isinstance(other, JetPoly):
             return NotImplemented

@@ -143,11 +143,44 @@ def test_leading_coefficients_match_ode_system():
     )
 
 
+def test_leading_coefficient_names_the_first_unexpected_top_degree_term():
+    x, y = jet(1, 0, 0), jet(0, 1, 0)
+    e = (
+        sym("F", 1) * x * x * x * y
+        + 3 * sym("G", 2) * jet(2, 0, 0) * x * x * y
+        + sym("G", 1) * jet(1, 1, 0) * x * x * x
+        - 2 * x * x * jet(2, 0, 0) * jet(1, 1, 0)
+        + jet(2, 0, 0)
+    )
+    with pytest.raises(DerivationError) as raised:
+        _leading_coefficient(e, "e1")
+    assert str(raised.value) == (
+        "unexpected top-degree jet structure in phi_x*phi_x*phi_x*phi_xy*g'"
+    )
+    leading = 3 * sym("F", 1) * x * x * x * y + jet(2, 0, 0)
+    assert _leading_coefficient(leading, "e1") == 3 * sym("F", 1)
+
+
 def test_residual_degrees():
     e1, e2 = build_residuals()
     assert sorted(degree_decompose(e1)) == [1, 2, 3, 4]
     # e2 keeps its constant-coefficient tail at degrees 1 and 2 until A is fixed
     assert sorted(degree_decompose(e2)) == [1, 2, 3, 4]
+
+
+def test_every_coefficient_on_the_passing_path_is_an_int():
+    # A = -1 and the 1/2 of e1 enter as Fractions, but every coefficient
+    # they leave on the path to PASS is integral, so each is stored as an int
+    e1, e2 = build_residuals()
+    leading = [_leading_coefficient(e1, "e1"), _leading_coefficient(e2, "e2")]
+    polys = [e1, e2, *leading]
+    for branch in BRANCHES:
+        polys += [specialize_log(p, branch) for p in (e1, e2, *leading)]
+    for check in derive().checks:
+        polys += check.residuals.values()
+    coefficients = [c for p in polys for c in p._terms.values()]
+    assert coefficients
+    assert [c for c in coefficients if type(c) is not int] == []
 
 
 # -- ODE system and identities -----------------------------------------------------
@@ -219,6 +252,46 @@ _A_ZERO_FAILURES = {
 def test_wrong_constant_failures_render_in_canonical_order(branch):
     failures = verify_factorization(branch, Fraction(0)).failures()
     assert failures == _A_ZERO_FAILURES[branch]
+
+
+# The same remainder at other constants, scaled by A + 1: how a FAIL report
+# renders an int and a Fraction coefficient.
+_OTHER_CONSTANT_FAILURES = {
+    (Fraction(1), Branch.PLUS): [
+        "e2: -4*phi^-2*phi_x*phi_x + 4*phi^-1*phi_xx",
+        "delta2: -4*phi^-2*phi_x*phi_x + 4*phi^-1*phi_xx",
+    ],
+    (Fraction(1), Branch.MINUS): [
+        "e2: 4*phi^-2*phi_x*phi_x - 4*phi^-1*phi_xx",
+        "delta2: 4*phi^-2*phi_x*phi_x - 4*phi^-1*phi_xx",
+    ],
+    (Fraction(3, 7), Branch.PLUS): [
+        "e2: -20/7*phi^-2*phi_x*phi_x + 20/7*phi^-1*phi_xx",
+        "delta2: -20/7*phi^-2*phi_x*phi_x + 20/7*phi^-1*phi_xx",
+    ],
+    (Fraction(3, 7), Branch.MINUS): [
+        "e2: 20/7*phi^-2*phi_x*phi_x - 20/7*phi^-1*phi_xx",
+        "delta2: 20/7*phi^-2*phi_x*phi_x - 20/7*phi^-1*phi_xx",
+    ],
+    (Fraction(-2), Branch.PLUS): [
+        "e2: 2*phi^-2*phi_x*phi_x - 2*phi^-1*phi_xx",
+        "delta2: 2*phi^-2*phi_x*phi_x - 2*phi^-1*phi_xx",
+    ],
+    (Fraction(-2), Branch.MINUS): [
+        "e2: -2*phi^-2*phi_x*phi_x + 2*phi^-1*phi_xx",
+        "delta2: -2*phi^-2*phi_x*phi_x + 2*phi^-1*phi_xx",
+    ],
+}
+
+
+@pytest.mark.parametrize("a_const, branch", list(_OTHER_CONSTANT_FAILURES))
+def test_other_constant_failures_render_in_canonical_order(a_const, branch):
+    check = verify_factorization(branch, a_const)
+    assert check.failures() == _OTHER_CONSTANT_FAILURES[a_const, branch]
+    # an integral remainder is stored as ints, a fractional one as Fractions
+    expected = int if a_const.denominator == 1 else Fraction
+    remainders = (check.residuals["e2"], check.residuals["delta2"])
+    assert {type(c) for p in remainders for c in p._terms.values()} == {expected}
 
 
 def test_derive_with_a_wrong_constant_reports_fail_and_still_writes_output(

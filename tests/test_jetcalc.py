@@ -426,6 +426,43 @@ def test_term_order_is_imposed_where_it_is_read(a, b, branch):
         assert JetPoly(pairs).render() == JetPoly(reversed(pairs)).render()
 
 
+def _stored_types(p: JetPoly) -> set:
+    return {type(c) for c in p._terms.values()}
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = jet(1, 0, 0) * sym("F", 1) + 3 * jet(0, 1, 0)
+    minus_one = JetPoly.constant(Fraction(-1))
+    assert minus_one._terms == {(0, (), ()): -1}
+    assert _stored_types(minus_one) == {int}
+    assert _stored_types(JetPoly({(0, ((1, 0, 0),), ()): Fraction(4, 2)})) == {int}
+    halved = Fraction(1, 2) * (2 * p)
+    assert halved == p
+    assert _stored_types(halved) == {int}
+    assert _stored_types(p * Fraction(3, 1)) == {int}
+    assert _stored_types(Fraction(7, 3) * (Fraction(3, 7) * p)) == {int}
+
+
+def test_non_integral_coefficients_stay_fractions():
+    p = jet(1, 0, 0) * sym("F", 1) + 3 * jet(0, 1, 0)
+    scaled = Fraction(3, 7) * p
+    assert _stored_types(scaled) == {Fraction}
+    assert scaled.render() == "9/7*phi_y + 3/7*phi_x*f'"
+    assert (Fraction(1, 2) * p).render() == "3/2*phi_y + 1/2*phi_x*f'"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, _polys, st.sampled_from(BRANCHES))
+def test_no_normalised_result_holds_an_integral_fraction(a, b, branch):
+    # every operation but a + b and a - b (the first two, which merge into a
+    # copy of a's terms) goes through the normaliser, which stores an
+    # integral coefficient as an int
+    for p in _operations(a, b, branch)[2:] + _operations(b, a, branch)[2:]:
+        assert not [
+            c for c in p._terms.values() if type(c) is Fraction and c.denominator == 1
+        ]
+
+
 def test_no_float_coefficient_is_ever_stored():
     half = JetPoly.constant(0.5)
     assert [type(c) for c in half._terms.values()] == [Fraction]
