@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # returns the defining module's current binding, so a function patched
 # there and later restored is never kept in this module.
 _SOURCES = {
-    "Branch": "jetcalc",
+    "Branch": "branch",
     "GridSpec": "residual",
     "Kernel": "seedlab.seeds",
     "SeedField": "seedlab.seeds",

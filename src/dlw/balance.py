@@ -13,8 +13,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+from .branch import Branch
 from .jetcalc import (
-    Branch,
     JetPoly,
     reduce_heat,
     specialize_log,

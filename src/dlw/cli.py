@@ -7,11 +7,13 @@ c = a on the line y = 0, checked by the (1+1)-dimensional stencil), and `sweep`
 Exit codes: 0 verified, 1 verification failure, 2 input error or an output
 that cannot be written.
 
-Each command imports only the layers it runs. `derive` needs the exact
-symbolic layers (`balance`, `jetcalc`), loaded with this module, and
-`write_outputs`, the one writer of every command's files, which lives here.
-`run`, `sweep` and `reduce` import the numeric layers (scenario, seeds,
-transform, residual oracle) when they start.
+Each command imports only the layers it runs, when it starts: this module
+loads no layer but `errors`. `derive` imports the exact symbolic layers
+(`balance`, `jetcalc`, and with them `fractions`), and `run`, `sweep` and
+`reduce` import the numeric layers (scenario, seeds, transform, residual
+oracle). Both halves take `Branch` from `branch`, which imports only
+`enum`. `write_outputs`, the one writer of every command's files, lives
+here.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import balance
 from .errors import ConfigError, EvaluationError
 
 __all__ = ["main"]
@@ -60,6 +61,8 @@ def cmd_derive(args) -> int:
     write_outputs, then print the report. An empty `--output` path is an
     input error, raised before the derivation runs, in the words that
     `run` and `reduce` use for theirs."""
+    from . import balance
+
     if args.output == "":
         raise ConfigError("derive.outputs[0].path: expected a file path")
     try:

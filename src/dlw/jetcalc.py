@@ -15,15 +15,15 @@ Fraction.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import factorial
 from operator import add, itemgetter, sub
 from typing import Iterable, NamedTuple
 
+from .branch import Branch
+
 __all__ = [
     "MAX_ORDER",
-    "Branch",
     "Monomial",
     "JetPoly",
     "OrderLimitError",
@@ -47,30 +47,6 @@ class OrderLimitError(ValueError):
 
 class SpecializationError(Exception):
     """Logarithmic specialization hit an unsupported or leftover symbol."""
-
-
-class Branch(Enum):
-    """Coupled upper/lower sign choice.
-
-    The seed constraint phi_t + sign*phi_xx = 0 pairs with u = sign*2*phi_x/phi
-    and with the matching sign in the exponential seeds; no mixed-sign
-    configuration is constructible.
-    """
-
-    PLUS = 1
-    MINUS = -1
-
-    def __init__(self, sign: int):
-        self.sign = sign  # an attribute, not a property: read on every sample
-
-    @classmethod
-    def from_name(cls, name: str) -> "Branch":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown branch {name!r} (expected 'plus' or 'minus')"
-            ) from None
 
 
 _Jet = tuple[int, int, int]

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .jetcalc import Branch
+from .branch import Branch
 from .residual import (
     FieldSampler,
     GridSpec,

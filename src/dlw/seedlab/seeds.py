@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from ..errors import EvaluationError
-from ..jetcalc import Branch
+from ..branch import Branch
 from .exprlang import CoeffExpr, eval_dual
 
 __all__ = [

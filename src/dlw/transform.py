@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .errors import EvaluationError
-from .jetcalc import Branch
+from .branch import Branch
 from .seedlab.exprlang import sech
 from .seedlab.seeds import Point, SeedField
 

@@ -16,7 +16,8 @@ from dlw.balance import (
     verify_factorization,
 )
 from dlw.cli import main
-from dlw.jetcalc import Branch, JetPoly, reduce_heat, specialize_log
+from dlw.branch import Branch
+from dlw.jetcalc import JetPoly, reduce_heat, specialize_log
 from dlw.residual import (
     GridSpec,
     StencilConfig,

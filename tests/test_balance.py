@@ -22,9 +22,9 @@ from dlw.balance import (
     verify_factorization,
     _leading_coefficient,
 )
+from dlw.branch import Branch
 from dlw.cli import main
 from dlw.jetcalc import (
-    Branch,
     JetPoly,
     degree_decompose,
     reduce_heat,

@@ -17,7 +17,8 @@ import dlw.balance
 import dlw.cli
 import dlw.scenario
 from dlw.cli import main
-from dlw.jetcalc import Branch, JetPoly
+from dlw.branch import Branch
+from dlw.jetcalc import JetPoly
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlw import jetcalc
+from dlw.branch import Branch
 from dlw.jetcalc import (
-    Branch,
     JetPoly,
     OrderLimitError,
     SpecializationError,

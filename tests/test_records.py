@@ -3,8 +3,9 @@ semantics they keep.
 
 Parse nodes are slotted subclasses of CoeffExpr; every other record is a
 typing.NamedTuple. Both are immutable, and a node equals only a node of its
-own type. `import dlw.cli` loads only the exact symbolic layers that
-`derive` runs; the numeric layers load with the command that runs them.
+own type. `import dlw.cli` loads no layer but `errors`: the exact symbolic
+layers (and `fractions`) load with `derive`, and the numeric layers with
+the command that runs them. The two halves share only `branch`.
 Every name has one home: it is imported from, and exported by, only the
 module that defines it.
 """
@@ -65,37 +66,46 @@ def _isolated(code: str) -> str:
     return done.stdout
 
 
+# the standard modules only the exact arithmetic of `derive` needs
+EXACT_ARITHMETIC = ["decimal", "fractions"]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     modules = ast.literal_eval(_isolated("import dlw.cli; print(sorted(sys.modules))"))
     assert "dlw.cli" in modules
-    assert "dataclasses" not in modules
-    assert "inspect" not in modules
+    unwanted = ["dataclasses", "inspect", "dlw.balance", "dlw.jetcalc", *EXACT_ARITHMETIC]
+    assert [name for name in unwanted if name in modules] == []
 
 
-SYMBOLIC = ["dlw", "dlw.balance", "dlw.cli", "dlw.errors", "dlw.jetcalc"]
-NUMERIC = ["dlw.residual", "dlw.scenario", "dlw.seedlab", "dlw.seedlab.exprlang",
-           "dlw.seedlab.seeds", "dlw.transform"]
+CLI = ["dlw", "dlw.cli", "dlw.errors"]
+NUMERIC = ["dlw.branch", "dlw.residual", "dlw.scenario", "dlw.seedlab",
+           "dlw.seedlab.exprlang", "dlw.seedlab.seeds", "dlw.transform"]
+SYMBOLIC = ["dlw.balance", "dlw.jetcalc"]
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     code = f"""
 import contextlib, io, json
 def loaded():
-    return sorted(key for key in sys.modules if key.split(".")[0] == "dlw")
+    return sorted(key for key in sys.modules
+                  if key.split(".")[0] == "dlw" or key in {EXACT_ARITHMETIC!r})
 import dlw.cli
 stages = [loaded()]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    assert dlw.cli.main(["derive", "--output", {str(tmp_path / "derive.json")!r}]) == 0
-    stages.append(loaded())
     assert dlw.cli.main(["reduce", "1", "0"]) == 0
+    stages.append(loaded())
+    assert dlw.cli.main(["derive", "--output", {str(tmp_path / "derive.json")!r}]) == 0
     stages.append(loaded())
 print(json.dumps(stages))
 """
-    imported, derived, reduced = json.loads(_isolated(code))
-    assert imported == SYMBOLIC
-    assert derived == SYMBOLIC
+    imported, reduced, derived = json.loads(_isolated(code))
+    assert imported == CLI
+    # the numeric commands take Branch from its own module, not from jetcalc
+    assert reduced == sorted(CLI + NUMERIC)
     assert (tmp_path / "derive.json").is_file()
-    assert reduced == sorted(SYMBOLIC + NUMERIC)
+    added = sorted(set(derived) - set(reduced))
+    assert [name for name in added if name.startswith("dlw")] == SYMBOLIC
+    assert "fractions" in added
 
 
 # every module of the package, by dotted name -> its file
@@ -159,10 +169,13 @@ def test_the_fd_oracle_imports_no_other_dlw_module():
 
 
 def test_the_symbolic_layers_import_no_numeric_layer_and_no_float_math():
-    assert _imports(MODULES["dlw.jetcalc"])[:2] == (set(), {"factorial"})
+    assert _imports(MODULES["dlw.jetcalc"])[:2] == ({"dlw.branch"}, {"factorial"})
     internal, from_math = _imports(MODULES["dlw.balance"])[:2]
-    assert internal == {"dlw.jetcalc"}
+    assert internal == {"dlw.branch", "dlw.jetcalc"}
     assert from_math <= {"factorial"}
+    # and conversely: no numeric layer imports a symbolic one
+    strays = {module: _imports(MODULES[module]).internal & set(SYMBOLIC) for module in NUMERIC}
+    assert strays == dict.fromkeys(NUMERIC, set())
 
 
 def test_every_import_names_the_module_that_defines_the_name():

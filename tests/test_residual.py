@@ -8,7 +8,7 @@ import threading
 import pytest
 import sympy as sp
 
-from dlw.jetcalc import Branch
+from dlw.branch import Branch
 from dlw.residual import (
     GridSpec,
     ResidualReport,

@@ -13,7 +13,7 @@ import pytest
 
 from dlw.cli import main
 from dlw.errors import ConfigError
-from dlw.jetcalc import Branch
+from dlw.branch import Branch
 from dlw.residual import GridSpec, StencilConfig, fd_residual_dlw
 from dlw.scenario import (
     _DOCUMENT_KEYS,

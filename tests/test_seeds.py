@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlw.errors import EvaluationError
-from dlw.jetcalc import Branch
+from dlw.branch import Branch
 from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec

@@ -12,7 +12,8 @@ import pytest
 import sympy as sp
 
 from dlw.balance import build_residuals
-from dlw.jetcalc import Branch, JetPoly, specialize_log
+from dlw.branch import Branch
+from dlw.jetcalc import JetPoly, specialize_log
 
 X, Y, T = sp.symbols("x y t")
 PHI = sp.Function("phi")(X, Y, T)

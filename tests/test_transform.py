@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from dlw.balance import build_ansatz, solve_balance_exponents
-from dlw.jetcalc import Branch, specialize_log
+from dlw.branch import Branch
+from dlw.jetcalc import specialize_log
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import HeatPolynomial, SeedField, SeedSpec
 from dlw.transform import (
