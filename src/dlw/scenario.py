@@ -13,8 +13,8 @@ import math
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError
 from .branch import Branch
+from .errors import ConfigError
 from .residual import (
     FieldSampler,
     GridSpec,

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ..errors import EvaluationError
 from ..branch import Branch
+from ..errors import EvaluationError
 from .exprlang import CoeffExpr, eval_dual
 
 __all__ = [

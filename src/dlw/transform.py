@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import EvaluationError
 from .branch import Branch
+from .errors import EvaluationError
 from .seedlab.exprlang import sech
 from .seedlab.seeds import Point, SeedField
 
