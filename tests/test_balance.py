@@ -319,6 +319,35 @@ def test_derive_with_a_wrong_constant_reports_fail_and_still_writes_output(
     assert lines[6:] == expected
 
 
+def test_derive_fails_an_ansatz_without_the_g_prime_term(capsys, monkeypatch):
+    # dropping g'*phi_xy from h leaves the top degree, and so the ODE system,
+    # as it was: only the residual reduction and the identity catch it
+    intact = build_ansatz
+
+    def defective(exponents, a_const):
+        u, h = intact(exponents, a_const)
+        return u, h - sym("G", 1) * jet(1, 1, 0)
+
+    monkeypatch.setattr(balance, "build_ansatz", defective)
+    report = derive()
+    assert not report.passed
+    for check in report.checks:
+        failed = [label for label, poly in check.residuals.items() if not poly.is_zero]
+        assert failed == ["e1", "e2", "delta1", "delta2"]
+    assert main(["derive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line for line in lines if line.startswith("branch ")] == [
+        f"branch {branch.name.lower()}: ode system, log identities, "
+        "residual reduction, factorization -> FAIL"
+        for branch in BRANCHES
+    ]
+    # the ansatz line is a fixed string, so it still prints the intact
+    # ansatz (ROADMAP item 5: derive should render what it checked)
+    assert lines[1] == "ansatz: u = f'*phi_x, h = g''*phi_x*phi_y + g'*phi_xy + A"
+
+
 @pytest.mark.parametrize("a_const", [Fraction(1), Fraction(3, 7), Fraction(-2)])
 def test_any_constant_other_than_minus_one_fails(a_const):
     base = specialize_log(
@@ -363,7 +392,7 @@ _JET_LEAVES = {
 def _assert_leaves_unchanged():
     for name, orders in _JET_LEAVES.items():
         assert getattr(balance, name) == jet(*orders), name
-    assert sorted(balance._SYMBOLS) == [(f, n) for f in "FG" for n in (1, 2, 3)]
+    assert sorted(balance._SYMBOLS) == [("F", 1), ("G", 1), ("G", 2), ("G", 3)]
     for (family, order), leaf in balance._SYMBOLS.items():
         assert leaf == sym(family, order)
 

@@ -495,6 +495,18 @@ def test_mixed_derivatives_commute(p):
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, st.sampled_from(BRANCHES))
+def test_specialize_log_commutes_with_total_derivative(p, branch):
+    # the chain rule: differentiating f^(n) then resolving it equals
+    # differentiating its resolved phi power, so an identity may be written
+    # with f' before specialisation or with +/-2/phi after it
+    for direction in ("x", "y", "t"):
+        assert specialize_log(total_derivative(p, direction), branch) == (
+            total_derivative(specialize_log(p, branch), direction)
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys, _polys, st.sampled_from(["x", "y", "t"]))
 def test_leibniz_rule(p, q, direction):

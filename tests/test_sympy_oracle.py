@@ -5,7 +5,9 @@ function, differentiated by sympy, and checked against the dispersive long
 wave system under the seed constraint.  The residuals jetcalc expands from
 the ansatz are converted to sympy and compared with sympy's own expansion
 term by term, so total_derivative, the key canonicaliser and specialize_log
-are checked by a second CAS, not only through the final zero.
+are checked by a second CAS, not only through the final zero.  So is the
+identity derive checks: each residual is one mixed derivative of the seed
+constraint over phi.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import sympy as sp
 
 from dlw.balance import build_residuals
 from dlw.branch import Branch
-from dlw.jetcalc import JetPoly, specialize_log
+from dlw.jetcalc import JetPoly, specialize_log, total_derivative
 
 X, Y, T = sp.symbols("x y t")
 PHI = sp.Function("phi")(X, Y, T)
@@ -32,6 +34,12 @@ def system_residuals(branch: Branch, a_const: int):
     e1 = u.diff(Y, T) + h.diff(X, 2) + sp.Rational(1, 2) * (u**2).diff(X, Y)
     e2 = h.diff(T) + (u * h + u + u.diff(X, Y)).diff(X)
     return e1, e2
+
+
+def mixed_constraint(branch: Branch):
+    """D_x D_y(w/phi) for the seed constraint w = phi_t + sign*phi_xx."""
+    w = PHI.diff(T) + branch.sign * PHI.diff(X, 2)
+    return (w / PHI).diff(X, Y)
 
 
 def _counts(derivative) -> tuple[int, int, int]:
@@ -101,3 +109,27 @@ def test_jetcalc_residuals_equal_sympy_term_by_term(branch):
         assert got == expanded_terms(expr)
         assert len(got) == len(jet_poly.monomials())
 
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_each_residual_is_one_mixed_derivative_of_the_constraint(branch):
+    # e1 = sign*2*D_x D_y(w/phi) and e2 = 2*D_x D_y(w/phi) identically,
+    # with no heat reduction
+    e1, e2 = system_residuals(branch, -1)
+    mixed = mixed_constraint(branch)
+    assert sp.cancel(e1 - branch.sign * 2 * mixed) == 0
+    assert sp.cancel(e2 - 2 * mixed) == 0
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_jetcalc_identity_equals_sympy_term_by_term(branch):
+    # jetcalc's D_x D_y(c*w), c the specialised f' or g', against sympy's
+    # expansion of the same mixed derivative
+    w = JetPoly.jet(0, 0, 1) + branch.sign * JetPoly.jet(2, 0, 0)
+    mixed = mixed_constraint(branch)
+    for family, scale in (("F", branch.sign), ("G", 1)):
+        c = specialize_log(JetPoly.symbol(family, 1), branch)
+        ours = total_derivative(total_derivative(c * w, "x"), "y")
+        got = expanded_terms(to_sympy(ours))
+        assert got == expanded_terms(scale * 2 * mixed)
+        assert len(got) == len(ours.monomials())
