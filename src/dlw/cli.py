@@ -36,7 +36,9 @@ __all__ = ["main"]
 def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
     """Write every (path, write) pair, or none: `write` writes the file to a
     temporary sibling of its path, and the siblings replace their paths once
-    all are written. An OSError removes the siblings and names the path."""
+    all are written. Any exception, an interrupt included, removes the
+    siblings and propagates unchanged, except that an OSError names the
+    path: a failed or interrupted write leaves neither output nor sibling."""
     pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
     try:
         for target, write in outputs:
@@ -48,11 +50,12 @@ def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
             write(temp)
         for temp, path in pending:
             os.replace(temp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for temp, _ in pending:
             with contextlib.suppress(OSError):
                 temp.unlink()
-        exc.filename = str(path)
+        if isinstance(exc, OSError):
+            exc.filename = str(path)
         raise
 
 

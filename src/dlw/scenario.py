@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .branch import Branch
 from .errors import ConfigError
@@ -85,8 +85,9 @@ class Scenario(NamedTuple):
 
 # the columns of an `evaluate_grid` row, in order
 CSV_HEADER = "x,y,t,phi,u,h,res1,res2"
-# one row, 17 significant digits a value: "%.17g" renders as format(v, ".17g")
-_CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(","))
+# one row and its newline, 17 significant digits a value: "%.17g" renders as
+# format(v, ".17g")
+_CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(",")) + "\n"
 
 
 class _Pairs(list):
@@ -431,11 +432,16 @@ def evaluate_scenario(
     return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc))
 
 
-def export_csv(records: list[tuple], path: str | Path) -> None:
-    """Fixed-header CSV, one row per grid point, 17 significant digits."""
-    lines = [CSV_HEADER]
-    lines.extend(_CSV_ROW % record for record in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+def export_csv(records: Iterable[tuple], path: str | Path) -> None:
+    """Fixed-header CSV, one row per grid point, 17 significant digits.
+
+    Rows are formatted and written one at a time through one open handle,
+    so export holds one row's text, never the file's. A run writes it to a
+    temporary sibling through `cli.write_outputs`, so a failed or
+    interrupted write leaves neither the output nor the sibling."""
+    with Path(path).open("w") as handle:
+        handle.write(CSV_HEADER + "\n")
+        handle.writelines(_CSV_ROW % record for record in records)
 
 
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:

@@ -1051,6 +1051,33 @@ def test_unwritable_output_leaves_every_file_as_it_was(
     assert Path("kept.json").read_text() == "old\n"
 
 
+class FullDisk:
+    """A text write handle on a disk with room for 40 more characters: a
+    write or writelines call writes what fits, then raises ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.room = 40
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: self.room])
+        if len(text) > self.room:
+            self.room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -1066,17 +1093,38 @@ def test_a_write_that_fails_part_way_leaves_nothing(tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path, base_config())
 
-    def write_text(path, data, *args, **kwargs):
-        with open(path, "w") as handle:
-            handle.write(data[:40])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    real_open = Path.open
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return handle if "w" not in mode else FullDisk(handle)
+
+    monkeypatch.setattr(Path, "open", full_disk_open)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write out: {os.strerror(errno.ENOSPC)}\n"
     assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("error", (ValueError("bad value"), KeyboardInterrupt()),
+                         ids=("ValueError", "KeyboardInterrupt"))
+def test_any_exception_mid_write_removes_every_sibling(tmp_path, monkeypatch, error):
+    # an exception that is not an OSError, Ctrl-C included, still removes the
+    # siblings already written and the one being written, and propagates as is
+    monkeypatch.chdir(tmp_path)
+
+    def write_part(temp):
+        with temp.open("w") as handle:
+            handle.write("x,y,t\n")
+        raise error
+
+    outputs = [("first.csv", lambda temp: temp.write_text("done\n")), ("out.csv", write_part)]
+    with pytest.raises(type(error)) as raised:
+        dlw.cli.write_outputs(outputs)
+    assert raised.value is error
+    assert not hasattr(error, "filename")
+    assert os.listdir(tmp_path) == []
 
 
 class ClosedPipe:

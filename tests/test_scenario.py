@@ -8,6 +8,7 @@ calls eval_dual directly, as a field without the table would.
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -221,6 +222,34 @@ def test_csv_rows_read_as_format_17g_of_every_value(tmp_path):
     reference = [CSV_HEADER]
     reference += [",".join(format(v, ".17g") for v in record) for record in records]
     assert path.read_text() == "\n".join(reference) + "\n"
+
+
+def test_csv_export_streams_its_rows(tmp_path):
+    # 20,000 rows export byte for byte as format(v, ".17g") while export holds
+    # a few KiB, not the ~10 MiB of file text: rows are written one at a time
+    specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                1e-310, 1.7976931348623157e308)
+    rng = random.Random(1998)
+
+    def value():
+        if rng.random() < 0.3:
+            return rng.choice(specials)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+    records = [tuple(value() for _ in range(8)) for _ in range(20_000)]
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        export_csv(records, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 256 * 1024
+    reference = [CSV_HEADER]
+    reference += [",".join(format(v, ".17g") for v in record) for record in records]
+    assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
 
 
 def test_samplers_return_a_plain_pair_of_floats():
