@@ -12,8 +12,10 @@ loads no layer but `errors`. `derive` imports the exact symbolic layers
 (`balance`, `jetcalc`, and with them `fractions`), and `run`, `sweep` and
 `reduce` import the numeric layers (scenario, seeds, transform, residual
 oracle). Both halves take `Branch` from `branch`, which imports only
-`enum`. `write_outputs`, the one writer of every command's files, lives
-here.
+`enum`. `json` loads only where a document is read or JSON is written:
+`run` and `sweep` load it with their document, `derive` only for
+`--output`, and `reduce` never. `write_outputs`, the one writer of every
+command's files, lives here.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -74,6 +75,8 @@ def cmd_derive(args) -> int:
         print(f"derivation FAILED:\n{exc}")
         return 1
     if args.output is not None:
+        import json
+
         payload = json.dumps(balance.report_to_dict(report), indent=2, sort_keys=True)
         write_outputs([(args.output, lambda temp: temp.write_text(payload + "\n"))])
     print(balance.render_report(report))

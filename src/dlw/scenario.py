@@ -4,11 +4,14 @@ A scenario is one JSON document selecting a branch, a seed, a solution path,
 an evaluation grid, stencil and threshold settings, and export targets.  The
 schema mirrors the records below; expressions are strings in the
 coefficient-expression grammar.
+
+`json` is imported by the two functions that use it, `load_config` and
+`export_report`, so a command that builds its scenario from flags and
+writes no report (`reduce`) never loads the codec.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -117,6 +120,16 @@ def _plain(value, where: str, names: list | None = None):
     return value
 
 
+def _int(text: str) -> int | float:
+    """A JSON integer literal as int, or, past the digits int() converts, as
+    the float it rounds to (inf or -inf), which the key's own check rejects
+    as it does a literal past the float range."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_config(path: str | Path) -> dict:
     """Read a scenario document; raises ConfigError with a location."""
     try:
@@ -127,8 +140,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(
             f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
+    import json
+
     try:
-        raw = json.loads(text, object_pairs_hook=_Pairs)
+        raw = json.loads(text, object_pairs_hook=_Pairs, parse_int=_int)
         if not isinstance(raw, _Pairs):
             raise ConfigError(f"config {path}: top level must be an object")
         # a sweep entry is named as `dlw sweep` names it: sweep[0], sweep[1], ...
@@ -447,6 +462,8 @@ def export_csv(records: Iterable[tuple], path: str | Path) -> None:
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
     """Machine-readable run report: the report's fields plus the run's grid
     and step. JSON has no NaN or inf, so a non-finite residual is null."""
+    import json
+
     fields = report._asdict()
     for key in ("max_abs", "mean_abs"):
         fields[key] = [r if math.isfinite(r) else None for r in fields[key]]

@@ -233,7 +233,11 @@ class _Parser:
         token = self.advance()
         if token.kind != "number" or not token.text.isdigit():
             raise ExprSyntaxError("non-integer exponent", token.pos)
-        return -int(token.text) if negative else int(token.text)
+        try:
+            exponent = int(token.text)
+        except ValueError:  # more digits than int() converts
+            raise ExprSyntaxError("exponent has too many digits", token.pos) from None
+        return -exponent if negative else exponent
 
     def parse_atom(self) -> tuple[CoeffExpr, int]:
         if self.at("("):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,23 @@ def test_non_integer_exponent_rejected():
     assert err.value.offset == 2
     with pytest.raises(ExprSyntaxError):
         parse_coeff_expr("y^(2)")
+
+
+@pytest.mark.parametrize(
+    "sign, offset", [("", 2), ("-", 3)], ids=("positive", "negative")
+)
+def test_exponent_past_the_integer_string_limit_is_a_syntax_error(sign, offset):
+    text = "y^" + sign + "9" * 5000
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_coeff_expr(text)
+        assert str(err.value) == f"exponent has too many digits (offset {offset})"
+        sys.set_int_max_str_digits(0)  # no limit: the same text parses
+        assert parse_coeff_expr(text) == Pow(Var(), int(sign + "9" * 5000))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_negative_integer_exponent_allowed():

@@ -5,7 +5,8 @@ Parse nodes are slotted subclasses of CoeffExpr; every other record is a
 typing.NamedTuple. Both are immutable, and a node equals only a node of its
 own type. `import dlw.cli` loads no layer but `errors`: the exact symbolic
 layers (and `fractions`) load with `derive`, and the numeric layers with
-the command that runs them. The two halves share only `branch`.
+the command that runs them. The two halves share only `branch`. `json`
+loads only with a command that reads a document or writes JSON.
 Every name has one home: it is imported from, and exported by, only the
 module that defines it.
 """
@@ -73,7 +74,8 @@ EXACT_ARITHMETIC = ["decimal", "fractions"]
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     modules = ast.literal_eval(_isolated("import dlw.cli; print(sorted(sys.modules))"))
     assert "dlw.cli" in modules
-    unwanted = ["dataclasses", "inspect", "dlw.balance", "dlw.jetcalc", *EXACT_ARITHMETIC]
+    unwanted = ["dataclasses", "inspect", "json", "dlw.balance", "dlw.jetcalc",
+                *EXACT_ARITHMETIC]
     assert [name for name in unwanted if name in modules] == []
 
 
@@ -83,28 +85,43 @@ NUMERIC = ["dlw.residual", "dlw.scenario", "dlw.seedlab", "dlw.seedlab.exprlang"
 SYMBOLIC = ["dlw.balance", "dlw.jetcalc"]
 
 
-def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+def _stages(*commands: list[str]) -> list[list[str]]:
+    """The dlw modules, the exact-arithmetic modules and `json` loaded in a
+    fresh interpreter after `import dlw.cli`, then after each command in
+    turn, run through main, which must return 0."""
     code = f"""
-import contextlib, io, json
+import contextlib, io
 def loaded():
     return sorted(key for key in sys.modules
-                  if key.split(".")[0] == "dlw" or key in {EXACT_ARITHMETIC!r})
+                  if key.split(".")[0] == "dlw" or key in {[*EXACT_ARITHMETIC, "json"]!r})
 import dlw.cli
 stages = [loaded()]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    assert dlw.cli.main(["reduce", "1", "0"]) == 0
-    stages.append(loaded())
-    assert dlw.cli.main(["derive", "--output", {str(tmp_path / "derive.json")!r}]) == 0
-    stages.append(loaded())
-print(json.dumps(stages))
+    for argv in {list(commands)!r}:
+        assert dlw.cli.main(argv) == 0
+        stages.append(loaded())
+print(stages)
 """
-    imported, reduced, derived = json.loads(_isolated(code))
+    return ast.literal_eval(_isolated(code))
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    report = tmp_path / "derive.json"
+    imported, reduced, derived, reported = _stages(
+        ["reduce", "1", "0"], ["derive"], ["derive", "--output", str(report)]
+    )
     assert imported == CLI
     assert reduced == sorted(CLI + ["dlw.branch"] + NUMERIC)
-    assert (tmp_path / "derive.json").is_file()
     added = sorted(set(derived) - set(reduced))
     assert [name for name in added if name.startswith("dlw")] == SYMBOLIC
     assert "fractions" in added
+    # only a command that reads a document or writes JSON loads the codec
+    assert "json" not in derived
+    assert sorted(set(reported) - set(derived)) == ["json"]
+    assert report.is_file()
+    document = tmp_path / "doc.json"
+    document.write_text(json.dumps(CONST_DOCUMENT))
+    assert "json" in _stages(["run", str(document)])[1]
 
 
 # every module of the package, by dotted name -> its file
