@@ -1,13 +1,16 @@
-"""Run the CLI probe corpus: every *.json file beside this script.
+"""Check every pinned outcome of the CLI: the probe corpus, every *.json
+file beside this script, then every row of the golden table,
+tests/golden.json.
 
 Usage: python probes/run_probes.py COMMAND...
 e.g.   python probes/run_probes.py dlw
        PYTHONPATH=$PWD/src python probes/run_probes.py python -m dlw.cli
 
-Each probe runs COMMAND with its argv in a new empty directory, and the
-script exits 1 if any probe fails. A probe is one JSON object that holds
-only the keys below and names no key twice in any object; a key outside
-the list is a problem, so a misspelt key cannot silently drop its check:
+Each probe and each golden row runs COMMAND with its argv in a new empty
+directory, and the script exits 1 if any probe or row fails, or if the
+golden table cannot be read. A probe is one JSON object that holds only
+the keys below and names no key twice in any object; a key outside the
+list is a problem, so a misspelt key cannot silently drop its check:
   why          a note for the reader, where the expectation needs one
   argv         the arguments after the command
   files        {name: document} written into the directory first; an
@@ -24,11 +27,26 @@ like the writer's temporary sibling of an output, `.<name>.<pid>.<n>.tmp`.
 A probe without argv, exit or stderr fails without running, and a file
 that cannot be loaded (malformed JSON, a key named twice, not an object)
 fails with the reason; either way the run goes on to the next probe.
-This module needs only the standard library. The tier-1 suite runs each
-probe through `dlw.cli.main` as the test named after its file.
+
+The golden table maps each pinned command, its arguments joined by single
+spaces, to its exit code and, for its standard output, its standard error
+and every file it writes, the sha256 and an 8-hex-digit digest per line;
+a row that does not match names the first differing line. An argument
+that starts with `scenarios/` names a shipped document from the root of
+the repository. `tests/test_golden.py` lists the pinned commands and
+regenerates the table.
+
+This module needs only the standard library; `in_process` imports
+`dlw.cli` when it runs. The tier-1 suite runs each probe through
+`in_process` as the test named after its file, and every golden row
+through `in_process` in `tests/test_golden.py`.
 """
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -36,6 +54,8 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent
+ROOT = CORPUS.parent
+GOLDEN = ROOT / "tests" / "golden.json"
 # the name write_outputs gives the temporary sibling of an output path
 TEMPORARY = re.compile(r"\..+\.\d+\.\d+\.tmp")
 # every key a probe may hold, as the docstring lists them
@@ -67,15 +87,31 @@ def load(name):
 
 
 def command_invoker(command):
-    """invoke(argv, workdir) -> (exit code, stdout, stderr) of a subprocess."""
+    """invoke(argv, workdir) -> (exit code, stdout, stderr) of a subprocess.
+    The streams are read as bytes and decoded as UTF-8, so no newline is
+    translated on the way to a golden row."""
 
     def invoke(argv, workdir):
-        done = subprocess.run(
-            [*command, *argv], cwd=workdir, capture_output=True, text=True
-        )
-        return done.returncode, done.stdout, done.stderr
+        done = subprocess.run([*command, *argv], cwd=workdir, capture_output=True)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
 
     return invoke
+
+
+def in_process(argv, workdir):
+    """(exit code, stdout, stderr) of `dlw.cli.main(argv)` run in workdir,
+    with both streams redirected and the working directory restored."""
+    from dlw.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _refuse(name):
@@ -150,7 +186,82 @@ def check(probe, invoke, workdir):
     return problems
 
 
+def _line_digest(line: bytes) -> str:
+    return hashlib.sha256(line).hexdigest()[:8]
+
+
+def _digests(data: bytes) -> dict:
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "lines": "".join(map(_line_digest, data.splitlines(keepends=True))),
+    }
+
+
+def outcome(argv, invoke):
+    """(exit code, {stream or file name: its bytes}) of `argv` run through
+    `invoke` in a new empty directory."""
+    argv = [str(ROOT / arg) if arg.startswith("scenarios/") else arg for arg in argv]
+    with tempfile.TemporaryDirectory() as workdir:
+        code, out, err = invoke(argv, workdir)
+        written = {
+            str(path.relative_to(workdir)): path.read_bytes()
+            for path in sorted(Path(workdir).rglob("*"))
+            if path.is_file()
+        }
+    return code, {"stdout": out.encode(), "stderr": err.encode(), **written}
+
+
+def pin(argv, invoke) -> dict:
+    """The golden row of `argv` run through `invoke`."""
+    code, streams = outcome(argv, invoke)
+    return {"exit": code, **{name: _digests(data) for name, data in streams.items()}}
+
+
+def _first_difference(name: str, data: bytes, pinned: dict) -> str:
+    """The first line of `data` whose digest is not the pinned one, as it reads now."""
+    lines = data.splitlines(keepends=True)
+    expected = [pinned["lines"][i : i + 8] for i in range(0, len(pinned["lines"]), 8)]
+    for number, line in enumerate(lines, 1):
+        if number > len(expected) or _line_digest(line) != expected[number - 1]:
+            return f"{name} line {number} now reads {line!r}"
+    return f"{name} now has {len(lines)} lines, pinned {len(expected)}"
+
+
+def mismatch(argv, pinned: dict, invoke) -> str | None:
+    """Where the outcome of `argv` run through `invoke` first departs from
+    the golden row `pinned`, or None."""
+    code, streams = outcome(argv, invoke)
+    if code != pinned["exit"]:
+        return f"exit {code}, pinned {pinned['exit']}"
+    names = sorted(pinned.keys() - {"exit", "stdout", "stderr"})
+    written = sorted(streams.keys() - {"stdout", "stderr"})
+    if written != names:
+        return f"wrote {written}, pinned {names}"
+    for name in ("stdout", "stderr", *names):
+        if hashlib.sha256(streams[name]).hexdigest() != pinned[name]["sha256"]:
+            return _first_difference(name, streams[name], pinned[name])
+    return None
+
+
+def golden_table() -> dict:
+    """{command: golden row} read from GOLDEN; a table that cannot be read
+    or is not one JSON object raises OSError or ValueError."""
+    table = json.loads(GOLDEN.read_text())
+    if not isinstance(table, dict):
+        raise ValueError("expected an object")
+    return table
+
+
+def _report(name, problems) -> bool:
+    """Print `name`'s verdict and problems; whether it failed."""
+    print("FAIL" if problems else "ok", name)
+    for problem in problems:
+        print("  " + problem)
+    return bool(problems)
+
+
 def main(command):
+    invoke = command_invoker(command)
     paths = sorted(CORPUS.glob("*.json"))
     failed = 0
     for path in paths:
@@ -160,13 +271,20 @@ def main(command):
             problems = [str(exc)]
         else:
             with tempfile.TemporaryDirectory() as workdir:
-                problems = check(probe, command_invoker(command), workdir)
-        print("FAIL" if problems else "ok", path.name)
-        for problem in problems:
-            print("  " + problem)
-        failed += bool(problems)
+                problems = check(probe, invoke, workdir)
+        failed += _report(path.name, problems)
     print(f"{failed} of {len(paths)} probes failed")
-    return 1 if failed else 0
+    try:
+        table = golden_table()
+    except (OSError, ValueError) as exc:
+        _report(GOLDEN.name, [f"cannot read the golden table: {exc}"])
+        return 1
+    rows_failed = 0
+    for line, pinned in table.items():
+        where = mismatch(line.split(" "), pinned, invoke)
+        rows_failed += _report(line, [where] if where else [])
+    print(f"{rows_failed} of {len(table)} golden rows failed")
+    return 1 if failed or rows_failed else 0
 
 
 if __name__ == "__main__":

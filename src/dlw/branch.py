@@ -24,12 +24,3 @@ class Branch(Enum):
 
     def __init__(self, sign: int):
         self.sign = sign  # an attribute, not a property: read on every sample
-
-    @classmethod
-    def from_name(cls, name: str) -> "Branch":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown branch {name!r} (expected 'plus' or 'minus')"
-            ) from None

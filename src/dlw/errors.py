@@ -1,10 +1,21 @@
-"""The two errors every command reports as one `error:` line and exit 2.
+"""The two errors every command reports as one `error:` line and exit 2,
+and `shown`, the one rendering of a document value inside such a line.
 
 They live apart from the layers that raise them, so that `dlw.cli` can
 catch both without importing the numeric layers.
 """
 
-__all__ = ["ConfigError", "EvaluationError"]
+__all__ = ["ConfigError", "EvaluationError", "shown"]
+
+# the most characters of a value's repr that an error message echoes
+SHOWN = 60
+
+
+def shown(value) -> str:
+    """repr(value), cut to its first SHOWN characters and "..." if longer,
+    so that no value a document holds makes an error line long."""
+    text = repr(value)
+    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
 
 
 class ConfigError(ValueError):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .branch import Branch
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .residual import (
     FieldSampler,
     GridSpec,
@@ -109,7 +109,7 @@ def _plain(value, where: str, names: list | None = None):
         obj = {}
         for pos, (key, item) in enumerate(value):
             if key in obj:
-                raise ConfigError(f"{where}: duplicate key {key!r}")
+                raise ConfigError(f"{where}: duplicate key {shown(key)}")
             obj[key] = _plain(item, names[pos] if names else f"{where}.{key}")
         return obj
     if isinstance(value, list):
@@ -176,14 +176,14 @@ def _require(raw: dict, key: str, where: str):
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {shown(value)}")
     # json accepts NaN and Infinity, and integers beyond the float range
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {shown(value)}")
     return number
 
 
@@ -200,13 +200,15 @@ def _object(value, where: str, keys: tuple[str, ...]) -> dict:
         raise ConfigError(f"{where}: expected an object")
     for key in value:
         if key not in keys:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {shown(key)}")
     return value
 
 
 def _expr(value, where: str):
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected an expression string, got {value!r}")
+        raise ConfigError(
+            f"{where}: expected an expression string, got {shown(value)}"
+        )
     try:
         return parse_coeff_expr(value)
     except ExprSyntaxError as exc:
@@ -217,7 +219,7 @@ def _parse_seed(raw, branch: Branch, where: str) -> SeedSpec:
     raw = _object(raw, where, ("kind", "constant", "kernels", "poly"))
     kind = _require(raw, "kind", where)
     if kind not in SEED_KINDS:
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{where}.kind: unknown kind {shown(kind)}")
     constant = _number(raw.get("constant", 0.0), f"{where}.constant")
     kernels = []
     for pos, entry in enumerate(_list(raw.get("kernels", []), f"{where}.kernels")):
@@ -275,15 +277,18 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
     """Validate a loaded document into a Scenario. `seed` and `params` are
     checked wherever they appear; the path says which of the two it needs."""
     _object(raw, where, _DOCUMENT_KEYS)
-    branch_name = _require(raw, "branch", where)
+    branch_name = str(_require(raw, "branch", where))
     try:
-        branch = Branch.from_name(str(branch_name))
-    except ValueError as exc:
-        raise ConfigError(f"{where}.branch: {exc}") from None
+        branch = Branch[branch_name.upper()]
+    except KeyError:
+        raise ConfigError(
+            f"{where}.branch: unknown branch {shown(branch_name)} "
+            "(expected 'plus' or 'minus')"
+        ) from None
 
     path = raw.get("solution_path", "transform")
     if path not in SOLUTION_PATHS:
-        raise ConfigError(f"{where}.solution_path: unknown path {path!r}")
+        raise ConfigError(f"{where}.solution_path: unknown path {shown(path)}")
     _require(raw, "params" if path == "exact-const" else "seed", where)
 
     seed = None
@@ -328,7 +333,7 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
         entry = _object(entry, label, ("format", "path"))
         fmt = _require(entry, "format", label)
         if fmt not in ("csv", "report"):
-            raise ConfigError(f"{label}.format: unknown format {fmt!r}")
+            raise ConfigError(f"{label}.format: unknown format {shown(fmt)}")
         target = _require(entry, "path", label)
         if not isinstance(target, str):
             raise ConfigError(f"{label}.path: expected a string")

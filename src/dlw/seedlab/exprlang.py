@@ -12,7 +12,7 @@ import math
 import re
 from typing import NamedTuple
 
-from ..errors import EvaluationError
+from ..errors import EvaluationError, shown
 
 __all__ = [
     "CoeffExpr",
@@ -189,7 +189,7 @@ class _Parser:
         expr, _ = self.parse_sum()
         token = self.tokens[self.index]
         if token.kind != "end":
-            raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
+            raise ExprSyntaxError(f"unexpected token {shown(token.text)}", token.pos)
         return expr
 
     def parse_sum(self) -> tuple[CoeffExpr, int]:
@@ -254,14 +254,18 @@ class _Parser:
             if token.text == "y":
                 return Var(), 0
             if not self.at("("):
-                raise ExprSyntaxError(f"unknown identifier {token.text!r}", token.pos)
+                raise ExprSyntaxError(
+                    f"unknown identifier {shown(token.text)}", token.pos
+                )
             if token.text not in FUNCTIONS:
-                raise ExprSyntaxError(f"unknown function {token.text!r}", token.pos)
+                raise ExprSyntaxError(
+                    f"unknown function {shown(token.text)}", token.pos
+                )
             self.advance()
             arg, height = self.nested(self.parse_sum, token)
             self.expect_op(")")
             return self.grow(Call(token.text, arg), height, token)
-        raise ExprSyntaxError(f"unexpected token {token.text!r}", token.pos)
+        raise ExprSyntaxError(f"unexpected token {shown(token.text)}", token.pos)
 
 
 def parse_coeff_expr(text: str) -> CoeffExpr:

@@ -674,11 +674,11 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     code = main(argv)
     capsys.readouterr()
 
-    sign = Branch.from_name(branch).sign
+    sign = Branch[branch.upper()].sign
     cfg = StencilConfig(5e-3)
 
     def sampler(z, y, t):
-        return exact_uh_const(a, a, d, Branch.from_name(branch), (z, y, t))
+        return exact_uh_const(a, a, d, Branch[branch.upper()], (z, y, t))
 
     expected, worst = [], [0.0, 0.0]
     for t in linspace(0.0, 1.0, nt):
@@ -1168,27 +1168,15 @@ def test_unknown_flag_exits_2(capsys):
 # -- probe corpus -----------------------------------------------------------------------
 
 
-@pytest.fixture
-def in_process(capsys, monkeypatch):
-    """invoke(argv, workdir) -> (exit code, stdout, stderr) of main in workdir."""
-
-    def invoke(argv, workdir):
-        monkeypatch.chdir(workdir)
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return invoke
-
-
 def _probe_test(paths):
     """A test that checks every probe file in `paths` through main."""
 
-    def check(path, tmp_path, in_process):
-        assert run_probes.check(run_probes.load(path.stem), in_process, tmp_path) == []
+    def check(path, tmp_path):
+        probe = run_probes.load(path.stem)
+        assert run_probes.check(probe, run_probes.in_process, tmp_path) == []
 
     if len(paths) == 1 and "." not in paths[0].stem:
-        return lambda tmp_path, in_process: check(paths[0], tmp_path, in_process)
+        return lambda tmp_path: check(paths[0], tmp_path)
     ids = [path.stem.partition(".")[2] for path in paths]
     return pytest.mark.parametrize("path", paths, ids=ids)(check)
 
@@ -1204,10 +1192,11 @@ for _name, _paths in _TESTS.items():
     globals()[_name] = _probe_test(_paths)
 
 
-def test_a_probe_names_only_keys_it_checks_and_each_once(tmp_path, in_process, monkeypatch):
+def test_a_probe_names_only_keys_it_checks_and_each_once(tmp_path, monkeypatch):
     # a misspelt key would otherwise check nothing
     probe = {**run_probes.load("derive_writes_a_strict_report"), "stdot": []}
-    assert run_probes.check(probe, in_process, tmp_path) == ["unknown key 'stdot'"]
+    problems = run_probes.check(probe, run_probes.in_process, tmp_path)
+    assert problems == ["unknown key 'stdot'"]
     monkeypatch.setattr(run_probes, "CORPUS", tmp_path)
     (tmp_path / "twice.json").write_text('{"argv": [], "files": {"a": "1", "a": "2"}}')
     with pytest.raises(ValueError, match=r"^twice\.json: duplicate key 'a'$"):
@@ -1218,8 +1207,12 @@ def test_a_probe_names_only_keys_it_checks_and_each_once(tmp_path, in_process, m
 
 
 def test_a_bad_probe_fails_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
-    # a probe missing a key, or a file that cannot be loaded, fails alone
+    # a probe missing a key, or a file that cannot be loaded, fails alone;
+    # the golden table checked after the corpus is an empty one here
     monkeypatch.setattr(run_probes, "CORPUS", tmp_path)
+    monkeypatch.setattr(run_probes, "GOLDEN", tmp_path / "golden" / "golden.json")
+    run_probes.GOLDEN.parent.mkdir()
+    run_probes.GOLDEN.write_text("{}")
     (tmp_path / "good.json").write_text('{"argv": [], "exit": 0, "stderr": []}')
     (tmp_path / "no_exit.json").write_text('{"argv": [], "stderr": []}')
     (tmp_path / "twice.json").write_text('{"argv": [], "argv": [], "exit": 0}')
@@ -1231,6 +1224,45 @@ def test_a_bad_probe_fails_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
         "FAIL twice.json",
         "  twice.json: duplicate key 'argv'",
         "2 of 3 probes failed",
+        "0 of 0 golden rows failed",
+    ]
+
+
+@pytest.mark.parametrize("text", [None, "[]", "{"], ids=["missing", "list", "malformed"])
+def test_a_golden_table_that_cannot_be_read_fails_the_run(
+    tmp_path, monkeypatch, capsys, text
+):
+    # a missing table is a failure, not a skip: CI checks it after the corpus
+    monkeypatch.setattr(run_probes, "CORPUS", tmp_path / "probes")
+    run_probes.CORPUS.mkdir()
+    monkeypatch.setattr(run_probes, "GOLDEN", tmp_path / "golden.json")
+    if text is not None:
+        run_probes.GOLDEN.write_text(text)
+    assert run_probes.main([sys.executable, "-c", "pass"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["0 of 0 probes failed", "FAIL golden.json"]
+    assert lines[2].startswith("  cannot read the golden table: ") and len(lines) == 3
+
+
+def test_a_golden_row_that_differs_fails_naming_its_first_differing_line(
+    tmp_path, monkeypatch, capsys
+):
+    # the run goes on past a failing row; here derive's row pins reduce's stdout
+    monkeypatch.setattr(run_probes, "CORPUS", tmp_path / "probes")
+    run_probes.CORPUS.mkdir()
+    monkeypatch.setattr(run_probes, "GOLDEN", tmp_path / "golden.json")
+    reduce_row = run_probes.pin(["reduce", "1", "0"], run_probes.in_process)
+    derive_row = run_probes.pin(["derive"], run_probes.in_process)
+    derive_row["stdout"] = reduce_row["stdout"]
+    run_probes.GOLDEN.write_text(json.dumps({"reduce 1 0": reduce_row, "derive": derive_row}))
+    monkeypatch.setenv("PYTHONPATH", str(Path(dlw.__file__).parents[1]))
+    assert run_probes.main([sys.executable, "-m", "dlw.cli"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 0 probes failed",
+        "ok reduce 1 0",
+        "FAIL derive",
+        "  stdout line 1 now reads b'balance exponents: (l,m,n,p,q,r) = (1,0,0,1,1,0)\\n'",
+        "1 of 2 golden rows failed",
     ]
 
 
