@@ -27,35 +27,43 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .errors import ConfigError, EvaluationError
 
 __all__ = ["main"]
 
 
-def write_outputs(outputs: list[tuple[str, Callable[[Path], None]]]) -> None:
-    """Write every (path, write) pair, or none: `write` writes the file to a
-    temporary sibling of its path, and the siblings replace their paths once
-    all are written. Any exception, an interrupt included, removes the
-    siblings and propagates unchanged, except that an OSError names the
-    path: a failed or interrupted write leaves neither output nor sibling."""
+@contextlib.contextmanager
+def write_outputs():
+    """Write a command's files all or none. The block calls the yielded
+    `sibling(path)` once for each output, and writes that output to the
+    temporary sibling of `path` it returns, `.<name>.<pid>.<n>.tmp`, before
+    it asks for the next. Once the block ends, the siblings replace their
+    paths. Any exception, an interrupt included, removes every sibling and
+    propagates unchanged, except that an OSError names the path whose
+    sibling was being written or renamed: a failed or interrupted command
+    leaves neither output nor sibling."""
     pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
+    path = None
+
+    def sibling(target: str) -> Path:
+        nonlocal path
+        path = Path(target)
+        if path.is_dir():  # fail before any sibling replaces its path
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
+        pending.append((temp, path))
+        return temp
+
     try:
-        for target, write in outputs:
-            path = Path(target)
-            if path.is_dir():  # fail before any sibling replaces its path
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
-            pending.append((temp, path))
-            write(temp)
+        yield sibling
         for temp, path in pending:
             os.replace(temp, path)
     except BaseException as exc:
         for temp, _ in pending:
             with contextlib.suppress(OSError):
                 temp.unlink()
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and path is not None:
             exc.filename = str(path)
         raise
 
@@ -78,7 +86,8 @@ def cmd_derive(args) -> int:
         import json
 
         payload = json.dumps(balance.report_to_dict(report), indent=2, sort_keys=True)
-        write_outputs([(args.output, lambda temp: temp.write_text(payload + "\n"))])
+        with write_outputs() as sibling:
+            sibling(args.output).write_text(payload + "\n")
     print(balance.render_report(report))
     return 0 if report.passed else 1
 
@@ -121,12 +130,14 @@ def _print_summary(label: str, sc, report) -> bool:
 
 
 def _verify(runs, residual, document=None) -> bool:
-    """Evaluate every (label, document key, scenario), then write every
-    output through write_outputs, then print every summary: neither an
-    evaluation error nor an unwritable output prints or writes anything.
-    Two outputs that name one file, or an output that names the `document`
-    path, stop the command before either. Each output's writer is built
-    right after its run's evaluation; only a csv writer holds the records."""
+    """Evaluate every (label, document key, scenario) in turn, writing its
+    outputs through write_outputs, then print every summary: neither an
+    evaluation error nor an unwritable output prints anything or leaves a
+    file. Two outputs that name one file, or an output that names the
+    `document` path, stop the command before any run. A run's walk writes
+    its first CSV output one row per point; its other CSV outputs are
+    copies of that file, and its reports are written from the aggregate,
+    once the walk is done. No run keeps a point once its walk has passed it."""
     from .scenario import evaluate_scenario, export_csv, export_report
 
     # absolute path -> the key that names it first
@@ -137,21 +148,29 @@ def _verify(runs, residual, document=None) -> bool:
             first = named.setdefault(os.path.abspath(spec.path), key)
             if first != key:
                 raise ConfigError(f"{key}: same file as {first}")
-    outputs = []  # (path, write) pairs
     summaries = []
-    for label, where, sc in runs:
-        try:
-            report, records = evaluate_scenario(sc, residual)
-        except EvaluationError as exc:  # named from `seed`; prefix the run's key
-            raise EvaluationError(f"{where}.{exc}") from None
-        for spec in sc.outputs:
-            if spec.format == "csv":
-                write = functools.partial(export_csv, records)
-            else:
-                write = functools.partial(export_report, sc, report)
-            outputs.append((spec.path, write))
-        summaries.append((label, sc, report))
-    write_outputs(outputs)
+    with write_outputs() as sibling:
+        for label, where, sc in runs:
+            csv = next((spec for spec in sc.outputs if spec.format == "csv"), None)
+            row = None
+            with contextlib.ExitStack() as files:
+                if csv is not None:
+                    written = sibling(csv.path)
+                    row = export_csv(files, written)
+                try:
+                    report = evaluate_scenario(sc, residual, row)
+                except EvaluationError as exc:  # named from `seed`; prefix the run's key
+                    raise EvaluationError(f"{where}.{exc}") from None
+            for spec in sc.outputs:
+                if spec is csv:
+                    continue
+                if spec.format == "csv":
+                    import shutil  # loads compression modules; only a second CSV needs it
+
+                    shutil.copyfile(written, sibling(spec.path))
+                else:
+                    export_report(sc, report, sibling(spec.path))
+            summaries.append((label, sc, report))
     all_ok = True
     for label, sc, report in summaries:
         all_ok = _print_summary(label, sc, report) and all_ok

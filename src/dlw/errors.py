@@ -1,21 +1,27 @@
 """The two errors every command reports as one `error:` line and exit 2,
-and `shown`, the one rendering of a document value inside such a line.
+and `shown` and `cut`, the one rendering of a document value and of a
+document key inside such a line.
 
 They live apart from the layers that raise them, so that `dlw.cli` can
 catch both without importing the numeric layers.
 """
 
-__all__ = ["ConfigError", "EvaluationError", "shown"]
+__all__ = ["ConfigError", "EvaluationError", "cut", "shown"]
 
 # the most characters of a value's repr that an error message echoes
 SHOWN = 60
 
 
+def cut(text: str) -> str:
+    """text, cut to its first SHOWN characters and "..." if longer: how an
+    error line names a document's key where it prints it as it stands."""
+    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
+
+
 def shown(value) -> str:
     """repr(value), cut to its first SHOWN characters and "..." if longer,
     so that no value a document holds makes an error line long."""
-    text = repr(value)
-    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
+    return cut(repr(value))
 
 
 class ConfigError(ValueError):

@@ -10,7 +10,7 @@ product rule is exercised rather than assumed.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
     "FieldSampler",
@@ -20,6 +20,7 @@ __all__ = [
     "Terms",
     "fd_residual_dlw",
     "fd_residual_1d",
+    "ResidualFold",
     "aggregate_residuals",
 ]
 
@@ -98,10 +99,11 @@ class GridSpec(_Checked, _GridFields):
         """The coordinates the grid takes on x, y and t."""
         return tuple(_linspace(*span) for span in (self.x, self.y, self.t))
 
-    def points(self) -> list[Point]:
-        """Grid points with x varying fastest, then y, then t."""
+    def points(self) -> Iterator[Point]:
+        """Grid points with x varying fastest, then y, then t, made one at a
+        time as they are read."""
         xs, ys, ts = self._axes()
-        return [(x, y, t) for t in ts for y in ys for x in xs]
+        return ((x, y, t) for t in ts for y in ys for x in xs)
 
     def check_step(self, step: float) -> None:
         """Raise ValueError if `step` leaves some grid coordinate unchanged.
@@ -229,40 +231,54 @@ def nan_max(current: float, value: float) -> float:
     return value if value > current or value != value else current
 
 
-def aggregate_residuals(
-    points: Sequence[Point],
-    results: Iterable[tuple[float, float] | None],
-) -> ResidualReport:
-    max_abs = [0.0, 0.0]
-    sums = [0.0, 0.0]
-    worst: Point | None = None
-    worst_size = -1.0
-    skipped = 0
-    evaluated = 0
-    for point, result in zip(points, results):
-        if result is None:
-            skipped += 1
-            continue
-        evaluated += 1
-        r1, r2 = abs(result[0]), abs(result[1])
-        sums[0] += r1
-        sums[1] += r2
-        max_abs[0] = nan_max(max_abs[0], r1)
-        max_abs[1] = nan_max(max_abs[1], r2)
+class ResidualFold:
+    """The running aggregate of a grid walk, one point at a time: both sums,
+    added left to right, both nan_max maxima, the worst point, and the
+    evaluated and skipped counts. `aggregate_residuals` reads it as a
+    ResidualReport, so a walk keeps no point once it has passed it."""
+
+    __slots__ = ("sum1", "sum2", "max1", "max2", "worst", "worst_size",
+                 "evaluated", "skipped")
+
+    def __init__(self):
+        self.sum1 = self.sum2 = self.max1 = self.max2 = 0.0
+        self.worst: Point | None = None
+        self.worst_size = -1.0
+        self.evaluated = self.skipped = 0
+
+    def add(self, point: Point, r1: float, r2: float) -> None:
+        """Fold in an evaluated point and its two residuals."""
+        r1, r2 = abs(r1), abs(r2)
+        self.evaluated += 1
+        self.sum1 += r1
+        self.sum2 += r2
+        self.max1 = nan_max(self.max1, r1)
+        self.max2 = nan_max(self.max2, r2)
         size = nan_max(r1, r2)
+        worst_size = self.worst_size
         # the first NaN point is the worst; no later point displaces it
         if size > worst_size or (size != size and worst_size == worst_size):
-            worst_size = size
-            worst = point
+            self.worst_size = size
+            self.worst = point
+
+    def skip(self) -> None:
+        """Count a point whose stencil met a pole."""
+        self.skipped += 1
+
+
+def aggregate_residuals(fold: ResidualFold) -> ResidualReport:
+    """The report of a finished walk. With no point evaluated, both maxima
+    and both means are NaN, so the report fails every threshold."""
+    evaluated = fold.evaluated
     if evaluated:
-        mean_abs = (sums[0] / evaluated, sums[1] / evaluated)
+        max_abs = (fold.max1, fold.max2)
+        mean_abs = (fold.sum1 / evaluated, fold.sum2 / evaluated)
     else:
-        mean_abs = (math.nan, math.nan)
-        max_abs = [math.nan, math.nan]
+        max_abs = mean_abs = (math.nan, math.nan)
     return ResidualReport(
-        max_abs=(max_abs[0], max_abs[1]),
+        max_abs=max_abs,
         mean_abs=mean_abs,
-        worst_point=worst,
-        skipped=skipped,
+        worst_point=fold.worst,
+        skipped=fold.skipped,
         evaluated=evaluated,
     )

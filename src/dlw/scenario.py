@@ -13,14 +13,16 @@ writes no report (`reduce`) never loads the codec.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .branch import Branch
-from .errors import ConfigError, shown
+from .errors import ConfigError, cut, shown
 from .residual import (
     FieldSampler,
     GridSpec,
+    ResidualFold,
     ResidualReport,
     StencilConfig,
     Terms,
@@ -100,17 +102,17 @@ class _Pairs(list):
 def _plain(value, where: str, names: list | None = None):
     """`value`, named `where` in an error, with each object in it made a dict.
     A member is named as scenario_from_dict names it (`config.seed`, then
-    `config.seed.kernels[0]`); the members of `value` itself take `names`
-    in order where given. json keeps a repeated key's last value and drops
-    a setting silently, so the first key an object names twice raises
-    ConfigError naming that object. Loops, not comprehensions, keep to one
+    `config.seed.kernels[0]`), each key cut as `errors.cut` cuts it; the
+    members of `value` itself take `names` in order where given. json keeps
+    a repeated key's last value and drops a setting silently, so the first
+    key an object names twice raises ConfigError naming that object. Loops, not comprehensions, keep to one
     frame a level, as deep as json's own reader goes."""
     if isinstance(value, _Pairs):
         obj = {}
         for pos, (key, item) in enumerate(value):
             if key in obj:
                 raise ConfigError(f"{where}: duplicate key {shown(key)}")
-            obj[key] = _plain(item, names[pos] if names else f"{where}.{key}")
+            obj[key] = _plain(item, names[pos] if names else f"{where}.{cut(key)}")
         return obj
     if isinstance(value, list):
         items = []
@@ -418,50 +420,61 @@ def evaluate_grid(
     residual: Residual,
     sampler: FieldSampler,
     phi_value: Callable[..., float],
-) -> tuple[ResidualReport, list[tuple]]:
-    """Residuals, fields and seed values at every grid point, x fastest.
+    row: Callable[[tuple], object] | None = None,
+) -> ResidualReport:
+    """The residual report of one walk over the grid, x fastest.
 
     Each point evaluates phi, then the stencil residual, then (u, h) at the
-    centre. Each row is a plain tuple (x, y, t, phi, u, h, res1, res2), in
-    CSV_HEADER's column order. A point whose stencil meets a pole is skipped,
-    not failed: its row keeps phi and carries nan in the other columns.
+    centre, and is folded into the report as it is walked: the walk keeps
+    no point it has passed. A point whose stencil meets a pole is skipped,
+    not failed. Where `row` is given, it is called with each point's row in
+    walk order, a plain tuple (x, y, t, phi, u, h, res1, res2) in
+    CSV_HEADER's column order; a skipped point's row keeps phi and carries
+    nan in the other columns. With no `row`, no row is built.
     """
-    points = grid.points()
-    results = []
-    records = []
+    fold = ResidualFold()
+    add = fold.add
     nan = math.nan
-    for x, y, t in points:
+    for point in grid.points():
+        x, y, t = point
         phi = phi_value(x, y, t)
         try:
-            a1, b1, c1, a2, b2, c2 = residual(sampler, (x, y, t), cfg)
+            a1, b1, c1, a2, b2, c2 = residual(sampler, point, cfg)
             r1 = a1 + b1 + c1
             r2 = a2 + b2 + c2
             u, h = sampler(x, y, t)
-            results.append((r1, r2))
-            records.append((x, y, t, phi, u, h, r1, r2))
         except PoleError:
-            results.append(None)
-            records.append((x, y, t, phi, nan, nan, nan, nan))
-    return aggregate_residuals(points, results), records
+            fold.skip()
+            if row is not None:
+                row((x, y, t, phi, nan, nan, nan, nan))
+            continue
+        add(point, r1, r2)
+        if row is not None:
+            row((x, y, t, phi, u, h, r1, r2))
+    return aggregate_residuals(fold)
 
 
 def evaluate_scenario(
-    sc: Scenario, residual: Residual
-) -> tuple[ResidualReport, list[tuple]]:
-    """Evaluate fields and `residual` on the scenario's grid."""
-    return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc))
+    sc: Scenario, residual: Residual, row: Callable[[tuple], object] | None = None
+) -> ResidualReport:
+    """Evaluate fields and `residual` on the scenario's grid, passing each
+    point's row to `row` where given (see evaluate_grid)."""
+    return evaluate_grid(sc.grid, sc.stencil, residual, *build_sampler(sc), row)
 
 
-def export_csv(records: Iterable[tuple], path: str | Path) -> None:
-    """Fixed-header CSV, one row per grid point, 17 significant digits.
+def export_csv(files: ExitStack, path: str | Path) -> Callable[[tuple], object]:
+    """Start a fixed-header CSV at `path` and return the function that
+    writes one row to it, 17 significant digits a value: a grid walk's
+    `row`, so the file gets one row per point as the walk reaches it.
 
-    Rows are formatted and written one at a time through one open handle,
-    so export holds one row's text, never the file's. A run writes it to a
-    temporary sibling through `cli.write_outputs`, so a failed or
-    interrupted write leaves neither the output nor the sibling."""
-    with Path(path).open("w") as handle:
-        handle.write(CSV_HEADER + "\n")
-        handle.writelines(_CSV_ROW % record for record in records)
+    The file is opened in `files`, which closes it. Export holds one row's
+    text, never the file's. A run writes it to a temporary sibling through
+    `cli.write_outputs`, so a failed or interrupted walk or write leaves
+    neither the output nor the sibling."""
+    write = files.enter_context(Path(path).open("w")).write
+    write(CSV_HEADER + "\n")
+    text = _CSV_ROW
+    return lambda record: write(text % record)
 
 
 def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:

@@ -164,8 +164,8 @@ def test_criterion_07_independent_numerical_certificate():
         Branch.PLUS,
         (Kernel(1.0, P("1"), P("0.3*y")), Kernel(1.0, P("1.6"), P("-0.4*y"))),
     )
-    report_single, _ = evaluate_grid(GRID, CFG, fd_residual_dlw, single, no_phi)
-    report_double, _ = evaluate_grid(GRID, CFG, fd_residual_dlw, double, no_phi)
+    report_single = evaluate_grid(GRID, CFG, fd_residual_dlw, single, no_phi)
+    report_double = evaluate_grid(GRID, CFG, fd_residual_dlw, double, no_phi)
     assert report_single.skipped == 0 and report_double.skipped == 0
     assert max(report_single.max_abs) <= 1e-5
     assert max(report_double.max_abs) <= 1e-5

@@ -1051,6 +1051,86 @@ def test_unwritable_output_leaves_every_file_as_it_was(
     assert Path("kept.json").read_text() == "old\n"
 
 
+def test_an_interrupt_mid_walk_leaves_no_output_and_no_sibling(tmp_path, monkeypatch):
+    # Ctrl-C part way through the second entry's walk, after the first
+    # entry's CSV and the second's header are on disk, removes both siblings
+    # and reaches the caller as it was raised
+    monkeypatch.chdir(tmp_path)
+    config = base_config()
+    config["sweep"] = [
+        {"outputs": [{"format": "csv", "path": "first.csv"}]},
+        {"outputs": [{"format": "csv", "path": "second.csv"}]},
+    ]
+    document = write_config(tmp_path, config)
+    interrupt = KeyboardInterrupt()
+    build_sampler = dlw.scenario.build_sampler
+    runs = []
+
+    def build(sc):
+        sampler, phi_value = build_sampler(sc)
+        runs.append(sc)
+        calls = 0
+
+        def interrupted(x, y, t):
+            nonlocal calls
+            calls += 1
+            if len(runs) == 2 and calls == 100:
+                assert sorted(os.listdir(tmp_path))[:2] == [
+                    f".first.csv.{os.getpid()}.0.tmp", f".second.csv.{os.getpid()}.1.tmp"
+                ]
+                raise interrupt
+            return sampler(x, y, t)
+
+        return interrupted, phi_value
+
+    monkeypatch.setattr(dlw.scenario, "build_sampler", build)
+    with pytest.raises(KeyboardInterrupt) as raised:
+        main(["sweep", document])
+    assert raised.value is interrupt
+    assert len(runs) == 2
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "fmt, error",
+    [
+        ("csv", f"cannot write no/such/dir/out: {os.strerror(errno.ENOENT)}"),
+        ("report", "field evaluation failed: config.seed.kernels[0].b at y = 0.0: "
+                   "division by zero"),
+    ],
+)
+def test_an_unwritable_csv_is_reported_before_its_run_is_evaluated(
+    tmp_path, capsys, monkeypatch, fmt, error
+):
+    # a CSV output is opened before its run's walk, a report once the walk
+    # is done: which error a run with both reports follows from that
+    monkeypatch.chdir(tmp_path)
+    config = base_config(outputs=[{"format": fmt, "path": "no/such/dir/out"}])
+    config["seed"]["kernels"][0]["b"] = "1/y"
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+def test_a_second_csv_of_one_run_holds_the_bytes_of_the_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = base_config(outputs=[
+        {"format": "csv", "path": "first.csv"},
+        {"format": "report", "path": "report.json"},
+        {"format": "csv", "path": "second.csv"},
+    ])
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    assert Path("second.csv").read_bytes() == Path("first.csv").read_bytes()
+    assert read_csv(Path("first.csv"))[0] == CSV_HEADER
+    assert len(read_csv(Path("first.csv"))[1]) == 4 * 3 * 2
+    assert sorted(os.listdir(tmp_path)) == [
+        "first.csv", "report.json", "scenario.json", "second.csv"
+    ]
+
+
 class FullDisk:
     """A text write handle on a disk with room for 40 more characters: a
     write or writelines call writes what fits, then raises ENOSPC."""
@@ -1114,14 +1194,12 @@ def test_any_exception_mid_write_removes_every_sibling(tmp_path, monkeypatch, er
     # siblings already written and the one being written, and propagates as is
     monkeypatch.chdir(tmp_path)
 
-    def write_part(temp):
-        with temp.open("w") as handle:
-            handle.write("x,y,t\n")
-        raise error
-
-    outputs = [("first.csv", lambda temp: temp.write_text("done\n")), ("out.csv", write_part)]
     with pytest.raises(type(error)) as raised:
-        dlw.cli.write_outputs(outputs)
+        with dlw.cli.write_outputs() as sibling:
+            sibling("first.csv").write_text("done\n")
+            with sibling("out.csv").open("w") as handle:
+                handle.write("x,y,t\n")
+                raise error
     assert raised.value is error
     assert not hasattr(error, "filename")
     assert os.listdir(tmp_path) == []

@@ -28,7 +28,7 @@ import pytest
 import dlw
 from dlw.balance import derive
 from dlw.jetcalc import JetPoly
-from dlw.residual import GridSpec, StencilConfig, aggregate_residuals
+from dlw.residual import GridSpec, ResidualFold, StencilConfig, aggregate_residuals
 from dlw.scenario import scenario_from_dict
 from dlw.seedlab.exprlang import (
     BinOp,
@@ -294,6 +294,8 @@ def _records():
     sc = scenario_from_dict(DOCUMENT)
     const = scenario_from_dict(CONST_DOCUMENT)
     report = derive()
+    fold = ResidualFold()
+    fold.add((0.0, 0.0, 0.0), 1e-9, 2e-9)
     return {
         "ExportSpec": sc.outputs[0],
         "ConstParams": const.params,
@@ -301,7 +303,7 @@ def _records():
         "Kernel": sc.seed.kernels[0],
         "HeatPolynomial": sc.seed.poly,
         "SeedSpec": sc.seed,
-        "ResidualReport": aggregate_residuals([(0.0, 0.0, 0.0)], [(1e-9, 2e-9)]),
+        "ResidualReport": aggregate_residuals(fold),
         "DerivationCheck": report.checks[0],
         "BalanceReport": report,
         "Monomial": JetPoly.jet(1, 0, 0).monomials()[0],

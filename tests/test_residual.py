@@ -11,6 +11,7 @@ import sympy as sp
 from dlw.branch import Branch
 from dlw.residual import (
     GridSpec,
+    ResidualFold,
     ResidualReport,
     StencilConfig,
     aggregate_residuals,
@@ -55,8 +56,7 @@ def transform_sampler(field):
 
 def grid_residuals(sampler, grid):
     """The residual report of evaluate_grid, with a phi column of zeros."""
-    report, _ = evaluate_grid(grid, CFG, fd_residual_dlw, sampler, lambda x, y, t: 0.0)
-    return report
+    return evaluate_grid(grid, CFG, fd_residual_dlw, sampler, lambda x, y, t: 0.0)
 
 
 # -- point residuals -----------------------------------------------------------
@@ -274,7 +274,7 @@ def test_unit_scale_solitary_waves_verify(a, c):
 
 
 def test_threads_sharing_one_field_fill_its_table_consistently():
-    points = GridSpec((-2, 2, 5), (-2, 2, 9), (0, 1, 2)).points()
+    points = list(GridSpec((-2, 2, 5), (-2, 2, 9), (0, 1, 2)).points())
 
     def evaluate(field, point):
         residual = fd_residual_dlw(transform_sampler(field), point, CFG)
@@ -307,9 +307,15 @@ def test_threads_sharing_one_field_fill_its_table_consistently():
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_non_finite_residual_is_never_scored_as_zero(bad):
     grid = GridSpec((0, 3, 4), (0, 0, 1), (0, 0, 1))
-    points = grid.points()
+    points = list(grid.points())
     results = [(1e-9, 2e-9), (bad, 1e-9), (3e-9, bad), None]
-    report = aggregate_residuals(points, results)
+    fold = ResidualFold()
+    for point, result in zip(points, results):
+        if result is None:
+            fold.skip()
+        else:
+            fold.add(point, *result)
+    report = aggregate_residuals(fold)
     assert report.evaluated == 3 and report.skipped == 1
     for value in report.max_abs:
         assert not value <= 1.0  # fails every threshold
@@ -332,7 +338,7 @@ def test_all_skipped_grid_reports_nan():
 
 def test_grid_spec_points_order_x_fastest():
     grid = GridSpec((0, 1, 2), (0, 1, 2), (0, 1, 2))
-    points = grid.points()
+    points = list(grid.points())
     assert points[0] == (0.0, 0.0, 0.0)
     assert points[1] == (1.0, 0.0, 0.0)
     assert points[2] == (0.0, 1.0, 0.0)

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import tracemalloc
+from contextlib import ExitStack
 
 import pytest
 
@@ -65,6 +66,12 @@ class ForgetfulRows(dict):
         pass
 
 
+def report_and_rows(sc):
+    """evaluate_scenario's report, and the rows its walk passes on."""
+    rows = []
+    return evaluate_scenario(sc, fd_residual_dlw, rows.append), rows
+
+
 def per_sample_reference(sc, monkeypatch):
     init = SeedField.__init__
 
@@ -74,7 +81,7 @@ def per_sample_reference(sc, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(SeedField, "__init__", forgetful_init)
-        return evaluate_scenario(sc, fd_residual_dlw)
+        return report_and_rows(sc)
 
 
 @pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS))
@@ -83,7 +90,7 @@ def test_records_and_report_equal_per_sample_evaluation(branch, path, monkeypatc
     rng = random.Random(f"{branch.name}-{path}")
     for _ in range(6):
         sc = scenario_from_dict(random_document(rng, branch, path))
-        report, records = evaluate_scenario(sc, fd_residual_dlw)
+        report, records = report_and_rows(sc)
         ref_report, ref_records = per_sample_reference(sc, monkeypatch)
         # repr compares every float exactly, NaN rows and signed zeros too
         assert repr(records) == repr(ref_records)
@@ -187,7 +194,8 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
         return x, -1.0
 
     grid = GridSpec((0.0, 2.0, 3), (0.0, 0.0, 1), (0.0, 0.0, 1))
-    report, records = evaluate_grid(grid, StencilConfig(), residual, sampler, phi_value)
+    records = []
+    report = evaluate_grid(grid, StencilConfig(), residual, sampler, phi_value, records.append)
     assert calls == [
         ("phi", 0.0), ("residual", 0.0), ("centre", 0.0),
         ("phi", 1.0), ("residual", 1.0),
@@ -203,10 +211,18 @@ def test_evaluate_grid_takes_phi_then_the_stencil_then_the_centre():
     assert report.max_abs == (14 * 2.0**-30, 14.0) and report.worst_point == (2.0, 0.0, 0.0)
 
 
+def write_csv(records, path):
+    """The file export_csv writes at `path` when a walk passes it `records`."""
+    with ExitStack() as files:
+        row = export_csv(files, path)
+        for record in records:
+            row(record)
+
+
 def test_csv_header_is_the_point_record_fields(tmp_path):
     assert CSV_HEADER == "x,y,t,phi,u,h,res1,res2"
     path = tmp_path / "grid.csv"
-    export_csv([(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
+    write_csv([(0.5, 0.0, -0.0, 2.0, math.nan, math.inf, 1e-300, 0.1)], path)
     row = "0.5,0,-0,2,nan,inf,1e-300,0.10000000000000001"
     assert path.read_text() == f"{CSV_HEADER}\n{row}\n"
 
@@ -218,7 +234,7 @@ def test_csv_rows_read_as_format_17g_of_every_value(tmp_path):
     records = [values[:8], values[4:]]
     records += [tuple(rng.choices(values, k=8)) for _ in range(20)]
     path = tmp_path / "grid.csv"
-    export_csv(records, path)
+    write_csv(records, path)
     reference = [CSV_HEADER]
     reference += [",".join(format(v, ".17g") for v in record) for record in records]
     assert path.read_text() == "\n".join(reference) + "\n"
@@ -242,7 +258,7 @@ def test_csv_export_streams_its_rows(tmp_path):
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        export_csv(records, path)
+        write_csv(records, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,6 +266,31 @@ def test_csv_export_streams_its_rows(tmp_path):
     reference = [CSV_HEADER]
     reference += [",".join(format(v, ".17g") for v in record) for record in records]
     assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
+
+
+def test_a_walk_that_writes_its_csv_keeps_no_point(tmp_path):
+    # tracemalloc's peak for a walk with a CSV row consumer does not grow
+    # with the grid: 4x the points stay within a few KiB of the small peak
+    def sampler(x, y, t):
+        return exact_uh_const(1.0, 0.7, 0.1, Branch.PLUS, (x, y, t))
+
+    def peak(n):
+        grid = GridSpec((-2.0, 2.0, n), (-1.0, 1.0, n), (0.0, 1.0, 2))
+        tracemalloc.start()
+        try:
+            with ExitStack() as files:
+                row = export_csv(files, tmp_path / f"{n}.csv")
+                report = evaluate_grid(grid, StencilConfig(), fd_residual_dlw, sampler,
+                                       lambda x, y, t: 1.0, row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.evaluated == grid.size
+        assert len((tmp_path / f"{n}.csv").read_text().splitlines()) == 1 + grid.size
+        return peak
+
+    small, large = peak(20), peak(40)
+    assert large - small < 8 * 1024, (small, large)
 
 
 def test_samplers_return_a_plain_pair_of_floats():
