@@ -8,14 +8,17 @@ catch both without importing the numeric layers.
 
 __all__ = ["ConfigError", "EvaluationError", "cut", "shown"]
 
-# the most characters of a value's repr that an error message echoes
+# the most characters of a value's repr that an error message echoes, and
+# of the path that names a member nested in a document
 SHOWN = 60
+PATH_SHOWN = 2 * SHOWN
 
 
-def cut(text: str) -> str:
-    """text, cut to its first SHOWN characters and "..." if longer: how an
-    error line names a document's key where it prints it as it stands."""
-    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
+def cut(text: str, limit: int = SHOWN) -> str:
+    """text, cut to its first `limit` characters and "..." if longer: how an
+    error line names a document's key, or its path, where it prints it as it
+    stands."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def shown(value) -> str:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .branch import Branch
-from .errors import ConfigError, cut, shown
+from .errors import PATH_SHOWN, ConfigError, cut, shown
 from .residual import (
     FieldSampler,
     GridSpec,
@@ -102,22 +103,25 @@ class _Pairs(list):
 def _plain(value, where: str, names: list | None = None):
     """`value`, named `where` in an error, with each object in it made a dict.
     A member is named as scenario_from_dict names it (`config.seed`, then
-    `config.seed.kernels[0]`), each key cut as `errors.cut` cuts it; the
+    `config.seed.kernels[0]`), each key cut as `errors.cut` cuts it and the
+    whole path cut at PATH_SHOWN characters, however deep it goes; the
     members of `value` itself take `names` in order where given. json keeps
     a repeated key's last value and drops a setting silently, so the first
-    key an object names twice raises ConfigError naming that object. Loops, not comprehensions, keep to one
-    frame a level, as deep as json's own reader goes."""
+    key an object names twice raises ConfigError naming that object. Loops,
+    not comprehensions, keep to one frame a level, as deep as json's own
+    reader goes."""
     if isinstance(value, _Pairs):
         obj = {}
         for pos, (key, item) in enumerate(value):
             if key in obj:
                 raise ConfigError(f"{where}: duplicate key {shown(key)}")
-            obj[key] = _plain(item, names[pos] if names else f"{where}.{cut(key)}")
+            name = names[pos] if names else cut(f"{where}.{cut(key)}", PATH_SHOWN)
+            obj[key] = _plain(item, name)
         return obj
     if isinstance(value, list):
         items = []
         for pos, item in enumerate(value):
-            items.append(_plain(item, f"{where}[{pos}]"))
+            items.append(_plain(item, cut(f"{where}[{pos}]", PATH_SHOWN)))
         return items
     return value
 
@@ -373,9 +377,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
     sign = branch.sign
     if sc.solution_path == "exact-const":
         a, c, d = sc.params
-
-        def sampler(x, y, t):
-            return exact_uh_const(a, c, d, branch, (x, y, t))
+        sampler = partial(exact_uh_const, a, c, d, branch)
 
         def phi_value(x, y, t):
             return one_plus_exp(a * x - sign * a * a * t + c * y + d)
@@ -389,7 +391,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
 
             def sampler(x, y, t):
                 a, b = field.duals(y)
-                return exact_uh(a, b, branch, (x, y, t))
+                return exact_uh(a, b, branch, x, y, t)
 
             def phi_value(x, y, t):  # the unit kernel's 1 + exp(theta)
                 (a, _), (b, _) = field.duals(y)

@@ -1,7 +1,9 @@
 """Point maps from linear seeds to solutions of the dispersive long wave
 system: the logarithmic-derivative transformation, the closed-form solitary
 profiles it produces for single exponential kernels, and the constant
-coefficient specialization.
+coefficient specialization. The closed forms take `x, y, t` last and call
+only `math`: bound to their coefficients, e.g. `partial(exact_uh_const, a,
+c, d, branch)`, each is a sampler that runs in one Python frame.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import math
 
 from .branch import Branch
 from .errors import EvaluationError
-from .seedlab.exprlang import sech
 from .seedlab.seeds import Point, SeedField
 
 __all__ = [
@@ -51,42 +52,44 @@ def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
 
 
 def exact_uh(
-    a: tuple[float, float], b: tuple[float, float], branch: Branch, point: Point
+    a: tuple[float, float], b: tuple[float, float], branch: Branch, x: float, y: float, t: float
 ) -> tuple[float, float]:
     """Closed-form solution generated by the unit single-kernel seed.
 
     a and b are the (value, y-derivative) float pairs of the kernel
-    coefficients at the point's y, as `SeedField.duals` returns them. With
-    theta = a(y)*x - sign*a(y)^2*t + b(y):
+    coefficients at y, as `SeedField.duals(y)` returns them; y itself enters
+    only through them. With theta = a(y)*x - sign*a(y)^2*t + b(y):
       u = sign*a*(1 + tanh(theta/2))
       h = (a/2)*(a'x - sign*2aa't + b')*sech(theta/2)^2 + a'*tanh(theta/2) + a' - 1
     """
-    x, _, t = point
     a, a_prime = a
     b, b_prime = b
     sign = branch.sign
-    theta = a * x - sign * a**2 * t + b
+    half = 0.5 * (a * x - sign * a**2 * t + b)
     theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
-    th = math.tanh(0.5 * theta)
-    sh2 = sech(0.5 * theta) ** 2
+    th = math.tanh(half)
+    # sech(half)^2 in exprlang.sech's float operations, overflow-safe
+    e = math.exp(-abs(half))
+    sh2 = (2.0 * e / (1.0 + e * e)) ** 2
     u = sign * a * (1.0 + th)
     h = 0.5 * a * theta_y * sh2 + a_prime * th + a_prime - 1.0
     return u, h
 
 
 def exact_uh_const(
-    a: float, c: float, d: float, branch: Branch, point: Point
+    a: float, c: float, d: float, branch: Branch, x: float, y: float, t: float
 ) -> tuple[float, float]:
     """Constant-coefficient solitary wave.
 
     u = sign*a*(1 + tanh(arg/2)), h = (a*c/2)*sech(arg/2)^2 - 1 with
     arg = a*x - sign*a^2*t + c*y + d.
     """
-    x, y, t = point
     sign = branch.sign
-    arg = a * x - sign * a * a * t + c * y + d
-    u = sign * a * (1.0 + math.tanh(0.5 * arg))
-    h = 0.5 * a * c * sech(0.5 * arg) ** 2 - 1.0
+    half = 0.5 * (a * x - sign * a * a * t + c * y + d)
+    # sech(half)^2 in exprlang.sech's float operations, overflow-safe
+    e = math.exp(-abs(half))
+    u = sign * a * (1.0 + math.tanh(half))
+    h = 0.5 * a * c * (2.0 * e / (1.0 + e * e)) ** 2 - 1.0
     return u, h
 
 

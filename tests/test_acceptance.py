@@ -146,13 +146,13 @@ def test_criterion_06_constant_coefficient_specialization():
     for _ in range(100):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
         general_u, general_h = exact_at(*params, point)
-        special_u, special_h = exact_uh_const(a, c, d, Branch.PLUS, point)
+        special_u, special_h = exact_uh_const(a, c, d, Branch.PLUS, *point)
         worst = max(worst, abs(general_u - special_u), abs(general_h - special_h))
     assert worst <= 1e-14
-    origin = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (0.0, 0.0, 0.0))
+    origin = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.0, 0.0, 0.0)
     assert origin == (1.0, -0.5)
-    down_u, down_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (-40.0, 0.0, 0.0))
-    up_u, up_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (40.0, 0.0, 0.0))
+    down_u, down_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, -40.0, 0.0, 0.0)
+    up_u, up_h = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 40.0, 0.0, 0.0)
     assert abs(down_u) <= 1e-12 and abs(down_h + 1.0) <= 1e-12
     assert abs(up_u - 2.0) <= 1e-12 and abs(up_h + 1.0) <= 1e-12
     _pass(6, f"constant-coefficient specialization ({worst:.2e}); origin and limits")
@@ -202,13 +202,13 @@ def test_criterion_08_reduction():
     for _ in range(100):
         z, t = rng.uniform(-4, 4), rng.uniform(0, 1)
         shift = rng.uniform(-2, 2)
-        first_u, first_h = exact_uh_const(a, a, d, Branch.PLUS, (z, 0.0, t))
-        second_u, second_h = exact_uh_const(a, a, d, Branch.PLUS, (z - shift, shift, t))
+        first_u, first_h = exact_uh_const(a, a, d, Branch.PLUS, z, 0.0, t)
+        second_u, second_h = exact_uh_const(a, a, d, Branch.PLUS, z - shift, shift, t)
         assert abs(first_u - second_u) <= 1e-14 * (1.0 + abs(first_u))
         assert abs(first_h - second_h) <= 1e-14 * (1.0 + abs(first_h))
 
     def sampler(z, y, t):
-        return exact_uh_const(a, a, d, Branch.PLUS, (z, y, t))
+        return exact_uh_const(a, a, d, Branch.PLUS, z, y, t)
 
     worst = 0.0
     for t in (0.0, 0.5, 1.0):

@@ -209,6 +209,17 @@ def test_run_rejects_a_document_nested_too_deeply(tmp_path, capsys):
     assert captured.err == f"error: config {path}: nested too deeply\n"
 
 
+def test_an_error_path_through_deep_lists_is_cut_as_a_whole(tmp_path, capsys):
+    # the probe corpus pins a deep path of cut keys; list indices are cut alike
+    path = tmp_path / "lists.json"
+    path.write_text('{"debug": ' + "[" * 100 + '{"a": 1, "a": 2}' + "]" * 100 + "}")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    where = ("config.debug" + "[0]" * 100)[:120] + "..."
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: duplicate key 'a'\n"
+
+
 @pytest.mark.parametrize(
     "axis, span, message",
     [
@@ -678,7 +689,7 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     cfg = StencilConfig(5e-3)
 
     def sampler(z, y, t):
-        return exact_uh_const(a, a, d, Branch[branch.upper()], (z, y, t))
+        return exact_uh_const(a, a, d, Branch[branch.upper()], z, y, t)
 
     expected, worst = [], [0.0, 0.0]
     for t in linspace(0.0, 1.0, nt):

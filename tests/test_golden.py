@@ -3,8 +3,10 @@
 `golden.json` beside this file holds, for each command below, its exit code
 and the sha256 of its standard output, its standard error and every file it
 writes. The commands are every shipped document as shipped and with
-`--branch plus` and `--branch minus`; `reduce 1 0`, `reduce 0.7 0.3` and
-`reduce 0 0` with `--output` on both branches; and `derive --output`. Each
+`--branch plus` and `--branch minus`; `run scenarios/sweep.json` with
+`--output` on both branches, the CSV that pins the exact-const profiles at
+17 digits off the line y = 0; `reduce 1 0`, `reduce 0.7 0.3` and `reduce 0 0`
+with `--output` on both branches; and `derive --output`. Each
 stream and file also keeps an 8-hex-digit digest per line, which points a
 mismatch at its first differing line.
 
@@ -40,6 +42,8 @@ def commands():
         yield [command, document]
         yield [command, document, "--branch", "plus"]
         yield [command, document, "--branch", "minus"]
+    yield ["run", "scenarios/sweep.json", "--output", "sweep.csv"]
+    yield ["run", "scenarios/sweep.json", "--output", "sweep.csv", "--branch", "minus"]
     for a, d in (("1", "0"), ("0.7", "0.3"), ("0", "0")):
         for branch in ("plus", "minus"):
             yield ["reduce", a, d, "--branch", branch, "--output", "reduce.csv"]

@@ -36,7 +36,7 @@ def vacuum_sampler(x, y, t):
 
 
 def soliton_sampler(x, y, t):
-    return exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (x, y, t))
+    return exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, x, y, t)
 
 
 def corrupted_sampler(x, y, t):
@@ -94,7 +94,7 @@ def test_pole_in_stencil_raises():
 
 def test_reduced_fields_satisfy_1d_system():
     def sampler(z, y, t):
-        return exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (z, y, t))
+        return exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, z, y, t)
 
     rng = random.Random(3)
     for _ in range(25):
@@ -132,7 +132,7 @@ def test_1d_stencil_samples_six_offsets_at_the_points_y():
 
 def test_small_amplitude_1d_residuals():
     def sampler(z, y, t):
-        return exact_uh_const(0.5, 0.5, 0.0, Branch.PLUS, (z, y, t))
+        return exact_uh_const(0.5, 0.5, 0.0, Branch.PLUS, z, y, t)
 
     rng = random.Random(13)
     worst = 0.0
@@ -186,7 +186,7 @@ def term_errors(stencil, sampler, point, exact):
 )
 def test_every_term_is_second_order(stencil, a, c, d, point, branch):
     def sampler(x, y, t):
-        return exact_uh_const(a, c, d, branch, (x, y, t))
+        return exact_uh_const(a, c, d, branch, x, y, t)
 
     exact = exact_terms(a, c, d, branch, point, one_d=stencil is fd_residual_1d)
     for k, (coarse, fine) in enumerate(term_errors(stencil, sampler, point, exact)):
@@ -198,7 +198,7 @@ def test_a_near_miss_term_does_not_converge():
     point = (0.3, -0.2, 0.1)
 
     def near_miss(x, y, t):
-        u, h = exact_uh_const(1.0, 0.8, 0.1, Branch.PLUS, (x, y, t))
+        u, h = exact_uh_const(1.0, 0.8, 0.1, Branch.PLUS, x, y, t)
         return u, h + 0.01 * x * x
 
     exact = exact_terms(1.0, 0.8, 0.1, Branch.PLUS, point)
@@ -265,7 +265,7 @@ def test_unit_scale_solitary_waves_verify(a, c):
     # truncation grows like a^5 * h^2, so the 1e-5 budget covers unit-scale
     # parameters; by a = c = 2 it is genuinely exceeded (2.8e-4 measured)
     def sampler(x, y, t):
-        return exact_uh_const(a, c, 0.1, Branch.PLUS, (x, y, t))
+        return exact_uh_const(a, c, 0.1, Branch.PLUS, x, y, t)
 
     grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
     report = grid_residuals(sampler, grid)

@@ -21,6 +21,7 @@ from dlw.scenario import (
     _DOCUMENT_KEYS,
     CSV_HEADER,
     SOLUTION_PATHS,
+    build_sampler,
     evaluate_grid,
     evaluate_scenario,
     export_csv,
@@ -30,6 +31,7 @@ from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import parse_coeff_expr
 from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
 from dlw.transform import PoleError, exact_uh, exact_uh_const, transform_point
+from test_transform import python_frames
 
 A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")
 B_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "y^2/4", "-0.4*y + 1")
@@ -272,7 +274,7 @@ def test_a_walk_that_writes_its_csv_keeps_no_point(tmp_path):
     # tracemalloc's peak for a walk with a CSV row consumer does not grow
     # with the grid: 4x the points stay within a few KiB of the small peak
     def sampler(x, y, t):
-        return exact_uh_const(1.0, 0.7, 0.1, Branch.PLUS, (x, y, t))
+        return exact_uh_const(1.0, 0.7, 0.1, Branch.PLUS, x, y, t)
 
     def peak(n):
         grid = GridSpec((-2.0, 2.0, n), (-1.0, 1.0, n), (0.0, 1.0, 2))
@@ -299,8 +301,16 @@ def test_samplers_return_a_plain_pair_of_floats():
     a, b = field.duals(0.3)
     for pair in (
         transform_point(field, (0.2, 0.3, 0.1)),
-        exact_uh(a, b, Branch.PLUS, (0.2, 0.3, 0.1)),
-        exact_uh_const(1.0, 1.0, 0.0, Branch.MINUS, (0.2, 0.3, 0.1)),
+        exact_uh(a, b, Branch.PLUS, 0.2, 0.3, 0.1),
+        exact_uh_const(1.0, 1.0, 0.0, Branch.MINUS, 0.2, 0.3, 0.1),
     ):
         assert type(pair) is tuple and len(pair) == 2
         assert all(type(value) is float for value in pair)
+
+
+def test_the_exact_const_sampler_is_one_leaf_call():
+    # exact_uh_const bound to the document's params: one sample opens only
+    # the closed form's own frame
+    sampler, _ = build_sampler(scenario_from_dict(valid_document("exact-const")))
+    assert python_frames(sampler, 0.5, 0.7, 0.2) == ["exact_uh_const"]
+    assert sampler(0.5, 0.7, 0.2) == exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.5, 0.7, 0.2)

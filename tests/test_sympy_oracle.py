@@ -7,12 +7,16 @@ the ansatz are converted to sympy and compared with sympy's own expansion
 term by term, so total_derivative, the key canonicaliser and specialize_log
 are checked by a second CAS, not only through the final zero.  So is the
 identity derive checks: each residual is one mixed derivative of the seed
-constraint over phi.
+constraint over phi.  The float closed forms of `dlw.transform` are run on
+sympy expressions and proved equal to the transformation of their seed.
 """
+
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
 
+from dlw import transform
 from dlw.balance import build_residuals
 from dlw.branch import Branch
 from dlw.jetcalc import JetPoly, specialize_log, total_derivative
@@ -133,3 +137,69 @@ def test_jetcalc_identity_equals_sympy_term_by_term(branch):
         got = expanded_terms(to_sympy(ours))
         assert got == expanded_terms(scale * 2 * mixed)
         assert len(got) == len(ours.monomials())
+
+
+# -- the closed forms, run on sympy expressions -------------------------------------
+
+A_OF_Y = sp.Function("a")(Y)
+B_OF_Y = sp.Function("b")(Y)
+
+
+@pytest.fixture
+def symbolic_transform(monkeypatch):
+    """dlw.transform with `math` swapped for sympy's exp and tanh and `abs`
+    shadowed by the identity, which test_overflow_guard_is_exact shows is
+    exact: each closed form then returns its own formula as an expression."""
+    monkeypatch.setattr(transform, "math", SimpleNamespace(exp=sp.exp, tanh=sp.tanh))
+    monkeypatch.setattr(transform, "abs", lambda z: z, raising=False)
+    return transform
+
+
+def _vanishes(expr) -> bool:
+    # the closed forms' float constants (0.5, 1.0, 2.0) are binary fractions,
+    # so each is its Rational exactly
+    exact = expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
+    return sp.simplify(exact.rewrite(sp.exp)) == 0
+
+
+def test_overflow_guard_is_exact():
+    # 2e^{-|z|}/(1 + e^{-2|z|}) = sech|z| = sech z: the identity holds for
+    # every z, and sech is even, so reading |z| as z changes nothing
+    z = sp.Symbol("z", real=True)
+    assert sp.simplify(2 * sp.exp(-z) / (1 + sp.exp(-2 * z)) - sp.sech(z).rewrite(sp.exp)) == 0
+    assert sp.sech(-z) == sp.sech(z)
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_exact_uh_is_the_transformation_of_one_plus_exp(symbolic_transform, branch):
+    # kills the exact_uh mutants that drop a'*tanh(theta/2) from h, drop h's
+    # constant + a', or drop theta_y's t term
+    theta = A_OF_Y * X - branch.sign * A_OF_Y**2 * T + B_OF_Y
+    phi = 1 + sp.exp(theta)
+    u = branch.sign * 2 * phi.diff(X) / phi
+    h = -2 * phi.diff(X) * phi.diff(Y) / phi**2 + 2 * phi.diff(X, Y) / phi - 1
+    got_u, got_h = symbolic_transform.exact_uh(
+        (A_OF_Y, A_OF_Y.diff(Y)), (B_OF_Y, B_OF_Y.diff(Y)), branch, X, Y, T
+    )
+    assert _vanishes(got_u - u)
+    assert _vanishes(got_h - h)
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_exact_uh_const_is_exact_uh_with_linear_b(symbolic_transform, branch):
+    a, c, d = sp.symbols("a c d")
+    const = symbolic_transform.exact_uh_const(a, c, d, branch, X, Y, T)
+    general = symbolic_transform.exact_uh((a, 0), (c * Y + d, c), branch, X, Y, T)
+    for got, expected in zip(const, general):
+        assert _vanishes(got - expected)
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_one_plus_exp_solves_the_seed_constraint(symbolic_transform, branch):
+    # with derive's theorem, this closes the chain from the closed forms to
+    # the system: their seed is one_plus_exp(theta), which solves
+    # phi_t + sign*phi_xx = 0
+    theta = A_OF_Y * X - branch.sign * A_OF_Y**2 * T + B_OF_Y
+    phi = symbolic_transform.one_plus_exp(theta)
+    assert _vanishes(phi - (1 + sp.exp(theta)))
+    assert _vanishes(phi.diff(T) + branch.sign * phi.diff(X, 2))

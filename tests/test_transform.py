@@ -2,14 +2,17 @@
 
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlw.balance import build_ansatz, solve_balance_exponents
 from dlw.branch import Branch
 from dlw.jetcalc import specialize_log
-from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
+from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr, sech
 from dlw.seedlab.seeds import HeatPolynomial, SeedField, SeedSpec
 from dlw.transform import (
     PoleError,
@@ -26,7 +29,7 @@ BRANCHES = (Branch.PLUS, Branch.MINUS)
 def exact_at(a_expr, b_expr, branch, point):
     """exact_uh with its coefficient duals evaluated at the point's y."""
     y = point[1]
-    return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, point)
+    return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, *point)
 
 
 def test_vacuum_from_constant_seed():
@@ -132,18 +135,18 @@ def test_transform_equals_closed_form(branch):
 
 
 def test_exact_const_at_origin():
-    assert exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (0.0, 0.0, 0.0)) == (1.0, -0.5)
+    assert exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.0, 0.0, 0.0) == (1.0, -0.5)
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_exact_const_asymptotics(branch):
     a, c, d = 1.0, 1.0, 0.0
     # argument -40: upstream vacuum
-    u, h = exact_uh_const(a, c, d, branch, (-40.0, 0.0, 0.0))
+    u, h = exact_uh_const(a, c, d, branch, -40.0, 0.0, 0.0)
     assert abs(u) <= 1e-12
     assert abs(h + 1.0) <= 1e-12
     # argument +40: u -> sign*2a
-    u, h = exact_uh_const(a, c, d, branch, (40.0, 0.0, 0.0))
+    u, h = exact_uh_const(a, c, d, branch, 40.0, 0.0, 0.0)
     assert abs(u - branch.sign * 2.0 * a) <= 1e-12
     assert abs(h + 1.0) <= 1e-12
 
@@ -154,7 +157,7 @@ def test_exact_const_specializes_exact_uh():
     for _ in range(100):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
         u_g, h_g = exact_at(*params, point)
-        u_c, h_c = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, point)
+        u_c, h_c = exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, *point)
         assert abs(u_g - u_c) <= 1e-14
         assert abs(h_g - h_c) <= 1e-14
 
@@ -164,7 +167,7 @@ def test_height_offset_bounded_for_positive_product():
     rng = random.Random(31)
     for _ in range(200):
         point = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 2))
-        _, h = exact_uh_const(a, c, 0.3, Branch.PLUS, point)
+        _, h = exact_uh_const(a, c, 0.3, Branch.PLUS, *point)
         assert 0.0 <= h + 1.0 <= a * c / 2.0
 
 
@@ -175,17 +178,88 @@ def test_branch_mirror(branch):
     rng = random.Random(37)
     for _ in range(50):
         x, y, t = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 1)
-        u0, h0 = exact_uh_const(1.2, 0.8, 0.1, branch, (x, y, t))
-        u1, h1 = exact_uh_const(1.2, 0.8, 0.1, other, (x, y, -t))
+        u0, h0 = exact_uh_const(1.2, 0.8, 0.1, branch, x, y, t)
+        u1, h1 = exact_uh_const(1.2, 0.8, 0.1, other, x, y, -t)
         assert u1 == pytest.approx(-u0, rel=1e-13, abs=1e-15)
         assert h1 == pytest.approx(h0, rel=1e-13)
+
+
+def python_frames(fn, *args):
+    """The name of each Python frame that one call fn(*args) opens, in order;
+    C calls (math.exp, functools.partial) open none."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_closed_forms_are_leaf_calls(branch):
+    # each runs in its own frame alone: no helper, no sech, no closure
+    assert python_frames(exact_uh, (1.2, 0.3), (0.4, -0.1), branch, 0.5, 0.7, 0.2) == ["exact_uh"]
+    assert python_frames(exact_uh_const, 1.2, 0.8, 0.1, branch, 0.5, 0.7, 0.2) == ["exact_uh_const"]
+
+
+# every float: subnormals, +-inf and nan among them
+ANY_FLOAT = st.floats()
+# any float, with finite, moderate values drawn as often
+SOME_FLOAT = st.one_of(st.floats(-10.0, 10.0), ANY_FLOAT)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=SOME_FLOAT, c=SOME_FLOAT, d=SOME_FLOAT, x=SOME_FLOAT, y=SOME_FLOAT, t=SOME_FLOAT,
+       branch=st.sampled_from(BRANCHES))
+@example(a=1.0, c=1.0, d=1.7976931348623157e308, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
+@example(a=1.0, c=1.0, d=-1.7976931348623157e308, x=0.0, y=0.0, t=0.0, branch=Branch.MINUS)
+@example(a=1.0, c=1.0, d=1e-310, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
+@example(a=1.0, c=1.0, d=math.inf, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
+@example(a=1.0, c=1.0, d=-math.inf, x=0.0, y=0.0, t=0.0, branch=Branch.MINUS)
+@example(a=1.0, c=1.0, d=math.nan, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
+def test_exact_uh_const_is_bit_for_bit_its_formula_with_exprlang_sech(a, c, d, x, y, t, branch):
+    # half reaches every float the sum can round to: subnormals, 8.99e307, inf, nan
+    sign = branch.sign
+    half = 0.5 * (a * x - sign * a * a * t + c * y + d)
+    expected = (sign * a * (1.0 + math.tanh(half)), 0.5 * a * c * sech(half) ** 2 - 1.0)
+    assert repr(exact_uh_const(a, c, d, branch, x, y, t)) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.floats(-1e100, 1e100), a_prime=SOME_FLOAT, b=SOME_FLOAT, b_prime=SOME_FLOAT,
+       x=SOME_FLOAT, y=SOME_FLOAT, t=SOME_FLOAT, branch=st.sampled_from(BRANCHES))
+@example(a=0.0, a_prime=0.5, b=1.7976931348623157e308, b_prime=1.0, x=0.0, y=0.0, t=0.0,
+         branch=Branch.PLUS)
+@example(a=0.0, a_prime=0.5, b=1e-310, b_prime=1.0, x=0.0, y=0.0, t=0.0, branch=Branch.MINUS)
+@example(a=0.0, a_prime=0.5, b=-math.inf, b_prime=1.0, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
+@example(a=0.0, a_prime=0.5, b=math.nan, b_prime=1.0, x=0.0, y=0.0, t=0.0, branch=Branch.MINUS)
+def test_exact_uh_is_bit_for_bit_its_formula_with_exprlang_sech(
+    a, a_prime, b, b_prime, x, y, t, branch
+):
+    # a is bounded as the kernel table bounds it: a^2 within the float range
+    sign = branch.sign
+    half = 0.5 * (a * x - sign * a**2 * t + b)
+    theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
+    th = math.tanh(half)
+    expected = (
+        sign * a * (1.0 + th),
+        0.5 * a * theta_y * sech(half) ** 2 + a_prime * th + a_prime - 1.0,
+    )
+    got = exact_uh((a, a_prime), (b, b_prime), branch, x, y, t)
+    assert repr(got) == repr(expected)
 
 
 # -- reduction ---------------------------------------------------------------------
 
 
 def test_reduce_at_origin():
-    assert exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, (0, 0, 0)) == (1.0, -0.5)
+    assert exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0, 0, 0) == (1.0, -0.5)
 
 
 def test_reduction_depends_on_x_plus_y_only():
@@ -194,7 +268,7 @@ def test_reduction_depends_on_x_plus_y_only():
     for _ in range(50):
         z, t = rng.uniform(-4, 4), rng.uniform(0, 1)
         shift = rng.uniform(-2, 2)
-        first_u, first_h = exact_uh_const(a, a, d, Branch.PLUS, (z, 0.0, t))
-        second_u, second_h = exact_uh_const(a, a, d, Branch.PLUS, (z - shift, shift, t))
+        first_u, first_h = exact_uh_const(a, a, d, Branch.PLUS, z, 0.0, t)
+        second_u, second_h = exact_uh_const(a, a, d, Branch.PLUS, z - shift, shift, t)
         assert abs(first_u - second_u) <= 1e-14 * (1.0 + abs(first_u))
         assert abs(first_h - second_h) <= 1e-14 * (1.0 + abs(first_h))
