@@ -31,7 +31,6 @@ __all__ = [
     "total_derivative",
     "specialize_log",
     "reduce_heat",
-    "degree_decompose",
 ]
 
 # Derivations in this package never exceed total order 4; the cap leaves
@@ -175,8 +174,8 @@ class JetPoly:
     (_normalised), which merges and drops zeros; balance builds its jet and
     symbol leaves through it once, at import.  No arithmetic or calculus
     operation goes through the constructor: each builds keys that are
-    canonical already and skips full validation.  Scalar products, log
-    specialization and degree decomposition call the normaliser alone;
+    canonical already and skips full validation.  Scalar products and log
+    specialization call the normaliser alone;
     sums and differences merge the other operand into a copy of the terms,
     dropping only keys that cancel; products re-sort the factors of two
     canonical keys, and total_derivative and reduce_heat the factors of
@@ -418,10 +417,3 @@ def reduce_heat(p: JetPoly, branch: Branch) -> JetPoly:
         out.append(((phi_power, _sorted_jets(new_jets), ()), coeff * factor))
     return JetPoly._canonical(out)
 
-
-def degree_decompose(p: JetPoly) -> dict[int, JetPoly]:
-    """Partition terms by homogeneous degree (count of proper jet factors)."""
-    buckets: dict[int, list[tuple[_Key, _Coeff]]] = {}
-    for pair in p._terms.items():  # canonical keys, so each bucket is canonical
-        buckets.setdefault(len(pair[0][1]), []).append(pair)
-    return {d: JetPoly._canonical(pairs) for d, pairs in sorted(buckets.items())}

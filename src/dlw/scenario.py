@@ -398,12 +398,10 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
                 return one_plus_exp(a * x - sign * a**2 * t + b)
 
         else:
-
-            def sampler(x, y, t):
-                return transform_point(field, (x, y, t))
+            sampler = partial(transform_point, field)
 
             def phi_value(x, y, t):
-                return field.partials((x, y, t))[0]
+                return field.partials(x, y, t)[0]
 
     if sc.perturb_h:
         inner = sampler

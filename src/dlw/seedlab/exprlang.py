@@ -265,6 +265,8 @@ class _Parser:
             arg, height = self.nested(self.parse_sum, token)
             self.expect_op(")")
             return self.grow(Call(token.text, arg), height, token)
+        if token.kind == "end":
+            raise ExprSyntaxError("unexpected end of expression", token.pos)
         raise ExprSyntaxError(f"unexpected token {shown(token.text)}", token.pos)
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "SeedField",
 ]
 
-Point = tuple[float, float, float]
-
 
 class Kernel(NamedTuple):
     """One exponential component amp * exp(a(y)*x - sign*a(y)^2*t + b(y))."""
@@ -118,14 +116,13 @@ class SeedField:
             row = self._rows[key] = [None] * len(self._groups)
         return (row[0] or self._resolve(row, 0, y))[-1]
 
-    def partials(self, point: Point) -> tuple[float, float, float, float]:
-        """(phi, phi_x, phi_y, phi_xy) at a point, in one pass over its table
+    def partials(self, x: float, y: float, t: float) -> tuple[float, float, float, float]:
+        """(phi, phi_x, phi_y, phi_xy) at (x, y, t), in one pass over its table
         row: the constant, the kernels in spec order, then the poly. The sums
         are returned as summed, inf or nan included. Raises an EvaluationError
         naming the member and y: a coefficient that fails (`seed.poly.c1 at
         y = <y>: ...`), `seed.kernels[<pos>].a at y = <y>: a^2 overflows`, or
         `seed.kernels[<pos>] at y = <y>: kernel overflow at exponent ...`."""
-        x, y, t = point
         phi = self._phi_start
         phi_x = phi_y = phi_xy = 0.0
 

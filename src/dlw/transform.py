@@ -1,9 +1,10 @@
 """Point maps from linear seeds to solutions of the dispersive long wave
 system: the logarithmic-derivative transformation, the closed-form solitary
 profiles it produces for single exponential kernels, and the constant
-coefficient specialization. The closed forms take `x, y, t` last and call
-only `math`: bound to their coefficients, e.g. `partial(exact_uh_const, a,
-c, d, branch)`, each is a sampler that runs in one Python frame.
+coefficient specialization. Each map takes `x, y, t` last, so bound to its
+field or coefficients, e.g. `partial(transform_point, field)` or
+`partial(exact_uh_const, a, c, d, branch)`, it is a sampler with no wrapper
+frame; the closed forms call only `math`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 from .branch import Branch
 from .errors import EvaluationError
-from .seedlab.seeds import Point, SeedField
+from .seedlab.seeds import SeedField
 
 __all__ = [
     "POLE_TOLERANCE",
@@ -30,22 +31,22 @@ POLE_TOLERANCE = 1e-12
 class PoleError(ArithmeticError):
     """The transformation is singular: phi vanishes at the sampled point."""
 
-    def __init__(self, point: Point, phi: float):
+    def __init__(self, point: tuple[float, float, float], phi: float):
         super().__init__(f"pole at point {point}: phi = {phi!r}")
         self.point = point
         self.phi = phi
 
 
-def transform_point(field: SeedField, point: Point) -> tuple[float, float]:
+def transform_point(field: SeedField, x: float, y: float, t: float) -> tuple[float, float]:
     """u = sign*2*phi_x/phi, h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi - 1.
-    Raises the EvaluationError `seed: non-finite seed value at point <point>`
+    Raises the EvaluationError `seed: non-finite seed value at point (x, y, t)`
     where a partial is inf or nan, then PoleError at a pole."""
-    phi, phi_x, phi_y, phi_xy = field.partials(point)
+    phi, phi_x, phi_y, phi_xy = field.partials(x, y, t)
     isfinite = math.isfinite
     if not (isfinite(phi) and isfinite(phi_x) and isfinite(phi_y) and isfinite(phi_xy)):
-        raise EvaluationError(f"seed: non-finite seed value at point {point}")
+        raise EvaluationError(f"seed: non-finite seed value at point {(x, y, t)}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
-        raise PoleError(point, phi)
+        raise PoleError((x, y, t), phi)
     u = field.branch.sign * 2.0 * phi_x / phi
     h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
     return u, h

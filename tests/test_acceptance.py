@@ -9,6 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 from dlw.balance import (
     check_ode_system,
@@ -48,7 +49,7 @@ def _pass(number: int, text: str) -> None:
 
 def _kernel_sampler(branch, kernels):
     field = SeedField(SeedSpec(branch=branch, constant_term=1.0, kernels=kernels))
-    return lambda x, y, t: transform_point(field, (x, y, t))
+    return partial(transform_point, field)
 
 
 def test_criterion_01_balance_exponents():
@@ -131,7 +132,7 @@ def test_criterion_05_closed_form_equivalence():
         params = (P("1 + 0.5*tanh(y)"), P("0.2*y"), branch)
         for _ in range(1000):
             point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
-            u_t, h_t = transform_point(field, point)
+            u_t, h_t = transform_point(field, *point)
             u_e, h_e = exact_at(*params, point)
             worst = max(worst, abs(u_t - u_e), abs(h_t - h_e))
     assert worst <= 1e-10
@@ -222,11 +223,8 @@ def test_criterion_08_reduction():
 
 def test_criterion_09_invariances():
     vacuum = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
-
-    def vacuum_sampler(x, y, t):
-        return transform_point(vacuum, (x, y, t))
-
-    assert transform_point(vacuum, (0.7, -1.1, 0.3)) == (0.0, -1.0)
+    vacuum_sampler = partial(transform_point, vacuum)
+    assert transform_point(vacuum, 0.7, -1.1, 0.3) == (0.0, -1.0)
     assert fd_residual_dlw(vacuum_sampler, (0.7, -1.1, 0.3), CFG) == (0.0,) * 6
 
     lam = 3.7
@@ -240,8 +238,8 @@ def test_criterion_09_invariances():
     worst = 0.0
     for _ in range(200):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
-        u0, h0 = transform_point(base, point)
-        u1, h1 = transform_point(scaled, point)
+        u0, h0 = transform_point(base, *point)
+        u1, h1 = transform_point(scaled, *point)
         worst = max(worst, abs(u1 - u0), abs(h1 - h0))
     assert worst <= 1e-12
     _pass(9, f"vacuum exact; scaling by 3.7 moves outputs by {worst:.2e} <= 1e-12")

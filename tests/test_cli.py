@@ -487,9 +487,9 @@ def test_shipped_scenario_passes_checks_something_and_fails_its_control(
         monkeypatch.setattr(dlw.scenario, "build_sampler", build_sampler)
 
 
-def _transform_by_reference(field, point):
+def _transform_by_reference(field, x, y, t):
     """transform_point from the table-free reference of the seed tests."""
-    return reference_transform(field.spec, point)
+    return reference_transform(field.spec, (x, y, t))
 
 
 def _command_bytes(path, branch, workdir, capsys, monkeypatch):

@@ -124,6 +124,18 @@ def test_syntax_error_offsets():
         parse_coeff_expr("")
 
 
+@pytest.mark.parametrize("text, offset", [("", 0), ("1 +", 3), ("exp(", 4), ("y * (  ", 7)])
+def test_an_expression_that_ends_early_names_its_end(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_coeff_expr(text)
+    assert str(err.value) == f"unexpected end of expression (offset {offset})"
+
+
+@pytest.mark.parametrize("text", ["y ", "1 + y  "])
+def test_trailing_blanks_parse(text):
+    assert parse_coeff_expr(text) == parse_coeff_expr(text.rstrip())
+
+
 def _nested(form, levels):
     """An expression with `levels` levels of one kind of nesting."""
     if form == "parens":

@@ -16,7 +16,6 @@ from dlw.jetcalc import (
     OrderLimitError,
     SpecializationError,
     _term_order,
-    degree_decompose,
     reduce_heat,
     specialize_log,
     total_derivative,
@@ -182,36 +181,6 @@ def test_reduce_heat_order_cap():
     assert str(raised.value) == _cap_message((0, ((9, 0, 0),), ()))
 
 
-# -- degree decomposition ------------------------------------------------------
-
-
-def test_degree_decompose_of_ansatz_shape():
-    h = (
-        sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0)
-        + sym("G", 1) * jet(1, 1, 0)
-        + JetPoly.constant(1)
-    )
-    parts = degree_decompose(h)
-    assert sorted(parts) == [0, 1, 2]
-    assert parts[2] == sym("G", 2) * jet(1, 0, 0) * jet(0, 1, 0)
-    assert parts[1] == sym("G", 1) * jet(1, 1, 0)
-    assert parts[0] == JetPoly.constant(1)
-
-
-def test_degree_decompose_zero():
-    assert degree_decompose(JetPoly()) == {}
-
-
-def test_degree_decompose_reassembles():
-    phi_x = jet(1, 0, 0)
-    p = phi_x * phi_x * phi_x + 2 * jet(1, 1, 0) + JetPoly.constant(Fraction(5, 3))
-    parts = degree_decompose(p)
-    total = JetPoly()
-    for part in parts.values():
-        total = total + part
-    assert total == p
-
-
 # -- rendering -----------------------------------------------------------------
 
 
@@ -333,9 +302,8 @@ def _heat_pairs(p: JetPoly, branch: Branch) -> list:
 @given(_polys, _polys, _coeffs, st.sampled_from(BRANCHES))
 def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
     # sums, scalar products, products, total derivatives, log
-    # specialization, heat reduction and degree decomposition skip key
-    # validation; each must still give the polynomial, and the term order,
-    # of the full constructor
+    # specialization and heat reduction skip key validation; each must still
+    # give the polynomial, and the term order, of the full constructor
     special = specialize_log(a, branch)
     cases = [
         (a + b, _raw_pairs(a) + _raw_pairs(b)),
@@ -351,7 +319,6 @@ def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
         (special, _raw_pairs(special)),
         (reduce_heat(special, branch), _heat_pairs(special, branch)),
         *((total_derivative(a, d), _derivative_pairs(a, d)) for d in "xyt"),
-        *((part, _raw_pairs(part)) for part in degree_decompose(a).values()),
     ]
     for got, pairs in cases:
         expected = JetPoly(pairs)
@@ -388,7 +355,6 @@ def _operations(a: JetPoly, b: JetPoly, branch: Branch) -> list[JetPoly]:
         *(total_derivative(a * b, direction) for direction in ("x", "y", "t")),
         special,
         reduce_heat(special, branch),
-        *degree_decompose(a + b).values(),
     ]
 
 
@@ -521,8 +487,7 @@ def test_degree_grading_is_multiplicative(k1, k2):
     m1 = JetPoly({k1: Fraction(1)})
     m2 = JetPoly({k2: Fraction(1)})
     product = m1 * m2
-    parts = degree_decompose(product)
-    assert list(parts) == [len(k1[1]) + len(k2[1])]
+    assert [len(m.jets) for m in product.monomials()] == [len(k1[1]) + len(k2[1])]
 
 
 @settings(max_examples=60, deadline=None)

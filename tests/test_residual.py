@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 import sympy as sp
@@ -50,10 +51,6 @@ def residuals(terms):
     return a1 + b1 + c1, a2 + b2 + c2
 
 
-def transform_sampler(field):
-    return lambda x, y, t: transform_point(field, (x, y, t))
-
-
 def grid_residuals(sampler, grid):
     """The residual report of evaluate_grid, with a phi column of zeros."""
     return evaluate_grid(grid, CFG, fd_residual_dlw, sampler, lambda x, y, t: 0.0)
@@ -84,7 +81,7 @@ def test_pole_in_stencil_raises():
     field = SeedField(
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
-    sampler = transform_sampler(field)
+    sampler = partial(transform_point, field)
     with pytest.raises(PoleError):
         fd_residual_dlw(sampler, (0.0, 0.0, 0.0), CFG)
 
@@ -220,7 +217,7 @@ def kernel_field(branch=Branch.PLUS):
 
 def test_grid_report_single_kernel():
     grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
-    report = grid_residuals(transform_sampler(kernel_field()), grid)
+    report = grid_residuals(partial(transform_point, kernel_field()), grid)
     assert report.skipped == 0
     assert report.evaluated == grid.size
     assert max(report.max_abs) <= 1e-5
@@ -241,7 +238,7 @@ def test_grid_report_two_kernel_family():
         )
     )
     grid = GridSpec((-3, 3, 21), (-3, 3, 21), (0, 1, 5))
-    report = grid_residuals(transform_sampler(field), grid)
+    report = grid_residuals(partial(transform_point, field), grid)
     assert report.skipped == 0
     assert max(report.max_abs) <= 1e-5
 
@@ -251,7 +248,7 @@ def test_grid_report_skips_pole_band():
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     grid = GridSpec((-1, 1, 21), (-1, 1, 5), (0, 1, 5))  # crosses phi = x^2 - 2t = 0
-    report = grid_residuals(transform_sampler(field), grid)
+    report = grid_residuals(partial(transform_point, field), grid)
     assert report.skipped > 0
     assert report.skipped + report.evaluated == grid.size
     assert max(report.max_abs) <= 1e-5  # evaluated points all pass
@@ -277,8 +274,8 @@ def test_threads_sharing_one_field_fill_its_table_consistently():
     points = list(GridSpec((-2, 2, 5), (-2, 2, 9), (0, 1, 2)).points())
 
     def evaluate(field, point):
-        residual = fd_residual_dlw(transform_sampler(field), point, CFG)
-        return residual, field.partials(point), field.duals(point[1])
+        residual = fd_residual_dlw(partial(transform_point, field), point, CFG)
+        return residual, field.partials(*point), field.duals(point[1])
 
     serial_field = kernel_field()
     serial = [evaluate(serial_field, point) for point in points]

@@ -300,7 +300,7 @@ def test_samplers_return_a_plain_pair_of_floats():
     field = SeedField(SeedSpec(Branch.PLUS, 1.0, (kernel,)))
     a, b = field.duals(0.3)
     for pair in (
-        transform_point(field, (0.2, 0.3, 0.1)),
+        transform_point(field, 0.2, 0.3, 0.1),
         exact_uh(a, b, Branch.PLUS, 0.2, 0.3, 0.1),
         exact_uh_const(1.0, 1.0, 0.0, Branch.MINUS, 0.2, 0.3, 0.1),
     ):
@@ -308,9 +308,19 @@ def test_samplers_return_a_plain_pair_of_floats():
         assert all(type(value) is float for value in pair)
 
 
-def test_the_exact_const_sampler_is_one_leaf_call():
-    # exact_uh_const bound to the document's params: one sample opens only
-    # the closed form's own frame
-    sampler, _ = build_sampler(scenario_from_dict(valid_document("exact-const")))
-    assert python_frames(sampler, 0.5, 0.7, 0.2) == ["exact_uh_const"]
-    assert sampler(0.5, 0.7, 0.2) == exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.5, 0.7, 0.2)
+@pytest.mark.parametrize(
+    "path, frames",
+    (("exact-const", ["exact_uh_const"]), ("transform", ["transform_point", "partials"])),
+    ids=("exact-const", "transform"),
+)
+def test_the_bound_sampler_opens_no_wrapper_frame(path, frames):
+    # the path's point map bound with functools.partial: one sample opens only
+    # the map's own frames, once a first sample has filled the table row at y
+    scenario = scenario_from_dict(valid_document(path))
+    sampler, _ = build_sampler(scenario)
+    first = sampler(0.5, 0.7, 0.2)
+    assert python_frames(sampler, 0.5, 0.7, 0.2) == frames
+    if path == "exact-const":
+        assert first == exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.5, 0.7, 0.2)
+    else:
+        assert first == transform_point(SeedField(scenario.seed), 0.5, 0.7, 0.2)

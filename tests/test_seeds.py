@@ -37,12 +37,12 @@ def unit_kernel_seed(branch, a_text, b_text, constant=1.0, amplitude=1.0):
 
 def test_constant_seed_partials():
     field = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=1.0))
-    assert field.partials((0.3, -1.2, 0.5)) == (1.0, 0.0, 0.0, 0.0)
+    assert field.partials(0.3, -1.2, 0.5) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_headline_kernel_at_origin():
     field = unit_kernel_seed(Branch.PLUS, "1", "0")
-    phi, phi_x, _, _ = field.partials((0.0, 0.7, 0.0))
+    phi, phi_x, _, _ = field.partials(0.0, 0.7, 0.0)
     assert (phi, phi_x) == pytest.approx((2.0, 1.0), rel=1e-15)
 
 
@@ -50,7 +50,7 @@ def test_kernel_partials_at_log_three():
     # a = 1, b = y: at x = ln 3 the kernel value is 3
     field = unit_kernel_seed(Branch.PLUS, "1", "1*y")
     point = (math.log(3.0), 0.0, 0.0)
-    phi, px, py, pxy = field.partials(point)
+    phi, px, py, pxy = field.partials(*point)
     assert phi == pytest.approx(4.0, rel=1e-14)
     assert px == pytest.approx(3.0, rel=1e-14)
     assert py == pytest.approx(3.0, rel=1e-14)
@@ -61,7 +61,7 @@ def test_heat_polynomial_seed():
     spec = SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     field = SeedField(spec)
     point = (2.0, 0.0, 1.0)
-    assert field.partials(point) == (2.0 * 2.0 - 2.0 * 1.0, 4.0, 0.0, 0.0)
+    assert field.partials(*point) == (2.0 * 2.0 - 2.0 * 1.0, 4.0, 0.0, 0.0)
     reference = functools.partial(reference_partials, spec)
     assert reference(point, ((2, 0, 0), (0, 0, 1))) == (2.0, -2.0)
     assert heat_residual(reference, spec.branch, point) == 0.0
@@ -71,7 +71,7 @@ def test_heat_polynomial_seed():
 def test_kernel_exponent_follows_branch(branch):
     # theta = a*x - sign*a^2*t + b, so at x = 0, t = 1: phi = 1 + e^-sign
     field = unit_kernel_seed(branch, "1", "0")
-    assert field.partials((0.0, 0.0, 1.0))[0] == pytest.approx(1.0 + math.exp(-branch.sign))
+    assert field.partials(0.0, 0.0, 1.0)[0] == pytest.approx(1.0 + math.exp(-branch.sign))
 
 
 def test_superposition_linearity():
@@ -89,7 +89,7 @@ def test_superposition_linearity():
     rng = random.Random(11)
     for _ in range(25):
         point = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 1))
-        for lhs, rhs in zip(halves.partials(point), whole.partials(point)):
+        for lhs, rhs in zip(halves.partials(*point), whole.partials(*point)):
             assert abs(lhs - rhs) <= 1e-15 * (1.0 + abs(rhs))
 
 
@@ -133,7 +133,7 @@ def test_every_seed_satisfies_the_linear_equation(spec):
     for _ in range(100):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
         phi, phi_t = reference(point, ((0, 0, 0), (0, 0, 1)))
-        assert field.partials(point)[0] == phi
+        assert field.partials(*point)[0] == phi
         residual = heat_residual(reference, spec.branch, point)
         assert abs(residual) <= 1e-12 * (1.0 + abs(phi_t))
 
@@ -176,15 +176,15 @@ def test_corrupted_exponent_is_flagged():
 def test_kernel_overflow_surfaces_as_evaluation_error():
     field = unit_kernel_seed(Branch.PLUS, "1", "0")
     with pytest.raises(EvaluationError):
-        field.partials((1e4, 0.0, 0.0))
+        field.partials(1e4, 0.0, 0.0)
     # exp(709.5) is finite and twice it is not: partials returns the sums as
     # summed, and transform_point, which divides by them, refuses them
     doubled = SeedField(SeedSpec(Branch.PLUS, 0.0, (Kernel(2.0, P("1"), P("709")),)))
-    assert repr(doubled.partials((0.5, 0.0, 0.0))) == "(inf, inf, nan, nan)"
+    assert repr(doubled.partials(0.5, 0.0, 0.0)) == "(inf, inf, nan, nan)"
     with pytest.raises(
         EvaluationError, match=r"^seed: non-finite seed value at point \(0\.5, 0\.0, 0\.0\)$"
     ):
-        transform_point(doubled, (0.5, 0.0, 0.0))
+        transform_point(doubled, 0.5, 0.0, 0.0)
 
 
 def test_power_overflow_surfaces_as_evaluation_error():
@@ -194,7 +194,7 @@ def test_power_overflow_surfaces_as_evaluation_error():
         with pytest.raises(
             EvaluationError, match=r"^seed\.kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
         ):
-            read((0.5, 0.0, 0.5))
+            read(0.5, 0.0, 0.5)
 
 
 def test_coefficient_evaluation_errors_propagate():
@@ -202,10 +202,10 @@ def test_coefficient_evaluation_errors_propagate():
     message = re.escape("seed.kernels[0].a at y = 0.0: division by zero")
     for _ in range(2):  # the failure is raised again, never stored
         with pytest.raises(EvaluationError, match=f"^{message}$"):
-            field.partials((0.0, 0.0, 0.0))
+            field.partials(0.0, 0.0, 0.0)
         with pytest.raises(EvaluationError, match=f"^{message}$"):
             field.duals(0.0)
-    assert field.partials((1.0, 0.5, 0.0))[0] == pytest.approx(1.0 + math.e**2)
+    assert field.partials(1.0, 0.5, 0.0)[0] == pytest.approx(1.0 + math.e**2)
 
 
 def test_coefficient_error_names_its_member_and_y():
@@ -219,13 +219,13 @@ def test_coefficient_error_names_its_member_and_y():
     with pytest.raises(
         EvaluationError, match=r"^seed\.kernels\[1\]\.a at y = -0\.5: non-finite result$"
     ):
-        field.partials((0.0, -0.5, 0.0))
+        field.partials(0.0, -0.5, 0.0)
     # the poly is read after the kernels: drop the one that fails at every y
     field = SeedField(spec._replace(kernels=spec.kernels[:1]))
     with pytest.raises(
         EvaluationError, match=r"^seed\.poly\.c1 at y = 0\.25: division by zero$"
     ):
-        field.partials((0.0, 0.25, 0.0))
+        field.partials(0.0, 0.25, 0.0)
 
 
 def test_first_failing_term_names_the_error():
@@ -236,11 +236,11 @@ def test_first_failing_term_names_the_error():
     message = r"^seed\.kernels\[0\] at y = 0\.0: kernel overflow at exponent 10000\.0$"
     for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
         with pytest.raises(EvaluationError, match=message):
-            read((1e4, 0.0, 0.0))
+            read(1e4, 0.0, 0.0)
     with pytest.raises(
         EvaluationError, match=re.escape("seed.kernels[1].b at y = 0.0: division by zero")
     ):
-        SeedField(spec).partials((1.0, 0.0, 0.0))
+        SeedField(spec).partials(1.0, 0.0, 0.0)
     # kernel 0's a**2 past the float range, before kernel 1's coefficient
     spec = SeedSpec(
         Branch.PLUS, 1.0, (Kernel(1.0, P("1e160"), P("0")), Kernel(1.0, P("1"), P("1/y")))
@@ -248,7 +248,7 @@ def test_first_failing_term_names_the_error():
     message = r"^seed\.kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
     for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
         with pytest.raises(EvaluationError, match=message):
-            read((1.0, 0.0, 0.0))
+            read(1.0, 0.0, 0.0)
 
 
 def test_duals_of_a_kernel_whose_square_overflows_name_the_kernel():
@@ -271,13 +271,13 @@ def test_fields_with_different_specs_keep_separate_tables():
     two = unit_kernel_seed(Branch.PLUS, "2 + 0*y", "0.5*y")
     point = (0.3, 0.7, 0.2)
     for first, second in ((one, two), (two, one)):
-        first.partials(point)
-        second.partials(point)
+        first.partials(*point)
+        second.partials(*point)
     (a_one, _), _ = one.duals(0.7)
     (a_two, _), _ = two.duals(0.7)
     assert (a_one, a_two) == (1.0, 2.0)
-    assert one.partials(point)[0] == 1.0 + math.exp(0.3 - 0.2 + 0.35)
-    assert two.partials(point)[0] == 1.0 + math.exp(0.6 - 0.8 + 0.35)
+    assert one.partials(*point)[0] == 1.0 + math.exp(0.3 - 0.2 + 0.35)
+    assert two.partials(*point)[0] == 1.0 + math.exp(0.6 - 0.8 + 0.35)
 
 
 def test_table_keys_the_exact_float(monkeypatch):
@@ -294,8 +294,8 @@ def test_table_keys_the_exact_float(monkeypatch):
     y = 0.1 + 0.2  # 0.30000000000000004, a row apart from 0.3
     for probe in (0.3, y, 0.0, -0.0):
         pairs.clear()
-        phi = field.partials((1.0, probe, 0.0))[0]
-        field.partials((2.0, probe, 0.0))  # the row is filled: no evaluation
+        phi = field.partials(1.0, probe, 0.0)[0]
+        field.partials(2.0, probe, 0.0)  # the row is filled: no evaluation
         (c2, _), (c1, _), (c0, _) = pairs  # one new row for this probe
         assert (c2, c1, c0) == (2 * probe, probe, probe**3)
         assert math.copysign(1.0, c1) == math.copysign(1.0, probe)
@@ -425,9 +425,9 @@ def test_partials_equal_the_per_index_reference(branch, kind):
         field = SeedField(spec)
         for point in random_points(rng):
             expected = reference_partials(spec, point, TRANSFORM_INDICES)
-            assert exactly(field.partials(point)) == exactly(expected)
+            assert exactly(field.partials(*point)) == exactly(expected)
             phi = reference_partials(spec, point, ((0, 0, 0),))
-            assert exactly(field.partials(point)[:1]) == exactly(phi)
+            assert exactly(field.partials(*point)[:1]) == exactly(phi)
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
@@ -444,9 +444,9 @@ def test_transform_point_equals_the_reference(branch, kind):
             except PoleError:
                 poles += 1
                 with pytest.raises(PoleError):
-                    transform_point(field, point)
+                    transform_point(field, *point)
                 continue
-            assert exactly(transform_point(field, point)) == exactly(expected)
+            assert exactly(transform_point(field, *point)) == exactly(expected)
     assert poles <= 12  # nearly every point is regular
 
 
@@ -456,7 +456,7 @@ def test_zero_constant_adds_nothing_and_keeps_the_sign_of_zero():
     spec = SeedSpec(Branch.PLUS, 0.0, (), HeatPolynomial(P("0*y"), P("0*y"), P("0")))
     field = SeedField(spec)
     point = (0.5, -1.0, 0.25)
-    got = field.partials(point)
+    got = field.partials(*point)
     assert exactly(got) == exactly(reference_partials(spec, point, TRANSFORM_INDICES))
     assert exactly(got[1:2]) == exactly([0.0])
 
@@ -517,4 +517,4 @@ def test_partials_and_transform_point_equal_the_reference(spec, point):
         field = SeedField(spec)
         for _ in range(2):  # a fresh coefficient row, then the stored one
             for read, want in order:
-                assert _outcome(lambda: read(field, point)) == want
+                assert _outcome(lambda: read(field, *point)) == want

@@ -34,7 +34,7 @@ def exact_at(a_expr, b_expr, branch, point):
 
 def test_vacuum_from_constant_seed():
     field = SeedField(SeedSpec(branch=Branch.PLUS, constant_term=2.0))
-    pair = transform_point(field, (1.0, -2.0, 3.0))
+    pair = transform_point(field, 1.0, -2.0, 3.0)
     assert pair == (0.0, -1.0)
 
 
@@ -64,8 +64,8 @@ def test_transform_point_evaluates_the_derived_ansatz(branch):
     for _ in range(200):
         phi = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
         partials = (phi, *(rng.uniform(-10.0, 10.0) for _ in range(3)))
-        stub = SimpleNamespace(branch=branch, partials=lambda point: partials)
-        u, h = transform_point(stub, (0.0, 0.0, 0.0))
+        stub = SimpleNamespace(branch=branch, partials=lambda x, y, t: partials)
+        u, h = transform_point(stub, 0.0, 0.0, 0.0)
         for got, poly in ((u, u_poly), (h, h_poly)):
             expected, scale = eval_specialized(poly, partials)
             assert abs(got - expected) <= 1e-12 * scale, (partials, got, expected)
@@ -74,7 +74,7 @@ def test_transform_point_evaluates_the_derived_ansatz(branch):
 def test_hand_evaluated_point():
     # phi = 4, phi_x = phi_y = phi_xy = 3 at x = ln 3 for a = 1, b = y
     field = unit_kernel_seed(Branch.PLUS, "1", "1*y")
-    u, h = transform_point(field, (math.log(3.0), 0.0, 0.0))
+    u, h = transform_point(field, math.log(3.0), 0.0, 0.0)
     assert u == pytest.approx(1.5, rel=1e-12)
     assert h == pytest.approx(-0.625, rel=1e-12)
 
@@ -84,10 +84,10 @@ def test_pole_detection_on_heat_polynomial_seed():
         SeedSpec(branch=Branch.PLUS, poly=HeatPolynomial(P("1"), P("0"), P("0")))
     )
     with pytest.raises(PoleError) as err:
-        transform_point(field, (0.0, 0.4, 0.0))
+        transform_point(field, 0.0, 0.4, 0.0)
     assert err.value.point == (0.0, 0.4, 0.0)
     # away from the parabola x^2 = 2t the transform is regular
-    u, _ = transform_point(field, (2.0, 0.4, 0.0))
+    u, _ = transform_point(field, 2.0, 0.4, 0.0)
     assert u == pytest.approx(2.0)
 
 
@@ -100,8 +100,8 @@ def test_gauge_invariance_under_seed_scaling():
     rng = random.Random(5)
     for _ in range(50):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
-        u0, h0 = transform_point(base, point)
-        u1, h1 = transform_point(scaled, point)
+        u0, h0 = transform_point(base, *point)
+        u1, h1 = transform_point(scaled, *point)
         assert abs(u1 - u0) <= 1e-12 * (1.0 + abs(u0))
         assert abs(h1 - h0) <= 1e-12 * (1.0 + abs(h0))
 
@@ -128,7 +128,7 @@ def test_transform_equals_closed_form(branch):
     rng = random.Random(17)
     for _ in range(1000):
         point = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 2))
-        u_t, h_t = transform_point(field, point)
+        u_t, h_t = transform_point(field, *point)
         u_e, h_e = exact_at(*params, point)
         assert abs(u_t - u_e) <= 1e-10
         assert abs(h_t - h_e) <= 1e-10
