@@ -4,7 +4,7 @@ tests/golden.json.
 
 Usage: python probes/run_probes.py COMMAND...
 e.g.   python probes/run_probes.py dlw
-       PYTHONPATH=$PWD/src python probes/run_probes.py python -m dlw.cli
+       PYTHONPATH=src python probes/run_probes.py python -m dlw.cli
 
 Each probe and each golden row runs COMMAND with its argv in a new empty
 directory, and the script exits 1 if any probe or row fails, or if the
@@ -89,10 +89,17 @@ def load(name):
 def command_invoker(command):
     """invoke(argv, workdir) -> (exit code, stdout, stderr) of a subprocess.
     The streams are read as bytes and decoded as UTF-8, so no newline is
-    translated on the way to a golden row."""
+    translated on the way to a golden row. The subprocess runs in workdir
+    with each PYTHONPATH entry made absolute against the directory this is
+    called in, so `PYTHONPATH=src` names the same `src` there; an unset
+    PYTHONPATH stays unset."""
+    env = dict(os.environ)
+    if "PYTHONPATH" in env:
+        entries = env["PYTHONPATH"].split(os.pathsep)
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, entries))
 
     def invoke(argv, workdir):
-        done = subprocess.run([*command, *argv], cwd=workdir, capture_output=True)
+        done = subprocess.run([*command, *argv], cwd=workdir, env=env, capture_output=True)
         return done.returncode, done.stdout.decode(), done.stderr.decode()
 
     return invoke

@@ -33,9 +33,10 @@ from .seedlab.exprlang import ExprSyntaxError, parse_coeff_expr
 from .seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from .transform import (
     PoleError,
+    exact_phi,
+    exact_phi_const,
     exact_uh,
     exact_uh_const,
-    one_plus_exp,
     transform_point,
 )
 
@@ -371,32 +372,19 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
 
 
 def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
-    """Sampler (u, h) plus the underlying seed value for the phi column."""
-    # record fields are read here once, not on every sample
-    branch = sc.branch
-    sign = branch.sign
+    """Sampler (u, h) plus the underlying seed value for the phi column. On
+    the closed-form paths both are `partial`s of transform's point maps."""
     if sc.solution_path == "exact-const":
         a, c, d = sc.params
-        sampler = partial(exact_uh_const, a, c, d, branch)
-
-        def phi_value(x, y, t):
-            return one_plus_exp(a * x - sign * a * a * t + c * y + d)
-
+        sampler = partial(exact_uh_const, a, c, d, sc.branch)
+        phi_value = partial(exact_phi_const, a, c, d, sc.branch)
     else:
         # One field per scenario: its coefficient table serves the phi column
         # and every sample of either path.
         field = SeedField(sc.seed)
-
         if sc.solution_path == "exact":
-
-            def sampler(x, y, t):
-                a, b = field.duals(y)
-                return exact_uh(a, b, branch, x, y, t)
-
-            def phi_value(x, y, t):  # the unit kernel's 1 + exp(theta)
-                (a, _), (b, _) = field.duals(y)
-                return one_plus_exp(a * x - sign * a**2 * t + b)
-
+            sampler = partial(exact_uh, field)
+            phi_value = partial(exact_phi, field)
         else:
             sampler = partial(transform_point, field)
 

@@ -231,6 +231,8 @@ class _Parser:
         if negative:
             self.advance()
         token = self.advance()
+        if token.kind == "end":
+            raise ExprSyntaxError("unexpected end of expression", token.pos)
         if token.kind != "number" or not token.text.isdigit():
             raise ExprSyntaxError("non-integer exponent", token.pos)
         try:

@@ -106,10 +106,10 @@ class SeedField:
         return entry
 
     def duals(self, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Kernel 0's pairs ((a, a'), (b, b')) at y, which the exact path
-        reads. A kernel whose a^2 passes the float range raises the
-        EvaluationError `seed.kernels[0].a at y = <y>: a^2 overflows`, as
-        `partials` does."""
+        """Kernel 0's pairs ((a, a'), (b, b')) at y, which the exact path's
+        `transform.exact_uh` and `exact_phi` read. A kernel whose a^2 passes
+        the float range raises the EvaluationError `seed.kernels[0].a at
+        y = <y>: a^2 overflows`, as `partials` does."""
         key = y if y and y == y else repr(y)  # as in partials
         row = self._rows.get(key)
         if row is None:

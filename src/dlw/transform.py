@@ -1,10 +1,10 @@
 """Point maps from linear seeds to solutions of the dispersive long wave
-system: the logarithmic-derivative transformation, the closed-form solitary
-profiles it produces for single exponential kernels, and the constant
-coefficient specialization. Each map takes `x, y, t` last, so bound to its
-field or coefficients, e.g. `partial(transform_point, field)` or
-`partial(exact_uh_const, a, c, d, branch)`, it is a sampler with no wrapper
-frame; the closed forms call only `math`.
+system: the logarithmic-derivative transformation, and the closed-form
+solitary profiles and seeds of one unit exponential kernel and of its
+constant-coefficient specialization. Each map takes `x, y, t` last, so bound
+to its field or coefficients, e.g. `partial(exact_uh, field)` or
+`partial(exact_phi_const, a, c, d, branch)`, it is a sampler or a phi column
+with no wrapper frame; the closed forms call only `math` and `field.duals`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ __all__ = [
     "transform_point",
     "exact_uh",
     "exact_uh_const",
-    "one_plus_exp",
+    "exact_phi",
+    "exact_phi_const",
 ]
 
 # |phi| below this fraction of 1 + |phi_x| + |phi_y| is a pole.
@@ -52,20 +53,18 @@ def transform_point(field: SeedField, x: float, y: float, t: float) -> tuple[flo
     return u, h
 
 
-def exact_uh(
-    a: tuple[float, float], b: tuple[float, float], branch: Branch, x: float, y: float, t: float
-) -> tuple[float, float]:
-    """Closed-form solution generated by the unit single-kernel seed.
+def exact_uh(field: SeedField, x: float, y: float, t: float) -> tuple[float, float]:
+    """Closed-form solution generated by the unit single-kernel seed
+    1 + exp(theta), theta = a(y)*x - sign*a(y)^2*t + b(y).
 
-    a and b are the (value, y-derivative) float pairs of the kernel
-    coefficients at y, as `SeedField.duals(y)` returns them; y itself enters
-    only through them. With theta = a(y)*x - sign*a(y)^2*t + b(y):
+    `field` holds that one kernel: its (value, y-derivative) float pairs of
+    a and b come from `field.duals(y)` and its sign from `field.branch`, so
+    y enters only through them.
       u = sign*a*(1 + tanh(theta/2))
       h = (a/2)*(a'x - sign*2aa't + b')*sech(theta/2)^2 + a'*tanh(theta/2) + a' - 1
     """
-    a, a_prime = a
-    b, b_prime = b
-    sign = branch.sign
+    (a, a_prime), (b, b_prime) = field.duals(y)
+    sign = field.branch.sign
     half = 0.5 * (a * x - sign * a**2 * t + b)
     theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
     th = math.tanh(half)
@@ -75,6 +74,17 @@ def exact_uh(
     u = sign * a * (1.0 + th)
     h = 0.5 * a * theta_y * sh2 + a_prime * th + a_prime - 1.0
     return u, h
+
+
+def exact_phi(field: SeedField, x: float, y: float, t: float) -> float:
+    """The seed 1 + exp(theta) of exact_uh, read from the same pairs. Past
+    exp's float range it rounds to inf, while u and h, formed through tanh
+    and sech, stay finite."""
+    (a, _), (b, _) = field.duals(y)
+    try:
+        return 1.0 + math.exp(a * x - field.branch.sign * a**2 * t + b)
+    except OverflowError:
+        return math.inf
 
 
 def exact_uh_const(
@@ -94,13 +104,11 @@ def exact_uh_const(
     return u, h
 
 
-def one_plus_exp(arg: float) -> float:
-    """The seed 1 + exp(arg) behind the constant-coefficient solitary waves.
-
-    Past exp's float range the seed rounds to inf, while u and h, formed
-    through tanh and sech, stay finite.
-    """
+def exact_phi_const(
+    a: float, c: float, d: float, branch: Branch, x: float, y: float, t: float
+) -> float:
+    """The seed 1 + exp(arg) of exact_uh_const, inf past exp's float range."""
     try:
-        return 1.0 + math.exp(arg)
+        return 1.0 + math.exp(a * x - branch.sign * a * a * t + c * y + d)
     except OverflowError:
         return math.inf

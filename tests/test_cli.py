@@ -22,7 +22,7 @@ from dlw.jetcalc import JetPoly
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField
-from dlw.transform import exact_uh_const, one_plus_exp
+from dlw.transform import exact_phi_const, exact_uh_const
 from test_residual import residuals
 from test_seeds import reference_transform
 
@@ -685,18 +685,18 @@ def test_reduce_rows_and_verdict_equal_a_direct_loop(
     code = main(argv)
     capsys.readouterr()
 
-    sign = Branch[branch.upper()].sign
     cfg = StencilConfig(5e-3)
+    params = (a, a, d, Branch[branch.upper()])
 
     def sampler(z, y, t):
-        return exact_uh_const(a, a, d, Branch[branch.upper()], z, y, t)
+        return exact_uh_const(*params, z, y, t)
 
     expected, worst = [], [0.0, 0.0]
     for t in linspace(0.0, 1.0, nt):
         for z in linspace(-5.0, 5.0, nz):
             r1, r2 = residuals(fd_residual_1d(sampler, (z, 0.0, t), cfg))
             u, h = sampler(z, 0.0, t)
-            phi = one_plus_exp(a * z - sign * a * a * t + d)
+            phi = exact_phi_const(*params, z, 0.0, t)
             expected.append([z, 0.0, t, phi, u, h, r1, r2])
             worst = [max(worst[0], abs(r1)), max(worst[1], abs(r2))]
     _, rows = read_csv(target)
@@ -1367,6 +1367,19 @@ def test_the_corpus_runs_through_a_command(tmp_path, monkeypatch):
     ):
         (tmp_path / name).mkdir()
         assert run_probes.check(run_probes.load(name), invoke, tmp_path / name) == []
+
+
+def test_a_relative_pythonpath_names_the_same_directory_for_a_command(tmp_path, monkeypatch):
+    # each probe runs in its own empty directory, where a relative `src`
+    # would name nothing, or let an installed dlw answer in its place
+    monkeypatch.chdir(run_probes.ROOT)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    invoke = run_probes.command_invoker([sys.executable, "-m", "dlw.cli"])
+    name = "exact_path_far_field_writes_inf_phi"
+    assert run_probes.check(run_probes.load(name), invoke, tmp_path) == []
+    where = run_probes.command_invoker([sys.executable, "-c", "import dlw; print(dlw.__file__)"])
+    code, out, _ = where([], tmp_path)
+    assert (code, out) == (0, f"{run_probes.ROOT / 'src' / 'dlw' / '__init__.py'}\n")
 
 
 # the `raise ConfigError` sites that no probe reaches, by their longest literal

@@ -124,7 +124,10 @@ def test_syntax_error_offsets():
         parse_coeff_expr("")
 
 
-@pytest.mark.parametrize("text, offset", [("", 0), ("1 +", 3), ("exp(", 4), ("y * (  ", 7)])
+@pytest.mark.parametrize(
+    "text, offset",
+    [("", 0), ("1 +", 3), ("exp(", 4), ("y * (  ", 7), ("y^", 2), ("y^-", 3), ("y^ ", 3)],
+)
 def test_an_expression_that_ends_early_names_its_end(text, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse_coeff_expr(text)
@@ -191,8 +194,9 @@ def test_non_integer_exponent_rejected():
         parse_coeff_expr("y^2.5")
     assert "non-integer exponent" in str(err.value)
     assert err.value.offset == 2
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprSyntaxError) as err:
         parse_coeff_expr("y^(2)")
+    assert str(err.value) == "non-integer exponent (offset 2)"
 
 
 @pytest.mark.parametrize(

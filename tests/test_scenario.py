@@ -298,10 +298,9 @@ def test_a_walk_that_writes_its_csv_keeps_no_point(tmp_path):
 def test_samplers_return_a_plain_pair_of_floats():
     kernel = Kernel(1.0, parse_coeff_expr("1"), parse_coeff_expr("0.5*y"))
     field = SeedField(SeedSpec(Branch.PLUS, 1.0, (kernel,)))
-    a, b = field.duals(0.3)
     for pair in (
         transform_point(field, 0.2, 0.3, 0.1),
-        exact_uh(a, b, Branch.PLUS, 0.2, 0.3, 0.1),
+        exact_uh(field, 0.2, 0.3, 0.1),
         exact_uh_const(1.0, 1.0, 0.0, Branch.MINUS, 0.2, 0.3, 0.1),
     ):
         assert type(pair) is tuple and len(pair) == 2
@@ -309,18 +308,27 @@ def test_samplers_return_a_plain_pair_of_floats():
 
 
 @pytest.mark.parametrize(
-    "path, frames",
-    (("exact-const", ["exact_uh_const"]), ("transform", ["transform_point", "partials"])),
-    ids=("exact-const", "transform"),
+    "path, frames, phi_frames",
+    (
+        ("exact-const", ["exact_uh_const"], ["exact_phi_const"]),
+        ("exact", ["exact_uh", "duals"], ["exact_phi", "duals"]),
+        ("transform", ["transform_point", "partials"], None),
+    ),
+    ids=("exact-const", "exact", "transform"),
 )
-def test_the_bound_sampler_opens_no_wrapper_frame(path, frames):
+def test_the_bound_sampler_opens_no_wrapper_frame(path, frames, phi_frames):
     # the path's point map bound with functools.partial: one sample opens only
-    # the map's own frames, once a first sample has filled the table row at y
+    # the map's own frames, once a first sample has filled the table row at y;
+    # so does a closed form's phi column
     scenario = scenario_from_dict(valid_document(path))
-    sampler, _ = build_sampler(scenario)
+    sampler, phi_value = build_sampler(scenario)
     first = sampler(0.5, 0.7, 0.2)
     assert python_frames(sampler, 0.5, 0.7, 0.2) == frames
+    if phi_frames is not None:
+        assert python_frames(phi_value, 0.5, 0.7, 0.2) == phi_frames
     if path == "exact-const":
         assert first == exact_uh_const(1.0, 1.0, 0.0, Branch.PLUS, 0.5, 0.7, 0.2)
+    elif path == "exact":
+        assert first == exact_uh(SeedField(scenario.seed), 0.5, 0.7, 0.2)
     else:
         assert first == transform_point(SeedField(scenario.seed), 0.5, 0.7, 0.2)

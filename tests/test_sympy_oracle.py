@@ -20,6 +20,7 @@ from dlw import transform
 from dlw.balance import build_residuals
 from dlw.branch import Branch
 from dlw.jetcalc import JetPoly, specialize_log, total_derivative
+from test_transform import pairs_field
 
 X, Y, T = sp.symbols("x y t")
 PHI = sp.Function("phi")(X, Y, T)
@@ -178,9 +179,8 @@ def test_exact_uh_is_the_transformation_of_one_plus_exp(symbolic_transform, bran
     phi = 1 + sp.exp(theta)
     u = branch.sign * 2 * phi.diff(X) / phi
     h = -2 * phi.diff(X) * phi.diff(Y) / phi**2 + 2 * phi.diff(X, Y) / phi - 1
-    got_u, got_h = symbolic_transform.exact_uh(
-        (A_OF_Y, A_OF_Y.diff(Y)), (B_OF_Y, B_OF_Y.diff(Y)), branch, X, Y, T
-    )
+    field = pairs_field((A_OF_Y, A_OF_Y.diff(Y)), (B_OF_Y, B_OF_Y.diff(Y)), branch)
+    got_u, got_h = symbolic_transform.exact_uh(field, X, Y, T)
     assert _vanishes(got_u - u)
     assert _vanishes(got_h - h)
 
@@ -188,18 +188,23 @@ def test_exact_uh_is_the_transformation_of_one_plus_exp(symbolic_transform, bran
 @pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
 def test_exact_uh_const_is_exact_uh_with_linear_b(symbolic_transform, branch):
     a, c, d = sp.symbols("a c d")
+    field = pairs_field((a, 0), (c * Y + d, c), branch)
     const = symbolic_transform.exact_uh_const(a, c, d, branch, X, Y, T)
-    general = symbolic_transform.exact_uh((a, 0), (c * Y + d, c), branch, X, Y, T)
+    general = symbolic_transform.exact_uh(field, X, Y, T)
     for got, expected in zip(const, general):
         assert _vanishes(got - expected)
+    # and so are their phi columns
+    const_phi = symbolic_transform.exact_phi_const(a, c, d, branch, X, Y, T)
+    assert _vanishes(const_phi - symbolic_transform.exact_phi(field, X, Y, T))
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
 def test_one_plus_exp_solves_the_seed_constraint(symbolic_transform, branch):
     # with derive's theorem, this closes the chain from the closed forms to
-    # the system: their seed is one_plus_exp(theta), which solves
-    # phi_t + sign*phi_xx = 0
+    # the system: their seed, the exact path's phi column, is 1 + e^theta,
+    # which solves phi_t + sign*phi_xx = 0
     theta = A_OF_Y * X - branch.sign * A_OF_Y**2 * T + B_OF_Y
-    phi = symbolic_transform.one_plus_exp(theta)
+    field = pairs_field((A_OF_Y, A_OF_Y.diff(Y)), (B_OF_Y, B_OF_Y.diff(Y)), branch)
+    phi = symbolic_transform.exact_phi(field, X, Y, T)
     assert _vanishes(phi - (1 + sp.exp(theta)))
     assert _vanishes(phi.diff(T) + branch.sign * phi.diff(X, 2))

@@ -16,6 +16,8 @@ from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr, sech
 from dlw.seedlab.seeds import HeatPolynomial, SeedField, SeedSpec
 from dlw.transform import (
     PoleError,
+    exact_phi,
+    exact_phi_const,
     exact_uh,
     exact_uh_const,
     transform_point,
@@ -26,10 +28,16 @@ P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
 
 
+def pairs_field(a, b, branch):
+    """A stand-in unit-kernel field whose `duals` returns the pairs a and b
+    at every y."""
+    return SimpleNamespace(branch=branch, duals=lambda y: (a, b))
+
+
 def exact_at(a_expr, b_expr, branch, point):
     """exact_uh with its coefficient duals evaluated at the point's y."""
     y = point[1]
-    return exact_uh(eval_dual(a_expr, y), eval_dual(b_expr, y), branch, *point)
+    return exact_uh(pairs_field(eval_dual(a_expr, y), eval_dual(b_expr, y), branch), *point)
 
 
 def test_vacuum_from_constant_seed():
@@ -203,9 +211,27 @@ def python_frames(fn, *args):
 
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_closed_forms_are_leaf_calls(branch):
-    # each runs in its own frame alone: no helper, no sech, no closure
-    assert python_frames(exact_uh, (1.2, 0.3), (0.4, -0.1), branch, 0.5, 0.7, 0.2) == ["exact_uh"]
-    assert python_frames(exact_uh_const, 1.2, 0.8, 0.1, branch, 0.5, 0.7, 0.2) == ["exact_uh_const"]
+    # each runs in its own frame: no helper, no sech, no closure; on a field
+    # whose table row at y is filled, the only other frame is its duals lookup
+    field = unit_kernel_seed(branch, "1.2 + 0.3*y", "0.4 - 0.1*y")
+    field.duals(0.7)
+    assert python_frames(exact_uh, field, 0.5, 0.7, 0.2) == ["exact_uh", "duals"]
+    assert python_frames(exact_phi, field, 0.5, 0.7, 0.2) == ["exact_phi", "duals"]
+    const = (1.2, 0.8, 0.1, branch, 0.5, 0.7, 0.2)
+    assert python_frames(exact_uh_const, *const) == ["exact_uh_const"]
+    assert python_frames(exact_phi_const, *const) == ["exact_phi_const"]
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_closed_form_phi_is_one_plus_exp_of_the_phase_and_inf_past_it(branch):
+    # theta = 1*x - sign*1^2*t + 0.5*y on both paths; exp overflows past 709.78
+    field = unit_kernel_seed(branch, "1", "0.5*y")
+    for x in (-3.0, 0.0, 2.5, 700.0):
+        expected = 1.0 + math.exp(x - branch.sign * 0.2 + 0.5 * 0.7)
+        assert exact_phi(field, x, 0.7, 0.2) == expected
+        assert exact_phi_const(1.0, 0.5, 0.0, branch, x, 0.7, 0.2) == expected
+    assert exact_phi(field, 720.0, 0.7, 0.2) == math.inf
+    assert exact_phi_const(1.0, 0.5, 0.0, branch, 720.0, 0.7, 0.2) == math.inf
 
 
 # every float: subnormals, +-inf and nan among them
@@ -251,7 +277,7 @@ def test_exact_uh_is_bit_for_bit_its_formula_with_exprlang_sech(
         sign * a * (1.0 + th),
         0.5 * a * theta_y * sech(half) ** 2 + a_prime * th + a_prime - 1.0,
     )
-    got = exact_uh((a, a_prime), (b, b_prime), branch, x, y, t)
+    got = exact_uh(pairs_field((a, a_prime), (b, b_prime), branch), x, y, t)
     assert repr(got) == repr(expected)
 
 
