@@ -6,7 +6,9 @@ writes. The commands are every shipped document as shipped and with
 `--branch plus` and `--branch minus`; `run scenarios/sweep.json` with
 `--output` on both branches, the CSV that pins the exact-const profiles at
 17 digits off the line y = 0; `reduce 1 0`, `reduce 0.7 0.3` and `reduce 0 0`
-with `--output` on both branches; and `derive --output`. Each
+with `--output` on both branches; `derive --output`; and two commands that
+exit 1, `run scenarios/single_kernel.json --threshold 1e-12` and `sweep
+scenarios/sweep.json --threshold 1e-6`, whose first entry PASSes. Each
 stream and file also keeps an 8-hex-digit digest per line, which points a
 mismatch at its first differing line.
 
@@ -47,6 +49,10 @@ def commands():
     for a, d in (("1", "0"), ("0.7", "0.3"), ("0", "0")):
         for branch in ("plus", "minus"):
             yield ["reduce", a, d, "--branch", branch, "--output", "reduce.csv"]
+    # the FAIL path: one run whose report reads "verified": false, and a sweep
+    # whose first entry PASSes while the other two FAIL, so the worst verdict wins
+    yield ["run", "scenarios/single_kernel.json", "--threshold", "1e-12"]
+    yield ["sweep", "scenarios/sweep.json", "--threshold", "1e-6"]
     yield ["derive", "--output", "derive.json"]
 
 
