@@ -188,15 +188,15 @@ class DerivationCheck(NamedTuple):
     """Residual polynomials of one branch's symbolic checks, by label in
     report order (ode[i], identity[i], e1, e2, delta1, delta2).
 
-    A check passes iff every residual is the zero polynomial.
+    Its verdict is "PASS" iff every residual is the zero polynomial.
     """
 
     branch: Branch
     residuals: dict[str, JetPoly]
 
     @property
-    def passed(self) -> bool:
-        return all(poly.is_zero for poly in self.residuals.values())
+    def verdict(self) -> str:
+        return "PASS" if all(p.is_zero for p in self.residuals.values()) else "FAIL"
 
     def failures(self) -> list[str]:
         return [
@@ -262,13 +262,13 @@ class BalanceReport(NamedTuple):
     checks: tuple[DerivationCheck, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+    def verdict(self) -> str:
+        return "PASS" if all(c.verdict == "PASS" for c in self.checks) else "FAIL"
 
 
 def derive() -> BalanceReport:
     """Run every symbolic check for both branches and assemble the report;
-    `report.passed` is the verdict."""
+    `report.verdict` reads PASS or FAIL."""
     exponents = solve_balance_exponents()
     checks = []
     for branch in (Branch.PLUS, Branch.MINUS):
@@ -290,10 +290,9 @@ def render_report(report: BalanceReport) -> str:
         "seed equation: phi_t +/- phi_xx = 0",
     ]
     for check in report.checks:
-        verdict = "PASS" if check.passed else "FAIL"
         lines.append(
             f"branch {check.branch.name.lower()}: ode system, log identities, "
-            f"residual reduction, factorization -> {verdict}"
+            f"residual reduction, factorization -> {check.verdict}"
         )
         lines.extend(f"  {line}" for line in check.failures())
     return "\n".join(lines)
@@ -307,7 +306,7 @@ def report_to_dict(report: BalanceReport) -> dict:
         "A": str(A_CONSTANT),
         "branches": {
             check.branch.name.lower(): {
-                "passed": check.passed,
+                "passed": check.verdict == "PASS",
                 "failures": check.failures(),
             }
             for check in report.checks

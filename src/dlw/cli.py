@@ -4,8 +4,9 @@ Subcommands: `derive` (exact symbolic derivation and checks), `run` (verify a
 scenario config on its grid and export data), `reduce` (an exact-const run with
 c = a on the line y = 0, checked by the (1+1)-dimensional stencil), and `sweep`
 (repeat `run` over a parameter list).
-Exit codes: 0 verified, 1 verification failure, 2 input error or an output
-that cannot be written.
+Each command returns the worst verdict word of its runs or branches, and
+`EXIT_CODES`, the one map from a word to an exit code, gives 0 to PASS and 1 to
+FAIL. An input error or an output that cannot be written exits 2.
 
 Each command imports only the layers it runs, when it starts: this module
 loads no layer but `errors`. `derive` imports the exact symbolic layers
@@ -31,6 +32,7 @@ from pathlib import Path
 from .errors import ConfigError, EvaluationError
 
 __all__ = ["main"]
+EXIT_CODES = {"PASS": 0, "FAIL": 1}  # a worse verdict word exits higher
 
 
 @contextlib.contextmanager
@@ -68,7 +70,7 @@ def write_outputs():
         raise
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> str:
     """Derive and check both branches, write `--output` as JSON through
     write_outputs, then print the report. An empty `--output` path is an
     input error, raised before the derivation runs, in the words that
@@ -81,7 +83,7 @@ def cmd_derive(args) -> int:
         report = balance.derive()
     except balance.DerivationError as exc:
         print(f"derivation FAILED:\n{exc}")
-        return 1
+        return "FAIL"
     if args.output is not None:
         import json
 
@@ -89,7 +91,7 @@ def cmd_derive(args) -> int:
         with write_outputs() as sibling:
             sibling(args.output).write_text(payload + "\n")
     print(balance.render_report(report))
-    return 0 if report.passed else 1
+    return report.verdict
 
 
 def _apply_overrides(raw: dict, args) -> dict:
@@ -109,8 +111,7 @@ def _apply_overrides(raw: dict, args) -> dict:
     return merged
 
 
-def _print_summary(label: str, sc, report) -> bool:
-    ok = report.passes(sc.max_residual)
+def _print_summary(label: str, sc, report, verdict: str) -> None:
     print(
         f"{label}: branch {sc.branch.name.lower()}, {sc.solution_path} path, "
         f"grid {sc.grid.x[2]}x{sc.grid.y[2]}x{sc.grid.t[2]}, "
@@ -124,20 +125,19 @@ def _print_summary(label: str, sc, report) -> bool:
         f"  mean residual: r1 = {report.mean_abs[0]:.6e}, "
         f"r2 = {report.mean_abs[1]:.6e}; evaluated {report.evaluated} points"
     )
-    print(f"  verdict: {'PASS' if ok else 'FAIL'}")
+    print(f"  verdict: {verdict}")
     print(f"{label}: skipped {report.skipped} pole-adjacent points", file=sys.stderr)
-    return ok
 
 
-def _verify(runs, residual, document=None) -> bool:
-    """Evaluate every (label, document key, scenario) in turn, writing its
-    outputs through write_outputs, then print every summary: neither an
-    evaluation error nor an unwritable output prints anything or leaves a
-    file. Two outputs that name one file, or an output that names the
-    `document` path, stop the command before any run. A run's walk writes
-    its first CSV output one row per point; its other CSV outputs are
-    copies of that file, and its reports are written from the aggregate,
-    once the walk is done. No run keeps a point once its walk has passed it."""
+def _verify(runs, residual, document=None) -> str:
+    """Evaluate every (label, document key, scenario), writing its outputs
+    through write_outputs, then print every summary and return the worst
+    verdict word: neither an evaluation error nor an unwritable output
+    prints anything or leaves a file. Two outputs that name one file, or an
+    output that names the `document` path, stop the command before any run.
+    A run's walk writes its first CSV output one row per point; its other
+    CSV outputs are copies of that file, and its reports are written from
+    the aggregate. No run keeps a point once its walk has passed it."""
     from .scenario import evaluate_scenario, export_csv, export_report
 
     # absolute path -> the key that names it first
@@ -161,6 +161,7 @@ def _verify(runs, residual, document=None) -> bool:
                     report = evaluate_scenario(sc, residual, row)
                 except EvaluationError as exc:  # named from `seed`; prefix the run's key
                     raise EvaluationError(f"{where}.{exc}") from None
+            verdict = report.verdict(sc.max_residual)
             for spec in sc.outputs:
                 if spec is csv:
                     continue
@@ -169,25 +170,24 @@ def _verify(runs, residual, document=None) -> bool:
 
                     shutil.copyfile(written, sibling(spec.path))
                 else:
-                    export_report(sc, report, sibling(spec.path))
-            summaries.append((label, sc, report))
-    all_ok = True
-    for label, sc, report in summaries:
-        all_ok = _print_summary(label, sc, report) and all_ok
-    return all_ok
+                    export_report(sc, report, verdict, sibling(spec.path))
+            summaries.append((label, sc, report, verdict))
+    for summary in summaries:
+        _print_summary(*summary)
+    return max((summary[-1] for summary in summaries), key=EXIT_CODES.get)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     from .residual import fd_residual_dlw
     from .scenario import load_config, scenario_from_dict
 
     raw = load_config(args.config)
     raw.pop("sweep", None)  # `run` runs the base only
     sc = scenario_from_dict(_apply_overrides(raw, args))
-    return 0 if _verify([("run", "config", sc)], fd_residual_dlw, args.config) else 1
+    return _verify([("run", "config", sc)], fd_residual_dlw, args.config)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     from .residual import fd_residual_dlw
     from .scenario import load_config, merge_config, scenario_from_dict
 
@@ -205,10 +205,10 @@ def cmd_sweep(args) -> int:
         merged = _apply_overrides(merge_config(raw, entry), args)
         sc = scenario_from_dict(merged, where=label)
         runs.append((label, label, sc))
-    return 0 if _verify(runs, fd_residual_dlw, args.config) else 1
+    return _verify(runs, fd_residual_dlw, args.config)
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> str:
     from .residual import fd_residual_1d
     from .scenario import scenario_from_dict
 
@@ -225,7 +225,7 @@ def cmd_reduce(args) -> int:
         },
     }
     sc = scenario_from_dict(_apply_overrides(raw, args), where="reduce")
-    return 0 if _verify([("reduce", "reduce", sc)], fd_residual_1d) else 1
+    return _verify([("reduce", "reduce", sc)], fd_residual_1d)
 
 
 # built on first use, not at import; in-process callers run main many times
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return EXIT_CODES[args.func(args)]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except EvaluationError as exc:

@@ -206,20 +206,18 @@ class ResidualReport(NamedTuple):
     skipped: int
     evaluated: int
 
-    def passes(self, threshold: float) -> bool:
-        """PASS: some point was evaluated, both maxima are within threshold
-        and neither mean is NaN.
-
-        A NaN maximum (see nan_max) compares false and so fails. A NaN
-        residual also makes its mean NaN, which fails on its own.
-        """
-        return (
+    def verdict(self, threshold: float) -> str:
+        """"PASS" when some point was evaluated, both maxima are within
+        threshold and neither mean is NaN, else "FAIL". A NaN maximum (see
+        nan_max) compares false and so fails; a NaN residual also makes its
+        mean NaN, which fails on its own."""
+        return "PASS" if (
             self.evaluated > 0
             and self.max_abs[0] <= threshold
             and self.max_abs[1] <= threshold
             and self.mean_abs[0] == self.mean_abs[0]
             and self.mean_abs[1] == self.mean_abs[1]
-        )
+        ) else "FAIL"
 
 
 def nan_max(current: float, value: float) -> float:

@@ -465,9 +465,12 @@ def export_csv(files: ExitStack, path: str | Path) -> Callable[[tuple], object]:
     return lambda record: write(text % record)
 
 
-def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> None:
-    """Machine-readable run report: the report's fields plus the run's grid
-    and step. JSON has no NaN or inf, so a non-finite residual is null."""
+def export_report(
+    sc: Scenario, report: ResidualReport, verdict: str, path: str | Path
+) -> None:
+    """Machine-readable run report: the report's fields, the run's grid and
+    step, and whether `verdict` is PASS. JSON has no NaN or inf, so a
+    non-finite residual is null."""
     import json
 
     fields = report._asdict()
@@ -485,6 +488,6 @@ def export_report(sc: Scenario, report: ResidualReport, path: str | Path) -> Non
             "grid": sc.grid._asdict(),
             "stencil": sc.stencil._asdict(),
         },
-        "verified": report.passes(sc.max_residual),
+        "verified": verdict == "PASS",
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

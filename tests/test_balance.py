@@ -34,6 +34,8 @@ from dlw.jetcalc import (
 jet = JetPoly.jet
 sym = JetPoly.symbol
 BRANCHES = (Branch.PLUS, Branch.MINUS)
+# verify_factorization at the constant A = 0: patched in, it makes derive FAIL
+with_a_zero = functools.partial(verify_factorization, a_const=Fraction(0))
 
 
 # -- balance exponents ---------------------------------------------------------
@@ -189,7 +191,7 @@ def test_every_coefficient_on_the_passing_path_is_an_int():
 def test_ode_system_reduces_to_zero(branch):
     check = check_ode_system(branch)
     assert list(check.residuals) == ["ode[0]", "ode[1]", "identity[0]", "identity[1]"]
-    assert check.passed
+    assert check.verdict == "PASS"
     assert all(check.residuals[f"ode[{i}]"].is_zero for i in range(2))
     assert all(check.residuals[f"identity[{i}]"].is_zero for i in range(2))
 
@@ -213,7 +215,7 @@ def test_factorization_reduces_to_zero(branch):
     assert check.residuals["e2"].is_zero
     delta1, delta2 = check.residuals["delta1"], check.residuals["delta2"]
     assert delta1.is_zero and delta2.is_zero
-    assert check.passed
+    assert check.verdict == "PASS"
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
@@ -231,7 +233,7 @@ def test_wrong_constant_leaves_forced_remainder(branch):
     )
     assert not expected.is_zero
     assert check.residuals["e2"] == expected
-    assert not check.passed
+    assert check.verdict == "FAIL"
 
 
 # Term order decides rendered output, and JetPoly equality ignores it.
@@ -296,9 +298,8 @@ def test_other_constant_failures_render_in_canonical_order(a_const, branch):
 def test_derive_with_a_wrong_constant_reports_fail_and_still_writes_output(
     tmp_path, capsys, monkeypatch
 ):
-    with_a_zero = functools.partial(verify_factorization, a_const=Fraction(0))
     monkeypatch.setattr(balance, "verify_factorization", with_a_zero)
-    assert not derive().passed
+    assert derive().verdict == "FAIL"
     target = tmp_path / "derivation.json"
     assert main(["derive", "--output", str(target)]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -329,7 +330,7 @@ def test_derive_fails_an_ansatz_without_the_g_prime_term(capsys, monkeypatch):
 
     monkeypatch.setattr(balance, "build_ansatz", defective)
     report = derive()
-    assert not report.passed
+    assert report.verdict == "FAIL"
     for check in report.checks:
         failed = [label for label, poly in check.residuals.items() if not poly.is_zero]
         assert failed == ["e1", "e2", "delta1", "delta2"]
@@ -367,7 +368,7 @@ def test_derive_report_contents():
     assert tuple(report.exponents) == (1, 0, 0, 1, 1, 0)
     assert balance.A_CONSTANT == Fraction(-1)
     assert len(report.checks) == 2
-    assert all(check.passed for check in report.checks)
+    assert [check.verdict for check in report.checks] == ["PASS", "PASS"]
 
 
 def test_derive_is_deterministic():
@@ -406,7 +407,7 @@ def test_derive_leaves_the_shared_leaves_unchanged():
         verify_factorization(branch)
         _assert_leaves_unchanged()
     first, second = derive(), derive()
-    assert first.passed
+    assert first.verdict == "PASS"
     assert render_report(first) == render_report(second)
     assert report_to_dict(first) == report_to_dict(second)
     _assert_leaves_unchanged()

@@ -23,6 +23,7 @@ from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField
 from dlw.transform import exact_phi_const, exact_uh_const
+from test_balance import with_a_zero
 from test_residual import residuals
 from test_seeds import reference_transform
 
@@ -154,6 +155,55 @@ def test_derive_with_no_residual_terms_fails_without_a_traceback(capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == "derivation FAILED:\nresidual e1 has no terms\n"
     assert captured.err == ""
+
+
+# -- verdict words and exit codes --------------------------------------------------
+
+# a printed verdict word: a run's summary line or a derive branch line
+PRINTED_WORD = re.compile(r"(?:verdict:|->) (\S+)$", re.MULTILINE)
+
+
+def test_the_exit_table_holds_exactly_the_words_a_report_returns(monkeypatch):
+    def residual_report(max_abs, evaluated):
+        return ResidualReport(max_abs, max_abs, None, 0, evaluated)
+
+    words = {
+        residual_report(max_abs, evaluated).verdict(1e-5)
+        for max_abs in ((0.0, 0.0), (1.0, 0.0), (math.nan, 0.0))
+        for evaluated in (0, 1)
+    }
+    words.add(dlw.balance.derive().verdict)
+    monkeypatch.setattr(dlw.balance, "verify_factorization", with_a_zero)
+    words.add(dlw.balance.derive().verdict)
+    assert words == set(dlw.cli.EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "argv, a_zero, worst",
+    [
+        (["derive"], False, "PASS"),
+        (["derive"], True, "FAIL"),
+        (["run", "scenario.json"], False, "PASS"),
+        (["run", "scenario.json", "--threshold", "1e-12"], False, "FAIL"),
+        (["reduce", "1", "0"], False, "PASS"),
+        (["reduce", "1", "0", "--threshold", "1e-12"], False, "FAIL"),
+        # entry 0 PASSes at 1e-6 and entries 1 and 2 FAIL
+        (["sweep", str(SCENARIOS[0].parent / "sweep.json"), "--threshold", "1e-6"],
+         False, "FAIL"),
+    ],
+    ids=["derive", "derive-a-zero", "run", "run-1e-12", "reduce", "reduce-1e-12", "sweep"],
+)
+def test_exit_code_is_the_table_entry_of_the_worst_printed_word(
+    argv, a_zero, worst, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config())
+    if a_zero:
+        monkeypatch.setattr(dlw.balance, "verify_factorization", with_a_zero)
+    code = main(argv)
+    printed = PRINTED_WORD.findall(capsys.readouterr().out)
+    assert printed and max(printed, key=dlw.cli.EXIT_CODES.__getitem__) == worst
+    assert code == dlw.cli.EXIT_CODES[worst]
 
 
 # -- run ---------------------------------------------------------------------------

@@ -396,11 +396,11 @@ def test_report_passes_only_with_evaluated_points_within_threshold():
     def report(max_abs, evaluated=1, mean_abs=None):
         return ResidualReport(max_abs, mean_abs or max_abs, None, 0, evaluated)
 
-    assert report((1e-5, 1e-5)).passes(1e-5)  # the threshold itself passes
-    assert not report((1e-5, 2e-5)).passes(1e-5)
-    assert not report((2e-5, 0.0)).passes(1e-5)
-    assert not report((math.nan, 0.0)).passes(1.0)
-    assert not report((0.0, 0.0), evaluated=0).passes(1.0)
+    assert report((1e-5, 1e-5)).verdict(1e-5) == "PASS"  # the threshold itself passes
+    assert report((1e-5, 2e-5)).verdict(1e-5) == "FAIL"
+    assert report((2e-5, 0.0)).verdict(1e-5) == "FAIL"
+    assert report((math.nan, 0.0)).verdict(1.0) == "FAIL"
+    assert report((0.0, 0.0), evaluated=0).verdict(1.0) == "FAIL"
     # a NaN mean fails even where the maxima lost their NaN
-    assert not report((0.0, 0.0), mean_abs=(math.nan, 0.0)).passes(1.0)
-    assert not report((0.0, 0.0), mean_abs=(0.0, math.nan)).passes(1.0)
+    assert report((0.0, 0.0), mean_abs=(math.nan, 0.0)).verdict(1.0) == "FAIL"
+    assert report((0.0, 0.0), mean_abs=(0.0, math.nan)).verdict(1.0) == "FAIL"

@@ -31,11 +31,16 @@ def _jet(i: int, j: int, k: int):
     return sp.Derivative(PHI, *[(var, n) for var, n in zip((X, Y, T), (i, j, k)) if n])
 
 
-def system_residuals(branch: Branch, a_const: int):
-    """(e1, e2) of the transformation u = sign*2*phi_x/phi,
-    h = -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi + A, by sympy alone."""
+def transformation(branch: Branch, a_const: int):
+    """(u, h) = (sign*2*phi_x/phi, -2*phi_x*phi_y/phi^2 + 2*phi_xy/phi + A)."""
     u = branch.sign * 2 * PHI.diff(X) / PHI
     h = -2 * PHI.diff(X) * PHI.diff(Y) / PHI**2 + 2 * PHI.diff(X, Y) / PHI + a_const
+    return u, h
+
+
+def system_residuals(branch: Branch, a_const: int):
+    """(e1, e2) of the transformation, by sympy alone."""
+    u, h = transformation(branch, a_const)
     e1 = u.diff(Y, T) + h.diff(X, 2) + sp.Rational(1, 2) * (u**2).diff(X, Y)
     e2 = h.diff(T) + (u * h + u + u.diff(X, Y)).diff(X)
     return e1, e2
@@ -124,6 +129,25 @@ def test_each_residual_is_one_mixed_derivative_of_the_constraint(branch):
     mixed = mixed_constraint(branch)
     assert sp.cancel(e1 - branch.sign * 2 * mixed) == 0
     assert sp.cancel(e2 - 2 * mixed) == 0
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
+def test_the_transformation_is_cole_hopf_and_the_system_is_burgers(branch):
+    """u = s*2*phi_x/phi, s the branch sign, is the Cole-Hopf map (Hopf,
+    Comm. Pure Appl. Math. 3 (1950) 201; Cole, Quart. Appl. Math. 9 (1951)
+    225). With Burgers' equation B(u) = u_t + u*u_x + s*u_xx, four
+    identities hold for every phi, with no heat reduction: h + 1 = s*u_y,
+    e1 = D_y B(u), e2 = s*e1, and B(u) = s*2*D_x(w/phi) for the seed
+    constraint w = phi_t + s*phi_xx."""
+    s = branch.sign
+    u, h = transformation(branch, -1)
+    e1, e2 = system_residuals(branch, -1)
+    burgers = u.diff(T) + u * u.diff(X) + s * u.diff(X, 2)
+    w = PHI.diff(T) + s * PHI.diff(X, 2)
+    assert sp.cancel(h + 1 - s * u.diff(Y)) == 0
+    assert sp.cancel(e1 - burgers.diff(Y)) == 0
+    assert sp.cancel(e2 - s * e1) == 0
+    assert sp.cancel(burgers - s * 2 * (w / PHI).diff(X)) == 0
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: b.name)
