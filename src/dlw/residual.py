@@ -207,8 +207,8 @@ class ResidualReport(NamedTuple):
     evaluated: int
 
     def verdict(self, threshold: float) -> str:
-        """"PASS" when some point was evaluated, both maxima are within
-        threshold and neither mean is NaN, else "FAIL". A NaN maximum (see
+        """PASS when some point was evaluated, both maxima are within
+        threshold and neither mean is NaN, else FAIL. A NaN maximum (see
         nan_max) compares false and so fails; a NaN residual also makes its
         mean NaN, which fails on its own."""
         return "PASS" if (
