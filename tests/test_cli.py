@@ -9,9 +9,11 @@ import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import dlw.balance
 import dlw.cli
@@ -23,6 +25,7 @@ from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
 from dlw.scenario import CSV_HEADER, merge_config
 from dlw.seedlab.seeds import SeedField
 from dlw.transform import exact_phi_const, exact_uh_const
+from documents import json_text, mutated, scenarios
 from test_balance import with_a_zero
 from test_residual import residuals
 from test_seeds import reference_transform
@@ -1502,3 +1505,30 @@ def test_every_flag_is_probed():
             probed.add((command, arg.partition("=")[0]))
     unprobed = sorted(f"{command} {option}" for command, option in flags - probed)
     assert not unprobed, f"no probe passes {', '.join(unprobed)}"
+
+
+# -- generated documents ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=scenarios() | mutated(scenarios()))
+def test_main_keeps_its_exit_contract_on_generated_documents(raw):
+    # valid and defective documents of at most 3x3x2 points, through `run`
+    # and `sweep`: main returns 0, 1 or 2 and raises nothing; 2 is one
+    # `error:` line, no standard output and no file; 0 is finite maxima
+    # over some evaluated point; no temporary sibling outlives a command
+    for command in ("run", "sweep"):
+        with tempfile.TemporaryDirectory() as workdir:
+            Path(workdir, "doc.json").write_text(json_text(raw))
+            code, out, err = run_probes.in_process([command, "doc.json"], workdir)
+            left = sorted(path.name for path in Path(workdir).iterdir())
+        assert code in (0, 1, 2), (command, code, err)
+        assert not any(run_probes.TEMPORARY.fullmatch(name) for name in left), left
+        if code == 2:
+            assert (out, left) == ("", ["doc.json"]), (command, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == 0:
+            maxima = [float(value) for pair in MAX_RESIDUAL.findall(out) for value in pair]
+            evaluated = [int(n) for n in re.findall(r"evaluated (\d+) points", out)]
+            assert maxima and all(map(math.isfinite, maxima)), out
+            assert evaluated and min(evaluated) > 0, out

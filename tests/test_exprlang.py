@@ -14,7 +14,6 @@ from dlw.seedlab.exprlang import (
     Call,
     CoeffExpr,
     ExprSyntaxError,
-    FUNCTIONS,
     MAX_DEPTH,
     Neg,
     Num,
@@ -24,6 +23,7 @@ from dlw.seedlab.exprlang import (
     parse_coeff_expr,
     sech,
 )
+from documents import exprs, extreme_exprs
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
@@ -344,37 +344,15 @@ def test_render_parse_roundtrip_on_corpus():
 
 # -- randomized round-trip --------------------------------------------------------
 
-_atoms = st.one_of(
-    st.integers(0, 64).map(lambda n: Num(n / 8.0)),
-    st.just(Var()),
-)
-
-
-def _nodes(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-        st.builds(Pow, children, st.integers(-2, 3)),
-        st.builds(Call, st.sampled_from(FUNCTIONS), children),
-    )
-
-
-_exprs = st.recursive(_atoms, _nodes, max_leaves=10)
-# the same trees with literals at the ends of the float range, whose products
-# and squares overflow or underflow
-_extreme_exprs = st.recursive(
-    st.one_of(_atoms, st.sampled_from((Num(1e308), Num(1e-200)))), _nodes, max_leaves=10
-)
-
 
 @settings(max_examples=200, deadline=None)
-@given(_exprs)
+@given(exprs)
 def test_render_parse_roundtrip_randomized(expr):
     assert parse_coeff_expr(render(expr)) == expr
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_extreme_exprs, st.floats(-2.0, 2.0))
+@given(extreme_exprs, st.floats(-2.0, 2.0))
 def test_eval_dual_returns_finite_pairs_or_raises_evaluation_error(expr, y):
     try:
         value, deriv = eval_dual(expr, y)

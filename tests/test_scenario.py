@@ -12,6 +12,8 @@ import tracemalloc
 from contextlib import ExitStack
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlw.cli import main
 from dlw.errors import ConfigError
@@ -31,35 +33,8 @@ from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import parse_coeff_expr
 from dlw.seedlab.seeds import Kernel, SeedField, SeedSpec
 from dlw.transform import PoleError, exact_uh, exact_uh_const, transform_point
+from documents import GRID, POLY, SEED_A, document, exact_seeds, grids, seed_documents
 from test_transform import python_frames
-
-A_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "1.5*cos(0.2*y)")
-B_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "y^2/4", "-0.4*y + 1")
-POLY_EXPRS = ("0", "0.5", "cos(y)", "y^2", "tanh(y)", "1 - 0.2*y")
-GRID = {"x": [-2.0, 2.0, 5], "y": [-1.5, 1.5, 4], "t": [0.0, 0.6, 2]}
-
-
-def random_document(rng, branch, path):
-    kernels = [
-        {
-            "amplitude": 1.0 if path == "exact" else rng.choice((0.5, 1.0, 2.0)),
-            "a": rng.choice(A_EXPRS),
-            "b": rng.choice(B_EXPRS),
-        }
-        for _ in range(1 if path == "exact" else rng.randint(0, 3))
-    ]
-    seed = {"kind": "mixed", "constant": 1.0, "kernels": kernels}
-    if path == "transform" and (not kernels or rng.random() < 0.5):
-        seed["poly"] = {key: rng.choice(POLY_EXPRS) for key in ("c2", "c1", "c0")}
-        seed["constant"] = rng.choice((0.0, 1.0, 3.0))
-    return {
-        "branch": branch.name.lower(),
-        "solution_path": path,
-        "seed": seed,
-        "grid": GRID,
-        "stencil": {"step": 5e-3},
-    }
-
 
 class ForgetfulRows(dict):
     """A coefficient table that keeps no row: every lookup starts empty."""
@@ -74,39 +49,39 @@ def report_and_rows(sc):
     return evaluate_scenario(sc, fd_residual_dlw, rows.append), rows
 
 
-def per_sample_reference(sc, monkeypatch):
+def per_sample_reference(sc):
     init = SeedField.__init__
 
     def forgetful_init(self, spec):
         init(self, spec)
         self._rows = ForgetfulRows()
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SeedField, "__init__", forgetful_init)
         return report_and_rows(sc)
 
 
 @pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS))
 @pytest.mark.parametrize("path", ("transform", "exact"))
-def test_records_and_report_equal_per_sample_evaluation(branch, path, monkeypatch):
-    rng = random.Random(f"{branch.name}-{path}")
-    for _ in range(6):
-        sc = scenario_from_dict(random_document(rng, branch, path))
-        report, records = report_and_rows(sc)
-        ref_report, ref_records = per_sample_reference(sc, monkeypatch)
-        # repr compares every float exactly, NaN rows and signed zeros too
-        assert repr(records) == repr(ref_records)
-        assert repr(report) == repr(ref_report)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), grid=grids(5, 4, 2))
+def test_records_and_report_equal_per_sample_evaluation(branch, path, data, grid):
+    seed = data.draw(exact_seeds if path == "exact" else seed_documents(), label="seed")
+    sc = scenario_from_dict(document(seed, branch.name.lower(), grid, solution_path=path))
+    report, records = report_and_rows(sc)
+    ref_report, ref_records = per_sample_reference(sc)
+    # repr compares every float exactly, NaN rows and signed zeros too
+    assert repr(records) == repr(ref_records)
+    assert repr(report) == repr(ref_report)
 
 
 @pytest.mark.parametrize("path", ("transform", "exact"))
 def test_each_coefficient_is_evaluated_once_per_distinct_y(path, monkeypatch):
-    document = random_document(random.Random(5), Branch.PLUS, path)
-    document["seed"]["kernels"] = [{"a": "1 + 0.3*tanh(y)", "b": "0.2*y"}]
-    if path == "transform":
-        document["seed"]["kernels"].append({"a": "0.7", "b": "sin(y)"})
-        document["seed"]["poly"] = {"c2": "0.1", "c1": "cos(y)", "c0": "y^2"}
-    sc = scenario_from_dict(document)
+    # seed (A) and POLY: 2 + 2 coefficients and 3; its first kernel alone: 2
+    seed = {**SEED_A, "kind": "mixed", "constant": 1.0, "poly": POLY}
+    if path == "exact":
+        seed = {"kind": "kernels", "constant": 1.0, "kernels": SEED_A["kernels"][:1]}
+    sc = scenario_from_dict(document(seed, solution_path=path))
     calls = []
     original = seeds.eval_dual
 
@@ -156,14 +131,11 @@ WRONG_VALUES = {
 
 def valid_document(path):
     """A document the path runs: a kernel seed, the unit kernel, or params."""
-    document = {"branch": "plus", "solution_path": path, "grid": GRID}
     if path == "exact-const":
-        document["params"] = {"a": 1.0, "c": 1.0, "d": 0.0}
-    else:
-        amplitude = 1.0 if path == "exact" else 2.0
-        kernel = {"amplitude": amplitude, "a": "1", "b": "y"}
-        document["seed"] = {"kind": "kernels", "constant": 1.0, "kernels": [kernel]}
-    return document
+        return {"branch": "plus", "solution_path": path, "grid": GRID,
+                "params": {"a": 1.0, "c": 1.0, "d": 0.0}}
+    kernel = {"amplitude": 1.0 if path == "exact" else 2.0, "a": "1", "b": "y"}
+    return document({"kind": "kernels", "constant": 1.0, "kernels": [kernel]}, solution_path=path)
 
 
 @pytest.mark.parametrize("path", SOLUTION_PATHS)

@@ -15,6 +15,8 @@ from dlw.seedlab import seeds
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr
 from dlw.seedlab.seeds import HeatPolynomial, Kernel, SeedField, SeedSpec
 from dlw.transform import POLE_TOLERANCE, PoleError, transform_point
+from documents import BRANCH_NAMES, EXTREME_RATES, LINEAR_PHASES, POLY, points
+from documents import seed_documents, seed_spec
 
 P = parse_coeff_expr
 BRANCHES = (Branch.PLUS, Branch.MINUS)
@@ -104,23 +106,14 @@ def heat_residual(partials, branch, point):
 
 
 _SEED_CORPUS = [
-    SeedSpec(Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("1*y")),)),
-    SeedSpec(Branch.MINUS, 1.0, (Kernel(1.0, P("1 + 0.5*tanh(y)"), P("0.2*y")),)),
-    SeedSpec(
-        Branch.PLUS,
-        2.5,
-        (
-            Kernel(1.0, P("1"), P("0.3*y")),
-            Kernel(0.7, P("1.6"), P("-0.4*y")),
-        ),
-    ),
-    SeedSpec(
-        Branch.MINUS,
-        0.0,
-        (Kernel(1.0, P("sech(y)"), P("sin(y)")),),
-        HeatPolynomial(P("0.5"), P("cos(y)"), P("y^2")),
-    ),
-    SeedSpec(Branch.PLUS, 0.0, (), HeatPolynomial(P("1"), P("tanh(y)"), P("0"))),
+    seed_spec({"kind": "kernels", "constant": 1.0, "kernels": [{"a": "1", "b": "1*y"}]}),
+    seed_spec({"kind": "kernels", "constant": 1.0,
+               "kernels": [{"a": "1 + 0.5*tanh(y)", "b": "0.2*y"}]}, "minus"),
+    seed_spec({"kind": "kernels", "constant": 2.5, "kernels": [
+        {"a": "1", "b": "0.3*y"}, {"amplitude": 0.7, "a": "1.6", "b": "-0.4*y"}]}),
+    seed_spec({"kind": "mixed", "kernels": [{"a": "sech(y)", "b": "sin(y)"}], "poly": POLY},
+              "minus"),
+    seed_spec({"kind": "poly", "poly": {"c2": "1", "c1": "tanh(y)"}}),
 ]
 
 
@@ -386,70 +379,6 @@ def exactly(values):
     return [(value, math.copysign(1.0, value)) for value in values]
 
 
-COEFF_EXPRS = ("1", "0.8 + 0.3*tanh(y)", "1.2 - 0.1*y", "sech(y) + 0.5", "0.2*y")
-PHASE_EXPRS = ("0", "0.2*y", "sin(y)", "0.5*cos(y) - 0.3", "-0.4*y + 1")
-# "0*y" and "-0.5*y^2" give signed zeros at y = -0.0 and y < 0
-POLY_EXPRS = ("0", "0*y", "0.5", "cos(y)", "-0.5*y^2", "tanh(y)", "1 - 0.2*y")
-
-
-def random_spec(rng, branch, kind):
-    kernels = ()
-    if kind != "poly":
-        kernels = tuple(
-            Kernel(
-                rng.choice((0.5, 1.0, 2.0)),
-                P(rng.choice(COEFF_EXPRS)),
-                P(rng.choice(PHASE_EXPRS)),
-            )
-            for _ in range(rng.randint(1, 3))
-        )
-    poly = None
-    if kind != "kernels":
-        poly = HeatPolynomial(*(P(rng.choice(POLY_EXPRS)) for _ in range(3)))
-    return SeedSpec(branch, rng.choice((0.0, 1.0, 2.5)), kernels, poly)
-
-
-def random_points(rng):
-    points = [
-        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 1)) for _ in range(8)
-    ]
-    return points + [(0.0, -0.0, 0.0), (-0.0, -1.5, 0.0), (0.7, 0.0, -0.0)]
-
-
-@pytest.mark.parametrize("branch", BRANCHES)
-@pytest.mark.parametrize("kind", ("kernels", "poly", "mixed"))
-def test_partials_equal_the_per_index_reference(branch, kind):
-    rng = random.Random(f"{branch.name}-{kind}")
-    for _ in range(12):
-        spec = random_spec(rng, branch, kind)
-        field = SeedField(spec)
-        for point in random_points(rng):
-            expected = reference_partials(spec, point, TRANSFORM_INDICES)
-            assert exactly(field.partials(*point)) == exactly(expected)
-            phi = reference_partials(spec, point, ((0, 0, 0),))
-            assert exactly(field.partials(*point)[:1]) == exactly(phi)
-
-
-@pytest.mark.parametrize("branch", BRANCHES)
-@pytest.mark.parametrize("kind", ("kernels", "poly", "mixed"))
-def test_transform_point_equals_the_reference(branch, kind):
-    rng = random.Random(f"transform-{branch.name}-{kind}")
-    poles = 0
-    for _ in range(12):
-        spec = random_spec(rng, branch, kind)
-        field = SeedField(spec)
-        for point in random_points(rng):
-            try:
-                expected = reference_transform(spec, point)
-            except PoleError:
-                poles += 1
-                with pytest.raises(PoleError):
-                    transform_point(field, *point)
-                continue
-            assert exactly(transform_point(field, *point)) == exactly(expected)
-    assert poles <= 12  # nearly every point is regular
-
-
 def test_zero_constant_adds_nothing_and_keeps_the_sign_of_zero():
     # c2 = c1 = 0*y are -0.0 at y < 0, so phi_x = 2*c2*x + c1 is -0.0 as a
     # term; the total starts at 0.0 and so reads +0.0, as the reference does
@@ -463,36 +392,6 @@ def test_zero_constant_adds_nothing_and_keeps_the_sign_of_zero():
 
 # -- the field against the reference, on drawn seeds -----------------------------------
 
-# Coefficients c + s*y: signed zeros, values whose exponent (1e103, -1e120) or
-# square (1e160) passes the float range, and ordinary values.
-_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e103, -1e120, 1e160)) | st.floats(-3, 3)
-_SLOPES = st.just(0.0) | st.floats(-2, 2)
-_COORDS = st.sampled_from((0.0, -0.0)) | st.floats(-2, 2)
-_POINTS = st.tuples(_COORDS, _COORDS, st.sampled_from((0.0, -0.0)) | st.floats(0, 1))
-
-
-@st.composite
-def _coefficients(draw, values=_VALUES):
-    value, slope = draw(values), draw(_SLOPES)
-    return P(repr(value) if slope == 0.0 else f"{value!r} + {slope!r}*y")
-
-
-@st.composite
-def _seeds(draw):
-    kernels = tuple(
-        Kernel(
-            draw(st.sampled_from((1.0, 0.5, -2.0, 0.0))),
-            draw(_coefficients()),
-            draw(_coefficients(st.floats(-3, 3))),
-        )
-        for _ in range(draw(st.integers(1, 3)))
-    )
-    poly = None
-    if draw(st.booleans()):
-        poly = HeatPolynomial(*(P(draw(st.sampled_from(POLY_EXPRS))) for _ in range(3)))
-    constant = draw(st.sampled_from((0.0, 1.0)) | st.floats(-3, 3))
-    return SeedSpec(draw(st.sampled_from(BRANCHES)), constant, kernels, poly)
-
 
 def _outcome(evaluate):
     try:
@@ -501,15 +400,32 @@ def _outcome(evaluate):
         return "error", type(exc).__name__, str(exc)
 
 
+# terms whose zeros carry the sign of y: "0*y" and "0.2*y" are -0.0 at y = -0.0
+SIGNED_ZERO_SEED = {"kind": "mixed", "constant": 0.0, "kernels": [{"a": "0.2*y", "b": "0"}],
+                    "poly": {"c2": "0*y", "c1": "-0.5*y^2", "c0": "0"}}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(spec=_seeds(), point=_POINTS)
+@given(
+    seed=seed_documents(
+        kinds=("kernels", "poly", "mixed"),
+        rates=EXTREME_RATES,
+        phases=LINEAR_PHASES,
+        amplitudes=st.sampled_from((0.5, 1.0, 2.0, -2.0, 0.0)),
+        constants=st.sampled_from((0.0, 1.0, 2.5)) | st.floats(-3, 3),
+    ),
+    branch=st.sampled_from(BRANCH_NAMES),
+    point=points,
+)
 # phi = 1 + exp(709) is finite and phi_x = 4*exp(709) is not: only
 # transform_point's check refuses it, where a pole test would see a pole
-@example(
-    spec=SeedSpec(Branch.PLUS, 1.0, (Kernel(1.0, P("4"), P("707")),)),
-    point=(0.5, 0.0, 0.0),
-)
-def test_partials_and_transform_point_equal_the_reference(spec, point):
+@example(seed={"kind": "kernels", "constant": 1.0, "kernels": [{"a": "4", "b": "707"}]},
+         branch="plus", point=(0.5, 0.0, 0.0))
+@example(seed=SIGNED_ZERO_SEED, branch="plus", point=(0.0, -0.0, 0.0))
+@example(seed=SIGNED_ZERO_SEED, branch="minus", point=(-0.0, -1.5, 0.0))
+@example(seed=SIGNED_ZERO_SEED, branch="plus", point=(0.7, 0.0, -0.0))
+def test_partials_and_transform_point_equal_the_reference(seed, branch, point):
+    spec = seed_spec(seed, branch)
     expected = _outcome(lambda: reference_partials(spec, point, TRANSFORM_INDICES))
     expected_uh = _outcome(lambda: reference_transform(spec, point))
     reads = ((SeedField.partials, expected), (transform_point, expected_uh))
