@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: `derive` (exact symbolic derivation and checks), `run` (verify a
-scenario config on its grid and export data), `reduce` (an exact-const run with
-c = a on the line y = 0, checked by the (1+1)-dimensional stencil), and `sweep`
-(repeat `run` over a parameter list).
+scenario config on its grid and export data), `sweep` (repeat `run` over a
+parameter list; `run` is a sweep of one entry, and the flags apply after the
+entry), and `reduce` (a run of the exact-const document with c = a on the line
+y = 0 that its arguments build, checked by the (1+1)-dimensional stencil).
 Each command returns the worst verdict word of its runs or branches, and
 `EXIT_CODES`, the one map from a word to an exit code, gives 0 to PASS and 1 to
 FAIL. An input error or an output that cannot be written exits 2.
@@ -29,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, EvaluationError
+from .errors import PATH_SHOWN, ConfigError, EvaluationError, cut
 
 __all__ = ["main"]
 EXIT_CODES = {"PASS": 0, "FAIL": 1}  # a worse verdict word exits higher
@@ -94,23 +95,6 @@ def cmd_derive(args) -> str:
     return report.verdict
 
 
-def _apply_overrides(raw: dict, args) -> dict:
-    from .scenario import merge_config
-
-    override: dict = {}
-    if args.step is not None:
-        override["stencil"] = {"step": args.step}
-    if args.threshold is not None:
-        override["thresholds"] = {"max_residual": args.threshold}
-    if args.branch is not None:
-        override["branch"] = args.branch
-    merged = merge_config(raw, override)
-    outputs = merged.get("outputs", [])
-    if args.output is not None and isinstance(outputs, list):
-        merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
-    return merged
-
-
 def _print_summary(label: str, sc, report, verdict: str) -> None:
     print(
         f"{label}: branch {sc.branch.name.lower()}, {sc.solution_path} path, "
@@ -129,25 +113,50 @@ def _print_summary(label: str, sc, report, verdict: str) -> None:
     print(f"{label}: skipped {report.skipped} pole-adjacent points", file=sys.stderr)
 
 
-def _verify(runs, residual, document=None) -> str:
+def _runs(raw: dict, entries, args, document=None) -> list:
+    """The (label, document key, scenario) of each (label, key, entry), in
+    order: the entry, an object, merged onto `raw`, then the flags onto that,
+    validated as `key` before the next entry is read. Then two outputs that
+    name one file, or one that names the `document` path, stop the command."""
+    from .scenario import merge_config, scenario_from_dict
+
+    override: dict = {}
+    if args.step is not None:
+        override["stencil"] = {"step": args.step}
+    if args.threshold is not None:
+        override["thresholds"] = {"max_residual": args.threshold}
+    if args.branch is not None:
+        override["branch"] = args.branch
+    runs = []
+    for label, key, entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{key}: expected an object")
+        merged = merge_config(merge_config(raw, entry), override)
+        outputs = merged.get("outputs", [])
+        if args.output is not None and isinstance(outputs, list):
+            merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
+        runs.append((label, key, scenario_from_dict(merged, key)))
+    # absolute path -> the key that names it first
+    named = {} if document is None else {os.path.abspath(document): "the document"}
+    for _, key, sc in runs:
+        for pos, spec in enumerate(sc.outputs):
+            where = f"{key}.outputs[{pos}].path"
+            first = named.setdefault(os.path.abspath(spec.path), where)
+            if first != where:
+                raise ConfigError(f"{where}: same file as {first}")
+    return runs
+
+
+def _verify(runs, residual) -> str:
     """Evaluate every (label, document key, scenario), writing its outputs
     through write_outputs, then print every summary and return the worst
     verdict word: neither an evaluation error nor an unwritable output
-    prints anything or leaves a file. Two outputs that name one file, or an
-    output that names the `document` path, stop the command before any run.
-    A run's walk writes its first CSV output one row per point; its other
-    CSV outputs are copies of that file, and its reports are written from
-    the aggregate. No run keeps a point once its walk has passed it."""
+    prints anything or leaves a file. A run's walk writes its first CSV
+    output one row per point; its other CSV outputs are copies of that
+    file, and its reports are written from the aggregate. No run keeps a
+    point once its walk has passed it."""
     from .scenario import evaluate_scenario, export_csv, export_report
 
-    # absolute path -> the key that names it first
-    named = {} if document is None else {os.path.abspath(document): "the document"}
-    for _, where, sc in runs:
-        for pos, spec in enumerate(sc.outputs):
-            key = f"{where}.outputs[{pos}].path"
-            first = named.setdefault(os.path.abspath(spec.path), key)
-            if first != key:
-                raise ConfigError(f"{key}: same file as {first}")
     summaries = []
     with write_outputs() as sibling:
         for label, where, sc in runs:
@@ -178,42 +187,26 @@ def _verify(runs, residual, document=None) -> str:
 
 
 def cmd_run(args) -> str:
+    """`run` and `sweep`; `run` is a sweep of one empty entry, and ignores `sweep`."""
     from .residual import fd_residual_dlw
-    from .scenario import load_config, scenario_from_dict
+    from .scenario import load_config
 
     raw = load_config(args.config)
-    raw.pop("sweep", None)  # `run` runs the base only
-    sc = scenario_from_dict(_apply_overrides(raw, args))
-    return _verify([("run", "config", sc)], fd_residual_dlw, args.config)
-
-
-def cmd_sweep(args) -> str:
-    from .residual import fd_residual_dlw
-    from .scenario import load_config, merge_config, scenario_from_dict
-
-    raw = load_config(args.config)
-    entries = raw.pop("sweep", None)
-    if not isinstance(entries, list) or not entries:
+    sweep = raw.pop("sweep", None)
+    if args.command == "run":
+        entries = [("run", "config", {})]
+    elif isinstance(sweep, list) and sweep:
+        entries = [(f"sweep[{i}]", f"sweep[{i}]", entry) for i, entry in enumerate(sweep)]
+    else:
         raise ConfigError("config has no nonempty 'sweep' list")
-    # every entry is validated before any runs, so an input error prints
-    # no summary and writes no file
-    runs = []
-    for pos, entry in enumerate(entries):
-        label = f"sweep[{pos}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{label}: expected an object")
-        merged = _apply_overrides(merge_config(raw, entry), args)
-        sc = scenario_from_dict(merged, where=label)
-        runs.append((label, label, sc))
-    return _verify(runs, fd_residual_dlw, args.config)
+    return _verify(_runs(raw, entries, args, args.config), fd_residual_dlw)
 
 
 def cmd_reduce(args) -> str:
     from .residual import fd_residual_1d
-    from .scenario import scenario_from_dict
 
-    # step and threshold take the document defaults; flags arrive through
-    # _apply_overrides, and scenario_from_dict checks every value
+    # step and threshold take the document defaults; the flags arrive
+    # through _runs, and scenario_from_dict checks every value
     raw = {
         "branch": "plus",
         "solution_path": "exact-const",
@@ -224,8 +217,7 @@ def cmd_reduce(args) -> str:
             "t": [args.t0, args.t1, args.nt],
         },
     }
-    sc = scenario_from_dict(_apply_overrides(raw, args), where="reduce")
-    return _verify([("reduce", "reduce", sc)], fd_residual_1d)
+    return _verify(_runs(raw, [("reduce", "reduce", {})], args), fd_residual_1d)
 
 
 # built on first use, not at import; in-process callers run main many times
@@ -270,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeat `run` over the config's sweep override list",
     )
     p.add_argument("config", help="scenario JSON document with a 'sweep' list")
-    p.set_defaults(func=cmd_sweep, output=None)
+    p.set_defaults(func=cmd_run, output=None)
 
     p = sub.add_parser(
         "reduce",
@@ -301,7 +293,8 @@ def main(argv=None) -> int:
         print(f"error: field evaluation failed: {exc}", file=sys.stderr)
     except OSError as exc:  # load_config reports read errors, so this is a write
         # an error with no file name comes from standard output, e.g. a closed pipe
-        target = "standard output" if exc.filename is None else exc.filename
+        path = exc.filename
+        target = "standard output" if path is None else cut(str(path), PATH_SHOWN)
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
     return 2
 

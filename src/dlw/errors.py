@@ -9,7 +9,7 @@ catch both without importing the numeric layers.
 __all__ = ["ConfigError", "EvaluationError", "cut", "shown"]
 
 # the most characters of a value's repr that an error message echoes, and
-# of the path that names a member nested in a document
+# of the path that names a member nested in a document or of a file name
 SHOWN = 60
 PATH_SHOWN = 2 * SHOWN
 

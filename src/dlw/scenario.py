@@ -139,29 +139,30 @@ def _int(text: str) -> int | float:
 
 def load_config(path: str | Path) -> dict:
     """Read a scenario document; raises ConfigError with a location."""
+    name = f"config {cut(str(path), PATH_SHOWN)}"  # how every error names it
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(
-            f"config {path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+            f"{name}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
     import json
 
     try:
         raw = json.loads(text, object_pairs_hook=_Pairs, parse_int=_int)
         if not isinstance(raw, _Pairs):
-            raise ConfigError(f"config {path}: top level must be an object")
+            raise ConfigError(f"{name}: top level must be an object")
         # a sweep entry is named as `dlw sweep` names it: sweep[0], sweep[1], ...
         names = ["sweep" if key == "sweep" else f"config.{key}" for key, _ in raw]
-        return _plain(raw, f"config {path}", names)
+        return _plain(raw, name, names)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            f"{name}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
     except RecursionError:  # json's nesting limit, or _plain's
-        raise ConfigError(f"config {path}: nested too deeply") from None
+        raise ConfigError(f"{name}: nested too deeply") from None
 
 
 def merge_config(base: dict, override: dict) -> dict:

@@ -13,12 +13,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import dlw.balance
 import dlw.cli
 import dlw.scenario
 from dlw.cli import main
+from dlw.errors import PATH_SHOWN, SHOWN
 from dlw.branch import Branch
 from dlw.jetcalc import JetPoly
 from dlw.residual import ResidualReport, StencilConfig, fd_residual_1d
@@ -1510,25 +1511,66 @@ def test_every_flag_is_probed():
 # -- generated documents ------------------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+# the longest `error:` line a document can make: one file name or key path
+# cut at PATH_SHOWN characters and one value cut at SHOWN, each with its
+# "...", in at most 100 characters of the message's own text
+ERROR_LINE_BOUND = PATH_SHOWN + SHOWN + 2 * len("...") + 100
+MEAN_RESIDUAL = re.compile(r"mean residual: r1 = (\S+), r2 = (\S+);")
+THRESHOLD = re.compile(r"\(threshold (\S+)\)")
+
+
+def _main_on(argv, raw):
+    """(exit code, stdout, stderr, {name: bytes} of every other file left)
+    of `main(argv)` run in a new directory that holds `raw` as doc.json."""
+    with tempfile.TemporaryDirectory() as workdir:
+        Path(workdir, "doc.json").write_text(json_text(raw))
+        code, out, err = run_probes.in_process(argv, workdir)
+        left = {path.name: path.read_bytes() for path in Path(workdir).iterdir()}
+    del left["doc.json"]
+    return code, out, err, left
+
+
+def _as_sweep(text):
+    """`run`'s output, labelled as `sweep` labels its entry 0."""
+    return re.sub("^run:", "sweep[0]:", text, flags=re.MULTILINE)
+
+
+@settings(max_examples=200)
 @given(raw=scenarios() | mutated(scenarios()))
+@example(raw=base_config(outputs=[{"format": "csv", "path": "missing/" + "p" * 300}],
+                         sweep=[{}]))
 def test_main_keeps_its_exit_contract_on_generated_documents(raw):
     # valid and defective documents of at most 3x3x2 points, through `run`
     # and `sweep`: main returns 0, 1 or 2 and raises nothing; 2 is one
-    # `error:` line, no standard output and no file; 0 is finite maxima
-    # over some evaluated point; no temporary sibling outlives a command
+    # `error:` line of at most ERROR_LINE_BOUND characters, no standard
+    # output and no file; 0 is finite maxima over some evaluated point and
+    # each mean within its threshold; no temporary sibling outlives a command
+    outcomes = {}
     for command in ("run", "sweep"):
-        with tempfile.TemporaryDirectory() as workdir:
-            Path(workdir, "doc.json").write_text(json_text(raw))
-            code, out, err = run_probes.in_process([command, "doc.json"], workdir)
-            left = sorted(path.name for path in Path(workdir).iterdir())
+        code, out, err, left = outcomes[command] = _main_on([command, "doc.json"], raw)
         assert code in (0, 1, 2), (command, code, err)
-        assert not any(run_probes.TEMPORARY.fullmatch(name) for name in left), left
+        assert not any(map(run_probes.TEMPORARY.fullmatch, left)), left
         if code == 2:
-            assert (out, left) == ("", ["doc.json"]), (command, err)
+            assert (out, left) == ("", {}), (command, err)
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(err) - 1 <= ERROR_LINE_BOUND, err
         if code == 0:
             maxima = [float(value) for pair in MAX_RESIDUAL.findall(out) for value in pair]
             evaluated = [int(n) for n in re.findall(r"evaluated (\d+) points", out)]
             assert maxima and all(map(math.isfinite, maxima)), out
             assert evaluated and min(evaluated) > 0, out
+            means = MEAN_RESIDUAL.findall(out)
+            thresholds = [float(value) for value in THRESHOLD.findall(out)]
+            assert len(means) == len(thresholds), out
+            for pair, threshold in zip(means, thresholds):
+                assert all(float(mean) <= threshold for mean in pair), out
+    # a sweep of one entry is `run` on that entry merged onto the document:
+    # the same exit, files and summaries, and on exit 2 an error of its own
+    entries = raw.get("sweep")
+    if isinstance(entries, list) and len(entries) == 1 and isinstance(entries[0], dict):
+        base = {key: value for key, value in raw.items() if key != "sweep"}
+        code, out, err, left = _main_on(["run", "doc.json"], merge_config(base, entries[0]))
+        swept_code, swept_out, swept_err, swept_left = outcomes["sweep"]
+        assert (code, _as_sweep(out), left) == (swept_code, swept_out, swept_left), err
+        if code != 2:
+            assert _as_sweep(err) == swept_err

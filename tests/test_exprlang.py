@@ -345,13 +345,13 @@ def test_render_parse_roundtrip_on_corpus():
 # -- randomized round-trip --------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(exprs)
 def test_render_parse_roundtrip_randomized(expr):
     assert parse_coeff_expr(render(expr)) == expr
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(extreme_exprs, st.floats(-2.0, 2.0))
 def test_eval_dual_returns_finite_pairs_or_raises_evaluation_error(expr, y):
     try:

@@ -230,7 +230,7 @@ _symbol_free_keys = st.tuples(
 _symbol_free = st.dictionaries(_symbol_free_keys, _coeffs, max_size=3).map(JetPoly)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.dictionaries(_keys, _coeffs, max_size=4),
     st.dictionaries(_keys, _coeffs, max_size=2),
@@ -298,7 +298,7 @@ def _heat_pairs(p: JetPoly, branch: Branch) -> list:
     return pairs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_polys, _polys, _coeffs, st.sampled_from(BRANCHES))
 def test_canonical_operations_equal_the_validating_constructor(a, b, k, branch):
     # sums, scalar products, products, total derivatives, log
@@ -363,7 +363,7 @@ _int_polys = st.dictionaries(_keys, st.integers(-5, 5).filter(bool), max_size=3)
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_polys, _int_polys, st.sampled_from(BRANCHES))
 def test_int_coefficients_match_a_fraction_only_reference(a, b, branch):
     got = _operations(a, b, branch) + _operations(b, a, branch)
@@ -380,7 +380,7 @@ def test_int_coefficients_match_a_fraction_only_reference(a, b, branch):
         assert all(type(c) in (int, Fraction) for c in poly._terms.values())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_polys, _polys, st.sampled_from(BRANCHES))
 def test_term_order_is_imposed_where_it_is_read(a, b, branch):
     # the normaliser keeps terms in no particular order; monomials(), and
@@ -417,7 +417,7 @@ def test_non_integral_coefficients_stay_fractions():
     assert (Fraction(1, 2) * p).render() == "3/2*phi_y + 1/2*phi_x*f'"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_polys, _polys, st.sampled_from(BRANCHES))
 def test_no_normalised_result_holds_an_integral_fraction(a, b, branch):
     # every operation but a + b and a - b (the first two, which merge into a
@@ -443,7 +443,7 @@ def test_no_float_coefficient_is_ever_stored():
         jet(1, 0, 0) * 0.5
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_polys, _polys, _polys)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -453,7 +453,7 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_polys)
 def test_mixed_derivatives_commute(p):
     assert total_derivative(total_derivative(p, "x"), "y") == total_derivative(
@@ -461,7 +461,7 @@ def test_mixed_derivatives_commute(p):
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_polys, st.sampled_from(BRANCHES))
 def test_specialize_log_commutes_with_total_derivative(p, branch):
     # the chain rule: differentiating f^(n) then resolving it equals
@@ -473,7 +473,7 @@ def test_specialize_log_commutes_with_total_derivative(p, branch):
         )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_polys, _polys, st.sampled_from(["x", "y", "t"]))
 def test_leibniz_rule(p, q, direction):
     lhs = total_derivative(p * q, direction)
@@ -481,7 +481,7 @@ def test_leibniz_rule(p, q, direction):
     assert lhs == rhs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_keys, _keys)
 def test_degree_grading_is_multiplicative(k1, k2):
     m1 = JetPoly({k1: Fraction(1)})
@@ -490,7 +490,7 @@ def test_degree_grading_is_multiplicative(k1, k2):
     assert [len(m.jets) for m in product.monomials()] == [len(k1[1]) + len(k2[1])]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_symbol_free, st.sampled_from(BRANCHES))
 def test_reduce_heat_idempotent_and_additive(p, branch):
     once = reduce_heat(p, branch)
@@ -499,7 +499,7 @@ def test_reduce_heat_idempotent_and_additive(p, branch):
     assert reduce_heat(p + q, branch) == reduce_heat(p, branch) + reduce_heat(q, branch)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_symbol_free, _symbol_free, st.sampled_from(BRANCHES))
 def test_reduce_heat_respects_products(p, q, branch):
     lhs = reduce_heat(p * q, branch)

@@ -20,7 +20,7 @@ SEED_A_POLY = {**SEED_A, "kind": "mixed", "constant": 1.0, "poly": POLY}
 # |change| * min(1, |phi|) is held to it: at most 1.9e-14 over 300 drawn
 # seeds, where |change| alone exceeds 1e-13
 BOUND = 1e-13
-RELATION = settings(max_examples=20, deadline=None, derandomize=True)
+RELATION = settings(max_examples=20)
 
 
 def rows(seed, branch, grid=GRID):

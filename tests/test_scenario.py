@@ -63,7 +63,7 @@ def per_sample_reference(sc):
 
 @pytest.mark.parametrize("branch", (Branch.PLUS, Branch.MINUS))
 @pytest.mark.parametrize("path", ("transform", "exact"))
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(data=st.data(), grid=grids(5, 4, 2))
 def test_records_and_report_equal_per_sample_evaluation(branch, path, data, grid):
     seed = data.draw(exact_seeds if path == "exact" else seed_documents(), label="seed")

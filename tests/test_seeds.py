@@ -405,7 +405,7 @@ SIGNED_ZERO_SEED = {"kind": "mixed", "constant": 0.0, "kernels": [{"a": "0.2*y",
                     "poly": {"c2": "0*y", "c1": "-0.5*y^2", "c0": "0"}}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     seed=seed_documents(
         kinds=("kernels", "poly", "mixed"),

@@ -240,7 +240,7 @@ ANY_FLOAT = st.floats()
 SOME_FLOAT = st.one_of(st.floats(-10.0, 10.0), ANY_FLOAT)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(a=SOME_FLOAT, c=SOME_FLOAT, d=SOME_FLOAT, x=SOME_FLOAT, y=SOME_FLOAT, t=SOME_FLOAT,
        branch=st.sampled_from(BRANCHES))
 @example(a=1.0, c=1.0, d=1.7976931348623157e308, x=0.0, y=0.0, t=0.0, branch=Branch.PLUS)
@@ -257,7 +257,7 @@ def test_exact_uh_const_is_bit_for_bit_its_formula_with_exprlang_sech(a, c, d, x
     assert repr(exact_uh_const(a, c, d, branch, x, y, t)) == repr(expected)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(a=st.floats(-1e100, 1e100), a_prime=SOME_FLOAT, b=SOME_FLOAT, b_prime=SOME_FLOAT,
        x=SOME_FLOAT, y=SOME_FLOAT, t=SOME_FLOAT, branch=st.sampled_from(BRANCHES))
 @example(a=0.0, a_prime=0.5, b=1.7976931348623157e308, b_prime=1.0, x=0.0, y=0.0, t=0.0,
