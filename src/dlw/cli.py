@@ -27,6 +27,7 @@ import contextlib
 import errno
 import functools
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -40,34 +41,47 @@ EXIT_CODES = {"PASS": 0, "FAIL": 1}  # a worse verdict word exits higher
 def write_outputs():
     """Write a command's files all or none. The block calls the yielded
     `sibling(path)` once for each output, and writes that output to the
-    temporary sibling of `path` it returns, `.<name>.<pid>.<n>.tmp`, before
-    it asks for the next. Once the block ends, the siblings replace their
-    paths. Any exception, an interrupt included, removes every sibling and
-    propagates unchanged, except that an OSError names the path whose
-    sibling was being written or renamed: a failed or interrupted command
-    leaves neither output nor sibling."""
-    pending: list[tuple[Path, Path]] = []  # (temporary, path), in write order
+    temporary sibling it returns, `.<name>.<pid>.<n>.tmp` beside the file
+    the path resolves to, before it asks for the next. Once the block ends,
+    the siblings replace those files, so a symbolic link is written through
+    and kept. A path that resolves to a directory, or to something other
+    than a regular file (a FIFO, a device, a socket), fails in `sibling`
+    and is never replaced. Any exception, an interrupt included, removes
+    every sibling and propagates unchanged, except that an OSError names
+    the path whose sibling was being written or renamed: a failed or
+    interrupted command leaves neither output nor sibling."""
+    pending: list[tuple[Path, Path, str]] = []  # (temporary, file, path), in write order
     path = None
 
-    def sibling(target: str) -> Path:
+    def sibling(given: str) -> Path:
         nonlocal path
-        path = Path(target)
-        if path.is_dir():  # fail before any sibling replaces its path
+        path = target = given
+        try:
+            mode = os.lstat(given).st_mode
+            if stat.S_ISLNK(mode):
+                target = os.path.realpath(given)
+                mode = os.stat(target).st_mode
+        except FileNotFoundError:  # a new file, or the missing file a link names
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):  # fail before any sibling replaces its path
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        temp = path.with_name(f".{path.name}.{os.getpid()}.{len(pending)}.tmp")
-        pending.append((temp, path))
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EINVAL, "not a regular file")
+        target = Path(target)
+        temp = target.with_name(f".{target.name}.{os.getpid()}.{len(pending)}.tmp")
+        pending.append((temp, target, given))
         return temp
 
     try:
         yield sibling
-        for temp, path in pending:
-            os.replace(temp, path)
+        for temp, target, path in pending:
+            os.replace(temp, target)
     except BaseException as exc:
-        for temp, _ in pending:
+        for temp, _, _ in pending:
             with contextlib.suppress(OSError):
                 temp.unlink()
         if isinstance(exc, OSError) and path is not None:
-            exc.filename = str(path)
+            exc.filename = path
         raise
 
 
@@ -117,7 +131,8 @@ def _runs(raw: dict, entries, args, document=None) -> list:
     """The (label, document key, scenario) of each (label, key, entry), in
     order: the entry, an object, merged onto `raw`, then the flags onto that,
     validated as `key` before the next entry is read. Then two outputs that
-    name one file, or one that names the `document` path, stop the command."""
+    resolve to one file, through a symbolic link too, or one that resolves
+    to the `document`, stop the command."""
     from .scenario import merge_config, scenario_from_dict
 
     override: dict = {}
@@ -136,12 +151,12 @@ def _runs(raw: dict, entries, args, document=None) -> list:
         if args.output is not None and isinstance(outputs, list):
             merged["outputs"] = [*outputs, {"format": "csv", "path": args.output}]
         runs.append((label, key, scenario_from_dict(merged, key)))
-    # absolute path -> the key that names it first
-    named = {} if document is None else {os.path.abspath(document): "the document"}
+    # resolved path, links followed -> the key that names it first
+    named = {} if document is None else {os.path.realpath(document): "the document"}
     for _, key, sc in runs:
         for pos, spec in enumerate(sc.outputs):
             where = f"{key}.outputs[{pos}].path"
-            first = named.setdefault(os.path.abspath(spec.path), where)
+            first = named.setdefault(os.path.realpath(spec.path), where)
             if first != where:
                 raise ConfigError(f"{where}: same file as {first}")
     return runs

@@ -151,31 +151,33 @@ def fd_residual_dlw(
     """
     x, y, t = point
     s = cfg.step
+    xp, xm, yp, ym, tp, tm = x + s, x - s, y + s, y - s, t + s, t - s
+    ss, two_s = s * s, 2.0 * s
 
     _, center_h = sampler(x, y, t)
-    (xp_u, xp_h), (xm_u, xm_h) = sampler(x + s, y, t), sampler(x - s, y, t)
-    (yp_u, _), (ym_u, _) = sampler(x, y + s, t), sampler(x, y - s, t)
-    (_, tp_h), (_, tm_h) = sampler(x, y, t + s), sampler(x, y, t - s)
-    (xpyp_u, _), (xpym_u, _) = sampler(x + s, y + s, t), sampler(x + s, y - s, t)
-    (xmyp_u, _), (xmym_u, _) = sampler(x - s, y + s, t), sampler(x - s, y - s, t)
-    (yptp_u, _), (yptm_u, _) = sampler(x, y + s, t + s), sampler(x, y + s, t - s)
-    (ymtp_u, _), (ymtm_u, _) = sampler(x, y - s, t + s), sampler(x, y - s, t - s)
+    (xp_u, xp_h), (xm_u, xm_h) = sampler(xp, y, t), sampler(xm, y, t)
+    (yp_u, _), (ym_u, _) = sampler(x, yp, t), sampler(x, ym, t)
+    (_, tp_h), (_, tm_h) = sampler(x, y, tp), sampler(x, y, tm)
+    (xpyp_u, _), (xpym_u, _) = sampler(xp, yp, t), sampler(xp, ym, t)
+    (xmyp_u, _), (xmym_u, _) = sampler(xm, yp, t), sampler(xm, ym, t)
+    (yptp_u, _), (yptm_u, _) = sampler(x, yp, tp), sampler(x, yp, tm)
+    (ymtp_u, _), (ymtm_u, _) = sampler(x, ym, tp), sampler(x, ym, tm)
 
     quarter = 1.0 / (4.0 * s * s)
     u_yt = (yptp_u - yptm_u - ymtp_u + ymtm_u) * quarter
-    h_xx = (xp_h - 2.0 * center_h + xm_h) / (s * s)
+    h_xx = (xp_h - 2.0 * center_h + xm_h) / ss
     usq_xy = (
         xpyp_u * xpyp_u - xpym_u * xpym_u - xmyp_u * xmyp_u + xmym_u * xmym_u
     ) * quarter
 
-    h_t = (tp_h - tm_h) / (2.0 * s)
-    flux_x = ((xp_u * xp_h + xp_u) - (xm_u * xm_h + xm_u)) / (2.0 * s)
+    h_t = (tp_h - tm_h) / two_s
+    flux_x = ((xp_u * xp_h + xp_u) - (xm_u * xm_h + xm_u)) / two_s
     # each y-difference is scaled before it is combined
     u_xxy = (
-        (xpyp_u - xpym_u) / (2.0 * s)
-        - 2.0 * ((yp_u - ym_u) / (2.0 * s))
-        + (xmyp_u - xmym_u) / (2.0 * s)
-    ) / (s * s)
+        (xpyp_u - xpym_u) / two_s
+        - 2.0 * ((yp_u - ym_u) / two_s)
+        + (xmyp_u - xmym_u) / two_s
+    ) / ss
     return u_yt, h_xx, 0.5 * usq_xy, h_t, flux_x, u_xxy
 
 
@@ -191,16 +193,17 @@ def fd_residual_1d(
     """
     z, y, t = point
     s = cfg.step
+    two_s = 2.0 * s
     (zp_u, zp_h), (zm_u, zm_h) = sampler(z + s, y, t), sampler(z - s, y, t)
-    (zpp_u, _), (zmm_u, _) = sampler(z + 2.0 * s, y, t), sampler(z - 2.0 * s, y, t)
+    (zpp_u, _), (zmm_u, _) = sampler(z + two_s, y, t), sampler(z - two_s, y, t)
     (tp_u, tp_h), (tm_u, tm_h) = sampler(z, y, t + s), sampler(z, y, t - s)
 
-    u_t = (tp_u - tm_u) / (2.0 * s)
-    h_z = (zp_h - zm_h) / (2.0 * s)
-    usq_z = (zp_u * zp_u - zm_u * zm_u) / (2.0 * s)
+    u_t = (tp_u - tm_u) / two_s
+    h_z = (zp_h - zm_h) / two_s
+    usq_z = (zp_u * zp_u - zm_u * zm_u) / two_s
 
-    h_t = (tp_h - tm_h) / (2.0 * s)
-    flux_z = ((zp_u * zp_h + zp_u) - (zm_u * zm_h + zm_u)) / (2.0 * s)
+    h_t = (tp_h - tm_h) / two_s
+    flux_z = ((zp_u * zp_h + zp_u) - (zm_u * zm_h + zm_u)) / two_s
     u_zzz = (zpp_u - 2.0 * zp_u + 2.0 * zm_u - zmm_u) / (2.0 * s**3)
     return u_t, h_z, 0.5 * usq_z, h_t, flux_z, u_zzz
 
@@ -217,8 +220,8 @@ class ResidualReport(NamedTuple):
     def verdict(self, threshold: float) -> str:
         """PASS when some point was evaluated, both maxima are within
         threshold and neither mean is NaN, else FAIL. A NaN maximum (see
-        nan_max) compares false and so fails; a NaN residual also makes its
-        mean NaN, which fails on its own."""
+        ResidualFold.add) compares false and so fails; a NaN residual also
+        makes its mean NaN, which fails on its own."""
         return "PASS" if (
             self.evaluated > 0
             and self.max_abs[0] <= threshold
@@ -228,20 +231,11 @@ class ResidualReport(NamedTuple):
         ) else "FAIL"
 
 
-def nan_max(current: float, value: float) -> float:
-    """max(current, value) with NaN above every number.
-
-    The built-in max keeps `current` when `value` is NaN, which scores a NaN
-    residual as 0 and lets it pass a threshold.
-    """
-    return value if value > current or value != value else current
-
-
 class ResidualFold:
     """The running aggregate of a grid walk, one point at a time: both sums,
-    added left to right, both nan_max maxima, the worst point, and the
-    evaluated and skipped counts. `aggregate_residuals` reads it as a
-    ResidualReport, so a walk keeps no point once it has passed it."""
+    added left to right, both maxima with NaN above every number, the worst
+    point, and the evaluated and skipped counts. `aggregate_residuals` reads
+    it as a ResidualReport, so a walk keeps no point once it has passed it."""
 
     __slots__ = ("sum1", "sum2", "max1", "max2", "worst", "worst_size",
                  "evaluated", "skipped")
@@ -253,14 +247,17 @@ class ResidualFold:
         self.evaluated = self.skipped = 0
 
     def add(self, point: Point, r1: float, r2: float) -> None:
-        """Fold in an evaluated point and its two residuals."""
+        """Fold in an evaluated point and its two residuals. A NaN residual
+        replaces its maximum as a larger one does, so it never scores as 0."""
         r1, r2 = abs(r1), abs(r2)
         self.evaluated += 1
         self.sum1 += r1
         self.sum2 += r2
-        self.max1 = nan_max(self.max1, r1)
-        self.max2 = nan_max(self.max2, r2)
-        size = nan_max(r1, r2)
+        if r1 > self.max1 or r1 != r1:
+            self.max1 = r1
+        if r2 > self.max2 or r2 != r2:
+            self.max2 = r2
+        size = r2 if r2 > r1 or r2 != r2 else r1
         worst_size = self.worst_size
         # the first NaN point is the worst; no later point displaces it
         if size > worst_size or (size != size and worst_size == worst_size):

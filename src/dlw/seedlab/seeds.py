@@ -55,20 +55,24 @@ class SeedField:
     row per distinct y and one slot per coefficient group: each kernel, then
     the poly. A coefficient is held as its (value, y-derivative) float pair.
     A kernel's slot holds its x- and t-free constants (amplitude, a, a', b,
-    b', sign*a^2 and sign*2aa' of its exponent) and its pairs (a, b); the
-    poly's holds the pairs (c2, c1, c0). A slot is filled when a point first
-    needs it, in the order the seed's terms are summed, so an error surfaces
-    where it would without the table; an EvaluationError leaves the slot
-    empty and is raised again on the next request, named from `seed` by its
-    member and y (`seed.kernels[0].a at y = ...`). Two readers share the table:
-    `partials`, and `duals`, which reads kernel 0 for the exact path. The
-    table is its only state, filled idempotently: a field shared across
-    threads may evaluate a slot twice, never differently.
+    b', sign*a^2 and sign*2aa' of its exponent); the poly's holds the pairs
+    (c2, c1, c0). A slot is filled when a point first needs it, in the order
+    the seed's terms are summed, so an error surfaces where it would without
+    the table; an EvaluationError leaves the slot empty and is raised again
+    on the next request, named from `seed` by its member and y
+    (`seed.kernels[0].a at y = ...`). Two readers share the table:
+    `partials`, and `duals`, which returns kernel 0's whole slot for the
+    exact path. Beside the table the field holds `sign_2`, the branch sign
+    times 2.0, formed once: the factor of u in `transform.transform_point`
+    and of t in the poly's x^2 - sign*2t. The table is its only mutable
+    state, filled idempotently: a field shared across threads may evaluate
+    a slot twice, never differently.
     """
 
     def __init__(self, spec: SeedSpec):
         self.spec = spec
         self.branch = spec.branch
+        self.sign_2 = spec.branch.sign * 2.0
         self._kernel_slots = range(len(spec.kernels))
         self._groups = tuple(
             ((f"seed.kernels[{pos}].a", kernel.a), (f"seed.kernels[{pos}].b", kernel.b))
@@ -101,20 +105,21 @@ class SeedField:
                 ) from None
             amplitude = self.spec.kernels[slot].amplitude
             sign_2aa_prime = sign * 2.0 * a * a_prime
-            entry = amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime, entry
+            entry = amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime
         row[slot] = entry
         return entry
 
-    def duals(self, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Kernel 0's pairs ((a, a'), (b, b')) at y, which the exact path's
-        `transform.exact_uh` and `exact_phi` read. A kernel whose a^2 passes
-        the float range raises the EvaluationError `seed.kernels[0].a at
-        y = <y>: a^2 overflows`, as `partials` does."""
+    def duals(self, y: float) -> tuple:
+        """Kernel 0's whole slot at y, (amplitude, a, a', b, b', sign*a^2,
+        sign*2aa'), which the exact path's `transform.exact_uh` and
+        `exact_phi` read, so they form no product of a and a' at a sample. A
+        kernel whose a^2 passes the float range raises the EvaluationError
+        `seed.kernels[0].a at y = <y>: a^2 overflows`, as `partials` does."""
         key = y if y and y == y else repr(y)  # as in partials
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
-        return (row[0] or self._resolve(row, 0, y))[-1]
+        return row[0] or self._resolve(row, 0, y)
 
     def partials(self, x: float, y: float, t: float) -> tuple[float, float, float, float]:
         """(phi, phi_x, phi_y, phi_xy) at (x, y, t), in one pass over its table
@@ -134,7 +139,7 @@ class SeedField:
         if row is None:
             row = self._rows[key] = [None] * len(self._groups)
         for pos in self._kernel_slots:
-            amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime, _ = (
+            amplitude, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime = (
                 row[pos] or self._resolve(row, pos, y)
             )
             theta = a * x - sign_a2 * t + b
@@ -155,7 +160,7 @@ class SeedField:
             (c2, c2_prime), (c1, c1_prime), (c0, c0_prime) = (
                 row[-1] or self._resolve(row, -1, y)
             )
-            quadratic = x * x - self.branch.sign * 2.0 * t
+            quadratic = x * x - self.sign_2 * t
             phi += c2 * quadratic + c1 * x + c0
             phi_x += 2.0 * c2 * x + c1
             phi_y += c2_prime * quadratic + c1_prime * x + c0_prime

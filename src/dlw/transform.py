@@ -5,7 +5,7 @@ constant-coefficient specialization. Each map takes `x, y, t` last, so bound
 to its field or wave, e.g. `partial(exact_uh, field)` or
 `partial(exact_phi_const, const_wave(a, c, d, branch))`, it is a sampler or a
 phi column with no wrapper frame; the closed forms call only `math` and
-`field.duals`.
+`field.duals`, which hands them the table slot of the field's one kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def transform_point(field: SeedField, x: float, y: float, t: float) -> tuple[flo
         raise EvaluationError(f"seed: non-finite seed value at point {(x, y, t)}")
     if abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)):
         raise PoleError((x, y, t), phi)
-    u = field.branch.sign * 2.0 * phi_x / phi
+    u = field.sign_2 * phi_x / phi
     h = -2.0 * phi_x * phi_y / (phi * phi) + 2.0 * phi_xy / phi - 1.0
     return u, h
 
@@ -59,16 +59,16 @@ def exact_uh(field: SeedField, x: float, y: float, t: float) -> tuple[float, flo
     """Closed-form solution generated by the unit single-kernel seed
     1 + exp(theta), theta = a(y)*x - sign*a(y)^2*t + b(y).
 
-    `field` holds that one kernel: its (value, y-derivative) float pairs of
-    a and b come from `field.duals(y)` and its sign from `field.branch`, so
-    y enters only through them.
+    `field` holds that one kernel: a, a', b, b' and the products sign*a^2
+    and sign*2aa', formed once per y, come from its slot `field.duals(y)`,
+    and the sign from `field.branch`, so y enters only through them.
       u = sign*a*(1 + tanh(theta/2))
       h = (a/2)*(a'x - sign*2aa't + b')*sech(theta/2)^2 + a'*tanh(theta/2) + a' - 1
     """
-    (a, a_prime), (b, b_prime) = field.duals(y)
+    _, a, a_prime, b, b_prime, sign_a2, sign_2aa_prime = field.duals(y)
     sign = field.branch.sign
-    half = 0.5 * (a * x - sign * a**2 * t + b)
-    theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
+    half = 0.5 * (a * x - sign_a2 * t + b)
+    theta_y = a_prime * x - sign_2aa_prime * t + b_prime
     th = math.tanh(half)
     # sech(half)^2 in exprlang.sech's float operations, overflow-safe
     e = math.exp(-abs(half))
@@ -79,12 +79,12 @@ def exact_uh(field: SeedField, x: float, y: float, t: float) -> tuple[float, flo
 
 
 def exact_phi(field: SeedField, x: float, y: float, t: float) -> float:
-    """The seed 1 + exp(theta) of exact_uh, read from the same pairs. Past
+    """The seed 1 + exp(theta) of exact_uh, read from the same slot. Past
     exp's float range it rounds to inf, while u and h, formed through tanh
     and sech, stay finite."""
-    (a, _), (b, _) = field.duals(y)
+    _, a, _, b, _, sign_a2, _ = field.duals(y)
     try:
-        return 1.0 + math.exp(a * x - field.branch.sign * a**2 * t + b)
+        return 1.0 + math.exp(a * x - sign_a2 * t + b)
     except OverflowError:
         return math.inf
 

@@ -56,7 +56,7 @@ def test_each_metric_reads_one_verdict_against_its_bound(entry, parent, change, 
 def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     out = tmp_path / "ab.json"
     argv = [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workloads", "derive",
-            "--pairs", "1", "--seconds", "0", "--seed", "1", "--out", str(out)]
+            "--pairs", "1", "--seconds", "0", "--seed", "1", "--layers", "--out", str(out)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     bench = json.loads(out.read_text())
@@ -76,7 +76,28 @@ def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
             assert set(metric[side]) == {"median", "q1", "q3", "runs"}
             assert len(metric[side]["runs"]) == 1
         assert metric["verdict"] in VERDICTS
-    # stdout: a header line, then one line per metric
+    # --layers: one traced pass per tree at the first seed, each per-layer metric
+    layers = derive["layers"]
+    assert set(layers) == {"seed", "digests", "digests_equal", "failed", "metrics"}
+    assert layers["seed"] == 1 and layers["failed"] == {"parent": 0, "change": 0}
+    assert layers["digests_equal"] is True
+    assert layers["digests"]["parent"] == layers["digests"]["change"]
+    layer_names = [entry["name"] for entry in SPEC["per_layer"]]
+    assert list(layers["metrics"]) == layer_names
+    for entry, metric in zip(SPEC["per_layer"], layers["metrics"].values()):
+        assert set(metric) == {"unit", "better", "parent", "change"}
+        assert (metric["unit"], metric["better"]) == (entry["unit"], entry["better"])
+    # one tree against itself counts the same calls on both sides
+    assert layers["metrics"]["balance.solve_balance_exponents.calls"]["parent"] == 5
+    assert layers["metrics"]["balance.solve_balance_exponents.calls"]["change"] == 5
+    # stdout: a header line and one line per metric, then the same for the layers
     lines = done.stdout.splitlines()
     assert lines[0].startswith("derive: 1 pairs, seeds 1-1, failed ops 0 and 0, digests equal")
-    assert [line.split()[0] for line in lines[1:]] == names
+    assert [line.split()[0] for line in lines[1:len(names) + 1]] == names
+    digest = layers["digests"]["parent"][:8]
+    assert lines[len(names) + 1] == (
+        f"derive layers, traced at seed 1: digests parent {digest} change {digest}"
+    )
+    layer_lines = lines[len(names) + 2:]
+    assert [line.split()[0] for line in layer_lines] == layer_names
+    assert all(" parent " in line and " change " in line for line in layer_lines)

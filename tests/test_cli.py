@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -1115,6 +1116,85 @@ def test_unwritable_output_leaves_every_file_as_it_was(
     assert os.listdir("a_directory") == []
     assert Path("kept.json").read_text() == "old\n"
 
+
+OUTPUT_ARGV = (
+    ["derive", "--output"],
+    ["run", "scenario.json", "--output"],
+    ["reduce", "1", "0", "--nz", "3", "--nt", "1", "--output"],
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=("derive", "run", "reduce"))
+@pytest.mark.parametrize("name", ("pipe", "link", "p" * (PATH_SHOWN + 10)),
+                         ids=("fifo", "link-to-fifo", "long-name"))
+def test_an_output_that_is_not_a_regular_file_exits_2_and_is_kept(
+    tmp_path, capsys, monkeypatch, argv, name
+):
+    # a FIFO is neither opened, which would block, nor replaced by a file
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config())
+    os.mkfifo("pipe")
+    if name == "link":
+        os.symlink("pipe", "link")
+    elif name != "pipe":
+        os.mkfifo(name)
+    assert main([*argv, name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = name if len(name) <= PATH_SHOWN else name[:PATH_SHOWN] + "..."
+    assert captured.err == f"error: cannot write {shown}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(name).st_mode)
+    assert os.path.islink("link") is (name == "link")
+    assert len(os.listdir(tmp_path)) == (3 if name != "pipe" else 2)
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=("derive", "run", "reduce"))
+@pytest.mark.parametrize("target", ("real.csv", "sub/real.csv", "sub/new.csv"),
+                         ids=("file", "file-elsewhere", "new-file"))
+def test_a_link_output_is_written_through_and_kept(tmp_path, capsys, monkeypatch, argv,
+                                                    target):
+    # the temporary goes beside the file the link names, which it replaces
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config())
+    assert main([*argv, "plain.out"]) in (0, 1)
+    Path("sub").mkdir()
+    if target != "sub/new.csv":
+        Path(target).write_text("old\n")
+    os.symlink(target, "link.out")
+    assert main([*argv, "link.out"]) in (0, 1)
+    capsys.readouterr()
+    assert os.readlink("link.out") == target
+    assert Path(target).read_bytes() == Path("plain.out").read_bytes()
+    assert not [name for name in os.listdir(tmp_path) + os.listdir("sub")
+                if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_a_link_and_its_target_as_two_outputs_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("real.csv", "link.csv")
+    outputs = [{"format": "csv", "path": "real.csv"}, {"format": "report", "path": "link.csv"}]
+    config = base_config(outputs=outputs)
+    if command == "sweep":
+        config["sweep"] = [{}]
+    assert main([command, write_config(tmp_path, config)]) == 2
+    key = "config" if command == "run" else "sweep[0]"
+    assert capsys.readouterr().err == (
+        f"error: {key}.outputs[1].path: same file as {key}.outputs[0].path\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "scenario.json"]
+
+
+def test_a_link_to_the_document_as_an_output_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    document = write_config(tmp_path, base_config())
+    os.symlink("scenario.json", "link.csv")
+    assert main(["run", document, "--output", "link.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.outputs[0].path: same file as the document\n"
+    )
+    assert json.loads(Path(document).read_text()) == base_config()
 
 def test_an_interrupt_mid_walk_leaves_no_output_and_no_sibling(tmp_path, monkeypatch):
     # Ctrl-C part way through the second entry's walk, after the first

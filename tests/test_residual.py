@@ -8,6 +8,8 @@ from functools import partial
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlw import residual
 from dlw.branch import Branch
@@ -419,3 +421,145 @@ def test_report_passes_only_with_evaluated_points_within_threshold():
     # a NaN mean fails even where the maxima lost their NaN
     assert report((0.0, 0.0), mean_abs=(math.nan, 0.0)).verdict(1.0) == "FAIL"
     assert report((0.0, 0.0), mean_abs=(0.0, math.nan)).verdict(1.0) == "FAIL"
+
+
+# -- the stencils and the fold against frozen references ----------------------------
+
+
+def frozen_fd_residual_dlw(sampler, point, cfg):
+    """fd_residual_dlw as it read before it formed its shifted coordinates,
+    s*s and 2*s once per call: every one formed in place."""
+    x, y, t = point
+    s = cfg.step
+
+    _, center_h = sampler(x, y, t)
+    (xp_u, xp_h), (xm_u, xm_h) = sampler(x + s, y, t), sampler(x - s, y, t)
+    (yp_u, _), (ym_u, _) = sampler(x, y + s, t), sampler(x, y - s, t)
+    (_, tp_h), (_, tm_h) = sampler(x, y, t + s), sampler(x, y, t - s)
+    (xpyp_u, _), (xpym_u, _) = sampler(x + s, y + s, t), sampler(x + s, y - s, t)
+    (xmyp_u, _), (xmym_u, _) = sampler(x - s, y + s, t), sampler(x - s, y - s, t)
+    (yptp_u, _), (yptm_u, _) = sampler(x, y + s, t + s), sampler(x, y + s, t - s)
+    (ymtp_u, _), (ymtm_u, _) = sampler(x, y - s, t + s), sampler(x, y - s, t - s)
+
+    quarter = 1.0 / (4.0 * s * s)
+    u_yt = (yptp_u - yptm_u - ymtp_u + ymtm_u) * quarter
+    h_xx = (xp_h - 2.0 * center_h + xm_h) / (s * s)
+    usq_xy = (
+        xpyp_u * xpyp_u - xpym_u * xpym_u - xmyp_u * xmyp_u + xmym_u * xmym_u
+    ) * quarter
+
+    h_t = (tp_h - tm_h) / (2.0 * s)
+    flux_x = ((xp_u * xp_h + xp_u) - (xm_u * xm_h + xm_u)) / (2.0 * s)
+    u_xxy = (
+        (xpyp_u - xpym_u) / (2.0 * s)
+        - 2.0 * ((yp_u - ym_u) / (2.0 * s))
+        + (xmyp_u - xmym_u) / (2.0 * s)
+    ) / (s * s)
+    return u_yt, h_xx, 0.5 * usq_xy, h_t, flux_x, u_xxy
+
+
+def frozen_fd_residual_1d(sampler, point, cfg):
+    """fd_residual_1d as it read before it formed 2*s once per call."""
+    z, y, t = point
+    s = cfg.step
+    (zp_u, zp_h), (zm_u, zm_h) = sampler(z + s, y, t), sampler(z - s, y, t)
+    (zpp_u, _), (zmm_u, _) = sampler(z + 2.0 * s, y, t), sampler(z - 2.0 * s, y, t)
+    (tp_u, tp_h), (tm_u, tm_h) = sampler(z, y, t + s), sampler(z, y, t - s)
+
+    u_t = (tp_u - tm_u) / (2.0 * s)
+    h_z = (zp_h - zm_h) / (2.0 * s)
+    usq_z = (zp_u * zp_u - zm_u * zm_u) / (2.0 * s)
+
+    h_t = (tp_h - tm_h) / (2.0 * s)
+    flux_z = ((zp_u * zp_h + zp_u) - (zm_u * zm_h + zm_u)) / (2.0 * s)
+    u_zzz = (zpp_u - 2.0 * zp_u + 2.0 * zm_u - zmm_u) / (2.0 * s**3)
+    return u_t, h_z, 0.5 * usq_z, h_t, flux_z, u_zzz
+
+
+def recorded(waves):
+    """A sampler of two sine waves with the rates `waves`, and the list of
+    the points it is called at: u and h move with every bit of x, y and t."""
+    (p, q, r), (k, m, n) = waves
+    calls = []
+
+    def sampler(x, y, t):
+        calls.append((x, y, t))
+        return math.sin(p * x + q * y + r * t), math.cos(k * x + m * y + n * t) - 1.0
+
+    return sampler, calls
+
+
+RATES = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+COORDINATE = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0, 0.1, 1.0 + 2.0**-52, 999.9))
+STEP = st.floats(2e-108, 1.0) | st.sampled_from((5e-3, 1e-2, 0.1, 1e-7))
+
+
+@settings(max_examples=300)
+@given(waves=st.tuples(RATES, RATES), point=st.tuples(COORDINATE, COORDINATE, COORDINATE),
+       step=STEP, one_d=st.booleans())
+# x + s rounds at each coordinate; at 1e3 the step is a few ulps
+@example(waves=((1.0, 2.0, -1.0), (0.5, -1.5, 2.0)), point=(0.1, -0.7, 0.3), step=5e-3,
+         one_d=False)
+@example(waves=((1.0, 2.0, -1.0), (0.5, -1.5, 2.0)), point=(1e3, 999.9, -1e3), step=3e-13,
+         one_d=False)
+@example(waves=((1.0, 2.0, -1.0), (0.5, -1.5, 2.0)), point=(1e3, 0.0, 999.9), step=3e-13,
+         one_d=True)
+# the least step whose cube is nonzero
+@example(waves=((1.0, 2.0, -1.0), (0.5, -1.5, 2.0)), point=(0.0, 0.0, 0.0), step=2e-108,
+         one_d=False)
+def test_each_stencil_is_bit_for_bit_its_frozen_text(waves, point, step, one_d):
+    # the stencil forms each shifted coordinate, s*s and 2*s once per call;
+    # every sample point and every term rounds as the text that formed them
+    # at each use
+    stencil, frozen = (
+        (fd_residual_1d, frozen_fd_residual_1d) if one_d
+        else (fd_residual_dlw, frozen_fd_residual_dlw)
+    )
+    cfg = StencilConfig(step)
+    got_sampler, got_calls = recorded(waves)
+    want_sampler, want_calls = recorded(waves)
+    got = stencil(got_sampler, point, cfg)
+    assert repr(got) == repr(frozen(want_sampler, point, cfg))
+    assert repr(got_calls) == repr(want_calls)
+
+
+def nan_max(current, value):
+    """max(current, value) with NaN above every number."""
+    return value if value > current or value != value else current
+
+
+def reference_report(results):
+    """The report of (point, r1, r2) results, folded with nan_max."""
+    sum1 = sum2 = max1 = max2 = 0.0
+    worst, worst_size = None, -1.0
+    for point, r1, r2 in results:
+        r1, r2 = abs(r1), abs(r2)
+        sum1 += r1
+        sum2 += r2
+        max1, max2 = nan_max(max1, r1), nan_max(max2, r2)
+        size = nan_max(r1, r2)
+        if size > worst_size or (size != size and worst_size == worst_size):
+            worst, worst_size = point, size
+    n = len(results)
+    return ResidualReport((max1, max2), (sum1 / n, sum2 / n), worst, 0, n)
+
+
+RESIDUAL = st.floats() | st.sampled_from((0.0, -0.0, math.inf, math.nan))
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(RESIDUAL, RESIDUAL), min_size=1, max_size=8),
+       where=st.sampled_from(("start", "middle", "end")), column=st.sampled_from((0, 1, 2)))
+@example(pairs=[(1e-9, 2e-9), (3e-9, 1e-9)], where="start", column=0)
+@example(pairs=[(1e-9, 2e-9), (3e-9, 1e-9)], where="middle", column=1)
+@example(pairs=[(1e-9, 2e-9), (3e-9, 1e-9)], where="end", column=2)
+def test_the_fold_equals_a_nan_max_reference(pairs, where, column):
+    # a NaN r1, r2 or both goes at the start, in the middle or at the end
+    nan_pair = ((math.nan, 1e-9), (1e-9, math.nan), (math.nan, math.nan))[column]
+    at = {"start": 0, "middle": len(pairs) // 2, "end": len(pairs)}[where]
+    pairs = [*pairs[:at], nan_pair, *pairs[at:]]
+    results = [((float(i), 0.0, 0.0), r1, r2) for i, (r1, r2) in enumerate(pairs)]
+    fold = ResidualFold()
+    for result in results:
+        fold.add(*result)
+    assert repr(aggregate_residuals(fold)) == repr(reference_report(results))

@@ -6,7 +6,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dlw.balance import build_ansatz, solve_balance_exponents
@@ -15,6 +15,7 @@ from dlw.jetcalc import specialize_log
 from dlw.seedlab.exprlang import eval_dual, parse_coeff_expr, sech
 from dlw.seedlab.seeds import HeatPolynomial, SeedField, SeedSpec
 from dlw.transform import (
+    POLE_TOLERANCE,
     PoleError,
     const_wave,
     exact_phi,
@@ -23,6 +24,7 @@ from dlw.transform import (
     exact_uh_const,
     transform_point,
 )
+from documents import BRANCH_NAMES, exact_seeds, points, seed_spec
 from test_seeds import unit_kernel_seed
 
 P = parse_coeff_expr
@@ -30,9 +32,13 @@ BRANCHES = (Branch.PLUS, Branch.MINUS)
 
 
 def pairs_field(a, b, branch):
-    """A stand-in unit-kernel field whose `duals` returns the pairs a and b
-    at every y."""
-    return SimpleNamespace(branch=branch, duals=lambda y: (a, b))
+    """A stand-in unit-kernel field whose `duals` returns, at every y, the
+    slot that SeedField forms from the pairs a and b, with its expressions
+    for sign*a^2 and sign*2aa'."""
+    (a, a_prime), (b, b_prime) = a, b
+    sign = branch.sign
+    slot = (1.0, a, a_prime, b, b_prime, sign * a**2, sign * 2.0 * a * a_prime)
+    return SimpleNamespace(branch=branch, duals=lambda y: slot)
 
 
 def exact_at(a_expr, b_expr, branch, point):
@@ -73,7 +79,8 @@ def test_transform_point_evaluates_the_derived_ansatz(branch):
     for _ in range(200):
         phi = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
         partials = (phi, *(rng.uniform(-10.0, 10.0) for _ in range(3)))
-        stub = SimpleNamespace(branch=branch, partials=lambda x, y, t: partials)
+        stub = SeedField(SeedSpec(branch=branch))
+        stub.partials = lambda x, y, t: partials
         u, h = transform_point(stub, 0.0, 0.0, 0.0)
         for got, poly in ((u, u_poly), (h, h_poly)):
             expected, scale = eval_specialized(poly, partials)
@@ -303,6 +310,54 @@ def test_exact_uh_is_bit_for_bit_its_formula_with_exprlang_sech(
     got = exact_uh(pairs_field((a, a_prime), (b, b_prime), branch), x, y, t)
     assert repr(got) == repr(expected)
 
+
+
+@settings(max_examples=300)
+@given(seed=exact_seeds, branch=st.sampled_from(BRANCH_NAMES),
+       point=points | st.tuples(*[st.floats(-800.0, 800.0)] * 3))
+# exp(theta) past the float range: phi reads inf, u and h stay finite
+@example(seed={"kind": "kernels", "constant": 1.0,
+               "kernels": [{"amplitude": 1.0, "a": "1.2 - 0.1*y", "b": "sin(y)"}]},
+         branch="minus", point=(720.0, 0.3, 0.2))
+def test_exact_path_on_a_real_field_is_bit_for_bit_its_inline_formulas(seed, branch, point):
+    # the field's slot forms sign*a^2 and sign*2aa' once per y; each sample
+    # must round as the formulas that formed them inline, from the duals
+    spec = seed_spec(seed, branch)
+    (kernel,) = spec.kernels
+    x, y, t = point
+    (a, a_prime), (b, b_prime) = eval_dual(kernel.a, y), eval_dual(kernel.b, y)
+    sign = spec.branch.sign
+    half = 0.5 * (a * x - sign * a**2 * t + b)
+    theta_y = a_prime * x - sign * 2.0 * a * a_prime * t + b_prime
+    th = math.tanh(half)
+    uh = (sign * a * (1.0 + th),
+          0.5 * a * theta_y * sech(half) ** 2 + a_prime * th + a_prime - 1.0)
+    try:
+        phi = 1.0 + math.exp(a * x - sign * a**2 * t + b)
+    except OverflowError:
+        phi = math.inf
+    field = SeedField(spec)
+    for _ in range(2):  # a fresh table row, then the stored one
+        assert repr(exact_uh(field, *point)) == repr(uh)
+        assert repr(exact_phi(field, *point)) == repr(phi)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(partials=st.tuples(FINITE, FINITE, FINITE, FINITE), branch=st.sampled_from(BRANCHES))
+# (sign*2)*phi_x overflows where sign*(2*phi_x/phi) would not
+@example(partials=(1e300, 1.5e308, 0.0, 0.0), branch=Branch.MINUS)
+@example(partials=(3.0, 5e-324, -0.0, 0.0), branch=Branch.PLUS)
+def test_transform_point_u_is_bit_for_bit_its_inline_formula(partials, branch):
+    # the field forms sign*2 once; u must round as the inline formula
+    phi, phi_x, phi_y, _ = partials
+    assume(not abs(phi) < POLE_TOLERANCE * (1.0 + abs(phi_x) + abs(phi_y)))
+    field = SeedField(SeedSpec(branch=branch))
+    field.partials = lambda x, y, t: partials
+    u, _ = transform_point(field, 0.0, 0.0, 0.0)
+    assert repr(u) == repr(field.branch.sign * 2.0 * phi_x / phi)
 
 # -- reduction ---------------------------------------------------------------------
 

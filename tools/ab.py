@@ -21,6 +21,10 @@ metric's bound:
                 told from noise; unless every run of the change reads
                 better than every run of the parent
   within bound  anything else
+`--layers` also runs one traced pass per tree and workload (`--trace 1`
+at the workload's first seed, for the same seconds) and prints each
+per-layer metric of the parent's BENCHMARK.json for parent and change,
+with both output digests, so that a change shows the layer it moved.
 `--out` writes the same numbers, every run included, as JSON in the shape
 of the BENCH_<n>.json files, whose `change` and `claim` the author adds.
 The exit code is 1 when some operation failed its gate or a pair's output
@@ -48,11 +52,11 @@ SKIPPED = shutil.ignore_patterns(
 GAIN_WINS = 0.9  # the share of pairs a gain must win
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One `perfbench/run.py` run in `tree`: its metric values, op counts
     and output digest."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
     # without PYTHONPATH, each tree imports its own src
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
@@ -137,6 +141,41 @@ def ab_workload(trees: dict, workload: str, seeds: range, seconds: float,
     }
 
 
+def layers(trees: dict, workload: str, seed: int, seconds: float,
+           metrics: list[dict]) -> dict:
+    """One traced run per tree at `seed`: each per-layer metric and digest."""
+    runs = {side: run_once(trees[side], workload, seed, seconds, trace=1) for side in SIDES}
+    digests = {side: runs[side]["digest"] for side in SIDES}
+    return {
+        "seed": seed,
+        "digests": digests,
+        "digests_equal": digests["parent"] == digests["change"],
+        "failed": {side: runs[side]["failed"] for side in SIDES},
+        "metrics": {
+            entry["name"]: {
+                "unit": entry["unit"],
+                "better": entry["better"],
+                **{side: runs[side]["values"].get(entry["name"]) for side in SIDES},
+            }
+            for entry in metrics
+        },
+    }
+
+
+def shown(value) -> str:
+    return "missing" if value is None else f"{value:.6g}"
+
+
+def report_layers(workload: str, result: dict) -> None:
+    digests = result["digests"]
+    print(f"{workload} layers, traced at seed {result['seed']}: digests parent "
+          f"{digests['parent'][:8]} change {digests['change'][:8]}")
+    for name, m in result["metrics"].items():
+        p, c = m["parent"], m["change"]
+        relative = f"  {(c - p) / p:+.2%}" if p and c is not None else ""
+        print(f"  {name:<50} parent {shown(p)}  change {shown(c)}{relative}")
+
+
 def report(workload: str, result: dict) -> None:
     print(f"{workload}: {result['pairs']} pairs, seeds {result['seeds']}, failed ops "
           f"{result['failed']['parent']} and {result['failed']['change']}, digests "
@@ -171,6 +210,8 @@ def main(argv=None) -> int:
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, required=True,
                         help="first seed; each workload takes the next PAIRS seeds")
+    parser.add_argument("--layers", action="store_true",
+                        help="also compare one traced pass per tree and workload")
     parser.add_argument("--out", type=Path, help="write the results as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -193,6 +234,10 @@ def main(argv=None) -> int:
             results[workload] = ab_workload(trees, workload, seeds, seconds,
                                             spec["end_to_end"])
             report(workload, results[workload])
+            if args.layers:
+                traced = layers(trees, workload, first, seconds, spec["per_layer"])
+                results[workload]["layers"] = traced
+                report_layers(workload, traced)
 
     if args.out:
         args.out.write_text(json.dumps({
@@ -210,10 +255,10 @@ def main(argv=None) -> int:
             ),
             "workloads": results,
         }, indent=1) + "\n")
-    clean = all(
-        r["digests_equal_in_every_pair"] and not any(r["failed"].values())
-        for r in results.values()
-    )
+    checks = [(r["digests_equal_in_every_pair"], r["failed"]) for r in results.values()]
+    checks += [(r["layers"]["digests_equal"], r["layers"]["failed"])
+               for r in results.values() if "layers" in r]
+    clean = all(equal and not any(failed.values()) for equal, failed in checks)
     return 0 if clean else 1
 
 
