@@ -374,8 +374,8 @@ def scenario_from_dict(raw: dict, where: str = "config") -> Scenario:
 
 
 def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
-    """Sampler (u, h) plus the underlying seed value for the phi column. On
-    the closed-form paths both are `partial`s of transform's point maps."""
+    """Sampler (u, h) plus the seed value for the phi column, each one bound
+    frame: `partial`s of transform's point maps, or the field's own `phi`."""
     if sc.solution_path == "exact-const":
         wave = const_wave(*sc.params, sc.branch)
         sampler = partial(exact_uh_const, wave)
@@ -389,9 +389,7 @@ def build_sampler(sc: Scenario) -> tuple[FieldSampler, Callable[..., float]]:
             phi_value = partial(exact_phi, field)
         else:
             sampler = partial(transform_point, field)
-
-            def phi_value(x, y, t):
-                return field.partials(x, y, t)[0]
+            phi_value = field.phi
 
     if sc.perturb_h:
         inner = sampler

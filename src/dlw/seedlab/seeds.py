@@ -60,19 +60,21 @@ class SeedField:
     the seed's terms are summed, so an error surfaces where it would without
     the table; an EvaluationError leaves the slot empty and is raised again
     on the next request, named from `seed` by its member and y
-    (`seed.kernels[0].a at y = ...`). Two readers share the table:
-    `partials`, and `duals`, which returns kernel 0's whole slot for the
-    exact path. Beside the table the field holds `sign_2`, the branch sign
-    times 2.0, formed once: the factor of u in `transform.transform_point`
-    and of t in the poly's x^2 - sign*2t. The table is its only mutable
-    state, filled idempotently: a field shared across threads may evaluate
-    a slot twice, never differently.
+    (`seed.kernels[0].a at y = ...`). Three readers share the table:
+    `partials`; `phi`, which sums the seed alone, as `partials` does; and
+    `duals`, which returns kernel 0's whole slot for the exact path. Beside
+    the table the field holds `sign_2`, the branch sign times 2.0, formed
+    once: the factor of u in `transform.transform_point` and of t in the
+    poly's x^2 - sign*2t. The table is its only mutable state, filled
+    idempotently: a field shared across threads may evaluate a slot twice,
+    never differently.
     """
 
     def __init__(self, spec: SeedSpec):
         self.spec = spec
         self.branch = spec.branch
         self.sign_2 = spec.branch.sign * 2.0
+        self._poly = spec.poly
         self._kernel_slots = range(len(spec.kernels))
         self._groups = tuple(
             ((f"seed.kernels[{pos}].a", kernel.a), (f"seed.kernels[{pos}].b", kernel.b))
@@ -147,16 +149,13 @@ class SeedField:
             try:
                 scale = amplitude * math.exp(theta)
             except OverflowError:
-                raise EvaluationError(
-                    f"seed.kernels[{pos}] at y = {y!r}: "
-                    f"kernel overflow at exponent {theta!r}"
-                ) from None
+                raise _kernel_overflow(pos, y, theta) from None
             phi += scale
             phi_x += a * scale
             phi_y += theta_y * scale
             phi_xy += (a_prime + a * theta_y) * scale
 
-        if self.spec.poly is not None:
+        if self._poly is not None:
             (c2, c2_prime), (c1, c1_prime), (c0, c0_prime) = (
                 row[-1] or self._resolve(row, -1, y)
             )
@@ -166,3 +165,30 @@ class SeedField:
             phi_y += c2_prime * quadratic + c1_prime * x + c0_prime
             phi_xy += 2.0 * c2_prime * x + c1_prime
         return phi, phi_x, phi_y, phi_xy
+
+    def phi(self, x: float, y: float, t: float) -> float:
+        """The seed alone, `partials(x, y, t)[0]` bit for bit, for the phi
+        column: the same table row, the same float operations in the same
+        order, and the same EvaluationErrors in the same order."""
+        phi = self._phi_start
+        key = y if y and y == y else repr(y)  # as in partials
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self._groups)
+        for pos in self._kernel_slots:
+            amplitude, a, _, b, _, sign_a2, _ = row[pos] or self._resolve(row, pos, y)
+            theta = a * x - sign_a2 * t + b
+            try:
+                phi += amplitude * math.exp(theta)
+            except OverflowError:
+                raise _kernel_overflow(pos, y, theta) from None
+        if self._poly is not None:
+            (c2, _), (c1, _), (c0, _) = row[-1] or self._resolve(row, -1, y)
+            phi += c2 * (x * x - self.sign_2 * t) + c1 * x + c0
+        return phi
+
+
+def _kernel_overflow(pos: int, y: float, theta: float) -> EvaluationError:
+    """The error of kernel `pos`, whose exp(theta) passes the float range at y."""
+    return EvaluationError(f"seed.kernels[{pos}] at y = {y!r}: "
+                           f"kernel overflow at exponent {theta!r}")

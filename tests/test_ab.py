@@ -22,6 +22,12 @@ def load_tool():
 
 
 ab = load_tool()
+# what --replay times, in the order it prints them
+REPLAY_LAYERS = [
+    "transform.sampler", "transform.phi", "seeds.partials", "exprlang.eval_dual",
+    "residual.fd_residual_dlw", "exact.sampler", "exact.phi", "exact-const.sampler",
+    "exact-const.phi", "residual.ResidualFold.add", "scenario.csv_row",
+]
 HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.1}
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 
@@ -53,14 +59,31 @@ def test_each_metric_reads_one_verdict_against_its_bound(entry, parent, change, 
     assert got["within_bound"] is (verdict != "regression")
 
 
+@pytest.mark.parametrize(
+    "values, interval",
+    [
+        # ranks 2 and 9 of 10 cover the median with 1 - 2*11/1024
+        (list(range(10, 0, -1)), (2, 9, 1 - 22 / 1024)),
+        # six pairs reach 95% only with the whole range
+        ([3, 1, 2, 6, 5, 4], (1, 6, 1 - 2 / 64)),
+        # five do not reach it at all
+        ([3, 1, 2, 5, 4], (1, 5, 1 - 2 / 32)),
+        ([7], (7, 7, 0.0)),
+    ],
+)
+def test_the_replay_interval_is_the_medians_order_statistic_interval(values, interval):
+    assert ab.median_interval(values) == pytest.approx(interval)
+
+
 def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     out = tmp_path / "ab.json"
     argv = [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workloads", "derive",
-            "--pairs", "1", "--seconds", "0", "--seed", "1", "--layers", "--out", str(out)]
+            "--pairs", "1", "--seconds", "0", "--seed", "1", "--layers",
+            "--replay", "--passes", "1", "--out", str(out)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     bench = json.loads(out.read_text())
-    assert set(bench) == {"machine", "command", "method", "workloads"}
+    assert set(bench) == {"machine", "command", "method", "workloads", "replay"}
     assert list(bench["workloads"]) == ["derive"]
     derive = bench["workloads"]["derive"]
     assert derive["pairs"] == 1 and derive["seeds"] == "1-1"
@@ -98,6 +121,29 @@ def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     assert lines[len(names) + 1] == (
         f"derive layers, traced at seed 1: digests parent {digest} change {digest}"
     )
-    layer_lines = lines[len(names) + 2:]
+    layer_lines = lines[len(names) + 2:len(names) + 2 + len(layer_names)]
     assert [line.split()[0] for line in layer_lines] == layer_names
     assert all(" parent " in line and " change " in line for line in layer_lines)
+    # --replay: one pair of processes, each layer timed over the recorded inputs
+    replay = bench["replay"]
+    assert set(replay) == {"pairs", "passes", "method", "documents",
+                           "rows_equal_in_every_pair", "layers"}
+    assert (replay["pairs"], replay["passes"]) == (1, 1)
+    assert list(replay["documents"]) == ["transform", "exact", "exact-const"]
+    assert replay["rows_equal_in_every_pair"] is True
+    assert list(replay["layers"]) == REPLAY_LAYERS
+    for layer in replay["layers"].values():
+        assert set(layer) == {"calls_per_pass", "parent", "change", "ratio", "change_wins"}
+        assert layer["calls_per_pass"] >= ab.REPLAY_CALLS
+        for side in ("parent", "change"):
+            assert len(layer[side]["runs"]) == 1 and layer[side]["median"] > 0
+        ratio = layer["ratio"]
+        assert ratio["low"] == ratio["median"] == ratio["high"] > 0
+        assert ratio["confidence"] == 0.0 and layer["change_wins"] in (0, 1)
+    replay_lines = lines[len(names) + 2 + len(layer_names):]
+    assert replay_lines[0] == (
+        "replay: 1 pairs, best of 1 passes, ns per call, rows equal, interval at 0.0%"
+    )
+    assert [line.split()[0] for line in replay_lines[1:]] == REPLAY_LAYERS
+    assert all(" parent " in line and " change " in line and " wins " in line
+               for line in replay_lines[1:])

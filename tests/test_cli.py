@@ -578,7 +578,7 @@ def test_every_transform_sample_reads_its_seed_through_partials(
     tmp_path, capsys, monkeypatch
 ):
     # the seed layer of a transform sample is SeedField.partials, one call each
-    calls = {"partials": 0, "transform_point": 0}
+    calls = {"partials": 0, "phi": 0, "transform_point": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -588,6 +588,7 @@ def test_every_transform_sample_reads_its_seed_through_partials(
         return wrapper
 
     monkeypatch.setattr(SeedField, "partials", counted("partials", SeedField.partials))
+    monkeypatch.setattr(SeedField, "phi", counted("phi", SeedField.phi))
     monkeypatch.setattr(
         dlw.scenario,
         "transform_point",
@@ -598,8 +599,9 @@ def test_every_transform_sample_reads_its_seed_through_partials(
     capsys.readouterr()
     points = math.prod(axis[2] for axis in config["grid"].values())
     assert calls["transform_point"] > 0
-    # and the phi column reads partials once per grid point
-    assert calls["partials"] == calls["transform_point"] + points
+    assert calls["partials"] == calls["transform_point"]
+    # and the phi column reads SeedField.phi, not partials, once per grid point
+    assert calls["phi"] == points
 
 
 # -- alternate solution paths ---------------------------------------------------------

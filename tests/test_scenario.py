@@ -284,20 +284,19 @@ def test_samplers_return_a_plain_pair_of_floats():
     (
         ("exact-const", ["exact_uh_const"], ["exact_phi_const"]),
         ("exact", ["exact_uh", "duals"], ["exact_phi", "duals"]),
-        ("transform", ["transform_point", "partials"], None),
+        ("transform", ["transform_point", "partials"], ["phi"]),
     ),
     ids=("exact-const", "exact", "transform"),
 )
 def test_the_bound_sampler_opens_no_wrapper_frame(path, frames, phi_frames):
     # the path's point map bound with functools.partial: one sample opens only
     # the map's own frames, once a first sample has filled the table row at y;
-    # so does a closed form's phi column
+    # so does each path's phi column, the transform path's a bound method
     scenario = scenario_from_dict(valid_document(path))
     sampler, phi_value = build_sampler(scenario)
     first = sampler(0.5, 0.7, 0.2)
     assert python_frames(sampler, 0.5, 0.7, 0.2) == frames
-    if phi_frames is not None:
-        assert python_frames(phi_value, 0.5, 0.7, 0.2) == phi_frames
+    assert python_frames(phi_value, 0.5, 0.7, 0.2) == phi_frames
     if path == "exact-const":
         assert first == exact_uh_const(const_wave(1.0, 1.0, 0.0, Branch.PLUS), 0.5, 0.7, 0.2)
     elif path == "exact":

@@ -197,6 +197,8 @@ def test_coefficient_evaluation_errors_propagate():
         with pytest.raises(EvaluationError, match=f"^{message}$"):
             field.partials(0.0, 0.0, 0.0)
         with pytest.raises(EvaluationError, match=f"^{message}$"):
+            field.phi(0.0, 0.0, 0.0)
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
             field.duals(0.0)
     assert field.partials(1.0, 0.5, 0.0)[0] == pytest.approx(1.0 + math.e**2)
 
@@ -209,16 +211,18 @@ def test_coefficient_error_names_its_member_and_y():
         HeatPolynomial(P("1"), P("1/(y - 0.25)"), P("0")),
     )
     field = SeedField(spec)
-    with pytest.raises(
-        EvaluationError, match=r"^seed\.kernels\[1\]\.a at y = -0\.5: non-finite result$"
-    ):
-        field.partials(0.0, -0.5, 0.0)
+    for read in (field.partials, field.phi):
+        with pytest.raises(
+            EvaluationError, match=r"^seed\.kernels\[1\]\.a at y = -0\.5: non-finite result$"
+        ):
+            read(0.0, -0.5, 0.0)
     # the poly is read after the kernels: drop the one that fails at every y
     field = SeedField(spec._replace(kernels=spec.kernels[:1]))
-    with pytest.raises(
-        EvaluationError, match=r"^seed\.poly\.c1 at y = 0\.25: division by zero$"
-    ):
-        field.partials(0.0, 0.25, 0.0)
+    for read in (field.partials, field.phi):
+        with pytest.raises(
+            EvaluationError, match=r"^seed\.poly\.c1 at y = 0\.25: division by zero$"
+        ):
+            read(0.0, 0.25, 0.0)
 
 
 def test_first_failing_term_names_the_error():
@@ -227,7 +231,8 @@ def test_first_failing_term_names_the_error():
         Branch.PLUS, 1.0, (Kernel(1.0, P("1"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
     message = r"^seed\.kernels\[0\] at y = 0\.0: kernel overflow at exponent 10000\.0$"
-    for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
+    for read in (SeedField(spec).partials, SeedField(spec).phi,
+                 functools.partial(transform_point, SeedField(spec))):
         with pytest.raises(EvaluationError, match=message):
             read(1e4, 0.0, 0.0)
     with pytest.raises(
@@ -239,7 +244,8 @@ def test_first_failing_term_names_the_error():
         Branch.PLUS, 1.0, (Kernel(1.0, P("1e160"), P("0")), Kernel(1.0, P("1"), P("1/y")))
     )
     message = r"^seed\.kernels\[0\]\.a at y = 0\.0: a\^2 overflows$"
-    for read in (SeedField(spec).partials, functools.partial(transform_point, SeedField(spec))):
+    for read in (SeedField(spec).partials, SeedField(spec).phi,
+                 functools.partial(transform_point, SeedField(spec))):
         with pytest.raises(EvaluationError, match=message):
             read(1.0, 0.0, 0.0)
 
@@ -433,3 +439,37 @@ def test_partials_and_transform_point_equal_the_reference(seed, branch, point):
         for _ in range(2):  # a fresh coefficient row, then the stored one
             for read, want in order:
                 assert _outcome(lambda: read(field, *point)) == want
+
+
+@settings(max_examples=300)
+@given(
+    seed=seed_documents(
+        rates=EXTREME_RATES,
+        phases=LINEAR_PHASES,
+        amplitudes=st.sampled_from((0.5, 1.0, 2.0, -2.0, 0.0)),
+        constants=st.sampled_from((0.0, 1.0, 2.5)) | st.floats(-3, 3),
+    ),
+    branch=st.sampled_from(BRANCH_NAMES),
+    point=points,
+    y=st.none() | st.sampled_from((0.0, -0.0, math.nan)),
+)
+@example(seed={"kind": "kernels", "constant": 1.0, "kernels": [{"a": "4", "b": "707"}]},
+         branch="plus", point=(0.5, 0.0, 0.0), y=None)
+@example(seed=SIGNED_ZERO_SEED, branch="plus", point=(0.0, -0.0, 0.0), y=None)
+@example(seed=SIGNED_ZERO_SEED, branch="minus", point=(-0.0, -1.5, 0.0), y=None)
+# c2*q + c1*x + c0 rounds apart from c2*q + (c1*x + c0) here
+@example(seed={"kind": "poly", "constant": 0.0, "poly": POLY}, branch="plus",
+         point=(0.61, 1.15, 0.09), y=None)
+def test_phi_is_the_first_partial_bit_for_bit(seed, branch, point, y):
+    # repr tells the signed zeros, inf and nan apart; `y` replaces the
+    # point's y with a signed zero or nan
+    x, y, t = point if y is None else (point[0], y, point[2])
+    spec = seed_spec(seed, branch)
+    reads = (SeedField.phi, lambda field, *point: field.partials(*point)[0])
+    for order in (reads, reads[::-1]):  # each reader first on a fresh field
+        field = SeedField(spec)
+        # -y after y, so the signed zeros must keep their rows apart, then y
+        # again from its stored row
+        for point in ((x, y, t), (x, -y, t), (x, y, t)):
+            first, second = (_outcome(lambda: read(field, *point)) for read in order)
+            assert first == second

@@ -25,15 +25,33 @@ metric's bound:
 at the workload's first seed, for the same seconds) and prints each
 per-layer metric of the parent's BENCHMARK.json for parent and change,
 with both output digests, so that a change shows the layer it moved.
+`--replay` times each numeric layer without the tracer. In alternating
+pairs, each tree's own `dlw` runs in a process of its own on the same
+documents, read from the parent's `scenarios/`: two_kernel (transform
+path), exact_wave (exact path) and exact_wave's grid as an exact-const
+wave. The process records every stencil sample, grid point, residual and
+CSV row of those documents, which fills the coefficient tables, and then
+times each layer over the recorded inputs, with `gc` off, as the best of
+`--passes` passes taken in turn with the other layers', in ns per call:
+each path's `build_sampler` sampler and phi column, `SeedField.partials`,
+`eval_dual` over the distinct (expression, y) pairs, `fd_residual_dlw` per
+grid point, `ResidualFold.add` and the CSV row's `%` formatting. For each
+layer it prints both medians, the median of the paired ratios
+change/parent, the order-statistic interval of that median (at least 95%
+where the pairs allow, its confidence printed), and the pairs the change
+won. The recorded rows of both trees must be equal. `--workloads` with no
+name runs no workload, for a replay alone.
 `--out` writes the same numbers, every run included, as JSON in the shape
 of the BENCH_<n>.json files, whose `change` and `claim` the author adds.
 The exit code is 1 when some operation failed its gate or a pair's output
-digests differ, else 0. Standard library only.
+digests or recorded rows differ, else 0. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
 import math
 import os
@@ -43,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -50,6 +69,8 @@ SKIPPED = shutil.ignore_patterns(
     ".git", "__pycache__", ".perfbench", ".hypothesis", ".pytest_cache", ".benchmarks"
 )
 GAIN_WINS = 0.9  # the share of pairs a gain must win
+# a replay pass repeats its layer's inputs up to at least this many calls
+REPLAY_CALLS = 20_000
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -162,6 +183,176 @@ def layers(trees: dict, workload: str, seed: int, seconds: float,
     }
 
 
+def replay_documents(tree: Path) -> dict:
+    """One document per solution path, without outputs: `tree`'s two_kernel
+    and exact_wave scenarios, and exact_wave's grid as an exact-const wave."""
+    documents = {}
+    for path, name in (("transform", "two_kernel"), ("exact", "exact_wave")):
+        raw = json.loads((tree / "scenarios" / f"{name}.json").read_text())
+        documents[path] = {key: value for key, value in raw.items() if key != "outputs"}
+    documents["exact-const"] = {
+        **{key: value for key, value in documents["exact"].items() if key != "seed"},
+        "solution_path": "exact-const",
+        "params": {"a": 1.1, "c": 0.7, "d": 0.3},
+    }
+    return documents
+
+
+def replay_layers(documents: dict, passes: int) -> dict:
+    """Run in a tree's own process, with its `dlw` importable: record the
+    inputs of every layer over `documents`, then time each layer over them.
+    Returns each layer's calls per pass and best ns per call, and the sha256
+    of the recorded rows."""
+    from dlw import scenario
+    from dlw.residual import ResidualFold, fd_residual_dlw
+    from dlw.seedlab.exprlang import eval_dual
+    from dlw.seedlab.seeds import SeedField
+
+    inputs = {}  # layer -> (callable, argument tuples)
+    folded, rows = [], []
+    for path, raw in documents.items():
+        sc = scenario.scenario_from_dict(raw)
+        sampler, phi_value = scenario.build_sampler(sc)
+        samples, points = [], []
+
+        def recorded(x, y, t):
+            samples.append((x, y, t))
+            return sampler(x, y, t)
+
+        for point in sc.grid.points():  # evaluate_grid's order of calls
+            x, y, t = point
+            phi = phi_value(x, y, t)
+            try:
+                a1, b1, c1, a2, b2, c2 = fd_residual_dlw(recorded, point, sc.stencil)
+                u, h = sampler(x, y, t)
+            except ArithmeticError:  # a pole: the walk skips the point
+                continue
+            r1, r2 = a1 + b1 + c1, a2 + b2 + c2
+            points.append(point)
+            folded.append((point, r1, r2))
+            rows.append((x, y, t, phi, u, h, r1, r2))
+        inputs[f"{path}.sampler"] = sampler, samples
+        inputs[f"{path}.phi"] = phi_value, points
+        if path == "transform":
+            field = SeedField(sc.seed)
+            inputs["seeds.partials"] = field.partials, samples
+            exprs = [expr for kernel in sc.seed.kernels for expr in (kernel.a, kernel.b)]
+            exprs += sc.seed.poly or ()
+            ys = {repr(y): y for _, y, _ in samples}.values()  # signed zeros apart
+            inputs["exprlang.eval_dual"] = eval_dual, [(e, y) for e in exprs for y in ys]
+            inputs["residual.fd_residual_dlw"] = fd_residual_dlw, [
+                (sampler, point, sc.stencil) for point in points
+            ]
+    inputs["residual.ResidualFold.add"] = ResidualFold().add, folded
+    inputs["scenario.csv_row"] = scenario._CSV_ROW.__mod__, [(row,) for row in rows]
+
+    for fn, args in inputs.values():
+        for call in args:  # fill every table the layer reads before timing
+            fn(*call)
+    inputs = {name: (fn, args * -(-REPLAY_CALLS // len(args)))
+              for name, (fn, args) in inputs.items()}
+    best = dict.fromkeys(inputs, math.inf)
+    gc.disable()
+    try:
+        # one pass of each layer in turn, so that a slow spell of the
+        # machine costs each layer a pass or two, not all of its passes
+        for _ in range(passes):
+            for name, (fn, args) in inputs.items():
+                start = time.perf_counter_ns()
+                for call in args:
+                    fn(*call)
+                best[name] = min(best[name], time.perf_counter_ns() - start)
+    finally:
+        gc.enable()
+    layers = {name: {"calls": len(args), "ns_per_call": best[name] / len(args)}
+              for name, (_, args) in inputs.items()}
+    rows_digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    return {"layers": layers, "rows_digest": rows_digest}
+
+
+def replay_once(tree: Path, documents: dict, passes: int) -> dict:
+    """`replay_layers` in a process of its own that imports `tree`'s dlw."""
+    code = ("import json, runpy, sys; replay = runpy.run_path(sys.argv[1])['replay_layers']; "
+            "print(json.dumps(replay(json.load(sys.stdin), int(sys.argv[2]))))")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve()), str(passes)],
+                          cwd=tree, env=env, input=json.dumps(documents),
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: the replay in {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def median_interval(values: list[float]) -> tuple[float, float, float]:
+    """The order-statistic interval of the median of `values` and its
+    confidence: the narrowest pair of ranks k and n+1-k whose confidence,
+    1 - 2 P(Binomial(n, 1/2) < k), is at least 95%, or the whole range
+    where no pair reaches it."""
+    values = sorted(values)
+    n = len(values)
+
+    def confidence(k):
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2**n
+
+    k = 1
+    while k < n - k and confidence(k + 1) >= 0.95:
+        k += 1
+    return values[k - 1], values[n - k], confidence(k)
+
+
+def replay(trees: dict, pairs: int, passes: int) -> dict:
+    documents = replay_documents(trees["parent"])
+    runs = {side: [] for side in SIDES}
+    for i in range(pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(replay_once(trees[side], documents, passes))
+        print(f"replay pair {i + 1} of {pairs} done", file=sys.stderr)
+    layers = {}
+    for name, first in runs["parent"][0]["layers"].items():
+        parent, change = ([r["layers"][name]["ns_per_call"] for r in runs[side]]
+                          for side in SIDES)
+        ratios = [c / p for p, c in zip(parent, change)]
+        low, high, confidence = median_interval(ratios)
+        layers[name] = {
+            "calls_per_pass": first["calls"],
+            "parent": {"median": statistics.median(parent), "runs": parent},
+            "change": {"median": statistics.median(change), "runs": change},
+            "ratio": {"median": statistics.median(ratios), "low": low, "high": high,
+                      "confidence": confidence},
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+        }
+    return {
+        "pairs": pairs,
+        "passes": passes,
+        "method": (
+            "each tree's own dlw in a process of its own, parent first on even pairs; each "
+            "layer timed over inputs recorded from the documents, repeated to at least "
+            f"{REPLAY_CALLS} calls a pass, with gc off, best of the passes, one pass of each "
+            "layer in turn; ratio is "
+            "change/parent in each pair, and low/high the order-statistic interval of its "
+            "median at the stated confidence"
+        ),
+        "documents": documents,
+        "rows_equal_in_every_pair": all(
+            a["rows_digest"] == b["rows_digest"] for a, b in zip(runs["parent"], runs["change"])
+        ),
+        "layers": layers,
+    }
+
+
+def report_replay(result: dict) -> None:
+    confidence = next(iter(result["layers"].values()))["ratio"]["confidence"]
+    print(f"replay: {result['pairs']} pairs, best of {result['passes']} passes, ns per call, "
+          f"rows {'equal' if result['rows_equal_in_every_pair'] else 'DIFFER'}, "
+          f"interval at {confidence:.1%}")
+    for name, m in result["layers"].items():
+        r = m["ratio"]
+        print(f"  {name:<26} parent {m['parent']['median']:.6g}  change "
+              f"{m['change']['median']:.6g}  {r['median'] - 1:+.2%} "
+              f"[{r['low'] - 1:+.2%}, {r['high'] - 1:+.2%}]  wins {m['change_wins']}/"
+              f"{result['pairs']}")
+
+
 def shown(value) -> str:
     return "missing" if value is None else f"{value:.6g}"
 
@@ -203,24 +394,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="the tree to compare against")
     parser.add_argument("change", type=Path, help="the tree that claims a change")
-    parser.add_argument("--workloads", nargs="+", metavar="W",
+    parser.add_argument("--workloads", nargs="*", metavar="W",
                         help="workloads to run (default: every one in BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seed", type=int, required=True,
+    parser.add_argument("--seed", type=int,
                         help="first seed; each workload takes the next PAIRS seeds")
     parser.add_argument("--layers", action="store_true",
                         help="also compare one traced pass per tree and workload")
+    parser.add_argument("--replay", action="store_true",
+                        help="also time each numeric layer by replay, in PAIRS pairs")
+    parser.add_argument("--passes", type=int, default=21,
+                        help="replay passes per layer, of which the best is kept")
     parser.add_argument("--out", type=Path, help="write the results as JSON")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.passes < 1:
+        parser.error("--pairs and --passes must be at least 1")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = ([w["name"] for w in spec["workloads"]] if args.workloads is None
+                 else args.workloads)
+    if workloads and args.seed is None:
+        parser.error("--seed is required to run a workload")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     results = {}
+    replayed = None
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         trees = {}
         for side in SIDES:
@@ -238,9 +437,12 @@ def main(argv=None) -> int:
                 traced = layers(trees, workload, first, seconds, spec["per_layer"])
                 results[workload]["layers"] = traced
                 report_layers(workload, traced)
+        if args.replay:
+            replayed = replay(trees, args.pairs, args.passes)
+            report_replay(replayed)
 
     if args.out:
-        args.out.write_text(json.dumps({
+        bench = {
             "machine": machine(),
             "command": f"python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
@@ -254,10 +456,15 @@ def main(argv=None) -> int:
                 f"at least {GAIN_WINS:.0%} of pairs and clears the parent's quartile range"
             ),
             "workloads": results,
-        }, indent=1) + "\n")
+        }
+        if replayed is not None:
+            bench["replay"] = replayed
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
     checks = [(r["digests_equal_in_every_pair"], r["failed"]) for r in results.values()]
     checks += [(r["layers"]["digests_equal"], r["layers"]["failed"])
                for r in results.values() if "layers" in r]
+    if replayed is not None:
+        checks.append((replayed["rows_equal_in_every_pair"], {}))
     clean = all(equal and not any(failed.values()) for equal, failed in checks)
     return 0 if clean else 1
 
