@@ -78,12 +78,11 @@ def test_the_replay_interval_is_the_medians_order_statistic_interval(values, int
 def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     out = tmp_path / "ab.json"
     argv = [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workloads", "derive",
-            "--pairs", "1", "--seconds", "0", "--seed", "1", "--layers",
-            "--replay", "--passes", "1", "--out", str(out)]
+            "--pairs", "1", "--seconds", "0", "--seed", "1", "--layers", "--out", str(out)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     bench = json.loads(out.read_text())
-    assert set(bench) == {"machine", "command", "method", "workloads", "replay"}
+    assert set(bench) == {"machine", "command", "method", "workloads"}
     assert list(bench["workloads"]) == ["derive"]
     derive = bench["workloads"]["derive"]
     assert derive["pairs"] == 1 and derive["seeds"] == "1-1"
@@ -121,11 +120,14 @@ def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     assert lines[len(names) + 1] == (
         f"derive layers, traced at seed 1: digests parent {digest} change {digest}"
     )
-    layer_lines = lines[len(names) + 2:len(names) + 2 + len(layer_names)]
+    layer_lines = lines[len(names) + 2:]
     assert [line.split()[0] for line in layer_lines] == layer_names
     assert all(" parent " in line and " change " in line for line in layer_lines)
-    # --replay: one pair of processes, each layer timed over the recorded inputs
-    replay = bench["replay"]
+
+
+def test_replay_times_each_layer_of_a_tree_against_itself(capsys):
+    # one pair of processes at one pass, each layer timed over the recorded inputs
+    replay = ab.replay({"parent": ROOT, "change": ROOT}, 1, 1)
     assert set(replay) == {"pairs", "passes", "method", "documents",
                            "rows_equal_in_every_pair", "layers"}
     assert (replay["pairs"], replay["passes"]) == (1, 1)
@@ -140,10 +142,13 @@ def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
         ratio = layer["ratio"]
         assert ratio["low"] == ratio["median"] == ratio["high"] > 0
         assert ratio["confidence"] == 0.0 and layer["change_wins"] in (0, 1)
-    replay_lines = lines[len(names) + 2 + len(layer_names):]
-    assert replay_lines[0] == (
+    # stdout: a header line and one line per layer
+    capsys.readouterr()
+    ab.report_replay(replay)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
         "replay: 1 pairs, best of 1 passes, ns per call, rows equal, interval at 0.0%"
     )
-    assert [line.split()[0] for line in replay_lines[1:]] == REPLAY_LAYERS
+    assert [line.split()[0] for line in lines[1:]] == REPLAY_LAYERS
     assert all(" parent " in line and " change " in line and " wins " in line
-               for line in replay_lines[1:])
+               for line in lines[1:])

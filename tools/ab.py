@@ -29,18 +29,18 @@ with both output digests, so that a change shows the layer it moved.
 pairs, each tree's own `dlw` runs in a process of its own on the same
 documents, read from the parent's `scenarios/`: two_kernel (transform
 path), exact_wave (exact path) and exact_wave's grid as an exact-const
-wave. The process records every stencil sample, grid point, residual and
-CSV row of those documents, which fills the coefficient tables, and then
-times each layer over the recorded inputs, with `gc` off, as the best of
-`--passes` passes taken in turn with the other layers', in ns per call:
+wave. The process walks each document with `scenario.evaluate_grid` and
+records every sample, grid point, residual and CSV row of the walk, which
+fills the coefficient tables. It then times each layer over the recorded
+inputs, with `gc` off, as the best of REPLAY_PASSES (21) passes taken in
+turn with the other layers', in ns per call:
 each path's `build_sampler` sampler and phi column, `SeedField.partials`,
 `eval_dual` over the distinct (expression, y) pairs, `fd_residual_dlw` per
 grid point, `ResidualFold.add` and the CSV row's `%` formatting. For each
 layer it prints both medians, the median of the paired ratios
 change/parent, the order-statistic interval of that median (at least 95%
 where the pairs allow, its confidence printed), and the pairs the change
-won. The recorded rows of both trees must be equal. `--workloads` with no
-name runs no workload, for a replay alone.
+won. The recorded rows of both trees must be equal.
 `--out` writes the same numbers, every run included, as JSON in the shape
 of the BENCH_<n>.json files, whose `change` and `claim` the author adds.
 The exit code is 1 when some operation failed its gate or a pair's output
@@ -69,8 +69,10 @@ SKIPPED = shutil.ignore_patterns(
     ".git", "__pycache__", ".perfbench", ".hypothesis", ".pytest_cache", ".benchmarks"
 )
 GAIN_WINS = 0.9  # the share of pairs a gain must win
-# a replay pass repeats its layer's inputs up to at least this many calls
+# a replay pass repeats its layer's inputs up to at least this many calls,
+# and each layer keeps the best of this many passes
 REPLAY_CALLS = 20_000
+REPLAY_PASSES = 21
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -213,26 +215,20 @@ def replay_layers(documents: dict, passes: int) -> dict:
     for path, raw in documents.items():
         sc = scenario.scenario_from_dict(raw)
         sampler, phi_value = scenario.build_sampler(sc)
-        samples, points = [], []
+        samples, walked = [], []
 
         def recorded(x, y, t):
             samples.append((x, y, t))
             return sampler(x, y, t)
 
-        for point in sc.grid.points():  # evaluate_grid's order of calls
-            x, y, t = point
-            phi = phi_value(x, y, t)
-            try:
-                a1, b1, c1, a2, b2, c2 = fd_residual_dlw(recorded, point, sc.stencil)
-                u, h = sampler(x, y, t)
-            except ArithmeticError:  # a pole: the walk skips the point
-                continue
-            r1, r2 = a1 + b1 + c1, a2 + b2 + c2
-            points.append(point)
-            folded.append((point, r1, r2))
-            rows.append((x, y, t, phi, u, h, r1, r2))
+        scenario.evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, recorded, phi_value,
+                               walked.append)
+        rows += walked
+        # the walk folds every point but a skipped one, whose row carries nan in u
+        kept = [((x, y, t), r1, r2) for x, y, t, _, u, _, r1, r2 in walked if u == u]
+        folded += kept
         inputs[f"{path}.sampler"] = sampler, samples
-        inputs[f"{path}.phi"] = phi_value, points
+        inputs[f"{path}.phi"] = phi_value, [(x, y, t) for x, y, t, *_ in walked]
         if path == "transform":
             field = SeedField(sc.seed)
             inputs["seeds.partials"] = field.partials, samples
@@ -241,7 +237,7 @@ def replay_layers(documents: dict, passes: int) -> dict:
             ys = {repr(y): y for _, y, _ in samples}.values()  # signed zeros apart
             inputs["exprlang.eval_dual"] = eval_dual, [(e, y) for e in exprs for y in ys]
             inputs["residual.fd_residual_dlw"] = fd_residual_dlw, [
-                (sampler, point, sc.stencil) for point in points
+                (sampler, point, sc.stencil) for point, _, _ in kept
             ]
     inputs["residual.ResidualFold.add"] = ResidualFold().add, folded
     inputs["scenario.csv_row"] = scenario._CSV_ROW.__mod__, [(row,) for row in rows]
@@ -394,29 +390,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="the tree to compare against")
     parser.add_argument("change", type=Path, help="the tree that claims a change")
-    parser.add_argument("--workloads", nargs="*", metavar="W",
+    parser.add_argument("--workloads", nargs="+", metavar="W",
                         help="workloads to run (default: every one in BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=int, required=True,
                         help="first seed; each workload takes the next PAIRS seeds")
     parser.add_argument("--layers", action="store_true",
                         help="also compare one traced pass per tree and workload")
     parser.add_argument("--replay", action="store_true",
                         help="also time each numeric layer by replay, in PAIRS pairs")
-    parser.add_argument("--passes", type=int, default=21,
-                        help="replay passes per layer, of which the best is kept")
     parser.add_argument("--out", type=Path, help="write the results as JSON")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.passes < 1:
-        parser.error("--pairs and --passes must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    workloads = ([w["name"] for w in spec["workloads"]] if args.workloads is None
-                 else args.workloads)
-    if workloads and args.seed is None:
-        parser.error("--seed is required to run a workload")
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     results = {}
     replayed = None
@@ -438,7 +429,7 @@ def main(argv=None) -> int:
                 results[workload]["layers"] = traced
                 report_layers(workload, traced)
         if args.replay:
-            replayed = replay(trees, args.pairs, args.passes)
+            replayed = replay(trees, args.pairs, REPLAY_PASSES)
             report_replay(replayed)
 
     if args.out:
