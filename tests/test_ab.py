@@ -125,12 +125,19 @@ def test_ab_runs_a_tree_against_itself_and_writes_the_bench_shape(tmp_path):
     assert all(" parent " in line and " change " in line for line in layer_lines)
 
 
-def test_replay_times_each_layer_of_a_tree_against_itself(capsys):
-    # one pair of processes at one pass, each layer timed over the recorded inputs
-    replay = ab.replay({"parent": ROOT, "change": ROOT}, 1, 1)
+def test_replay_times_each_layer_of_a_tree_against_itself(capsys, monkeypatch):
+    # one pair of processes in lockstep at two passes, each layer timed over
+    # the recorded inputs, each pass in `turn` order
+    turns = []
+    real_turn = ab.turn
+    monkeypatch.setattr(ab, "turn", lambda pair, step: turns.append((pair, step))
+                        or real_turn(pair, step))
+    replay = ab.replay({"parent": ROOT, "change": ROOT}, 1, 2)
+    assert turns == [(0, 0), (0, 1)]
     assert set(replay) == {"pairs", "passes", "method", "documents",
                            "rows_equal_in_every_pair", "layers"}
-    assert (replay["pairs"], replay["passes"]) == (1, 1)
+    assert (replay["pairs"], replay["passes"]) == (1, 2)
+    assert "lockstep" in replay["method"]
     assert list(replay["documents"]) == ["transform", "exact", "exact-const"]
     assert replay["rows_equal_in_every_pair"] is True
     assert list(replay["layers"]) == REPLAY_LAYERS
@@ -147,8 +154,16 @@ def test_replay_times_each_layer_of_a_tree_against_itself(capsys):
     ab.report_replay(replay)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (
-        "replay: 1 pairs, best of 1 passes, ns per call, rows equal, interval at 0.0%"
+        "replay: 1 pairs, best of 2 passes, ns per call, rows equal, interval at 0.0%"
     )
     assert [line.split()[0] for line in lines[1:]] == REPLAY_LAYERS
     assert all(" parent " in line and " change " in line and " wins " in line
                for line in lines[1:])
+
+
+def test_each_replay_pass_runs_on_both_sides_with_the_first_side_alternating():
+    # lockstep: over the passes of a pair, and from one pair to the next,
+    # the side that goes first alternates, and each pass runs on both sides
+    assert [ab.turn(0, step) for step in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert [ab.turn(pair, 0)[0] for pair in range(3)] == ["parent", "change", "parent"]

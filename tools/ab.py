@@ -25,15 +25,18 @@ metric's bound:
 at the workload's first seed, for the same seconds) and prints each
 per-layer metric of the parent's BENCHMARK.json for parent and change,
 with both output digests, so that a change shows the layer it moved.
-`--replay` times each numeric layer without the tracer. In alternating
-pairs, each tree's own `dlw` runs in a process of its own on the same
-documents, read from the parent's `scenarios/`: two_kernel (transform
-path), exact_wave (exact path) and exact_wave's grid as an exact-const
-wave. The process walks each document with `scenario.evaluate_grid` and
-records every sample, grid point, residual and CSV row of the walk, which
-fills the coefficient tables. It then times each layer over the recorded
-inputs, with `gc` off, as the best of REPLAY_PASSES (21) passes taken in
-turn with the other layers', in ns per call:
+`--replay` times each numeric layer without the tracer. In each pair,
+each tree's own `dlw` runs in a process of its own on the same documents,
+read from the parent's `scenarios/`: two_kernel (transform path),
+exact_wave (exact path) and exact_wave's grid as an exact-const wave. The
+process walks each document with `scenario.evaluate_grid` and records
+every sample, grid point, residual and CSV row of the walk, which fills
+the coefficient tables. The pair's two processes then run in lockstep:
+each pass runs on one side and then on the other, and the side that goes
+first alternates from pass to pass and from pair to pair, so a slow spell
+of the machine that lasts a whole process slows both sides. A pass times
+each layer in turn over the recorded inputs, with `gc` off; a layer keeps
+the best of REPLAY_PASSES (21) passes, in ns per call:
 each path's `build_sampler` sampler and phi column, `SeedField.partials`,
 `eval_dual` over the distinct (expression, y) pairs, `fd_residual_dlw` per
 grid point, `ResidualFold.add` and the CSV row's `%` formatting. For each
@@ -200,11 +203,13 @@ def replay_documents(tree: Path) -> dict:
     return documents
 
 
-def replay_layers(documents: dict, passes: int) -> dict:
+def replay_layers(documents: dict) -> None:
     """Run in a tree's own process, with its `dlw` importable: record the
-    inputs of every layer over `documents`, then time each layer over them.
-    Returns each layer's calls per pass and best ns per call, and the sha256
-    of the recorded rows."""
+    inputs of every layer over `documents`, and print each layer's calls
+    per pass and the sha256 of the recorded rows as one JSON line. Then,
+    for each line read from standard input, time one pass of each layer in
+    turn, with `gc` off, and print each layer's ns per call as one JSON
+    line."""
     from dlw import scenario
     from dlw.residual import ResidualFold, fd_residual_dlw
     from dlw.seedlab.exprlang import eval_dual
@@ -247,36 +252,82 @@ def replay_layers(documents: dict, passes: int) -> dict:
             fn(*call)
     inputs = {name: (fn, args * -(-REPLAY_CALLS // len(args)))
               for name, (fn, args) in inputs.items()}
-    best = dict.fromkeys(inputs, math.inf)
-    gc.disable()
-    try:
-        # one pass of each layer in turn, so that a slow spell of the
-        # machine costs each layer a pass or two, not all of its passes
-        for _ in range(passes):
+    print(json.dumps({
+        "calls": {name: len(args) for name, (_, args) in inputs.items()},
+        "rows_digest": hashlib.sha256(repr(rows).encode()).hexdigest(),
+    }), flush=True)
+    for _ in sys.stdin:
+        times = {}
+        gc.disable()
+        try:
             for name, (fn, args) in inputs.items():
                 start = time.perf_counter_ns()
                 for call in args:
                     fn(*call)
-                best[name] = min(best[name], time.perf_counter_ns() - start)
+                times[name] = (time.perf_counter_ns() - start) / len(args)
+        finally:
+            gc.enable()
+        print(json.dumps(times), flush=True)
+
+
+def turn(pair: int, step: int) -> tuple[str, str]:
+    """The sides in the order they take pass `step` of pair `pair`: the side
+    that goes first alternates from pass to pass and from pair to pair."""
+    return SIDES if (pair + step) % 2 == 0 else SIDES[::-1]
+
+
+def replay_pair(trees: dict, documents: dict, pair: int, passes: int) -> dict:
+    """One pair of `replay_layers` processes, one per tree, each importing its
+    own dlw, run at once in lockstep: both record, then each pass runs on one
+    side and then on the other, in `turn` order, so that a slow spell of the
+    machine that lasts a whole process slows both sides. Returns each side's
+    calls per pass and best ns per call of each layer, and its rows digest."""
+    code = ("import json, runpy, sys; "
+            "runpy.run_path(sys.argv[1])['replay_layers'](json.loads(sys.stdin.readline()))")
+    procs = {}
+
+    def reply(side: str) -> dict:
+        line = procs[side].stdout.readline()
+        if not line:
+            raise SystemExit(f"error: the replay in {trees[side]} ended early")
+        return json.loads(line)
+
+    def send(side: str, line: str) -> None:
+        procs[side].stdin.write(line + "\n")
+        procs[side].stdin.flush()
+
+    try:
+        for side in SIDES:
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            procs[side] = subprocess.Popen(
+                [sys.executable, "-c", code, str(Path(__file__).resolve())],
+                cwd=trees[side], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True,
+            )
+            send(side, json.dumps(documents))
+        recorded = {side: reply(side) for side in SIDES}
+        best = {side: dict.fromkeys(recorded[side]["calls"], math.inf) for side in SIDES}
+        for step in range(passes):
+            for side in turn(pair, step):
+                send(side, "pass")
+                for name, ns in reply(side).items():
+                    best[side][name] = min(best[side][name], ns)
     finally:
-        gc.enable()
-    layers = {name: {"calls": len(args), "ns_per_call": best[name] / len(args)}
-              for name, (_, args) in inputs.items()}
-    rows_digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    return {"layers": layers, "rows_digest": rows_digest}
-
-
-def replay_once(tree: Path, documents: dict, passes: int) -> dict:
-    """`replay_layers` in a process of its own that imports `tree`'s dlw."""
-    code = ("import json, runpy, sys; replay = runpy.run_path(sys.argv[1])['replay_layers']; "
-            "print(json.dumps(replay(json.load(sys.stdin), int(sys.argv[2]))))")
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve()), str(passes)],
-                          cwd=tree, env=env, input=json.dumps(documents),
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"error: the replay in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout)
+        for proc in procs.values():
+            proc.stdin.close()  # the end of its passes
+            proc.stdout.close()
+            proc.wait()
+    for side, proc in procs.items():
+        if proc.returncode != 0:
+            raise SystemExit(f"error: the replay in {trees[side]} exited {proc.returncode}")
+    return {
+        side: {
+            "layers": {name: {"calls": calls, "ns_per_call": best[side][name]}
+                       for name, calls in recorded[side]["calls"].items()},
+            "rows_digest": recorded[side]["rows_digest"],
+        }
+        for side in SIDES
+    }
 
 
 def median_interval(values: list[float]) -> tuple[float, float, float]:
@@ -300,8 +351,9 @@ def replay(trees: dict, pairs: int, passes: int) -> dict:
     documents = replay_documents(trees["parent"])
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(replay_once(trees[side], documents, passes))
+        result = replay_pair(trees, documents, i, passes)
+        for side in SIDES:
+            runs[side].append(result[side])
         print(f"replay pair {i + 1} of {pairs} done", file=sys.stderr)
     layers = {}
     for name, first in runs["parent"][0]["layers"].items():
@@ -321,7 +373,9 @@ def replay(trees: dict, pairs: int, passes: int) -> dict:
         "pairs": pairs,
         "passes": passes,
         "method": (
-            "each tree's own dlw in a process of its own, parent first on even pairs; each "
+            "each tree's own dlw in a process of its own, the pair's two processes in "
+            "lockstep: both record, then each pass runs on one side and then the other, "
+            "parent first on even passes of even pairs and odd passes of odd pairs; each "
             "layer timed over inputs recorded from the documents, repeated to at least "
             f"{REPLAY_CALLS} calls a pass, with gc off, best of the passes, one pass of each "
             "layer in turn; ratio is "
