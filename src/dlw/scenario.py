@@ -509,9 +509,10 @@ def _split_walk(grid: GridSpec, walkers: int, walk, fold: ResidualFold, row) -> 
     block raises exits, and one that dies closes its pipe too: at the end of
     the pipe this process walks that worker's remaining blocks itself, so an
     error surfaces at the point, and with the message, of the walk in one
-    process. A worker leaves only through os._exit, so it never unwinds into
-    its caller or flushes an inherited buffer; every worker is killed and
-    reaped before this returns or raises."""
+    process; so it does for a worker that could not be forked. A worker
+    leaves only through os._exit, so it never unwinds into its caller or
+    flushes an inherited buffer; every worker is killed and reaped before
+    this returns or raises."""
     import signal
 
     readers: list = [None]  # walker 0 reads from no pipe
@@ -527,6 +528,8 @@ def _split_walk(grid: GridSpec, walkers: int, walk, fold: ResidualFold, row) -> 
                 if pid == 0:
                     _worker(grid, walkers, worker, walk, write_end, mask)
                 pids.append(pid)
+            except OSError:  # no process to spare: this process walks those blocks
+                readers[-1].close()
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write_end)  # this process's copy: the pipe ends with the worker

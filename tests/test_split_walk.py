@@ -86,10 +86,9 @@ def walkers(monkeypatch):
     return use
 
 
-def no_process_left():
+def assert_no_process_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def run(tmp_path, capsys, monkeypatch, name, document):
@@ -116,7 +115,7 @@ def test_a_split_walk_prints_and_writes_the_serial_walks_bytes(
         forks = walkers(count)
         results[count] = run(tmp_path, capsys, monkeypatch, f"{name}-{count}", DOCUMENTS[name])
         assert len(forks) == count - 1
-        assert no_process_left()
+        assert_no_process_left()
     code, out, err, files = results[1]
     assert code == (1 if name == "perturb-h" else 0)
     assert sorted(files) == ["out.csv", "report.json", "scenario.json"]
@@ -160,7 +159,7 @@ def test_an_error_in_a_workers_block_is_the_serial_walks_error(
     assert (code, out) == (2, "")
     assert err == f"error: field evaluation failed: config.{serial.value}\n"
     assert list(files) == ["scenario.json"]  # no output and no sibling
-    assert no_process_left()
+    assert_no_process_left()
 
 
 class FullDisk:
@@ -206,7 +205,7 @@ def test_a_row_that_raises_mid_walk_leaves_no_file_and_no_process(
             run(tmp_path, capsys, monkeypatch, "full", THREE_KERNELS)
     assert len(forks) == count - 1
     assert os.listdir(tmp_path / "full") == ["scenario.json"]
-    assert no_process_left()
+    assert_no_process_left()
 
 
 def test_the_blocks_of_a_worker_that_dies_or_raises_are_walked_here():
@@ -237,7 +236,33 @@ def test_the_blocks_of_a_worker_that_dies_or_raises_are_walked_here():
             report = evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, worker_sampler,
                                    phi_value, rows.append, count)
             assert (report, rows) == expected
-            assert no_process_left()
+            assert_no_process_left()
+
+
+def test_the_blocks_of_a_worker_that_cannot_be_forked_are_walked_here(monkeypatch):
+    # a process limit makes fork raise: the walk goes on with the walkers it has
+    sc = scenario_from_dict(THREE_KERNELS)
+    sampler, phi_value = dlw.scenario.build_sampler(sc)
+    rows = []
+    expected = evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, sampler, phi_value,
+                             rows.append), rows
+    fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    rows = []
+    report = evaluate_grid(sc.grid, sc.stencil, fd_residual_dlw, sampler, phi_value,
+                           rows.append, 3)
+    assert len(forks) == 1
+    assert (report, rows) == expected
+    assert_no_process_left()
 
 
 def test_a_walk_stays_in_this_process_where_it_cannot_split(monkeypatch):
